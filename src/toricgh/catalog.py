@@ -7,10 +7,12 @@ evenness criterion on the moment curve, independently of coordinates.
 Composite entries apply pyramid / bipyramid / prism to other entries;
 recipes like ``prism(pyramid(cube3))`` compose arbitrarily.
 
-Realizations are exact and optional: an entry is realized only when its
-vertex count is small enough for brute-force facet enumeration, so
+Realizations are exact and optional: an entry is realized only when
+C(n, d) for its n vertices is within ``ENUMERATION_BUDGET``, so
 lattice-level checks run on everything while coordinate-level checks
-(shellings, rigidity, cones) run on the realizable slice.
+(shellings, rigidity, cones) run on the realizable slice.  The budget
+is an admission rule kept from the brute-force facet enumeration; the
+double description enumerator's cost follows the facets instead.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb
 from toricgh.geometry import GeometricPolytope, facet_enumeration
 from toricgh.lattice import FaceLattice
 
-# facet enumeration is O(C(n, d)); entries beyond this stay lattice-only
+# entries whose C(n, d) exceeds this stay lattice-only (see the module docstring)
 ENUMERATION_BUDGET = 60_000
 
 

@@ -61,8 +61,7 @@ def load_input(text: str) -> Input:
         except json.JSONDecodeError as e:
             raise InputError(f"{text}: parse error at line {e.lineno}, column {e.colno}")
         if "vertices" in data:
-            verts = [[Fraction(x) for x in v] for v in data["vertices"]]
-            return Input(text, polytope=facet_enumeration(verts))
+            return Input(text, polytope=facet_enumeration(data["vertices"]))
         if "facets" in data:
             return Input(text, lattice=FaceLattice.from_json(data))
         raise InputError(f"{text}: neither polytope/v1 nor lattice/v1")

@@ -1,16 +1,19 @@
 """Exact rational geometry: polytopes from vertices, cones and fans.
 
-All coordinates are ``fractions.Fraction``; ranks come from fraction-free
-integer elimination, so there is no floating point anywhere.  Facet
-enumeration is deliberately brute force — every hyperplane spanned by an
-affinely independent d-subset of the vertices is tested — which is the
-right trade for n <= ~30 vertices in dimension <= 6.
+Coordinates are ``fractions.Fraction``; every rank, kernel and solution
+comes from one fraction-free (Bareiss) elimination on integer rows, so
+there is no floating point anywhere.  Facet enumeration is the double
+description method (Motzkin; Fukuda & Prodon, "Double description method
+revisited", 1996) on the points scaled once to one integer lattice: it
+adds the points one at a time to the cone of a starting simplex, so its
+cost follows the number of facets met on the way rather than the C(n, d)
+hyperplanes that d-subsets of the points span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import gcd, lcm
 
 from toricgh.lattice import FaceLattice
@@ -32,7 +35,7 @@ def primitive_ray(v) -> tuple[int, ...]:
     if all(x == 0 for x in v):
         return tuple(0 for _ in v)
     mult = lcm(*(x.denominator for x in v))
-    ints = [int(x * mult) for x in v]
+    ints = [x.numerator * (mult // x.denominator) for x in v]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -41,44 +44,66 @@ def primitive_ray(v) -> tuple[int, ...]:
 
 
 def _integer_rows(rows):
+    """Each row as a list of ints, scaled by the lcm of its denominators.
+
+    Integer rows are copied as they are; scaling a row changes neither
+    the rank nor the reduced row echelon form.
+    """
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         fr = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in fr)) if fr else 1
-        out.append([int(x * mult) for x in fr])
+        mult = lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (mult // x.denominator) for x in fr])
     return out
+
+
+def _eliminate(mat, full=False):
+    """Fraction-free (Bareiss) elimination of the int matrix ``mat`` in place.
+
+    Returns (pivot columns, last pivot).  Row r then leads at pivots[r] and
+    the rows past len(pivots) are zero.  Every division is exact, so all
+    intermediate values are integers bounded by minors of the input.  With
+    ``full`` the rows above each pivot are cleared too (fraction-free
+    Gauss-Jordan); the pivot rows are then the last pivot times the
+    reduced row echelon form.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        p = prow[col]
+        for r in range(0 if full else rank + 1, nrows):
+            if r == rank:
+                continue
+            row = mat[r]
+            head = row[col]
+            for c in range(0 if r < rank else col + 1, ncols):
+                row[c] = (row[c] * p - head * prow[c]) // prev
+            row[col] = 0
+        prev = p
+        pivots.append(col)
+    return pivots, prev
 
 
 def exact_rank(rows) -> int:
     """Rank over Q by fraction-free (Bareiss) Gaussian elimination.
 
     Rows may hold ints or Fractions; denominators are cleared per row,
-    which does not change the rank.  All intermediate values are exact
-    integers, bounded by minors of the input.
+    which does not change the rank.
     """
-    mat = _integer_rows(rows)
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            head = mat[r][col]
-            row, prow = mat[r], mat[rank]
-            for c in range(col + 1, ncols):
-                row[c] = (row[c] * p - head * prow[c]) // prev
-            row[col] = 0
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_eliminate(_integer_rows(rows))[0])
 
 
 def kernel_dimension(rows) -> int:
@@ -88,58 +113,63 @@ def kernel_dimension(rows) -> int:
     return len(rows[0]) - exact_rank(rows)
 
 
-def rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
-
-
 def nullspace(rows):
-    """Basis of the right kernel as Fraction tuples."""
+    """Basis of the right kernel as Fraction tuples.
+
+    One vector per free column, in column order: 1 at its free column, 0
+    at the other free columns (the basis read off the reduced row echelon
+    form).
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    mat = _integer_rows(rows)
+    pivots, den = _eliminate(mat, full=True)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            vec[pc] = Fraction(-mat[r][fc], den)
         basis.append(tuple(vec))
     return basis
 
 
 def solve(a_rows, b):
-    """One solution x of A x = b, or None when inconsistent."""
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    """One solution x of A x = b, or None when inconsistent.
+
+    The free variables are 0, as read off the reduced row echelon form.
+    """
     ncols = len(a_rows[0])
+    mat = _integer_rows([list(row) + [bv] for row, bv in zip(a_rows, b)])
+    pivots, den = _eliminate(mat, full=True)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][-1]
+        x[pc] = Fraction(mat[r][-1], den)
     return tuple(x)
+
+
+def echelon(rows):
+    """Integer echelon basis of the row space, as (pivot column, row) pairs."""
+    mat = _integer_rows(rows)
+    pivots, _ = _eliminate(mat)
+    return tuple((pc, tuple(mat[r])) for r, pc in enumerate(pivots))
+
+
+def in_span(basis, v) -> bool:
+    """Whether the integer vector ``v`` lies in the span of an ``echelon`` basis."""
+    v = list(v)
+    for pc, row in basis:
+        head = v[pc]
+        if head:
+            p = row[pc]
+            v = [p * a - head * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 # -- polytopes ----------------------------------------------------------
@@ -152,7 +182,8 @@ class GeometricPolytope:
     affine coordinates on the hull, so they always span dimension d.
     ``facets`` is a list of (normal, offset, tight vertex set) with
     <normal, x> <= offset valid on all vertices and tight exactly on the
-    facet.  ``lattice`` is the face lattice derived from the tight sets.
+    facet; normals are integer vectors.  ``lattice`` is the face
+    lattice derived from the tight sets.
     """
 
     def __init__(self, vertices, coords, d, facets, lattice):
@@ -179,79 +210,128 @@ class GeometricPolytope:
 
     @staticmethod
     def from_json(data: dict) -> "GeometricPolytope":
-        return facet_enumeration([[Fraction(x) for x in v] for v in data["vertices"]])
+        return facet_enumeration(data["vertices"])
+
+
+def _rational_points(vertices):
+    """The input rows as Fraction tuples; ValueError names a bad row."""
+    try:
+        rows = list(vertices)
+    except TypeError:
+        raise ValueError("vertices must be a list of coordinate rows") from None
+    pts = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"vertex row {i} is not a list of coordinates: {row!r}")
+        if pts and len(row) != len(pts[0]):
+            raise ValueError(
+                f"vertex row {i} has {len(row)} coordinates, row 0 has {len(pts[0])}"
+            )
+        if any(isinstance(x, bool) for x in row):
+            raise ValueError(f"vertex row {i}: a boolean is not a coordinate")
+        try:
+            pts.append(tuple(Fraction(x) for x in row))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"vertex row {i}: {e}") from None
+    return pts
 
 
 def _affine_coordinates(points):
-    """Coordinates of the points on their affine hull; returns (coords, d)."""
+    """Coordinates of the points on their affine hull.
+
+    Returns (coords, d, basis): the differences p - p0 that raise the rank,
+    taken in input order, form the basis, and a point's coordinates are
+    its difference in that basis.  One Gauss-Jordan elimination of the
+    differences, taken as columns, gives all three: the pivot columns are
+    the basis and the reduced columns are the coordinates.
+    """
     p0 = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points]
-    basis = []
-    for v in diffs:
-        if any(v) and exact_rank(basis + [v]) > len(basis):
-            basis.append(v)
-    d = len(basis)
-    if d == 0:
-        return [()] * len(points), 0
-    bt = [[basis[j][i] for j in range(d)] for i in range(len(p0))]
-    coords = []
-    for v in diffs:
-        lam = solve(bt, list(v))
-        if lam is None:
-            raise ValueError("point outside the affine hull of the basis")
-        coords.append(tuple(lam))
-    return coords, d
+    cols = [[a - b for a, b in zip(p, p0)] for p in points]
+    mat = _integer_rows(zip(*cols))
+    basis, den = _eliminate(mat, full=True)
+    coords = [
+        tuple(Fraction(mat[r][j], den) for r in range(len(basis)))
+        for j in range(len(points))
+    ]
+    return coords, len(basis), basis
+
+
+def _double_description(points, basis, scale):
+    """Facets of conv(points) for integer points spanning Z^d affinely.
+
+    A facet is an extreme ray h = (h_0, h') of the cone of all h with
+    h_0 + <h', x> >= 0 on every point; it is stored with its zero set, a
+    bitmask of the points it is tight on.  The points 0 and ``basis``
+    (0 and scale * e_k) form the starting simplex, whose cone has the rays
+    (scale, -1, ..., -1) and (0, e_k).  Each further point splits the rays
+    into +, 0 and - by sign; a new ray combines a + and a - ray that are
+    adjacent, which holds exactly when no third ray is tight on every
+    point both are tight on (Fukuda & Prodon, Prop. 7).
+    """
+    d = len(points[0])
+    rays = [(scale,) + (-1,) * d] + [
+        (0,) + tuple(int(j == k) for j in range(d)) for k in range(d)
+    ]
+    start = [0] + list(basis)
+    zeros = [
+        sum(1 << i for i in start if h[0] + dot(h[1:], points[i]) == 0) for h in rays
+    ]
+    for i in range(len(points)):
+        if i in start:
+            continue
+        x, bit = points[i], 1 << i
+        vals = [h[0] + dot(h[1:], x) for h in rays]
+        plus = [k for k, val in enumerate(vals) if val > 0]
+        minus = [k for k, val in enumerate(vals) if val < 0]
+        new_rays, new_zeros = [], []
+        for k, val in enumerate(vals):
+            if val >= 0:
+                new_rays.append(rays[k])
+                new_zeros.append(zeros[k] | bit if val == 0 else zeros[k])
+        for kp in plus:
+            for km in minus:
+                common = zeros[kp] & zeros[km]
+                if common.bit_count() < d - 1 or any(
+                    z & common == common
+                    for k, z in enumerate(zeros)
+                    if k != kp and k != km
+                ):
+                    continue
+                hp, hm, vp, vm = rays[kp], rays[km], vals[kp], vals[km]
+                h = [vp * b - vm * a for a, b in zip(hp, hm)]
+                g = gcd(*h)
+                new_rays.append(tuple(c // g for c in h))
+                new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
+    return list(zip(rays, zeros))
 
 
 def facet_enumeration(vertices) -> GeometricPolytope:
-    """All facets of conv(vertices), by exhausting spanned hyperplanes.
+    """All facets of conv(vertices), by the double description method.
 
+    Rows must be equally long lists of finite rationals (ints, Fractions,
+    finite floats or strings such as "1/2"); a bad row raises ValueError.
     Duplicated points are dropped silently and the dimension is taken
     from the points themselves.  Points that are not extreme are a
-    contract violation and raise.
+    contract violation and raise.  Facets come sorted by tight set.
     """
-    pts = []
-    seen = set()
-    for v in vertices:
-        fv = _frac_vec(v)
-        if fv not in seen:
-            seen.add(fv)
-            pts.append(fv)
+    pts = list(dict.fromkeys(_rational_points(vertices)))
     if not pts:
         raise ValueError("no points given")
-    coords, d = _affine_coordinates(pts)
+    coords, d, basis = _affine_coordinates(pts)
     n = len(pts)
 
     if d == 0:
         lat = FaceLattice.build([frozenset(), frozenset({0})], 1)
         return GeometricPolytope(tuple(pts), tuple(coords), 0, [], lat)
 
-    facets = {}
-    for subset in combinations(range(n), d):
-        base = coords[subset[0]]
-        rows = [
-            [coords[i][c] - base[c] for c in range(d)] for i in subset[1:]
-        ]
-        null = nullspace(rows) if rows else [(Fraction(1),)]
-        if len(null) != 1:
-            continue
-        normal = null[0]
-        offset = dot(normal, base)
-        values = [dot(normal, p) for p in coords]
-        if all(val <= offset for val in values):
-            pass
-        elif all(val >= offset for val in values):
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            values = [-v for v in values]
-        else:
-            continue
-        key = primitive_ray(list(normal) + [offset])
-        if key not in facets:
-            tight = frozenset(i for i, val in enumerate(values) if val == offset)
-            facets[key] = (normal, offset, tight)
-
-    facet_list = sorted(facets.values(), key=lambda f: sorted(f[2]))
+    scale = lcm(*(x.denominator for c in coords for x in c))
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords]
+    facet_list = []
+    for h, zero in _double_description(ints, basis, scale):
+        tight = frozenset(i for i in range(n) if zero >> i & 1)
+        facet_list.append((tuple(-a for a in h[1:]), Fraction(h[0], scale), tight))
+    facet_list.sort(key=lambda f: sorted(f[2]))
     for i in range(n):
         tight_normals = [f[0] for f in facet_list if i in f[2]]
         if exact_rank(tight_normals) != d:
@@ -297,6 +377,11 @@ class Cone:
     def face_rays(self, face: int):
         """Primitive ray generators of the cone over lattice face ``face``."""
         return [self.rays[v] for v in sorted(self.lattice.faces[face])]
+
+    @cached_property
+    def face_spans(self):
+        """The ``echelon`` basis of each face's linear span, computed once."""
+        return tuple(echelon(self.face_rays(i)) for i in range(len(self.lattice.faces)))
 
     def face_fan(self) -> "Fan":
         lat = self.lattice

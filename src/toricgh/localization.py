@@ -5,8 +5,9 @@ is a *back* face when moving off it in direction v stays inside sigma for
 a short time, a *front* face when the same holds for -v, and *fixed*
 (the Delta_0 class) when v lies in its linear span.  Both membership
 tests are exact: the interval condition is equivalent to the tight facet
-normals all pairing nonnegatively with v, and the span condition is a
-rational rank computation.
+normals all pairing nonnegatively with v, and the span condition reduces
+v, scaled to integers, against each face's integer echelon basis, which
+the cone computes once for all directions.
 
 Every back face tau has a unique minimal fixed face above it (tau plus
 the drift direction), and summing g(tau, 1) g(sigma/tau, 1) over the
@@ -19,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from toricgh.geometry import Cone, dot, exact_rank, nullspace
+from toricgh.geometry import Cone, dot, in_span, nullspace, primitive_ray
 from toricgh.toric import face_g, quotient_g
 
 
@@ -48,11 +49,9 @@ def classify_faces(cone: Cone, v) -> ConeDecomposition:
     front = frozenset(
         i for i in range(n) if all(pairing[j] <= 0 for j in cone.tight[i])
     )
-    fixed = frozenset(
-        i
-        for i in range(1, n)
-        if exact_rank(cone.face_rays(i)) == exact_rank(cone.face_rays(i) + [v])
-    )
+    ray = primitive_ray(v)
+    spans = cone.face_spans
+    fixed = frozenset(i for i in range(1, n) if in_span(spans[i], ray))
     if fixed != back & front:
         raise AssertionError("span test disagrees with the facet-normal test")
     minimal = tuple(

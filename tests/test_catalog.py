@@ -59,7 +59,8 @@ def test_catalog_entries_are_eulerian_sample():
 
 def test_geometric_entries_round_trip():
     for name in ["cube3", "cross4", "cyclic(6,3)", "pyramid(cube2)",
-                 "prism(simplex3)", "bipyramid(simplex2)"]:
+                 "prism(simplex3)", "bipyramid(simplex2)",
+                 "prism(cross5)", "prism(prism(cross3))"]:
         entry = parse_recipe(name)
         p = entry.realize()
         assert p is not None

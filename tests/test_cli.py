@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricgh.cli import main
 
 
@@ -122,3 +124,17 @@ def test_verify_scope_max_dim(capsys):
     code, out, _ = run(capsys, "verify", "cascade", "--max-dim", "2")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("vertices, reason", [
+    ("[[0,0],[1,0],[0,1],[1,1,5]]", "vertex row 3 has 3 coordinates, row 0 has 2"),
+    ("[[0,0,7],[1,0],[0,1]]", "vertex row 1 has 2 coordinates, row 0 has 3"),
+    ("[[0,0],[1e400,0],[0,1]]", "vertex row 1: cannot convert Infinity"),
+])
+def test_bad_vertex_rows(tmp_path, capsys, vertices, reason):
+    f = tmp_path / "bad.json"
+    f.write_text('{"vertices": %s}' % vertices)
+    code, out, err = run(capsys, "gh", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.strip().splitlines()) == 1

@@ -2,21 +2,24 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toricgh.catalog import cube_lattice, cyclic_lattice, cyclic_vertices
 from toricgh.geometry import (
     central_fan,
     cone_over,
+    echelon,
     exact_rank,
     facet_enumeration,
+    in_span,
     kernel_dimension,
     nullspace,
     primitive_ray,
-    rref,
     solve,
     Fan,
 )
+
+import oracles
 
 
 def test_unit_square():
@@ -77,20 +80,41 @@ def test_exact_rank_examples():
     assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
-def _rank_oracle(rows):
-    # independent route: reduced row echelon over Fraction
-    red, pivots = rref(rows)
-    return len(pivots)
-
-
-small_matrices = st.lists(
-    st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=5
+small_entries = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4)
 )
+small_matrices = st.lists(
+    st.lists(small_entries, min_size=3, max_size=3), min_size=1, max_size=5
+)
+
+
+def _apply(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
 
 
 @given(small_matrices)
 def test_rank_matches_rref_oracle(rows):
-    assert exact_rank(rows) == _rank_oracle(rows)
+    rank = exact_rank(rows)
+    assert rank == oracles.rank(rows)  # independent route: RREF over Fraction
+    basis = nullspace(rows)
+    assert basis == oracles.nullspace(rows)
+    assert len(basis) == 3 - rank
+    for v in basis:
+        assert _apply(rows, v) == [0] * len(rows)
+    # a nonzero kernel vector is orthogonal to the row space, so outside it
+    span = echelon(rows)
+    assert all(in_span(span, primitive_ray(row)) for row in rows)
+    assert not any(in_span(span, primitive_ray(v)) for v in basis)
+
+
+@given(small_matrices, st.lists(small_entries, min_size=5, max_size=5), st.booleans())
+def test_solve_matches_rref_oracle(rows, entries, consistent):
+    # a consistent right-hand side is A x for some x; a drawn one mostly is not
+    b = _apply(rows, entries[:3]) if consistent else entries[:len(rows)]
+    x = solve(rows, b)
+    assert x == oracles.solve(rows, b)
+    if consistent:
+        assert x is not None and _apply(rows, x) == b
 
 
 @given(small_matrices)
@@ -176,3 +200,60 @@ def test_cross_polytope_enum():
     p = facet_enumeration(pts)
     assert p.lattice.f_vector() == (8, 24, 32, 16)
     assert p.lattice.is_simplicial()
+
+
+def _outcome(enumerate_facets, pts):
+    """(d, facets) of the enumeration, or the ValueError message it raised."""
+    try:
+        return enumerate_facets(pts)
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def point_sets(draw):
+    """Small rational point sets, mostly of affine dimension 1-4.
+
+    A base configuration in Q^k (random points, or points lifted to the
+    paraboloid, which are in convex position) gets up to two extra
+    coordinates, integer combinations of the first k, so that it lies in
+    a proper flat; then duplicates and midpoints, which are no vertices,
+    may join it.
+    """
+    k = draw(st.integers(1, 4))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    if k >= 2 and draw(st.booleans()):
+        ys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (k - 1)),
+                           min_size=k + 1, max_size=k + 3, unique=True))
+        base = [y + (sum(c * c for c in y),) for y in ys]
+    else:
+        base = draw(st.lists(st.tuples(*[coord] * k), min_size=k + 1, max_size=k + 3))
+    extra = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), max_size=2))
+    pts = [p + tuple(sum(r * x for r, x in zip(row, p)) for row in extra) for p in base]
+    for _ in range(draw(st.integers(0, 2))):
+        pts.append(draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple((x + y) / 2 for x, y in zip(p, q)))
+    return pts
+
+
+@settings(deadline=None)
+@given(point_sets())
+def test_enumeration_matches_brute_force_oracle(pts):
+    def enumerate_facets(points):
+        p = facet_enumeration(points)
+        return p.d, p.facets
+
+    new, old = _outcome(enumerate_facets, pts), _outcome(oracles.brute_force_facets, pts)
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+        return
+    (d, facets), (d_old, facets_old) = new, old
+    assert d == d_old
+    assert [t for _, _, t in facets] == [t for _, _, t in facets_old]
+    for (a, b, _), (a_old, b_old, _) in zip(facets, facets_old):
+        # the same inequality up to a positive factor
+        lam = next(x / y for x, y in zip(a, a_old) if y)
+        assert lam > 0 and b == lam * b_old
+        assert list(a) == [lam * y for y in a_old]
