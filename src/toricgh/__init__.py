@@ -9,13 +9,7 @@ share across concurrent tasks.
 """
 
 from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
-from toricgh.lattice import (
-    FaceLattice,
-    LatticeError,
-    canonical_form,
-    is_eulerian,
-    is_isomorphic,
-)
+from toricgh.lattice import FaceLattice, LatticeError, is_eulerian
 from toricgh.geometry import (
     Cone,
     Fan,
@@ -28,14 +22,12 @@ from toricgh.geometry import (
 )
 from toricgh.toric import (
     FlagVector,
-    Invariant,
     check_cone_bipyramid,
     check_dehn_sommerville,
     check_g_cascade,
     check_kalai_identity,
     check_monotonicity,
     check_ubt,
-    convolution,
     fan_h,
     flag_vector,
     g1_closed,

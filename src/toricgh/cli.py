@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from toricgh import localization, rigidity, shelling, toric, verma
@@ -206,8 +207,10 @@ def cmd_verify(args) -> int:
             if suite in GEOMETRIC_SUITES:
                 if inp._entry is not None and inp._entry.realize() is None:
                     continue
+            t0 = time.perf_counter()
             ok = _verify_one(suite, inp, args.seed, args.faces)
-            results.append({"suite": suite, "instance": inp.name, "pass": bool(ok)})
+            results.append({"suite": suite, "instance": inp.name, "pass": bool(ok),
+                            "seconds": round(time.perf_counter() - t0, 6)})
             if not args.json:
                 print(f"{'PASS' if ok else 'FAIL'}  {suite}  {inp.name}")
     if args.json:

@@ -3,10 +3,14 @@
 A lattice is stored as an indexed family of faces, each identified by its
 vertex set, together with the full order relation as a read-only numpy
 boolean matrix (``leq[i, j]`` iff face i is a face of face j).  Faces are
-sorted by dimension, so index 0 is the empty face and the last index is
-the whole polytope.  Construction validates that the poset is graded,
-atomic and Eulerian; inputs that fail (e.g. an open facet path) are
-rejected since they cannot be polytope boundaries.
+sorted by vertex count, which is a linear extension of the order
+(``leq[i, j]`` implies i <= j) but not always a sort by dimension: in
+the prism over a tetrahedron the 4-vertex tetrahedron {0, 1, 2, 3}
+comes before the 4-vertex square {0, 1, 4, 5}.  Code that needs the
+dimension layers reads ``dims``.  Index 0 is the empty face and the
+last index is the whole polytope.  Construction validates that the
+poset is graded, atomic and Eulerian; inputs that fail (e.g. an open
+facet path) are rejected since they cannot be polytope boundaries.
 
 Dimension conventions: dim(empty face) = -1; the one-element lattice is
 the empty polytope, which is distinct from a point (two elements).
@@ -112,13 +116,7 @@ class FaceLattice:
         ci, cj = np.nonzero(covers)
         if np.any(dims[cj] - dims[ci] != 1):
             raise LatticeError("poset is not graded")
-        # Eulerian: every interval of length >= 1 balances even/odd dims,
-        # i.e. sum of (-1)^dim over [F, G] vanishes; one matrix product
-        # checks all intervals at once.
-        z = leq.astype(np.float64)
-        signed = z * np.where(dims % 2 == 0, 1.0, -1.0)[None, :]
-        p = signed @ z
-        bad = (p != 0) & lt
+        bad = _unbalanced(leq, dims, lt)
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
             raise LatticeError(
@@ -290,87 +288,20 @@ def _grade(faces, leq):
     return heights - 1
 
 
+def _unbalanced(leq, dims, lt):
+    """Pairs F < G whose interval [F, G] is not Eulerian.
+
+    Eulerian means every interval of length >= 1 balances even and odd
+    dims, i.e. the sum of (-1)^dim over [F, G] vanishes; one matrix
+    product checks all intervals at once.
+    """
+    z = leq.astype(np.float64)
+    signed = z * np.where(dims % 2 == 0, 1.0, -1.0)[None, :]
+    p = signed @ z
+    return (p != 0) & lt
+
+
 def is_eulerian(lat: FaceLattice) -> bool:
     """Every interval of length >= 1 has equal even- and odd-dim counts."""
-    n = len(lat.faces)
-    z = lat.leq.astype(np.float64)
-    signed = z * np.where(lat.dims % 2 == 0, 1.0, -1.0)[None, :]
-    p = signed @ z
-    lt = lat.leq & ~np.eye(n, dtype=bool)
-    return not ((p != 0) & lt).any()
-
-
-# -- canonical forms ----------------------------------------------------
-#
-# The g-recursion revisits isomorphic intervals heavily (all vertex
-# figures of a cube, say), so lattices support a canonical certificate:
-# iterated partition refinement on the Hasse diagram, with backtracking
-# individualization when refinement stalls.  Highly symmetric lattices
-# can make the backtracking explode, so it carries an explicit budget;
-# exceeding it is reported, never silently wrong.
-
-
-class CanonicalBudgetExceeded(RuntimeError):
-    pass
-
-
-def canonical_form(lat: FaceLattice, budget: int = 512) -> bytes:
-    """Certificate equal for isomorphic lattices, distinct otherwise."""
-    n = len(lat.faces)
-    up = [tuple(lat.covers_of(i)) for i in range(n)]
-    down = [[] for _ in range(n)]
-    for i in range(n):
-        for j in up[i]:
-            down[j].append(i)
-    colors = _refine([int(d) for d in lat.dims], up, down)
-    state = {"leaves": 0}
-    return _canon_search(colors, up, down, budget, state)
-
-
-def is_isomorphic(a: FaceLattice, b: FaceLattice, budget: int = 512) -> bool:
-    if len(a.faces) != len(b.faces) or a.d != b.d:
-        return False
-    return canonical_form(a, budget) == canonical_form(b, budget)
-
-
-def _refine(colors, up, down):
-    n = len(colors)
-    while True:
-        sigs = [
-            (colors[i], tuple(sorted(colors[j] for j in up[i])),
-             tuple(sorted(colors[j] for j in down[i])))
-            for i in range(n)
-        ]
-        order = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
-def _canon_search(colors, up, down, budget, state):
-    n = len(colors)
-    classes = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    target = next(
-        (classes[c] for c in sorted(classes) if len(classes[c]) > 1), None
-    )
-    if target is None:
-        state["leaves"] += 1
-        if state["leaves"] > budget:
-            raise CanonicalBudgetExceeded(f"more than {budget} leaves")
-        perm = sorted(range(n), key=colors.__getitem__)
-        pos = {v: k for k, v in enumerate(perm)}
-        rows = [
-            (colors[v], tuple(sorted(pos[w] for w in up[v]))) for v in perm
-        ]
-        return repr(rows).encode()
-    best = None
-    for v in target:
-        trial = list(colors)
-        trial[v] = -1
-        cert = _canon_search(_refine(trial, up, down), up, down, budget, state)
-        if best is None or cert < best:
-            best = cert
-    return best
+    lt = lat.leq & ~np.eye(len(lat.faces), dtype=bool)
+    return not _unbalanced(lat.leq, lat.dims, lt).any()

@@ -6,19 +6,21 @@ recursion
     h(P, t) = sum over faces F < P of g(F, t) (t-1)^(d - 1 - dim F),
     g_k = h_k - h_{k-1} for 0 <= k <= d/2,
 
-starting from g = h = 1 on the empty polytope.  The engine below runs
-the recursion over a whole up-set of the lattice at once, one dimension
-layer at a time, with numpy doing the bulk sums; coefficients stay exact
-(int64 is plenty at desk scale).  Everything else in the module is
-arithmetic on top of those tables: closed forms for g1/g2, the extended
-g-tilde numbers, convolutions of invariants, and executable checks of
-Dehn-Sommerville, monotonicity, the upper bound inequality, the vertex
-identity relating g_k and g_{k+1}, and the cone/bipyramid identities.
+starting from g = h = 1 on the empty polytope.  Two engines run it one
+dimension layer at a time, in exact int64 with numpy doing the bulk sums:
+``_interval_tables`` over the up-set of one root (P, its faces, one
+quotient) and ``_pair_tables`` over every interval [x, y] at once, and
+on the reversed order over every polar.  The rest of the module is
+arithmetic on those tables: closed forms for g1/g2, the extended g-tilde
+numbers, and executable checks of Dehn-Sommerville, monotonicity, the
+upper bound inequality, the vertex identity relating g_k and g_{k+1}, and
+the cone/bipyramid identities.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +83,113 @@ def _interval_tables(lat: FaceLattice, root: int):
     return cache[root]
 
 
+def _pair_tables(leq, dims, d: int):
+    """h and g of every interval [x, y] of a graded order, in one pass.
+
+    Returns (px, py, H, G): one row per comparable pair x <= y, the pairs
+    sorted by (x, y), and rows of H/G holding the coefficients of h/g of
+    [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The pass
+    walks the layers of y by dimension (never by index: the index order
+    is only a linear extension).  For each layer of z below it sums
+    g(x, z) over the triples x <= z < y, then applies the
+    (t-1)^(dim y - dim z - 1) kernel.  Integer throughout; storage is
+    O(comparable pairs * d).
+    """
+    n = len(dims)
+    px, py = np.nonzero(leq)
+    keys = px * n + py                  # ascending: nonzero is row-major
+    width = max(d + 1, 1)
+    H = np.zeros((len(px), width), dtype=np.int64)
+    G = np.zeros_like(H)
+    strict = px != py
+    H[~strict, 0] = G[~strict, 0] = 1
+
+    # the pairs (x, z) for a fixed z form one block of the column order
+    by_col = np.lexsort((px, py))
+    col_count = np.bincount(py, minlength=n)
+    col_start = np.cumsum(col_count) - col_count
+    dx, dy = dims[px], dims[py]
+    grades = np.unique(dims)
+    for e_y in grades[1:]:
+        in_layer = strict & (dy == e_y)
+        for e_z in grades[grades < e_y]:
+            zy = np.nonzero(in_layer & (dx == e_z))[0]
+            if not len(zy):
+                continue
+            z, y = px[zy], py[zy]
+            cnt = col_count[z]
+            ends = np.cumsum(cnt)
+            step = np.repeat(col_start[z] - (ends - cnt), cnt)
+            src = by_col[step + np.arange(ends[-1])]             # pairs (x, z)
+            tgt = np.searchsorted(keys, px[src] * n + np.repeat(y, cnt))
+            order = np.argsort(tgt, kind="stable")
+            tgt = tgt[order]
+            first = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
+            s = np.add.reduceat(G[src[order]], first, axis=0)
+            rows = tgt[first]
+            for j, c in enumerate(_binom_kernel(int(e_y - e_z) - 1)):
+                if c:
+                    H[rows, j:] += c * s[:, : width - j]
+        # g_k = h_k - h_{k-1} up to half of each interval's dimension
+        rows = np.nonzero(in_layer)[0]
+        g = H[rows].copy()
+        g[:, 1:] -= H[rows, :-1]
+        g *= np.arange(width) <= (e_y - dx[rows] - 1)[:, None] // 2
+        G[rows] = g
+    return px, py, H, G
+
+
+class _PairTable(NamedTuple):
+    px: np.ndarray
+    py: np.ndarray
+    H: np.ndarray
+    G: np.ndarray
+    face_h: np.ndarray
+    quot_h: np.ndarray
+    quot_g: np.ndarray
+
+
+def _pairs(lat: FaceLattice) -> _PairTable:
+    """The pair table of ``lat`` and its columns, built once per lattice.
+
+    Besides (px, py, H, G) it holds, per face x, the rows of the face
+    [bottom, x] (``face_h``) and of the quotient [x, top] (``quot_h``,
+    ``quot_g``).
+    """
+    table = lat._cache.get("pairs")
+    if table is None:
+        px, py, H, G = _pair_tables(lat.leq, lat.dims, lat.d)
+        n = len(lat.faces)
+        # bottom <= x for every x opens the table; (x, top) closes block x
+        quot = np.cumsum(np.bincount(px, minlength=n)) - 1
+        table = lat._cache["pairs"] = _PairTable(
+            px, py, H, G, H[:n], H[quot], G[quot]
+        )
+    return table
+
+
+def _polar_g(lat: FaceLattice) -> np.ndarray:
+    """Row f holds g of the polar of face f, from the reversed order.
+
+    The polar of F is the interval [F, bottom] of the order-reversed
+    lattice, where F has dimension d - 1 - dim F; (F, bottom) opens the
+    block of F in the reversed pair table.
+    """
+    polar = lat._cache.get("polar_g")
+    if polar is None:
+        px, _, _, G = _pair_tables(lat.leq.T, lat.d - 1 - lat.dims, lat.d)
+        first = np.searchsorted(px, np.arange(len(lat.faces)))
+        polar = lat._cache["polar_g"] = G[first]
+    return polar
+
+
+def _column(table: np.ndarray, k: int) -> np.ndarray:
+    """Coefficient k of every row, zero beyond the table's width."""
+    if 0 <= k < table.shape[1]:
+        return table[:, k]
+    return np.zeros(len(table), dtype=np.int64)
+
+
 def _row_poly(table, pos, face) -> Polynomial:
     return Polynomial(table[pos[face]].tolist())
 
@@ -104,14 +213,12 @@ def face_g(lat: FaceLattice, face: int) -> Polynomial:
 
 
 def quotient_g(lat: FaceLattice, face: int) -> Polynomial:
-    """g of the quotient polytope P/face."""
+    """g of P/face: a pair table lookup, else one table rooted at the face."""
+    table = lat._cache.get("pairs")
+    if table is not None:
+        return Polynomial(table.quot_g[face].tolist())
     pos, _, G = _interval_tables(lat, face)
     return _row_poly(G, pos, lat.top)
-
-
-def quotient_h(lat: FaceLattice, face: int) -> Polynomial:
-    pos, H, _ = _interval_tables(lat, face)
-    return _row_poly(H, pos, lat.top)
 
 
 def simplicial_h(f: tuple[int, ...], d: int) -> Polynomial:
@@ -207,7 +314,7 @@ def fan_h(fan) -> Polynomial:
     return out
 
 
-# -- extended g and convolution ----------------------------------------
+# -- extended g --------------------------------------------------------
 
 
 def gtilde(lat: FaceLattice, k: int) -> int:
@@ -220,51 +327,6 @@ def gtilde(lat: FaceLattice, k: int) -> int:
         raise ValueError("negative degree")
     h = toric_h(lat)
     return h[k] - h[k - 1] if k else h[0]
-
-
-class Invariant:
-    """A polytope invariant tagged with the dimension it expects.
-
-    Convolutions are graded: combining invariants of d1- and
-    d2-polytopes yields one of (d1 + d2 + 1)-polytopes, and applying an
-    invariant to a lattice of the wrong dimension is a hard error.
-    """
-
-    def __init__(self, name, dim, func):
-        self.name = name
-        self.dim = dim
-        self.func = func
-
-    def __call__(self, lat: FaceLattice) -> int:
-        if lat.d != self.dim:
-            raise ValueError(
-                f"{self.name} expects {self.dim}-polytopes, got d={lat.d}"
-            )
-        return self.func(lat)
-
-    def __repr__(self):
-        return f"{self.name}^{self.dim}"
-
-
-def gtilde_invariant(k: int, dim: int) -> Invariant:
-    return Invariant(f"gtilde_{k}", dim, lambda lat: gtilde(lat, k))
-
-
-def g_invariant(k: int, dim: int) -> Invariant:
-    return Invariant(f"g_{k}", dim, lambda lat: toric_g(lat)[k])
-
-
-def convolution(phi: Invariant, psi: Invariant, lat: FaceLattice) -> int:
-    """(phi * psi)(P) = sum over faces F of dim d1 of phi(F) psi(P/F)."""
-    if lat.d != phi.dim + psi.dim + 1:
-        raise ValueError(
-            f"convolution of dims {phi.dim} and {psi.dim} applies to "
-            f"{phi.dim + psi.dim + 1}-polytopes, got d={lat.d}"
-        )
-    total = 0
-    for f in lat.faces_of_dim(phi.dim):
-        total += phi(lat.face(f)) * psi(lat.quotient(f))
-    return total
 
 
 # -- checks ------------------------------------------------------------
@@ -322,15 +384,22 @@ def check_kalai_identity(lat: FaceLattice, k: int) -> bool:
     """
     d = lat.d
     lhs = (k + 1) * gtilde(lat, k + 1) + (d - k + 1) * gtilde(lat, k)
+    return lhs == _kalai_rhs(lat, k)
+
+
+def _kalai_rhs(lat: FaceLattice, k: int) -> int:
+    """sum_i (i+1) sum over 2i-faces F of gt_i(F) gt_{k-i}(P/F), for 2i < d."""
+    def gt(H, j):
+        return _column(H, j) - _column(H, j - 1) if j else _column(H, 0)
+
+    table = _pairs(lat)
     rhs = 0
-    for i in range(k + 1):
-        qdim = d - 2 * i - 1
-        if qdim < 0:
-            continue
-        rhs += (i + 1) * convolution(
-            gtilde_invariant(i, 2 * i), gtilde_invariant(k - i, qdim), lat
-        )
-    return lhs == rhs
+    for i in range(min(k, (lat.d - 1) // 2) + 1):
+        faces = lat.dims == 2 * i
+        left = gt(table.face_h[faces], i).tolist()
+        right = gt(table.quot_h[faces], k - i).tolist()
+        rhs += (i + 1) * sum(a * b for a, b in zip(left, right))
+    return rhs
 
 
 def check_cone_bipyramid(lat: FaceLattice) -> bool:

@@ -26,7 +26,7 @@ import numpy as np
 
 from toricgh.lattice import FaceLattice
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _interval_tables, quotient_g, toric_g
+from toricgh.toric import _column, _pairs, _polar_g
 
 
 class MultiplicityTable(dict):
@@ -56,43 +56,44 @@ def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
     Faces are processed in increasing dimension; each step solves the
     degree-k Euler characteristic equations at one stalk.  The solution
     is asserted integral and nonnegative, and zero beyond the middle
-    degree of the face, as the resolution requires.
+    degree of the face, as the resolution requires.  Once a layer is
+    solved, m_y(t) g([y, x], t) is pushed from all of it onto every x > y
+    over the pair table.
     """
     n = len(lat.faces)
     width = (lat.d + 1) // 2 + 2
     acc = np.zeros((n, width), dtype=np.int64)
+    m = np.zeros((n, width), dtype=np.int64)
     table = MultiplicityTable()
+    pairs = _pairs(lat)
+    px, py, G = pairs.px, pairs.py, pairs.G
+    for e in np.unique(lat.dims):
+        cone_dim = int(e) + 1  # the cone over a face of dimension e
+        for y in np.nonzero(lat.dims == e)[0].tolist():
+            if y == lat.bottom:
+                row = (1,)
+            else:
+                # the stalk equation reads acc + (-1)^cone_dim * m_k = 0
+                k_max = (cone_dim - 1) // 2
+                sign = 1 if cone_dim % 2 else -1
+                row = tuple(int(sign * acc[y, k]) for k in range(k_max + 1))
+                if any(acc[y, k] != 0 for k in range(k_max + 1, width)):
+                    raise AssertionError(
+                        f"multiplicity beyond middle degree at face {y}"
+                    )
+                if any(v < 0 for v in row):
+                    raise AssertionError(f"negative multiplicity at face {y}: {row}")
+            table[y] = _trim(row)
+            m[y, : len(table[y])] = table[y][:width]
 
-    order = sorted(range(n), key=lambda i: int(lat.dims[i]))
-    for y in order:
-        cone_dim = int(lat.dims[y]) + 1  # the cone over face y
-        if y == lat.bottom:
-            m = (1,)
-        else:
-            # the stalk equation reads acc + (-1)^cone_dim * m_k = 0
-            k_max = (cone_dim - 1) // 2
-            sign = 1 if cone_dim % 2 else -1
-            m = tuple(int(sign * acc[y, k]) for k in range(k_max + 1))
-            if any(acc[y, k] != 0 for k in range(k_max + 1, width)):
-                raise AssertionError(
-                    f"multiplicity beyond middle degree at face {y}"
-                )
-            if any(v < 0 for v in m):
-                raise AssertionError(f"negative multiplicity at face {y}: {m}")
-        table[y] = _trim(m)
-
-        # push (-1)^(cone dim) * m_y(t) * g([y, x], t) onto every x >= y
-        pos, _, G = _interval_tables(lat, y)
-        targets = np.array(list(pos.keys()), dtype=np.intp)
-        rows = np.array(list(pos.values()), dtype=np.intp)
-        keep = targets != y
-        targets, rows = targets[keep], rows[keep]
+        # push (-1)^(cone dim) * m_y(t) * g([y, x], t) onto every x > y
+        sel = np.nonzero((px != py) & (lat.dims[px] == e))[0]
         sign_y = -1 if cone_dim % 2 else 1
-        gw = G.shape[1]
-        for j, c in enumerate(table[y]):
-            if c and j < width:
-                take = min(gw, width - j)
-                acc[targets, j:j + take] += sign_y * c * G[rows, :take]
+        for j in range(width):
+            c = sign_y * m[px[sel], j]
+            if c.any():
+                take = min(G.shape[1], width - j)
+                np.add.at(acc[:, j:j + take], py[sel], c[:, None] * G[sel, :take])
     return table
 
 
@@ -106,11 +107,8 @@ def check_verma_vs_polar(lat: FaceLattice) -> bool:
 
 
 def polar_g(lat: FaceLattice, face: int) -> Polynomial:
-    """g of the polar of the face, via the order-reversed face lattice."""
-    cache = lat._cache.setdefault("polar_g", {})
-    if face not in cache:
-        cache[face] = toric_g(lat.face(face).dual())
-    return cache[face]
+    """g of the polar of the face, from the order-reversed pair table."""
+    return Polynomial(_polar_g(lat)[face].tolist())
 
 
 def check_reciprocity(lat: FaceLattice) -> Polynomial:
@@ -121,11 +119,15 @@ def check_reciprocity(lat: FaceLattice) -> Polynomial:
     """
     if lat.d < 0:
         raise ValueError("reciprocity needs a nonempty polytope")
-    out = Polynomial()
-    for f in range(len(lat.faces)):
-        term = polar_g(lat, f) * quotient_g(lat, f)
-        out = out + (term if lat.dims[f] % 2 == 0 else -term)
-    return out
+    signed = np.where(lat.dims % 2 == 0, 1, -1)[:, None] * _polar_g(lat)
+    quot = _pairs(lat).quot_g
+    # coefficient (i, j) of sum_F sign_F g(F*) g(P/F) lands on t^(i + j)
+    prod = (signed.T @ quot).tolist()
+    out = [0] * (len(prod) + len(prod[0]) - 1)
+    for i, row in enumerate(prod):
+        for j, c in enumerate(row):
+            out[i + j] += c
+    return Polynomial(out)
 
 
 def truncated_inequality(lat: FaceLattice, k: int, s: int):
@@ -137,14 +139,12 @@ def truncated_inequality(lat: FaceLattice, k: int, s: int):
     """
     if k < 0 or s < 0:
         raise ValueError("k and s must be nonnegative")
+    dims = lat.dims
+    sign = np.where((dims - s + 1) % 2 == 0, 1, -1)
+    polar, quot = _polar_g(lat), _pairs(lat).quot_g
     total = 0
-    for f in range(len(lat.faces)):
-        dim_f = int(lat.dims[f])
-        sign = 1 if (dim_f - s + 1) % 2 == 0 else -1
-        pg = polar_g(lat, f)
-        qg = quotient_g(lat, f)
-        for i in range(k + 1):
-            if dim_f > s + 2 * i - 1:
-                continue
-            total += sign * pg[i] * qg[k - i]
+    for i in range(k + 1):
+        keep = dims <= s + 2 * i - 1
+        terms = sign * _column(polar, i) * _column(quot, k - i)
+        total += int(terms[keep].sum())
     return total, total >= 0

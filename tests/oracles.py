@@ -6,11 +6,20 @@ C(n, d) facet enumeration the library used before its double
 description enumerator: every hyperplane spanned by an affinely
 independent d-subset of the points is tested against all of them.
 Neither shares code with ``toricgh.geometry``.
+
+``Invariant`` and ``convolution`` evaluate invariants on rebuilt
+sublattices (``lat.face(f)``, ``lat.quotient(f)``), the way the library
+computed the Kalai convolution before its all-pairs interval tables.
+``canonical_form`` is a certificate for lattice isomorphism: iterated
+partition refinement on the Hasse diagram, with budgeted backtracking
+individualization when refinement stalls.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from toricgh.toric import gtilde, toric_g
 
 
 def rref(rows):
@@ -125,3 +134,120 @@ def brute_force_facets(vertices):
         if rank([f[0] for f in facet_list if i in f[2]]) != d:
             raise ValueError(f"input point {pts[i]} is not a vertex of the hull")
     return d, facet_list
+
+
+# -- invariants on sublattices -------------------------------------------
+
+
+class Invariant:
+    """A polytope invariant tagged with the dimension it expects.
+
+    Convolutions are graded: combining invariants of d1- and
+    d2-polytopes yields one of (d1 + d2 + 1)-polytopes, and applying an
+    invariant to a lattice of the wrong dimension is a hard error.
+    """
+
+    def __init__(self, name, dim, func):
+        self.name = name
+        self.dim = dim
+        self.func = func
+
+    def __call__(self, lat):
+        if lat.d != self.dim:
+            raise ValueError(
+                f"{self.name} expects {self.dim}-polytopes, got d={lat.d}"
+            )
+        return self.func(lat)
+
+    def __repr__(self):
+        return f"{self.name}^{self.dim}"
+
+
+def gtilde_invariant(k, dim):
+    return Invariant(f"gtilde_{k}", dim, lambda lat: gtilde(lat, k))
+
+
+def g_invariant(k, dim):
+    return Invariant(f"g_{k}", dim, lambda lat: toric_g(lat)[k])
+
+
+def convolution(phi, psi, lat):
+    """(phi * psi)(P) = sum over faces F of dim d1 of phi(F) psi(P/F)."""
+    if lat.d != phi.dim + psi.dim + 1:
+        raise ValueError(
+            f"convolution of dims {phi.dim} and {psi.dim} applies to "
+            f"{phi.dim + psi.dim + 1}-polytopes, got d={lat.d}"
+        )
+    total = 0
+    for f in lat.faces_of_dim(phi.dim):
+        total += phi(lat.face(f)) * psi(lat.quotient(f))
+    return total
+
+
+# -- canonical forms ------------------------------------------------------
+
+
+class CanonicalBudgetExceeded(RuntimeError):
+    pass
+
+
+def canonical_form(lat, budget=512):
+    """Certificate equal for isomorphic lattices, distinct otherwise."""
+    n = len(lat.faces)
+    up = [tuple(lat.covers_of(i)) for i in range(n)]
+    down = [[] for _ in range(n)]
+    for i in range(n):
+        for j in up[i]:
+            down[j].append(i)
+    colors = _refine([int(d) for d in lat.dims], up, down)
+    state = {"leaves": 0}
+    return _canon_search(colors, up, down, budget, state)
+
+
+def is_isomorphic(a, b, budget=512):
+    if len(a.faces) != len(b.faces) or a.d != b.d:
+        return False
+    return canonical_form(a, budget) == canonical_form(b, budget)
+
+
+def _refine(colors, up, down):
+    n = len(colors)
+    while True:
+        sigs = [
+            (colors[i], tuple(sorted(colors[j] for j in up[i])),
+             tuple(sorted(colors[j] for j in down[i])))
+            for i in range(n)
+        ]
+        order = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def _canon_search(colors, up, down, budget, state):
+    n = len(colors)
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    target = next(
+        (classes[c] for c in sorted(classes) if len(classes[c]) > 1), None
+    )
+    if target is None:
+        state["leaves"] += 1
+        if state["leaves"] > budget:
+            raise CanonicalBudgetExceeded(f"more than {budget} leaves")
+        perm = sorted(range(n), key=colors.__getitem__)
+        pos = {v: k for k, v in enumerate(perm)}
+        rows = [
+            (colors[v], tuple(sorted(pos[w] for w in up[v]))) for v in perm
+        ]
+        return repr(rows).encode()
+    best = None
+    for v in target:
+        trial = list(colors)
+        trial[v] = -1
+        cert = _canon_search(_refine(trial, up, down), up, down, budget, state)
+        if best is None or cert < best:
+            best = cert
+    return best

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from toricgh.catalog import (
@@ -14,7 +15,9 @@ from toricgh.catalog import (
     simplex_lattice,
 )
 from toricgh.geometry import facet_enumeration
-from toricgh.lattice import is_eulerian, is_isomorphic
+from toricgh.lattice import is_eulerian
+
+from oracles import is_isomorphic
 
 
 def test_base_families_agree_with_iterated_constructions():
@@ -50,6 +53,17 @@ def test_catalog_contents():
     assert "pyramid(cross5)" in names and "prism(bipyramid(cube3))" in names
     assert all(e.dim <= 6 for e in cat)
     assert len(cat) == len(names)
+
+
+def test_face_order_is_a_linear_extension():
+    # leq[i, j] implies i <= j; the index order is not the dimension order
+    unsorted = []
+    for e in catalog():
+        lat = e.lattice()
+        assert not np.tril(lat.leq, -1).any(), e.name
+        if np.any(np.diff(lat.dims) < 0):
+            unsorted.append(e.name)
+    assert "prism(simplex3)" in unsorted
 
 
 def test_catalog_entries_are_eulerian_sample():

@@ -47,6 +47,16 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 2
 
 
+def test_verify_json_rows_carry_seconds(capsys):
+    code, out, _ = run(capsys, "verify", "reciprocity", "cube3", "cross3", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["instance"] for r in rows] == ["cube3", "cross3"]
+    for r in rows:
+        assert set(r) == {"suite", "instance", "pass", "seconds"}
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0
+
+
 def test_verify_verma_cube3(capsys):
     code, out, _ = run(capsys, "verify", "verma", "cube3")
     assert code == 0 and "PASS" in out

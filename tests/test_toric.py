@@ -15,7 +15,7 @@ from toricgh.geometry import central_fan, cone_over, facet_enumeration
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.polynomial import Polynomial, coefficientwise_geq
 from toricgh.toric import (
-    Invariant,
+    _pairs,
     check_cone_bipyramid,
     check_dehn_sommerville,
     check_g_cascade,
@@ -23,20 +23,19 @@ from toricgh.toric import (
     check_monotonicity,
     check_monotonicity_all,
     check_ubt,
-    convolution,
     face_g,
     fan_h,
     flag_vector,
     g1_closed,
     g2_closed,
-    g_invariant,
     gtilde,
-    gtilde_invariant,
     quotient_g,
     simplicial_h,
     toric_g,
     toric_h,
 )
+
+from oracles import Invariant, convolution, g_invariant, gtilde_invariant
 
 SQUARE = cube_lattice(2)
 CUBE3 = cube_lattice(3)
@@ -247,10 +246,8 @@ def test_g_cascade():
 
 
 def test_quotient_h_matches_regraded_interval():
-    from toricgh.toric import quotient_h
-
     for face in (CUBE4.index_of({0}), CUBE4.index_of({0, 1})):
-        qh = quotient_h(CUBE4, face)
+        qh = Polynomial(_pairs(CUBE4).quot_h[face].tolist())
         assert qh == toric_h(CUBE4.quotient(face))
         assert qh.is_palindromic(CUBE4.d - int(CUBE4.dims[face]) - 1)
 
