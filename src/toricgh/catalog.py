@@ -235,6 +235,13 @@ def parse_recipe(text: str) -> CatalogEntry:
             raise ValueError(f"expected {tok!r} at position {pos} in {text!r}")
         pos += 1
 
+    def number() -> int:
+        nonlocal pos
+        if pos >= len(tokens) or not tokens[pos].isdigit():
+            raise ValueError(f"expected a number at position {pos} in {text!r}")
+        pos += 1
+        return int(tokens[pos - 1])
+
     def expr() -> CatalogEntry:
         nonlocal pos
         if pos >= len(tokens):
@@ -243,9 +250,9 @@ def parse_recipe(text: str) -> CatalogEntry:
         pos += 1
         if head == "cyclic":
             expect("(")
-            n = int(tokens[pos]); pos += 1
+            n = number()
             expect(",")
-            d = int(tokens[pos]); pos += 1
+            d = number()
             expect(")")
             return CatalogEntry(
                 f"cyclic({n},{d})",

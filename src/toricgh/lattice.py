@@ -1,16 +1,22 @@
 """Graded face lattices of convex polytopes.
 
 A lattice is stored as an indexed family of faces, each identified by its
-vertex set, together with the full order relation as a read-only numpy
-boolean matrix (``leq[i, j]`` iff face i is a face of face j).  Faces are
-sorted by vertex count, which is a linear extension of the order
-(``leq[i, j]`` implies i <= j) but not always a sort by dimension: in
-the prism over a tetrahedron the 4-vertex tetrahedron {0, 1, 2, 3}
-comes before the 4-vertex square {0, 1, 4, 5}.  Code that needs the
-dimension layers reads ``dims``.  Index 0 is the empty face and the
-last index is the whole polytope.  Construction validates that the
-poset is graded, atomic and Eulerian; inputs that fail (e.g. an open
-facet path) are rejected since they cannot be polytope boundaries.
+vertex set.  Faces are sorted by vertex count, which is a linear
+extension of the order (face i below face j implies i <= j) but not
+always a sort by dimension: in the prism over a tetrahedron the
+4-vertex tetrahedron {0, 1, 2, 3} comes before the 4-vertex square
+{0, 1, 4, 5}.  Code that needs the dimension layers reads ``dims``.
+Index 0 is the empty face and the last index is the whole polytope.
+
+The order relation is held twice.  ``pairs`` is the integer list of
+strict comparable pairs x < y, sorted by (x, y); grading, validation,
+covers and flag counting are integer sums over these pairs and over the
+triples x < z < y they form.  ``leq`` is a read-only boolean matrix
+(``leq[i, j]`` iff face i is a face of face j) for single lookups.
+Inclusion itself is tested on packed vertex bitsets.  Construction
+validates that the poset is graded, atomic and Eulerian; inputs that
+fail (e.g. an open facet path) are rejected since they cannot be
+polytope boundaries.
 
 Dimension conventions: dim(empty face) = -1; the one-element lattice is
 the empty polytope, which is distinct from a point (two elements).
@@ -18,7 +24,15 @@ the empty polytope, which is distinct from a point (two elements).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+
+# Cells per temporary array in the chunked inclusion test and triples per
+# chunk of the pass over x < z < y: large enough for few numpy calls,
+# small enough that the temporaries stay near 2 MB each (the dense
+# int64 product they replace took 8n² bytes).
+_CHUNK = 1 << 18
 
 
 class LatticeError(ValueError):
@@ -52,20 +66,22 @@ class FaceLattice:
         n = len(faces)
         if n == 0:
             raise LatticeError("no faces given")
-        # inclusion via intersection-size counts
-        inc = np.zeros((n, max(n_vertices, 1)), dtype=np.int64)
-        for i, f in enumerate(faces):
-            for v in f:
-                if not 0 <= v < n_vertices:
-                    raise LatticeError(f"vertex index {v} out of range")
-                inc[i, v] = 1
-        sizes = inc.sum(axis=1)
-        common = inc @ inc.T
-        leq = common == sizes[:, None]
-        dims = _grade(faces, leq)
+        sizes = np.fromiter(map(len, faces), dtype=np.int64, count=n)
+        flat = list(chain.from_iterable(faces))
+        if flat and not 0 <= min(flat) <= max(flat) < n_vertices:
+            _check_range(faces, n_vertices)
+        leq = _inclusion(_vertex_bits(sizes, flat, n_vertices))
+        if int(leq[0].sum()) != n:
+            raise LatticeError("no unique bottom element")
+        px, py = _strict(leq)
+        dims = _grade(sizes, px, py)
         leq.setflags(write=False)
         dims.setflags(write=False)
-        return FaceLattice(faces, n_vertices, leq, dims, check=check)
+        lat = FaceLattice(faces, n_vertices, leq, dims, check=False)
+        lat._cache["strict_pairs"] = (px, py)
+        if check:
+            lat._validate()
+        return lat
 
     @staticmethod
     def from_vertex_facets(n_vertices, facets, check=True) -> "FaceLattice":
@@ -84,22 +100,23 @@ class FaceLattice:
             for j, g in enumerate(facets):
                 if i != j and f <= g:
                     raise LatticeError("one facet contains another")
-        top = frozenset(range(n_vertices))
-        if frozenset().union(*facets) != top:
+        _check_range(facets, n_vertices)
+        # the closure under intersection, on int bitmasks
+        masks = [sum(1 << v for v in f) for f in facets]
+        top = 0
+        for m in masks:
+            top |= m
+        if top.bit_count() != n_vertices:
             raise LatticeError("some vertex lies on no facet")
-
-        faces = set(facets)
-        queue = list(facets)
-        while queue:
-            f = queue.pop()
-            for g in facets:
-                h = f & g
-                if h not in faces:
-                    faces.add(h)
-                    queue.append(h)
-        faces.add(frozenset())
-        faces.add(top)
-        return FaceLattice.build(faces, n_vertices, check=check)
+        found, frontier = set(masks), set(masks)
+        while frontier:
+            met = set()
+            for f in frontier:
+                met |= {f & g for g in masks}
+            frontier = met - found
+            found |= frontier
+        found.update((0, top))
+        return FaceLattice.build(map(_vertices, found), n_vertices, check=check)
 
     def _validate(self):
         faces, leq, dims = self.faces, self.leq, self.dims
@@ -111,14 +128,14 @@ class FaceLattice:
         if n == 1:
             return
         # gradedness: every cover step raises the longest-chain height by 1
-        lt = leq & ~np.eye(n, dtype=bool)
-        covers = lt & ~(lt.astype(np.float64) @ lt.astype(np.float64) > 0)
-        ci, cj = np.nonzero(covers)
-        if np.any(dims[cj] - dims[ci] != 1):
+        px, py = self.pairs
+        between, balance = self._intervals()
+        cover = between == 0
+        if np.any(dims[py[cover]] - dims[px[cover]] != 1):
             raise LatticeError("poset is not graded")
-        bad = _unbalanced(leq, dims, lt)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
+        bad = np.flatnonzero(balance)
+        if bad.size:
+            i, j = int(px[bad[0]]), int(py[bad[0]])
             raise LatticeError(
                 f"not Eulerian: interval [{set(self.faces[i]) or '{}'}, "
                 f"{set(self.faces[j])}] is unbalanced"
@@ -131,6 +148,49 @@ class FaceLattice:
         for f in faces:
             if not set(f) <= atom_of:
                 raise LatticeError("face contains a non-atom vertex")
+
+    def _intervals(self):
+        """Per strict pair x < y: faces strictly between, and sum of (-1)^dim over [x, y].
+
+        One integer pass over the triples x < z < y: for each z it pairs
+        every (x, z) with every (z, y) and counts the middles per pair,
+        z of even and of odd dimension apart.  A pair with no middle is
+        a cover; a nonzero sum is an unbalanced (non-Eulerian) interval.
+        """
+        cached = self._cache.get("intervals")
+        if cached is not None:
+            return cached
+        px, py = self.pairs
+        n, m = len(self.faces), len(px)
+        keys = px * n + py
+        by_col = np.argsort(py, kind="stable")
+        below = np.bincount(py, minlength=n)
+        above = np.bincount(px, minlength=n)
+        col_start = np.cumsum(below) - below
+        row_start = np.cumsum(above) - above
+        per_z = below * above
+        odd = self.dims % 2 == 1
+        counts = np.zeros((2, m), dtype=np.int64)
+        for parity in (0, 1):
+            z_all = np.flatnonzero(per_z * (odd == parity))
+            ends = np.cumsum(per_z[z_all])
+            lo = 0
+            while lo < len(z_all):
+                # whole z's, about _CHUNK triples at a time
+                base = ends[lo] - per_z[z_all[lo]]
+                hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
+                cnt = per_z[z_all[lo:hi]]
+                z = np.repeat(z_all[lo:hi], cnt)
+                k = np.arange(len(z)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+                i, j = np.divmod(k, above[z])
+                x = px[by_col[col_start[z] + i]]
+                y = py[row_start[z] + j]
+                counts[parity] += np.bincount(np.searchsorted(keys, x * n + y), minlength=m)
+                lo = hi
+        sign = np.where(odd, -1, 1)
+        balance = sign[px] + sign[py] + counts[0] - counts[1]
+        cached = self._cache["intervals"] = (counts.sum(axis=0), balance)
+        return cached
 
     # -- basic queries -------------------------------------------------
 
@@ -165,14 +225,23 @@ class FaceLattice:
         """(f_0, ..., f_{d-1}): numbers of proper nonempty faces per dim."""
         return tuple(len(self.faces_of_dim(k)) for k in range(self.d))
 
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(px, py): every strict comparable pair px[k] < py[k], sorted by (x, y)."""
+        pairs = self._cache.get("strict_pairs")
+        if pairs is None:
+            pairs = self._cache["strict_pairs"] = _strict(self.leq)
+        return pairs
+
     def covers_of(self, i) -> list[int]:
         cov = self._cache.get("covers")
         if cov is None:
-            n = len(self.faces)
-            lt = self.leq & ~np.eye(n, dtype=bool)
-            two = (lt.astype(np.float64) @ lt.astype(np.float64)) > 0
-            cmat = lt & ~two
-            cov = [list(map(int, np.nonzero(cmat[k])[0])) for k in range(n)]
+            px, py = self.pairs
+            cover = self._intervals()[0] == 0
+            cx, cy = px[cover], py[cover]
+            bounds = np.searchsorted(cx, np.arange(len(self.faces) + 1)).tolist()
+            cy = cy.tolist()
+            cov = [cy[a:b] for a, b in zip(bounds, bounds[1:])]
             self._cache["covers"] = cov
         return cov[i]
 
@@ -268,40 +337,92 @@ class FaceLattice:
     def from_json(data: dict) -> "FaceLattice":
         if not {"dim", "n_vertices", "facets"} <= set(data):
             raise LatticeError("lattice/v1 needs dim, n_vertices, facets")
-        lat = FaceLattice.from_vertex_facets(data["n_vertices"], data["facets"])
+        n, facets = data["n_vertices"], data["facets"]
+        if not _is_int(n):
+            raise LatticeError(f"n_vertices must be an integer, got {n!r}")
+        if not isinstance(facets, list) or not all(
+            isinstance(f, list) and all(map(_is_int, f)) for f in facets
+        ):
+            raise LatticeError("facets must be lists of vertex indices")
+        lat = FaceLattice.from_vertex_facets(n, facets)
         if lat.d != data["dim"]:
             raise LatticeError(f"declared dim {data['dim']}, derived {lat.d}")
         return lat
 
 
-def _grade(faces, leq):
-    """Longest-chain heights shifted so the bottom face has dim -1."""
-    n = len(faces)
-    if int(leq[0].sum()) != n:
-        raise LatticeError("no unique bottom element")
-    heights = np.full(n, 0, dtype=np.int64)
-    for j in range(n):
-        below = np.nonzero(leq[:, j])[0]
-        below = below[below != j]
-        if below.size:
-            heights[j] = int(heights[below].max()) + 1
-    return heights - 1
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _unbalanced(leq, dims, lt):
-    """Pairs F < G whose interval [F, G] is not Eulerian.
+def _check_range(faces, n_vertices):
+    for f in faces:
+        for v in f:
+            if not 0 <= v < n_vertices:
+                raise LatticeError(f"vertex index {v} out of range")
 
-    Eulerian means every interval of length >= 1 balances even and odd
-    dims, i.e. the sum of (-1)^dim over [F, G] vanishes; one matrix
-    product checks all intervals at once.
+
+def _vertices(mask: int) -> frozenset:
+    """The vertex set of a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _vertex_bits(sizes, flat, n_vertices):
+    """One row of packed uint64 words per face: bit v is set iff v is in the face."""
+    n = len(sizes)
+    inc = np.zeros((n, 64 * -(-max(n_vertices, 1) // 64)), dtype=bool)
+    inc[np.repeat(np.arange(n), sizes), np.array(flat, dtype=np.int64)] = True
+    return np.packbits(inc, axis=1, bitorder="little").view(np.uint64)
+
+
+def _inclusion(bits):
+    """leq[i, j] iff face i's vertices lie in face j's.
+
+    Faces are sorted by vertex count and equal counts are incomparable,
+    so only i <= j can hold: each block of columns is tested against the
+    rows up to its end, about _CHUNK cells at a time.
     """
-    z = leq.astype(np.float64)
-    signed = z * np.where(dims % 2 == 0, 1.0, -1.0)[None, :]
-    p = signed @ z
-    return (p != 0) & lt
+    n = len(bits)
+    leq = np.zeros((n, n), dtype=bool)
+    step = max(1, _CHUNK // n)
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        outside = bits[:b, 0, None] & ~bits[None, a:b, 0]
+        for word in range(1, bits.shape[1]):
+            outside |= bits[:b, word, None] & ~bits[None, a:b, word]
+        leq[:b, a:b] = outside == 0
+    return leq
+
+
+def _strict(leq):
+    """The strict pairs of a boolean order matrix, row-major (sorted by (x, y))."""
+    px, py = np.nonzero(leq)
+    keep = px != py
+    return px[keep], py[keep]
+
+
+def _grade(sizes, px, py):
+    """Longest-chain heights shifted so the bottom face has dim -1.
+
+    Faces with equal vertex counts are incomparable, so one count class
+    at a time takes its heights from the finished classes below it.
+    """
+    heights = np.zeros(len(sizes), dtype=np.int64)
+    order = np.argsort(py, kind="stable")
+    cx, cy = px[order], py[order]
+    cls = sizes[cy]
+    bounds = np.r_[np.unique(cls, return_index=True)[1], len(cls)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        ys = cy[a:b]
+        first = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
+        heights[ys[first]] = np.maximum.reduceat(heights[cx[a:b]], first) + 1
+    return heights - 1
 
 
 def is_eulerian(lat: FaceLattice) -> bool:
     """Every interval of length >= 1 has equal even- and odd-dim counts."""
-    lt = lat.leq & ~np.eye(len(lat.faces), dtype=bool)
-    return not _unbalanced(lat.leq, lat.dims, lt).any()
+    return not lat._intervals()[1].any()

@@ -249,24 +249,37 @@ class FlagVector(dict):
 
 
 def flag_vector(lat: FaceLattice) -> FlagVector:
-    """All 2^d flag numbers by chain counting over the order relation."""
+    """All 2^d flag numbers by chain counting over the comparable pairs.
+
+    ``counts[w]`` is the number of chains with the prefix's dimensions
+    that end at face w.  Extending the prefix by a dimension scatter-adds
+    these counts along the pairs from its last layer to the new one.
+    """
     if "flags" in lat._cache:
         return lat._cache["flags"]
-    d = lat.d
-    layers = {k: np.array(lat.faces_of_dim(k)) for k in range(d)}
+    d, dims, n = lat.d, lat.dims, len(lat.faces)
+    px, py = lat.pairs
+    # the pairs between proper faces, grouped by (dim x, dim y)
+    inner = np.flatnonzero((dims[px] >= 0) & (dims[py] < d))
+    block = dims[px[inner]] * d + dims[py[inner]]
+    o = np.argsort(block, kind="stable")
+    order, bounds = inner[o], np.searchsorted(block[o], np.arange(d * d + 1))
     fv = FlagVector()
     fv[()] = 1
 
     def extend(prefix, counts, last):
         for nxt in range(last + 1, d):
-            step = lat.leq[np.ix_(layers[last], layers[nxt])].astype(np.int64)
-            nxt_counts = counts @ step
-            fv[prefix + (nxt,)] = int(nxt_counts.sum())
+            k = last * d + nxt
+            sel = order[bounds[k]:bounds[k + 1]]
+            carried = counts[px[sel]]
+            fv[prefix + (nxt,)] = int(carried.sum())
+            nxt_counts = np.zeros(n, dtype=np.int64)
+            np.add.at(nxt_counts, py[sel], carried)
             extend(prefix + (nxt,), nxt_counts, nxt)
 
     for start in range(d):
-        counts = np.ones(len(layers[start]), dtype=np.int64)
-        fv[(start,)] = len(layers[start])
+        counts = (dims == start).astype(np.int64)
+        fv[(start,)] = int(counts.sum())
         extend((start,), counts, start)
     lat._cache["flags"] = fv
     return fv
@@ -345,6 +358,8 @@ def check_monotonicity(lat: FaceLattice, face: int) -> bool:
 
 
 def check_monotonicity_all(lat: FaceLattice) -> bool:
+    """Monotonicity at every proper face, reading one pair table."""
+    _pairs(lat)
     return all(
         check_monotonicity(lat, f)
         for f in range(1, len(lat.faces) - 1)

@@ -13,13 +13,24 @@ computed the Kalai convolution before its all-pairs interval tables.
 ``canonical_form`` is a certificate for lattice isomorphism: iterated
 partition refinement on the Hasse diagram, with budgeted backtracking
 individualization when refinement stalls.
+
+``dense_from_vertex_facets`` and ``dense_build`` are the face lattice
+construction the library used before it worked on the list of
+comparable pairs: a frozenset intersection closure, inclusion from an
+int64 incidence product, heights from a per-face loop, covers and the
+Eulerian balance from float64 matrix products, and flag numbers from
+``np.ix_`` slices of the dense order.  They return plain
+``(faces, leq, dims)`` and raise the same ``LatticeError`` messages.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from toricgh.toric import gtilde, toric_g
+import numpy as np
+
+from toricgh.lattice import LatticeError
+from toricgh.toric import FlagVector, gtilde, toric_g
 
 
 def rref(rows):
@@ -251,3 +262,141 @@ def _canon_search(colors, up, down, budget, state):
         if best is None or cert < best:
             best = cert
     return best
+
+
+# -- dense face lattices --------------------------------------------------
+
+
+def dense_from_vertex_facets(n_vertices, facets, check=True):
+    """(faces, leq, dims) of the intersection closure of the facets."""
+    if n_vertices < 1:
+        raise LatticeError("need at least one vertex")
+    facets = [frozenset(f) for f in facets]
+    if not facets or any(not f for f in facets):
+        raise LatticeError("facets must be nonempty vertex sets")
+    for i, f in enumerate(facets):
+        for j, g in enumerate(facets):
+            if i != j and f <= g:
+                raise LatticeError("one facet contains another")
+    top = frozenset(range(n_vertices))
+    if frozenset().union(*facets) != top:
+        raise LatticeError("some vertex lies on no facet")
+
+    faces = set(facets)
+    queue = list(facets)
+    while queue:
+        f = queue.pop()
+        for g in facets:
+            h = f & g
+            if h not in faces:
+                faces.add(h)
+                queue.append(h)
+    faces.add(frozenset())
+    faces.add(top)
+    return dense_build(faces, n_vertices, check=check)
+
+
+def dense_build(face_sets, n_vertices, check=True):
+    """(faces, leq, dims) with the order from an int64 inclusion product."""
+    face_sets = {frozenset(f) for f in face_sets}
+    faces = sorted(face_sets, key=lambda f: (len(f), sorted(f)))
+    n = len(faces)
+    if n == 0:
+        raise LatticeError("no faces given")
+    # inclusion via intersection-size counts
+    inc = np.zeros((n, max(n_vertices, 1)), dtype=np.int64)
+    for i, f in enumerate(faces):
+        for v in f:
+            if not 0 <= v < n_vertices:
+                raise LatticeError(f"vertex index {v} out of range")
+            inc[i, v] = 1
+    sizes = inc.sum(axis=1)
+    common = inc @ inc.T
+    leq = common == sizes[:, None]
+    dims = dense_grade(faces, leq)
+    if check:
+        dense_validate(faces, leq, dims)
+    return faces, leq, dims
+
+
+def dense_grade(faces, leq):
+    """Longest-chain heights shifted so the bottom face has dim -1."""
+    n = len(faces)
+    if int(leq[0].sum()) != n:
+        raise LatticeError("no unique bottom element")
+    heights = np.full(n, 0, dtype=np.int64)
+    for j in range(n):
+        below = np.nonzero(leq[:, j])[0]
+        below = below[below != j]
+        if below.size:
+            heights[j] = int(heights[below].max()) + 1
+    return heights - 1
+
+
+def dense_validate(faces, leq, dims):
+    n = len(faces)
+    if faces[0] != frozenset() or dims[0] != -1:
+        raise LatticeError("missing empty face at the bottom")
+    if int(leq[:, -1].sum()) != n or int(leq[0].sum()) != n:
+        raise LatticeError("bottom or top element is not unique")
+    if n == 1:
+        return
+    # gradedness: every cover step raises the longest-chain height by 1
+    lt = leq & ~np.eye(n, dtype=bool)
+    covers = lt & ~(lt.astype(np.float64) @ lt.astype(np.float64) > 0)
+    ci, cj = np.nonzero(covers)
+    if np.any(dims[cj] - dims[ci] != 1):
+        raise LatticeError("poset is not graded")
+    bad = dense_unbalanced(leq, dims, lt)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise LatticeError(
+            f"not Eulerian: interval [{set(faces[i]) or '{}'}, "
+            f"{set(faces[j])}] is unbalanced"
+        )
+    # atomicity: dim-0 faces are singletons and generate every face
+    for i in np.nonzero(dims == 0)[0]:
+        if len(faces[i]) != 1:
+            raise LatticeError("an atom is not a single vertex")
+    atom_of = {next(iter(faces[i])) for i in np.nonzero(dims == 0)[0]}
+    for f in faces:
+        if not set(f) <= atom_of:
+            raise LatticeError("face contains a non-atom vertex")
+
+
+def dense_unbalanced(leq, dims, lt):
+    """Pairs F < G whose interval [F, G] is not Eulerian, by one matrix product."""
+    z = leq.astype(np.float64)
+    signed = z * np.where(dims % 2 == 0, 1.0, -1.0)[None, :]
+    p = signed @ z
+    return (p != 0) & lt
+
+
+def dense_covers(leq):
+    """Row k lists the faces covering face k, ascending."""
+    n = len(leq)
+    lt = leq & ~np.eye(n, dtype=bool)
+    two = (lt.astype(np.float64) @ lt.astype(np.float64)) > 0
+    cmat = lt & ~two
+    return [list(map(int, np.nonzero(cmat[k])[0])) for k in range(n)]
+
+
+def dense_flag_vector(leq, dims):
+    """All 2^d flag numbers by chain counting over slices of the order."""
+    d = int(dims[-1])
+    layers = {k: np.nonzero(dims == k)[0] for k in range(d)}
+    fv = FlagVector()
+    fv[()] = 1
+
+    def extend(prefix, counts, last):
+        for nxt in range(last + 1, d):
+            step = leq[np.ix_(layers[last], layers[nxt])].astype(np.int64)
+            nxt_counts = counts @ step
+            fv[prefix + (nxt,)] = int(nxt_counts.sum())
+            extend(prefix + (nxt,), nxt_counts, nxt)
+
+    for start in range(d):
+        counts = np.ones(len(layers[start]), dtype=np.int64)
+        fv[(start,)] = len(layers[start])
+        extend((start,), counts, start)
+    return fv

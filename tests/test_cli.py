@@ -148,3 +148,35 @@ def test_bad_vertex_rows(tmp_path, capsys, vertices, reason):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and reason in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"dim": 2, "n_vertices": 3.5, "facets": [[0, 1], [1, 2], [0, 2]]},
+     "n_vertices must be an integer, got 3.5"),
+    ({"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, 2], [0, 5]]},
+     "vertex index 5 out of range"),
+    ({"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, "2"], [0, 2]]},
+     "facets must be lists of vertex indices"),
+    (5, "neither polytope/v1 nor lattice/v1"),
+])
+def test_bad_lattice_files(tmp_path, capsys, data, reason):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "gh", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("recipe", ["cyclic(5,", "cyclic(", "cyclic(5,x)"])
+def test_truncated_recipe(capsys, recipe):
+    code, out, err = run(capsys, "gh", recipe)
+    assert code == 2 and out == ""
+    assert err.startswith("error: expected a number")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_has_no_all_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ds", "cube3", "--all"])
+    assert exc.value.code == 2

@@ -276,3 +276,28 @@ def test_h_palindromic_on_catalog():
 def test_non_eulerian_rejected_by_constructor():
     with pytest.raises(LatticeError):
         FaceLattice.from_vertex_facets(4, [{0, 1}, {1, 2}, {2, 3}])
+
+
+def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
+    import toricgh.toric as toric_module
+    from toricgh.cli import Input, _verify_one
+
+    builds = []
+    pass_once = toric_module._pair_tables
+    monkeypatch.setattr(
+        toric_module, "_pair_tables", lambda *a: builds.append(1) or pass_once(*a)
+    )
+    for name in ["cube4", "cyclic(8,5)", "prism(cross4)", "bipyramid(pyramid(cube3))"]:
+        lat, alone = parse_recipe(name).lattice(), parse_recipe(name).lattice()
+        builds.clear()
+        assert check_monotonicity_all(lat)
+        assert len(builds) == 1
+        assert set(lat._cache["interval_tables"]) == {lat.bottom}
+        # the table's quotients are the per-root values of a lattice without one
+        for f in range(1, len(lat) - 1):
+            assert quotient_g(lat, f) == quotient_g(alone, f), (name, f)
+            assert check_monotonicity(lat, f) == check_monotonicity(alone, f)
+        inp = Input(name, entry=parse_recipe(name))
+        builds.clear()
+        assert _verify_one("monotonicity", inp, 0, "all")
+        assert len(builds) == 1 and "pairs" in inp.lattice()._cache
