@@ -61,6 +61,8 @@ def load_input(text: str) -> Input:
                 data = json.load(fh)
         except json.JSONDecodeError as e:
             raise InputError(f"{text}: parse error at line {e.lineno}, column {e.colno}")
+        except OSError as e:    # a directory, or a file we may not read
+            raise InputError(f"{text}: cannot read: {e.strerror}")
         if isinstance(data, dict) and "vertices" in data:
             return Input(text, polytope=facet_enumeration(data["vertices"]))
         if isinstance(data, dict) and "facets" in data:

@@ -61,16 +61,11 @@ class FaceLattice:
         The empty face must be a member unless the collection is the
         single-element empty-polytope lattice.
         """
-        face_sets = {frozenset(f) for f in face_sets}
-        faces = sorted(face_sets, key=lambda f: (len(f), sorted(f)))
+        faces, sizes, bits = _sorted_faces({frozenset(f) for f in face_sets}, n_vertices)
         n = len(faces)
         if n == 0:
             raise LatticeError("no faces given")
-        sizes = np.fromiter(map(len, faces), dtype=np.int64, count=n)
-        flat = list(chain.from_iterable(faces))
-        if flat and not 0 <= min(flat) <= max(flat) < n_vertices:
-            _check_range(faces, n_vertices)
-        leq = _inclusion(_vertex_bits(sizes, flat, n_vertices))
+        leq = _inclusion(bits)
         if int(leq[0].sum()) != n:
             raise LatticeError("no unique bottom element")
         px, py = _strict(leq)
@@ -371,12 +366,27 @@ def _vertices(mask: int) -> frozenset:
     return frozenset(out)
 
 
-def _vertex_bits(sizes, flat, n_vertices):
-    """One row of packed uint64 words per face: bit v is set iff v is in the face."""
-    n = len(sizes)
+def _sorted_faces(face_sets, n_vertices):
+    """(faces, sizes, bits): faces by vertex count, then by sorted vertex list.
+
+    ``bits`` holds one row of packed uint64 words per face, bit v set iff
+    v is in the face.  Two faces of one count compare at the first
+    vertex in which they differ, and the face holding it comes first:
+    with vertex 0 as the highest bit that is descending order of the
+    masks, so one lexsort over the words orders them, with no per-face
+    sort.
+    """
+    faces = list(face_sets)
+    n = len(faces)
+    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=n)
+    flat = list(chain.from_iterable(faces))
+    if flat and not 0 <= min(flat) <= max(flat) < n_vertices:
+        _check_range(faces, n_vertices)
     inc = np.zeros((n, 64 * -(-max(n_vertices, 1) // 64)), dtype=bool)
     inc[np.repeat(np.arange(n), sizes), np.array(flat, dtype=np.int64)] = True
-    return np.packbits(inc, axis=1, bitorder="little").view(np.uint64)
+    packed = np.packbits(inc, axis=1)       # vertex 0 is the high bit of byte 0
+    order = np.lexsort((*(~packed.view(">u8")).T[::-1], sizes))
+    return [faces[i] for i in order], sizes[order], packed.view(np.uint64)[order]
 
 
 def _inclusion(bits):

@@ -7,18 +7,21 @@ recursion
     g_k = h_k - h_{k-1} for 0 <= k <= d/2,
 
 starting from g = h = 1 on the empty polytope.  Two engines run it one
-dimension layer at a time, in exact int64 with numpy doing the bulk sums:
-``_interval_tables`` over the up-set of one root (P, its faces, one
-quotient) and ``_pair_tables`` over every interval [x, y] at once, and
-on the reversed order over every polar.  The rest of the module is
-arithmetic on those tables: closed forms for g1/g2, the extended g-tilde
-numbers, and executable checks of Dehn-Sommerville, monotonicity, the
-upper bound inequality, the vertex identity relating g_k and g_{k+1}, and
-the cone/bipyramid identities.
+dimension layer at a time, in exact int64 with numpy doing the bulk
+sums, and both read only the lattice's list of strict comparable pairs:
+``_interval_tables`` for the intervals [root, x] over one root (P and
+its faces from the bottom, one quotient from a face), and
+``_pair_tables`` for every interval [x, y] at once, and on the reversed
+order for every polar.  The rest of the module is arithmetic on those
+tables: closed forms for g1/g2, the extended g-tilde numbers, and
+executable checks of Dehn-Sommerville, monotonicity, the upper bound
+inequality, the vertex identity relating g_k and g_{k+1}, and the
+cone/bipyramid identities.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -33,60 +36,124 @@ def _binom_kernel(k: int) -> np.ndarray:
     return np.array([comb(k, j) * (-1) ** (k - j) for j in range(k + 1)], dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _kernels(width: int) -> np.ndarray:
+    """T[k] multiplies a coefficient row by (t-1)^k, truncated at ``width``."""
+    T = np.zeros((width, width, width), dtype=np.int64)
+    for k in range(width):
+        for j, c in enumerate(_binom_kernel(k)):
+            T[k, np.arange(width - j), np.arange(j, width)] = c
+    T.setflags(write=False)
+    return T
+
+
+class _Blocks(NamedTuple):
+    order: np.ndarray   # the rows of lat.pairs sorted by (dim x, dim y, y)
+    bounds: np.ndarray  # where each (dim x, dim y) block starts in ``order``
+    span: int           # d + 2 dimensions, -1 to d
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """The rows of lat.pairs with dim x = a and dim y = b, by y."""
+        k = (a + 1) * self.span + b + 1
+        return self.order[self.bounds[k]:self.bounds[k + 1]]
+
+
+def _blocks(lat: FaceLattice) -> _Blocks:
+    """The strict pairs grouped by (dim x, dim y), each block sorted by y; built once per lattice."""
+    blocks = lat._cache.get("blocks")
+    if blocks is None:
+        px, py = lat.pairs
+        n, span = len(lat.faces), lat.d + 2
+        block = (lat.dims[px] + 1) * span + lat.dims[py] + 1
+        order = np.argsort(block * n + py)
+        bounds = np.searchsorted(block[order], np.arange(span * span + 1))
+        blocks = lat._cache["blocks"] = _Blocks(order, bounds, span)
+    return blocks
+
+
 def _interval_tables(lat: FaceLattice, root: int):
     """h/g coefficient tables for every face x >= root, re-graded at root.
 
     Returns (pos, H, G): ``pos`` maps a face index of ``lat`` to its row,
     and row i of H/G holds the coefficients of h/g of the interval
     [root, x] viewed as a polytope of dimension dims[x] - dims[root] - 1.
+    Rows run by dimension, then by face index.
+
+    The pass is the recursion over the pairs root <= z < y: once the g
+    of a layer of z is known it is summed, per y, into S[y, layer], and
+    h of a layer of y is then S[y] against the (t-1)^(dim y - dim z - 1)
+    kernels.  The bottom reads every pair in the lattice's block order,
+    which already groups them by dim z and, within, by the row of y; any
+    other root gathers the pairs of its up-set (the pairs of each z are
+    one run of ``lat.pairs``, sorted by x) and sorts only those, so its
+    cost follows the interval.
     """
     cache = lat._cache.setdefault("interval_tables", {})
     if root in cache:
         return cache[root]
 
-    leq, dims = lat.leq, lat.dims
-    sel = np.nonzero(leq[root])[0]
-    rel = dims[sel] - dims[root] - 1
-    order = np.argsort(rel, kind="stable")
-    sel, rel = sel[order], rel[order]
-    m = len(sel)
-    top_dim = int(rel[-1])
-    width = max(top_dim + 1, 1)
+    px, py = lat.pairs
+    dims = lat.dims
+    if root == lat.bottom:
+        sel = np.argsort(dims, kind="stable")
+        row = np.empty_like(sel)
+        row[sel] = np.arange(len(sel))
+        by_block = _blocks(lat).order
+        z, y = row[px[by_block]], row[py[by_block]]
+        rel = dims[sel]
+    else:
+        lo, hi = np.searchsorted(px, [root, root + 1])
+        up = np.r_[root, py[lo:hi]]
+        order = np.argsort(dims[up], kind="stable")
+        sel = up[order]
+        row = np.empty_like(order)
+        row[order] = np.arange(len(up))
+        rel = dims[sel] - dims[root] - 1
+        # every pair (z, y) with root <= z: the rows of the z in the up-set
+        start = np.searchsorted(px, sel)
+        cnt = np.searchsorted(px, sel + 1) - start
+        ends = np.cumsum(cnt)
+        at = np.repeat(start - (ends - cnt), cnt) + np.arange(ends[-1])
+        z = np.repeat(np.arange(len(sel)), cnt)
+        y = row[np.searchsorted(up, py[at])]
+        by_y = np.argsort(rel[z] * len(sel) + y)
+        z, y = z[by_y], y[by_y]
 
+    m, top = len(sel), int(rel[-1])
+    width = max(top + 1, 1)
     H = np.zeros((m, width), dtype=np.int64)
-    G = np.zeros((m, width), dtype=np.int64)
-    H[0, 0] = 1
-    G[0, 0] = 1
+    G = np.zeros_like(H)
+    H[0, 0] = G[0, 0] = 1
+    # S[y, e + 1] sums g(root, z) over the z < y of relative dimension e
+    S = np.zeros((m, top + 1, width), dtype=np.int64)
+    layers = np.arange(-1, top + 2)
+    row_bounds = np.searchsorted(rel, layers)
+    pair_bounds = np.searchsorted(rel[z], layers)
+    T = _kernels(width)
+    for e in range(-1, top + 1):
+        a, b = row_bounds[e + 1], row_bounds[e + 2]
+        if e >= 0:
+            h = S[a:b, :e + 1].reshape(b - a, -1) @ T[e::-1].reshape(-1, width)
+            H[a:b] = h
+            # g_k = h_k - h_{k-1} up to half of the layer's dimension
+            G[a:b, 0] = h[:, 0]
+            G[a:b, 1:e // 2 + 1] = h[:, 1:e // 2 + 1] - h[:, :e // 2]
+        p, q = pair_bounds[e + 1], pair_bounds[e + 2]
+        if p < q:
+            ys = y[p:q]
+            first = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
+            S[ys[first], e + 1] = np.add.reduceat(G[z[p:q]], first)
 
-    sub = leq[np.ix_(sel, sel)]
-    layers = {int(e): np.nonzero(rel == e)[0] for e in np.unique(rel)}
-    for e in range(top_dim + 1):
-        if e not in layers:
-            continue
-        cur = layers[e]
-        acc = np.zeros((len(cur), width), dtype=np.int64)
-        for e2, rows in layers.items():
-            if e2 >= e:
-                continue
-            below = sub[np.ix_(rows, cur)].astype(np.int64)
-            s = below.T @ G[rows]
-            for j, c in enumerate(_binom_kernel(e - 1 - e2)):
-                if c:
-                    acc[:, j:] += c * s[:, : width - j]
-        H[cur] = acc
-        G[cur, 0] = acc[:, 0]
-        for k in range(1, e // 2 + 1):
-            G[cur, k] = acc[:, k] - acc[:, k - 1]
-
-    pos = {int(f): i for i, f in enumerate(sel)}
+    pos = dict(zip(sel.tolist(), range(m)))
     cache[root] = (pos, H, G)
     return cache[root]
 
 
-def _pair_tables(leq, dims, d: int):
+def _pair_tables(px, py, dims, d: int):
     """h and g of every interval [x, y] of a graded order, in one pass.
 
-    Returns (px, py, H, G): one row per comparable pair x <= y, the pairs
+    Takes the strict pairs x < y in any order and returns (px, py, H, G):
+    one row per comparable pair x <= y, the diagonal added and the pairs
     sorted by (x, y), and rows of H/G holding the coefficients of h/g of
     [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The pass
     walks the layers of y by dimension (never by index: the index order
@@ -96,8 +163,10 @@ def _pair_tables(leq, dims, d: int):
     O(comparable pairs * d).
     """
     n = len(dims)
-    px, py = np.nonzero(leq)
-    keys = px * n + py                  # ascending: nonzero is row-major
+    px, py = np.r_[px, np.arange(n)], np.r_[py, np.arange(n)]
+    order = np.lexsort((py, px))
+    px, py = px[order], py[order]
+    keys = px * n + py
     width = max(d + 1, 1)
     H = np.zeros((len(px), width), dtype=np.int64)
     G = np.zeros_like(H)
@@ -142,7 +211,6 @@ def _pair_tables(leq, dims, d: int):
 class _PairTable(NamedTuple):
     px: np.ndarray
     py: np.ndarray
-    H: np.ndarray
     G: np.ndarray
     face_h: np.ndarray
     quot_h: np.ndarray
@@ -152,18 +220,20 @@ class _PairTable(NamedTuple):
 def _pairs(lat: FaceLattice) -> _PairTable:
     """The pair table of ``lat`` and its columns, built once per lattice.
 
-    Besides (px, py, H, G) it holds, per face x, the rows of the face
+    Besides (px, py, G) it holds, per face x, the rows of the face
     [bottom, x] (``face_h``) and of the quotient [x, top] (``quot_h``,
-    ``quot_g``).
+    ``quot_g``).  The h row of every pair is not kept: nothing reads it
+    past these columns, and it would cost 8 * (d + 1) bytes per pair for
+    the life of the lattice.
     """
     table = lat._cache.get("pairs")
     if table is None:
-        px, py, H, G = _pair_tables(lat.leq, lat.dims, lat.d)
+        px, py, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
         n = len(lat.faces)
         # bottom <= x for every x opens the table; (x, top) closes block x
         quot = np.cumsum(np.bincount(px, minlength=n)) - 1
         table = lat._cache["pairs"] = _PairTable(
-            px, py, H, G, H[:n], H[quot], G[quot]
+            px, py, G, H[:n].copy(), H[quot], G[quot]
         )
     return table
 
@@ -177,7 +247,8 @@ def _polar_g(lat: FaceLattice) -> np.ndarray:
     """
     polar = lat._cache.get("polar_g")
     if polar is None:
-        px, _, _, G = _pair_tables(lat.leq.T, lat.d - 1 - lat.dims, lat.d)
+        below, above = lat.pairs
+        px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
         first = np.searchsorted(px, np.arange(len(lat.faces)))
         polar = lat._cache["polar_g"] = G[first]
     return polar
@@ -259,18 +330,13 @@ def flag_vector(lat: FaceLattice) -> FlagVector:
         return lat._cache["flags"]
     d, dims, n = lat.d, lat.dims, len(lat.faces)
     px, py = lat.pairs
-    # the pairs between proper faces, grouped by (dim x, dim y)
-    inner = np.flatnonzero((dims[px] >= 0) & (dims[py] < d))
-    block = dims[px[inner]] * d + dims[py[inner]]
-    o = np.argsort(block, kind="stable")
-    order, bounds = inner[o], np.searchsorted(block[o], np.arange(d * d + 1))
+    blocks = _blocks(lat)
     fv = FlagVector()
     fv[()] = 1
 
     def extend(prefix, counts, last):
         for nxt in range(last + 1, d):
-            k = last * d + nxt
-            sel = order[bounds[k]:bounds[k + 1]]
+            sel = blocks.rows(last, nxt)
             carried = counts[px[sel]]
             fv[prefix + (nxt,)] = int(carried.sum())
             nxt_counts = np.zeros(n, dtype=np.int64)

@@ -21,6 +21,11 @@ int64 incidence product, heights from a per-face loop, covers and the
 Eulerian balance from float64 matrix products, and flag numbers from
 ``np.ix_`` slices of the dense order.  They return plain
 ``(faces, leq, dims)`` and raise the same ``LatticeError`` messages.
+
+``dense_interval_tables`` is the single-root h/g table the library built
+before it read the list of comparable pairs: the root's block of the
+dense ``leq`` copied with ``np.ix_`` and one int64 product per pair of
+dimension layers.
 """
 
 from fractions import Fraction
@@ -30,7 +35,7 @@ from math import gcd, lcm
 import numpy as np
 
 from toricgh.lattice import LatticeError
-from toricgh.toric import FlagVector, gtilde, toric_g
+from toricgh.toric import FlagVector, _binom_kernel, gtilde, toric_g
 
 
 def rref(rows):
@@ -400,3 +405,43 @@ def dense_flag_vector(leq, dims):
         fv[(start,)] = len(layers[start])
         extend((start,), counts, start)
     return fv
+
+
+def dense_interval_tables(lat, root):
+    """(pos, H, G) for every face x >= root, from dense blocks of ``lat.leq``."""
+    leq, dims = lat.leq, lat.dims
+    sel = np.nonzero(leq[root])[0]
+    rel = dims[sel] - dims[root] - 1
+    order = np.argsort(rel, kind="stable")
+    sel, rel = sel[order], rel[order]
+    m = len(sel)
+    top_dim = int(rel[-1])
+    width = max(top_dim + 1, 1)
+
+    H = np.zeros((m, width), dtype=np.int64)
+    G = np.zeros((m, width), dtype=np.int64)
+    H[0, 0] = 1
+    G[0, 0] = 1
+
+    sub = leq[np.ix_(sel, sel)]
+    layers = {int(e): np.nonzero(rel == e)[0] for e in np.unique(rel)}
+    for e in range(top_dim + 1):
+        if e not in layers:
+            continue
+        cur = layers[e]
+        acc = np.zeros((len(cur), width), dtype=np.int64)
+        for e2, rows in layers.items():
+            if e2 >= e:
+                continue
+            below = sub[np.ix_(rows, cur)].astype(np.int64)
+            s = below.T @ G[rows]
+            for j, c in enumerate(_binom_kernel(e - 1 - e2)):
+                if c:
+                    acc[:, j:] += c * s[:, : width - j]
+        H[cur] = acc
+        G[cur, 0] = acc[:, 0]
+        for k in range(1, e // 2 + 1):
+            G[cur, k] = acc[:, k] - acc[:, k - 1]
+
+    pos = {int(f): i for i, f in enumerate(sel)}
+    return pos, H, G

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricgh.lattice import FaceLattice, LatticeError, is_eulerian
+from toricgh.lattice import FaceLattice, LatticeError, _sorted_faces, is_eulerian
 from toricgh.catalog import (
+    catalog,
     cross_lattice,
     cube_lattice,
     cyclic_lattice,
@@ -179,3 +183,27 @@ def test_maximal_chains_have_uniform_length(cube):
         return 1 + max(map(depth, ups)) if ups else 0
 
     assert depth(cube.bottom) == cube.d + 1
+
+
+def _by_sorted_vertices(faces):
+    """The face order as a per-face sort defines it: count, then sorted vertices."""
+    return sorted(faces, key=lambda f: (len(f), sorted(f)))
+
+
+def test_catalog_face_order_is_count_then_sorted_vertices():
+    entries = catalog()
+    assert len(entries) == 128
+    for e in entries:
+        faces = e.lattice().faces
+        assert list(faces) == _by_sorted_vertices(faces), e.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.frozensets(st.integers(0, 140), max_size=7), max_size=40))
+def test_sorted_faces_matches_per_face_sort(family):
+    faces, sizes, bits = _sorted_faces(family, 141)
+    assert faces == _by_sorted_vertices(family)
+    assert sizes.tolist() == [len(f) for f in faces]
+    # bit v of the packed row is set iff v is a vertex of the face
+    inc = np.unpackbits(bits.view(np.uint8), axis=1).astype(bool)
+    assert [set(np.flatnonzero(row).tolist()) for row in inc] == [set(f) for f in faces]
