@@ -66,6 +66,7 @@ from toricgh.verma import (
     truncated_inequality,
     verma_multiplicities,
 )
-from toricgh.catalog import CatalogEntry, catalog, geometric_catalog, parse_recipe
+# the ``catalog`` function is not re-exported, so ``toricgh.catalog`` stays the submodule
+from toricgh.catalog import CatalogEntry, geometric_catalog, parse_recipe
 
 __version__ = "0.1.0"

@@ -8,15 +8,19 @@ always a sort by dimension: in the prism over a tetrahedron the
 {0, 1, 4, 5}.  Code that needs the dimension layers reads ``dims``.
 Index 0 is the empty face and the last index is the whole polytope.
 
-The order relation is held twice.  ``pairs`` is the integer list of
-strict comparable pairs x < y, sorted by (x, y); grading, validation,
-covers and flag counting are integer sums over these pairs and over the
-triples x < z < y they form.  ``leq`` is a read-only boolean matrix
-(``leq[i, j]`` iff face i is a face of face j) for single lookups.
-Inclusion itself is tested on packed vertex bitsets.  Construction
-validates that the poset is graded, atomic and Eulerian; inputs that
-fail (e.g. an open facet path) are rejected since they cannot be
-polytope boundaries.
+The order relation is held once, as ``pairs``: the integer list of
+strict comparable pairs x < y, sorted by (x, y), so the pairs of each x
+are one run.  It is built straight from packed vertex bitsets: each face
+is tested only against the larger faces that hold its rarest vertex,
+read from an inverted vertex index, so the cost follows the comparable
+pairs and no n x n array is ever formed.  Grading, validation, covers
+and flag counting are integer sums over the pairs and over the triples
+x < z < y they form (``_triples``); down-sets and up-sets (``below``,
+``above``) are slices of the same list.  ``leq`` is a dense boolean
+view kept for outside readers only, built on first access.
+Construction validates that the poset is graded, atomic and Eulerian;
+inputs that fail (e.g. an open facet path) are rejected since they
+cannot be polytope boundaries.
 
 Dimension conventions: dim(empty face) = -1; the one-element lattice is
 the empty polytope, which is distinct from a point (two elements).
@@ -28,11 +32,11 @@ from itertools import chain
 
 import numpy as np
 
-# Cells per temporary array in the chunked inclusion test and triples per
-# chunk of the pass over x < z < y: large enough for few numpy calls,
-# small enough that the temporaries stay near 2 MB each (the dense
-# int64 product they replace took 8n² bytes).
-_CHUNK = 1 << 18
+# Candidate pairs per chunk of the inclusion test, and triples (or cells
+# of the position block) per chunk of the pass over x < z < y: large
+# enough for few numpy calls, small enough that the temporaries stay
+# near 1 MB each.
+_CHUNK = 1 << 17
 
 
 class LatticeError(ValueError):
@@ -40,10 +44,10 @@ class LatticeError(ValueError):
 
 
 class FaceLattice:
-    def __init__(self, faces, n_vertices, leq, dims, check=True):
+    def __init__(self, faces, n_vertices, pairs, dims, check=True):
         self.faces = tuple(faces)
         self.n_vertices = n_vertices
-        self.leq = leq
+        self.pairs = tuple(pairs)   # (px, py): strict pairs px[k] < py[k], sorted by (x, y)
         self.dims = dims
         self.d = int(dims[-1])
         self._cache = {}
@@ -61,22 +65,19 @@ class FaceLattice:
         The empty face must be a member unless the collection is the
         single-element empty-polytope lattice.
         """
-        faces, sizes, bits = _sorted_faces({frozenset(f) for f in face_sets}, n_vertices)
+        faces, sizes, bits, members = _sorted_faces(
+            {frozenset(f) for f in face_sets}, n_vertices
+        )
         n = len(faces)
         if n == 0:
             raise LatticeError("no faces given")
-        leq = _inclusion(bits)
-        if int(leq[0].sum()) != n:
+        px, py = _strict_pairs(sizes, bits, members)
+        if int(np.searchsorted(px, 1)) != n - 1:
             raise LatticeError("no unique bottom element")
-        px, py = _strict(leq)
         dims = _grade(sizes, px, py)
-        leq.setflags(write=False)
-        dims.setflags(write=False)
-        lat = FaceLattice(faces, n_vertices, leq, dims, check=False)
-        lat._cache["strict_pairs"] = (px, py)
-        if check:
-            lat._validate()
-        return lat
+        for a in (px, py, dims):
+            a.setflags(write=False)
+        return FaceLattice(faces, n_vertices, (px, py), dims, check=check)
 
     @staticmethod
     def from_vertex_facets(n_vertices, facets, check=True) -> "FaceLattice":
@@ -114,16 +115,16 @@ class FaceLattice:
         return FaceLattice.build(map(_vertices, found), n_vertices, check=check)
 
     def _validate(self):
-        faces, leq, dims = self.faces, self.leq, self.dims
+        faces, dims = self.faces, self.dims
+        px, py = self.pairs
         n = len(faces)
         if faces[0] != frozenset() or dims[0] != -1:
             raise LatticeError("missing empty face at the bottom")
-        if int(leq[:, -1].sum()) != n or int(leq[0].sum()) != n:
+        if np.count_nonzero(py == n - 1) != n - 1 or np.count_nonzero(px == 0) != n - 1:
             raise LatticeError("bottom or top element is not unique")
         if n == 1:
             return
         # gradedness: every cover step raises the longest-chain height by 1
-        px, py = self.pairs
         between, balance = self._intervals()
         cover = between == 0
         if np.any(dims[py[cover]] - dims[px[cover]] != 1):
@@ -147,44 +148,26 @@ class FaceLattice:
     def _intervals(self):
         """Per strict pair x < y: faces strictly between, and sum of (-1)^dim over [x, y].
 
-        One integer pass over the triples x < z < y: for each z it pairs
-        every (x, z) with every (z, y) and counts the middles per pair,
-        z of even and of odd dimension apart.  A pair with no middle is
-        a cover; a nonzero sum is an unbalanced (non-Eulerian) interval.
+        One integer pass over the triples x < z < y (``_triples``) counts
+        the middles per pair, and those of odd dimension apart.  A pair
+        with no middle is a cover; a nonzero sum is an unbalanced
+        (non-Eulerian) interval.
         """
         cached = self._cache.get("intervals")
         if cached is not None:
             return cached
         px, py = self.pairs
-        n, m = len(self.faces), len(px)
-        keys = px * n + py
-        by_col = np.argsort(py, kind="stable")
-        below = np.bincount(py, minlength=n)
-        above = np.bincount(px, minlength=n)
-        col_start = np.cumsum(below) - below
-        row_start = np.cumsum(above) - above
-        per_z = below * above
         odd = self.dims % 2 == 1
-        counts = np.zeros((2, m), dtype=np.int64)
-        for parity in (0, 1):
-            z_all = np.flatnonzero(per_z * (odd == parity))
-            ends = np.cumsum(per_z[z_all])
-            lo = 0
-            while lo < len(z_all):
-                # whole z's, about _CHUNK triples at a time
-                base = ends[lo] - per_z[z_all[lo]]
-                hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
-                cnt = per_z[z_all[lo:hi]]
-                z = np.repeat(z_all[lo:hi], cnt)
-                k = np.arange(len(z)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-                i, j = np.divmod(k, above[z])
-                x = px[by_col[col_start[z] + i]]
-                y = py[row_start[z] + j]
-                counts[parity] += np.bincount(np.searchsorted(keys, x * n + y), minlength=m)
-                lo = hi
+        between = np.zeros(len(px), dtype=np.int64)
+        odd_between = np.zeros_like(between)
+        for lo, hi, xz, xy in _triples(px, py, self._rows()):
+            between[lo:hi] += np.bincount(xy - lo, minlength=hi - lo)
+            odd_between[lo:hi] += np.bincount(xy[odd[py[xz]]] - lo, minlength=hi - lo)
         sign = np.where(odd, -1, 1)
-        balance = sign[px] + sign[py] + counts[0] - counts[1]
-        cached = self._cache["intervals"] = (counts.sum(axis=0), balance)
+        balance = between - 2 * odd_between
+        balance += sign[px]
+        balance += sign[py]
+        cached = self._cache["intervals"] = (between, balance)
         return cached
 
     # -- basic queries -------------------------------------------------
@@ -220,13 +203,47 @@ class FaceLattice:
         """(f_0, ..., f_{d-1}): numbers of proper nonempty faces per dim."""
         return tuple(len(self.faces_of_dim(k)) for k in range(self.d))
 
+    def _rows(self) -> np.ndarray:
+        """Row pointers: the run of face x in ``pairs`` is rows[x]:rows[x + 1]."""
+        rows = self._cache.get("rows")
+        if rows is None:
+            rows = self._cache["rows"] = np.searchsorted(self.pairs[0], np.arange(len(self.faces) + 1))
+        return rows
+
+    def _columns(self):
+        """(by_col, col_start): the pairs sorted by y, and where the run of each y starts."""
+        cols = self._cache.get("columns")
+        if cols is None:
+            by_col = np.argsort(self.pairs[1], kind="stable")
+            cols = self._cache["columns"] = (
+                by_col, np.searchsorted(self.pairs[1][by_col], np.arange(len(self.faces) + 1))
+            )
+        return cols
+
+    def above(self, i) -> np.ndarray:
+        """The faces strictly above face i, ascending: its run of ``pairs``."""
+        rows = self._rows()
+        return self.pairs[1][rows[i]:rows[i + 1]]
+
+    def below(self, i) -> np.ndarray:
+        """The faces strictly below face i, ascending."""
+        by_col, col_start = self._columns()
+        return self.pairs[0][by_col[col_start[i]:col_start[i + 1]]]
+
     @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(px, py): every strict comparable pair px[k] < py[k], sorted by (x, y)."""
-        pairs = self._cache.get("strict_pairs")
-        if pairs is None:
-            pairs = self._cache["strict_pairs"] = _strict(self.leq)
-        return pairs
+    def leq(self) -> np.ndarray:
+        """Dense read-only view: ``leq[i, j]`` iff face i lies in face j.
+
+        Built from ``pairs`` on first access, at n² bytes; nothing in the
+        library reads it.
+        """
+        leq = self._cache.get("leq")
+        if leq is None:
+            leq = np.eye(len(self.faces), dtype=bool)
+            leq[self.pairs] = True
+            leq.setflags(write=False)
+            self._cache["leq"] = leq
+        return leq
 
     def covers_of(self, i) -> list[int]:
         cov = self._cache.get("covers")
@@ -257,16 +274,17 @@ class FaceLattice:
         are the faces containing F.  Intervals of Eulerian polytope
         lattices are again such, so validation is off by default.
         """
-        if not self.leq[lo, hi]:
+        up = self.above(lo).tolist()
+        if lo != hi and hi not in up:
             raise LatticeError("interval endpoints are not comparable")
-        sel = np.nonzero(self.leq[lo] & self.leq[:, hi])[0]
+        inside = set(self.below(hi).tolist())
+        sel = [lo, *(i for i in up if i in inside), hi][: 1 if lo == hi else None]
         atoms = [i for i in sel if self.dims[i] == self.dims[lo] + 1]
         atom_pos = {a: p for p, a in enumerate(atoms)}
-        face_sets = []
-        for i in sel:
-            face_sets.append(
-                frozenset(atom_pos[a] for a in atoms if self.leq[a, i])
-            )
+        face_sets = [
+            frozenset(atom_pos[a] for a in [*self.below(i).tolist(), i] if a in atom_pos)
+            for i in sel
+        ]
         return FaceLattice.build(face_sets, len(atoms), check=check)
 
     def face(self, i: int, check=False) -> "FaceLattice":
@@ -282,7 +300,7 @@ class FaceLattice:
         facets = self.faces_of_dim(self.d - 1)
         fpos = {f: p for p, f in enumerate(facets)}
         face_sets = [
-            frozenset(fpos[f] for f in facets if self.leq[i, f])
+            frozenset(fpos[f] for f in [i, *self.above(i).tolist()] if f in fpos)
             for i in range(len(self.faces))
         ]
         return FaceLattice.build(face_sets, len(facets), check=check)
@@ -367,14 +385,15 @@ def _vertices(mask: int) -> frozenset:
 
 
 def _sorted_faces(face_sets, n_vertices):
-    """(faces, sizes, bits): faces by vertex count, then by sorted vertex list.
+    """(faces, sizes, bits, members): faces by vertex count, then by sorted vertex list.
 
-    ``bits`` holds one row of packed uint64 words per face, bit v set iff
-    v is in the face.  Two faces of one count compare at the first
-    vertex in which they differ, and the face holding it comes first:
-    with vertex 0 as the highest bit that is descending order of the
-    masks, so one lexsort over the words orders them, with no per-face
-    sort.
+    ``bits`` holds one row of uint64 words per face, vertex v as bit
+    63 - v % 64 of word v // 64.  Two faces of one count compare at the
+    first vertex in which they differ, and the face holding it comes
+    first: with vertex 0 as the highest bit that is descending order of
+    the words, so one lexsort over them orders the faces, with no
+    per-face sort.  ``members`` is (rows, verts), one entry per vertex of
+    each face, rows counted in the sorted order.
     """
     faces = list(face_sets)
     n = len(faces)
@@ -382,37 +401,108 @@ def _sorted_faces(face_sets, n_vertices):
     flat = list(chain.from_iterable(faces))
     if flat and not 0 <= min(flat) <= max(flat) < n_vertices:
         _check_range(faces, n_vertices)
-    inc = np.zeros((n, 64 * -(-max(n_vertices, 1) // 64)), dtype=bool)
-    inc[np.repeat(np.arange(n), sizes), np.array(flat, dtype=np.int64)] = True
-    packed = np.packbits(inc, axis=1)       # vertex 0 is the high bit of byte 0
-    order = np.lexsort((*(~packed.view(">u8")).T[::-1], sizes))
-    return [faces[i] for i in order], sizes[order], packed.view(np.uint64)[order]
+    verts = np.array(flat, dtype=np.int64)
+    rows = np.repeat(np.arange(n), sizes)
+    bits = np.zeros((n, -(-max(n_vertices, 1) // 64)), dtype=np.uint64)
+    np.bitwise_or.at(bits, (rows, verts // 64), np.uint64(1) << (63 - verts % 64).astype(np.uint64))
+    order = np.lexsort((*(~bits).T[::-1], sizes))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    return [faces[i] for i in order], sizes[order], bits[order], (rank[rows], verts)
 
 
-def _inclusion(bits):
-    """leq[i, j] iff face i's vertices lie in face j's.
+def _strict_pairs(sizes, bits, members):
+    """Every strict inclusion x < y between the sorted faces, sorted by (x, y).
 
-    Faces are sorted by vertex count and equal counts are incomparable,
-    so only i <= j can hold: each block of columns is tested against the
-    rows up to its end, about _CHUNK cells at a time.
+    Only larger faces can contain x, and they must hold x's rarest
+    vertex: the candidates for x are the run of that vertex in an
+    inverted index (the faces holding each vertex, ascending) past the
+    faces of x's size.  Each candidate is tested on the packed words,
+    about _CHUNK of them at a time, and the runs are already in (x, y)
+    order.  The empty face lies below every other face.
     """
-    n = len(bits)
-    leq = np.zeros((n, n), dtype=bool)
-    step = max(1, _CHUNK // n)
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        outside = bits[:b, 0, None] & ~bits[None, a:b, 0]
-        for word in range(1, bits.shape[1]):
-            outside |= bits[:b, word, None] & ~bits[None, a:b, word]
-        leq[:b, a:b] = outside == 0
-    return leq
+    n = len(sizes)
+    rows, verts = members
+    if not len(verts):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    freq = np.bincount(verts)
+    rare = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(rare, rows, freq[verts] * len(freq) + verts)
+    rare %= len(freq)
+    keys = np.sort(verts * n + rows)        # the faces of each vertex, ascending
+    holders = keys % n
+    # candidates of x: holders of rare[x] from the first face larger than x
+    lo = np.searchsorted(keys, rare * n + np.searchsorted(sizes, sizes, "right"))
+    cnt = np.where(sizes > 0, np.searchsorted(keys, rare * n + n) - lo, 0)
+    xs = np.flatnonzero(cnt)
+    ends = np.cumsum(cnt[xs])
+    out_x, out_y = [], []
+    if sizes[0] == 0:
+        out_x, out_y = [np.zeros(n - 1, dtype=np.int64)], [np.arange(1, n)]
+    a = 0
+    while a < len(xs):
+        base = ends[a] - cnt[xs[a]]
+        b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
+        x, c = xs[a:b], cnt[xs[a:b]]
+        y = holders[np.repeat(lo[x] - (ends[a:b] - c - base), c) + np.arange(ends[b - 1] - base)]
+        outside = np.repeat(bits[x, 0], c) & ~bits[y, 0]
+        for w in range(1, bits.shape[1]):
+            outside |= np.repeat(bits[x, w], c) & ~bits[y, w]
+        keep = outside == 0
+        out_x.append(np.repeat(x, c)[keep])
+        out_y.append(y[keep])
+        a = b
+    return np.concatenate(out_x), np.concatenate(out_y)
 
 
-def _strict(leq):
-    """The strict pairs of a boolean order matrix, row-major (sorted by (x, y))."""
-    px, py = np.nonzero(leq)
-    keep = px != py
-    return px[keep], py[keep]
+def _run_starts(a):
+    """Where each run of equal values in the sorted array ``a`` starts."""
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _triples(px, py, start, whole=False, rows=None):
+    """The triples x < z < y of a strict order, about _CHUNK at a time.
+
+    ``px, py`` are the strict pairs sorted by (x, y), so the pairs of
+    each x are one run, from start[x] to start[x + 1].  A chunk covers
+    consecutive rows (x, z) and yields (lo, hi, xz, xy): per triple the
+    rows of (x, z) and of (x, y), all xy inside the runs [lo, hi) of the
+    chunk's x's.  The row of (x, y) is read by row pointers: the runs of
+    the chunk's x's are scattered into a position block of at most
+    _CHUNK // n rows of n entries, then gathered at (x, y), with no
+    search over the keys.  With ``whole`` no x is split between two
+    chunks; ``rows`` limits the pass to one range of rows (x, z).
+    """
+    n = len(start) - 1
+    first, stop = rows or (0, len(px))
+    z = py[first:stop]
+    per_row = start[z + 1] - start[z]     # triples that each row (x, z) opens
+    ends = np.cumsum(per_row)
+    x_count = int(px[stop - 1] - px[first]) + 1 if stop > first else 1
+    span = max(1, min(_CHUNK // max(n, 1), x_count))
+    block = np.empty((span, n), dtype=np.int64)
+    a = first
+    while a < stop:
+        x0, i = int(px[a]), a - first
+        base = ends[i] - per_row[i]
+        b = first + max(i + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
+        b = min(b, int(start[min(x0 + span, n)]), stop)
+        lo, hi = int(start[x0]), int(start[px[b - 1] + 1])
+        if whole:
+            b = hi
+        cnt = per_row[i:b - first]
+        zy = np.repeat(start[py[a:b]] - (ends[i:b - first] - cnt - base), cnt)
+        zy += np.arange(len(zy))
+        at = np.repeat((px[a:b] - x0) * n, cnt)
+        at += py[zy]
+        block[px[lo:hi] - x0, py[lo:hi]] = np.arange(lo, hi)
+        xy = block.ravel()[at]
+        del zy, at
+        yield lo, hi, np.repeat(np.arange(a, b), cnt), xy
+        a = b
 
 
 def _grade(sizes, px, py):
@@ -424,11 +514,13 @@ def _grade(sizes, px, py):
     heights = np.zeros(len(sizes), dtype=np.int64)
     order = np.argsort(py, kind="stable")
     cx, cy = px[order], py[order]
-    cls = sizes[cy]
-    bounds = np.r_[np.unique(cls, return_index=True)[1], len(cls)]
+    # the pairs whose y opens each count class
+    bounds = np.append(np.searchsorted(cy, _run_starts(sizes)), len(cy))
     for a, b in zip(bounds[:-1], bounds[1:]):
+        if a == b:
+            continue
         ys = cy[a:b]
-        first = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
+        first = _run_starts(ys)
         heights[ys[first]] = np.maximum.reduceat(heights[cx[a:b]], first) + 1
     return heights - 1
 

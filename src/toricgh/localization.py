@@ -54,12 +54,7 @@ def classify_faces(cone: Cone, v) -> ConeDecomposition:
     fixed = frozenset(i for i in range(1, n) if in_span(spans[i], ray))
     if fixed != back & front:
         raise AssertionError("span test disagrees with the facet-normal test")
-    minimal = tuple(
-        sorted(
-            i for i in fixed
-            if not any(j != i and lat.leq[j, i] for j in fixed)
-        )
-    )
+    minimal = tuple(sorted(i for i in fixed if fixed.isdisjoint(lat.below(i).tolist())))
     return ConeDecomposition(cone, v, back, front, fixed, minimal)
 
 
@@ -68,8 +63,10 @@ def tau_plus_v(decomp: ConeDecomposition, face: int) -> int:
     if face not in decomp.back:
         raise ValueError("drift target is only defined for back faces")
     lat = decomp.cone.lattice
-    above = [i for i in decomp.fixed if lat.leq[face, i]]
-    mins = [i for i in above if not any(j != i and lat.leq[j, i] for j in above)]
+    up = {face, *lat.above(face).tolist()}
+    above = [i for i in decomp.fixed if i in up]
+    held = set(above)
+    mins = [i for i in above if held.isdisjoint(lat.below(i).tolist())]
     if len(mins) != 1:
         raise AssertionError(f"minimal fixed face above {face} is not unique: {mins}")
     return mins[0]
@@ -129,12 +126,11 @@ def sample_directions(cone: Cone, seed: int = 0, grid: int = 12):
             out.append(key)
 
     proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
-    pairs = [
-        (a, b)
-        for ai, a in enumerate(proper)
-        for b in proper[ai + 1:]
-        if not (lat.leq[a, b] or lat.leq[b, a])
-    ]
+    # the index order extends the face order, so a later b is never below a
+    pairs = []
+    for ai, a in enumerate(proper):
+        up = set(lat.above(a).tolist())
+        pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
     rng = random.Random(seed)
     rng.shuffle(pairs)
     for a, b in pairs[: 2 * grid]:

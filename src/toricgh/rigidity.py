@@ -40,11 +40,7 @@ class Framework:
 def _cycle_order(lat, face):
     """Vertices of a 2-face in boundary-walk order."""
     verts = sorted(lat.faces[face])
-    edges = [
-        sorted(lat.faces[e])
-        for e in lat.faces_of_dim(1)
-        if lat.leq[e, face]
-    ]
+    edges = [sorted(lat.faces[e]) for e in lat.below(face) if lat.dims[e] == 1]
     nbr = {v: [] for v in verts}
     for a, b in edges:
         nbr[a].append(b)

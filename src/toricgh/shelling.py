@@ -110,26 +110,32 @@ def _check_partial_unions(sh: Shelling):
     d = sh.polytope.d
     faces = sh.facet_faces
     r = len(faces)
-    leq, dims = lat.leq, lat.dims
-    covered = np.zeros(len(lat.faces), dtype=bool)
-    covered |= leq[:, faces[0]]
+    dims = lat.dims
+
+    def faces_of(*tops):
+        """Mask of the faces lying in one of ``tops``: their down-sets."""
+        mask = np.zeros(len(lat.faces), dtype=bool)
+        mask[np.concatenate([lat.below(f) for f in tops])] = True
+        mask[list(tops)] = True
+        return mask
+
+    covered = faces_of(faces[0])
     for j in range(1, r):
         fj = faces[j]
-        inside = leq[:, fj] & covered
+        in_fj = faces_of(fj)
+        inside = in_fj & covered
         inside[fj] = False
-        ridge_mask = inside & (dims == d - 2)
-        ridges = np.nonzero(ridge_mask)[0]
+        ridges = np.nonzero(inside & (dims == d - 2))[0]
         if not ridges.size:
             raise ShellingError(f"step {j + 1}: no shared ridge with earlier facets")
-        under_ridge = leq[:, ridges].any(axis=1)
-        if np.any(inside & (dims >= 0) & ~under_ridge):
+        if np.any(inside & (dims >= 0) & ~faces_of(*ridges)):
             raise ShellingError(f"step {j + 1}: shared boundary is not pure")
-        n_all = int((leq[:, fj] & (dims == d - 2)).sum())
+        n_all = int((in_fj & (dims == d - 2)).sum())
         if j < r - 1 and len(ridges) == n_all:
             raise ShellingError(f"step {j + 1}: facet glued along its whole boundary")
         if j == r - 1 and len(ridges) != n_all:
             raise ShellingError("last facet must close up the sphere")
-        covered |= leq[:, fj]
+        covered |= in_fj
 
 
 def relative_h(lat: FaceLattice, faces_i, faces_j) -> Polynomial:
@@ -148,8 +154,7 @@ def relative_h(lat: FaceLattice, faces_i, faces_j) -> Polynomial:
         if lat.top in s:
             raise ValueError("subcomplexes live in the boundary, not P itself")
         for f in s:
-            below = {int(g) for g in range(len(lat.faces)) if lat.leq[g, f]}
-            if not below <= s:
+            if not s.issuperset(lat.below(f).tolist()):
                 raise ValueError("face sets must be closed under subfaces")
     out = Polynomial()
     for f in si - sj:
@@ -168,12 +173,15 @@ def shelling_decomposition(sh: Shelling) -> list[Polynomial]:
     d = sh.polytope.d
     faces = sh.facet_faces
     r = len(faces)
-    membership = lat.leq[:-1, list(faces)]
-    if not membership.any(axis=1).all():
+    # the first facet in shelling order that holds each boundary face
+    first_cover = np.full(len(lat.faces) - 1, r)
+    for j in reversed(range(r)):
+        first_cover[lat.below(faces[j])] = j
+        first_cover[faces[j]] = j
+    if np.any(first_cover == r):
         raise ShellingError("some boundary face lies in no facet")
-    first_cover = dict(enumerate(np.argmax(membership, axis=1)))
     locals_ = [Polynomial() for _ in range(r)]
-    for g, j in first_cover.items():
+    for g, j in enumerate(first_cover.tolist()):
         locals_[j] = locals_[j] + face_g(lat, g) * binomial_power(
             -1, d - 1 - int(lat.dims[g])
         )

@@ -22,12 +22,12 @@ cone/bipyramid identities.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from toricgh.lattice import FaceLattice, LatticeError
+from toricgh.lattice import FaceLattice, LatticeError, _run_starts, _triples
 from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
 
 
@@ -45,6 +45,50 @@ def _kernels(width: int) -> np.ndarray:
             T[k, np.arange(width - j), np.arange(j, width)] = c
     T.setflags(write=False)
     return T
+
+
+# Bound on every intermediate of the int64 tables; ``_guard`` refuses orders
+# whose h/g coefficients could pass it.
+_INT64_LIMIT = 1 << 62
+
+
+def _guard(px, py, dims, d: int):
+    """Refuse an order whose h/g coefficients could leave int64.
+
+    By induction over the recursion, the coefficients of h of [x, y]
+    have absolute sum at most 2^(dim y - dim x) c(x, y), where c(x, y)
+    counts the chains from x to y, and those of g at most twice that.
+    Every partial sum the tables form (the block sums, the kernel
+    products, h_k - h_{k-1}) is bounded by such a sum, so all of them
+    stay within 2^(d + 2) times the largest number of chains that end
+    at one face.  A chain holds at most one face of each dimension, so
+    the product of (f_e + 1) over the dimensions e bounds that number;
+    only when it is too coarse does one pass over the dimension layers
+    count the chains, refusing before any count could pass
+    ``_INT64_LIMIT >> (d + 2)``.
+    """
+    cap = _INT64_LIMIT >> (d + 2)
+    # a chain holds at most one face per dimension: skip the pass when that bound is safe
+    if prod(int(f) + 1 for f in np.bincount(dims + 1)) < cap:
+        return
+    chains = np.ones(len(dims), dtype=np.int64)
+    below = np.bincount(py, minlength=len(dims))
+    layer = dims[py]
+    for e in range(d + 1):
+        sel = np.flatnonzero(layer == e)
+        if sel.size and int(chains.max()) * int(below[py[sel]].max()) >= cap:
+            raise LatticeError(
+                f"h/g coefficients of this lattice could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
+            )
+        np.add.at(chains, py[sel], chains[px[sel]])
+
+
+def _guarded(lat: FaceLattice) -> FaceLattice:
+    """``lat`` once ``_guard`` has passed on it."""
+    if "int64_ok" not in lat._cache:
+        _guard(*lat.pairs, lat.dims, lat.d)
+        lat._cache["int64_ok"] = True
+    return lat
 
 
 class _Blocks(NamedTuple):
@@ -77,76 +121,81 @@ def _interval_tables(lat: FaceLattice, root: int):
     Returns (pos, H, G): ``pos`` maps a face index of ``lat`` to its row,
     and row i of H/G holds the coefficients of h/g of the interval
     [root, x] viewed as a polytope of dimension dims[x] - dims[root] - 1.
-    Rows run by dimension, then by face index.
-
-    The pass is the recursion over the pairs root <= z < y: once the g
-    of a layer of z is known it is summed, per y, into S[y, layer], and
-    h of a layer of y is then S[y] against the (t-1)^(dim y - dim z - 1)
-    kernels.  The bottom reads every pair in the lattice's block order,
-    which already groups them by dim z and, within, by the row of y; any
-    other root gathers the pairs of its up-set (the pairs of each z are
-    one run of ``lat.pairs``, sorted by x) and sorts only those, so its
-    cost follows the interval.
+    Rows run by dimension, then by face index.  They are the pair table
+    rows of root's run of ``lat.pairs`` (``_chunk_tables``).  For the
+    bottom the triples bottom < z < y are the other pairs, already in
+    the lattice's block order; any other root gathers its triples with
+    ``_triples``, so its cost follows the interval.  ``_guard`` bounds
+    every entry a priori.
     """
-    cache = lat._cache.setdefault("interval_tables", {})
+    cache = _guarded(lat)._cache.setdefault("interval_tables", {})
     if root in cache:
         return cache[root]
-
     px, py = lat.pairs
-    dims = lat.dims
+    dims, start = lat.dims, lat._rows()
+    lo, hi = start[root:root + 2]
     if root == lat.bottom:
-        sel = np.argsort(dims, kind="stable")
-        row = np.empty_like(sel)
-        row[sel] = np.arange(len(sel))
-        by_block = _blocks(lat).order
-        z, y = row[px[by_block]], row[py[by_block]]
-        rel = dims[sel]
+        blocks = _blocks(lat)
+        at = blocks.order[blocks.bounds[blocks.span]:]      # dim z >= 0
+        xz, xy = px[at] - 1, py[at] - 1
     else:
-        lo, hi = np.searchsorted(px, [root, root + 1])
-        up = np.r_[root, py[lo:hi]]
-        order = np.argsort(dims[up], kind="stable")
-        sel = up[order]
-        row = np.empty_like(order)
-        row[order] = np.arange(len(up))
-        rel = dims[sel] - dims[root] - 1
-        # every pair (z, y) with root <= z: the rows of the z in the up-set
-        start = np.searchsorted(px, sel)
-        cnt = np.searchsorted(px, sel + 1) - start
-        ends = np.cumsum(cnt)
-        at = np.repeat(start - (ends - cnt), cnt) + np.arange(ends[-1])
-        z = np.repeat(np.arange(len(sel)), cnt)
-        y = row[np.searchsorted(up, py[at])]
-        by_y = np.argsort(rel[z] * len(sel) + y)
-        z, y = z[by_y], y[by_y]
+        xz = xy = np.zeros(0, dtype=np.int64)
+        for _, _, xz, xy in _triples(px, py, start, whole=True, rows=(lo, hi)):
+            xz, xy = xz - lo, xy - lo
+    order, H, G = _chunk_tables(
+        np.full(hi - lo, dims[root]), dims[py[lo:hi]], xz, xy, lat.d, root == lat.bottom
+    )
+    width = max(lat.d - int(dims[root]), 1)
+    up = np.concatenate(([root], py[lo:hi][order]))
+    H, G = (np.concatenate((np.eye(1, width, dtype=np.int64), t[:, :width])) for t in (H, G))
+    cache[root] = (dict(zip(up.tolist(), range(len(up)))), H, G)
+    return cache[root]
 
-    m, top = len(sel), int(rel[-1])
-    width = max(top + 1, 1)
-    H = np.zeros((m, width), dtype=np.int64)
+
+def _chunk_tables(dx, dy, xz, xy, d: int, presorted=False):
+    """h and g of the strict pairs of whole x's, from their triples x < z < y.
+
+    Row r is a pair (x, y) with dim x = dx[r] and dim y = dy[r]; a triple
+    names the rows of (x, z) and (x, y), so dim z is dy[xz].  Returns
+    (order, H, G), the rows of H/G going by dim y (never by index: the
+    index order is only a linear extension) as ``order`` lists them.
+    The pass is the recursion over the layers of dim y: h of a layer is
+    S[pair] against the stacked (t-1)^(dim y - dim z - 1) kernels, and
+    once g of the layer is known it is summed, per pair (x, y), into
+    S[(x, y), dim z].  The triples are sorted by (dim z, dim y, y) here
+    unless ``presorted``.
+    """
+    width, span = max(d + 1, 1), d + 2
+    order = np.argsort(dy, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    z, y = row[xz], row[xy]
+    e_y, x_dims = dy[order], dx[order]
+    if not presorted:
+        by_z = np.argsort(e_y[z] * len(order) + y)
+        z, y = z[by_z], y[by_z]
+    layers = np.arange(-1, d + 2)
+    row_bounds, pair_bounds = np.searchsorted(e_y, layers), np.searchsorted(e_y[z], layers)
+    H = np.zeros((len(order), width), dtype=np.int64)
     G = np.zeros_like(H)
-    H[0, 0] = G[0, 0] = 1
-    # S[y, e + 1] sums g(root, z) over the z < y of relative dimension e
-    S = np.zeros((m, top + 1, width), dtype=np.int64)
-    layers = np.arange(-1, top + 2)
-    row_bounds = np.searchsorted(rel, layers)
-    pair_bounds = np.searchsorted(rel[z], layers)
+    S = np.zeros((len(order), span, width), dtype=np.int64)
+    S[np.arange(len(order)), x_dims + 1, 0] = 1       # g(x, x) = 1
     T = _kernels(width)
-    for e in range(-1, top + 1):
+    for e in range(int(e_y[0]) if len(e_y) else 0, d + 1):
         a, b = row_bounds[e + 1], row_bounds[e + 2]
-        if e >= 0:
-            h = S[a:b, :e + 1].reshape(b - a, -1) @ T[e::-1].reshape(-1, width)
-            H[a:b] = h
-            # g_k = h_k - h_{k-1} up to half of the layer's dimension
-            G[a:b, 0] = h[:, 0]
-            G[a:b, 1:e // 2 + 1] = h[:, 1:e // 2 + 1] - h[:, :e // 2]
+        if a < b:
+            h = H[a:b] = S[a:b, :e + 1].reshape(b - a, -1) @ T[e::-1].reshape(-1, width)
+            # g_k = h_k - h_{k-1} up to half of each interval's dimension
+            g = G[a:b]
+            g[:] = h
+            g[:, 1:] -= h[:, :-1]
+            g *= np.arange(width) <= (e - x_dims[a:b] - 1)[:, None] // 2
         p, q = pair_bounds[e + 1], pair_bounds[e + 2]
         if p < q:
             ys = y[p:q]
-            first = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
+            first = _run_starts(ys)
             S[ys[first], e + 1] = np.add.reduceat(G[z[p:q]], first)
-
-    pos = dict(zip(sel.tolist(), range(m)))
-    cache[root] = (pos, H, G)
-    return cache[root]
+    return order, H, G
 
 
 def _pair_tables(px, py, dims, d: int):
@@ -155,57 +204,26 @@ def _pair_tables(px, py, dims, d: int):
     Takes the strict pairs x < y in any order and returns (px, py, H, G):
     one row per comparable pair x <= y, the diagonal added and the pairs
     sorted by (x, y), and rows of H/G holding the coefficients of h/g of
-    [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The pass
-    walks the layers of y by dimension (never by index: the index order
-    is only a linear extension).  For each layer of z below it sums
-    g(x, z) over the triples x <= z < y, then applies the
-    (t-1)^(dim y - dim z - 1) kernel.  Integer throughout; storage is
-    O(comparable pairs * d).
+    [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The triples
+    come from ``_triples``, whole x's at a time, and each chunk goes
+    through ``_chunk_tables``.  Integer throughout; storage is
+    O(comparable pairs * d), and ``_guard`` bounds every coefficient.
     """
     n = len(dims)
-    px, py = np.r_[px, np.arange(n)], np.r_[py, np.arange(n)]
-    order = np.lexsort((py, px))
-    px, py = px[order], py[order]
-    keys = px * n + py
-    width = max(d + 1, 1)
-    H = np.zeros((len(px), width), dtype=np.int64)
+    fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
+    order = np.lexsort((fy, fx))
+    fx, fy = fx[order], fy[order]
+    strict = fx != fy
+    full = np.flatnonzero(strict)       # the rows of the strict pairs among all
+    px, py = fx[strict], fy[strict]
+    _guard(px, py, dims, d)
+    H = np.zeros((len(fx), max(d + 1, 1)), dtype=np.int64)
     G = np.zeros_like(H)
-    strict = px != py
     H[~strict, 0] = G[~strict, 0] = 1
-
-    # the pairs (x, z) for a fixed z form one block of the column order
-    by_col = np.lexsort((px, py))
-    col_count = np.bincount(py, minlength=n)
-    col_start = np.cumsum(col_count) - col_count
-    dx, dy = dims[px], dims[py]
-    grades = np.unique(dims)
-    for e_y in grades[1:]:
-        in_layer = strict & (dy == e_y)
-        for e_z in grades[grades < e_y]:
-            zy = np.nonzero(in_layer & (dx == e_z))[0]
-            if not len(zy):
-                continue
-            z, y = px[zy], py[zy]
-            cnt = col_count[z]
-            ends = np.cumsum(cnt)
-            step = np.repeat(col_start[z] - (ends - cnt), cnt)
-            src = by_col[step + np.arange(ends[-1])]             # pairs (x, z)
-            tgt = np.searchsorted(keys, px[src] * n + np.repeat(y, cnt))
-            order = np.argsort(tgt, kind="stable")
-            tgt = tgt[order]
-            first = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
-            s = np.add.reduceat(G[src[order]], first, axis=0)
-            rows = tgt[first]
-            for j, c in enumerate(_binom_kernel(int(e_y - e_z) - 1)):
-                if c:
-                    H[rows, j:] += c * s[:, : width - j]
-        # g_k = h_k - h_{k-1} up to half of each interval's dimension
-        rows = np.nonzero(in_layer)[0]
-        g = H[rows].copy()
-        g[:, 1:] -= H[rows, :-1]
-        g *= np.arange(width) <= (e_y - dx[rows] - 1)[:, None] // 2
-        G[rows] = g
-    return px, py, H, G
+    for lo, hi, xz, xy in _triples(px, py, np.searchsorted(px, np.arange(n + 1)), whole=True):
+        order, h, g = _chunk_tables(dims[px[lo:hi]], dims[py[lo:hi]], xz - lo, xy - lo, d)
+        H[full[lo + order]], G[full[lo + order]] = h, g
+    return fx, fy, H, G
 
 
 class _PairTable(NamedTuple):
@@ -328,7 +346,7 @@ def flag_vector(lat: FaceLattice) -> FlagVector:
     """
     if "flags" in lat._cache:
         return lat._cache["flags"]
-    d, dims, n = lat.d, lat.dims, len(lat.faces)
+    d, dims, n = lat.d, lat.dims, len(_guarded(lat).faces)
     px, py = lat.pairs
     blocks = _blocks(lat)
     fv = FlagVector()

@@ -24,17 +24,25 @@ Eulerian balance from float64 matrix products, and flag numbers from
 
 ``dense_interval_tables`` is the single-root h/g table the library built
 before it read the list of comparable pairs: the root's block of the
-dense ``leq`` copied with ``np.ix_`` and one int64 product per pair of
+dense order copied with ``np.ix_`` and one int64 product per pair of
 dimension layers.
+
+``dense_order`` is the n x n inclusion matrix the library filled before
+it built the pair list straight from the bitsets, by the same chunked
+word test on the packed vertex bitsets.  ``searchsorted_intervals`` and
+``searchsorted_pair_tables`` are the triple passes the library ran
+before its row-pointer gather (``lattice._triples``): each triple finds
+the row of (x, y) by a ``searchsorted`` over the keys of all pairs.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from toricgh.lattice import LatticeError
+from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
 from toricgh.toric import FlagVector, _binom_kernel, gtilde, toric_g
 
 
@@ -408,8 +416,8 @@ def dense_flag_vector(leq, dims):
 
 
 def dense_interval_tables(lat, root):
-    """(pos, H, G) for every face x >= root, from dense blocks of ``lat.leq``."""
-    leq, dims = lat.leq, lat.dims
+    """(pos, H, G) for every face x >= root, from dense blocks of the order."""
+    leq, dims = dense_order(lat), lat.dims
     sel = np.nonzero(leq[root])[0]
     rel = dims[sel] - dims[root] - 1
     order = np.argsort(rel, kind="stable")
@@ -445,3 +453,114 @@ def dense_interval_tables(lat, root):
 
     pos = {int(f): i for i, f in enumerate(sel)}
     return pos, H, G
+
+
+_DENSE = WeakKeyDictionary()
+
+
+def dense_order(lat):
+    """leq[i, j] iff face i's vertices lie in face j's, for the faces of ``lat``.
+
+    Faces are sorted by vertex count and equal counts are incomparable,
+    so only i <= j can hold: each block of columns is tested against the
+    rows up to its end, about _CHUNK cells at a time.  Kept per lattice.
+    """
+    if lat not in _DENSE:
+        _DENSE[lat] = _dense_order(lat)
+    return _DENSE[lat]
+
+
+def _dense_order(lat):
+    faces, _, bits, _ = _sorted_faces(lat.faces, lat.n_vertices)
+    assert tuple(faces) == lat.faces
+    n = len(bits)
+    leq = np.zeros((n, n), dtype=bool)
+    step = max(1, _CHUNK // n)
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        outside = bits[:b, 0, None] & ~bits[None, a:b, 0]
+        for word in range(1, bits.shape[1]):
+            outside |= bits[:b, word, None] & ~bits[None, a:b, word]
+        leq[:b, a:b] = outside == 0
+    leq.setflags(write=False)
+    return leq
+
+
+def strict_pairs(leq):
+    """The strict pairs of a boolean order matrix, row-major (sorted by (x, y))."""
+    px, py = np.nonzero(leq)
+    keep = px != py
+    return px[keep], py[keep]
+
+
+def searchsorted_intervals(lat):
+    """(between, balance) per strict pair, each triple found by a key search."""
+    px, py = lat.pairs
+    n, m = len(lat.faces), len(px)
+    keys = px * n + py
+    by_col = np.argsort(py, kind="stable")
+    below = np.bincount(py, minlength=n)
+    above = np.bincount(px, minlength=n)
+    col_start = np.cumsum(below) - below
+    row_start = np.cumsum(above) - above
+    per_z = below * above
+    odd = lat.dims % 2 == 1
+    counts = np.zeros((2, m), dtype=np.int64)
+    for parity in (0, 1):
+        z_all = np.flatnonzero(per_z * (odd == parity))
+        cnt = per_z[z_all]
+        z = np.repeat(z_all, cnt)
+        k = np.arange(len(z)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        i, j = np.divmod(k, above[z])
+        x = px[by_col[col_start[z] + i]]
+        y = py[row_start[z] + j]
+        counts[parity] += np.bincount(np.searchsorted(keys, x * n + y), minlength=m)
+    sign = np.where(odd, -1, 1)
+    return counts.sum(axis=0), sign[px] + sign[py] + counts[0] - counts[1]
+
+
+def searchsorted_pair_tables(px, py, dims, d):
+    """(px, py, H, G) of every interval [x, y], one (dim y, dim z) layer at a time."""
+    n = len(dims)
+    px, py = np.r_[px, np.arange(n)], np.r_[py, np.arange(n)]
+    order = np.lexsort((py, px))
+    px, py = px[order], py[order]
+    keys = px * n + py
+    width = max(d + 1, 1)
+    H = np.zeros((len(px), width), dtype=np.int64)
+    G = np.zeros_like(H)
+    strict = px != py
+    H[~strict, 0] = G[~strict, 0] = 1
+    # the pairs (x, z) for a fixed z form one block of the column order
+    by_col = np.lexsort((px, py))
+    col_count = np.bincount(py, minlength=n)
+    col_start = np.cumsum(col_count) - col_count
+    dx, dy = dims[px], dims[py]
+    grades = np.unique(dims)
+    for e_y in grades[1:]:
+        in_layer = strict & (dy == e_y)
+        for e_z in grades[grades < e_y]:
+            zy = np.nonzero(in_layer & (dx == e_z))[0]
+            if not len(zy):
+                continue
+            z, y = px[zy], py[zy]
+            cnt = col_count[z]
+            ends = np.cumsum(cnt)
+            step = np.repeat(col_start[z] - (ends - cnt), cnt)
+            src = by_col[step + np.arange(ends[-1])]             # pairs (x, z)
+            tgt = np.searchsorted(keys, px[src] * n + np.repeat(y, cnt))
+            order = np.argsort(tgt, kind="stable")
+            tgt = tgt[order]
+            first = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
+            s = np.add.reduceat(G[src[order]], first, axis=0)
+            rows = tgt[first]
+            for j, c in enumerate(_binom_kernel(int(e_y - e_z) - 1)):
+                if c:
+                    H[rows, j:] += c * s[:, : width - j]
+        # g_k = h_k - h_{k-1} up to half of each interval's dimension
+        rows = np.nonzero(in_layer)[0]
+        g = H[rows].copy()
+        g[:, 1:] -= H[rows, :-1]
+        g *= np.arange(width) <= (e_y - dx[rows] - 1)[:, None] // 2
+        G[rows] = g
+    return px, py, H, G

@@ -17,7 +17,7 @@ from toricgh.catalog import (
 from toricgh.geometry import facet_enumeration
 from toricgh.lattice import is_eulerian
 
-from oracles import is_isomorphic
+from oracles import dense_order, is_isomorphic
 
 
 def test_base_families_agree_with_iterated_constructions():
@@ -60,7 +60,7 @@ def test_face_order_is_a_linear_extension():
     unsorted = []
     for e in catalog():
         lat = e.lattice()
-        assert not np.tril(lat.leq, -1).any(), e.name
+        assert not np.tril(dense_order(lat), -1).any(), e.name
         if np.any(np.diff(lat.dims) < 0):
             unsorted.append(e.name)
     assert "prism(simplex3)" in unsorted
@@ -117,3 +117,25 @@ def test_entry_caches_lattice():
     e = parse_recipe("cube3")
     assert e.lattice() is e.lattice()
     assert isinstance(e, CatalogEntry)
+
+
+def test_catalog_submodule_is_not_shadowed():
+    import sys
+
+    import toricgh
+    import toricgh.catalog as module
+
+    assert module is sys.modules["toricgh.catalog"] and toricgh.catalog is module
+    assert [e.name for e in module.catalog()] == [e.name for e in catalog()]
+
+
+def test_readme_example_runs(capsys):
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    expected = re.findall(r"print\(.*\)\s+# (\S.*)", code)
+    assert printed[: len(expected)] == [line.split(",")[0].strip() for line in expected]

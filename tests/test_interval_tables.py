@@ -2,17 +2,28 @@
 
 ``_interval_tables(lat, root)`` reads only the list of comparable pairs.
 ``oracles.dense_interval_tables`` is the former construction from
-``np.ix_`` blocks of the dense ``leq``; the two must agree row for row:
-the same face-to-row map and the same int64 h and g rows.  A lattice
-whose ``leq`` is removed must give the same values from every reader of
-the tables.
+``np.ix_`` blocks of the dense order; the two must agree row for row:
+the same face-to-row map and the same int64 h and g rows.  No reader of
+the tables, and no shelling, rigidity, localization, interval or dual,
+may build the dense ``leq`` view.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricgh.catalog import catalog, empty_lattice, parse_recipe
+from toricgh.geometry import cone_over
+from toricgh.lattice import FaceLattice
+from toricgh.localization import (
+    check_generalized_monotonicity,
+    classify_faces,
+    sample_directions,
+    tau_plus_v,
+)
+from toricgh.rigidity import g2_via_stresses
+from toricgh.shelling import line_shelling, relative_h, shelling_decomposition
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
     _interval_tables,
@@ -66,30 +77,30 @@ def test_index_order_that_is_not_a_dimension_sort():
         _assert_same_tables(lat, root)
 
 
-def _values(lat):
-    d = lat.d
-    faces = range(1, len(lat.faces) - 1)
-    return {
-        "report": report(lat),
-        "face_g": [face_g(lat, f) for f in faces],
-        # before any pair table exists, then read off it
-        "quotient_g": [quotient_g(lat, f) for f in faces],
-        "kalai": [check_kalai_identity(lat, k) for k in range(d // 2 + 2)],
-        "quotient_g_table": [quotient_g(lat, f) for f in faces],
-        "reciprocity": check_reciprocity(lat),
-        "verma": verma_multiplicities(lat),
-    }
-
-
-def test_table_readers_never_read_leq():
+def test_no_reader_builds_the_dense_order(monkeypatch):
+    # every library path reads the pairs; the dense ``leq`` view is for outside readers
+    monkeypatch.setattr(FaceLattice, "leq", property(lambda lat: pytest.fail("leq was read")))
+    lattices = []
     for name in ("cube4", "cyclic(7,4)", "prism(simplex3)", "bipyramid(cube3)"):
-        expected = _values(parse_recipe(name).lattice())
-        lat = parse_recipe(name).lattice()
-        lat.leq = None
-        assert _values(lat) == expected, name
-        ref = parse_recipe(name).lattice()
-        pos, _, G = dense_interval_tables(ref, ref.bottom)
-        assert toric_g(lat) == Polynomial(G[pos[ref.top]].tolist())
-        for f in range(1, len(ref.faces) - 1):
-            pos, _, G = dense_interval_tables(ref, f)
-            assert quotient_g(lat, f) == Polynomial(G[pos[ref.top]].tolist()), (name, f)
+        p = parse_recipe(name).realize()
+        lat = p.lattice
+        lattices += [lat, lat.dual(), lat.interval(lat.index_of(p.facets[0][2] & p.facets[1][2]), lat.top)]
+        report(lat)
+        for f in range(1, len(lat.faces) - 1):
+            lattices.append(lat.face(f))
+            quotient_g(lat, f)
+        check_kalai_identity(lat, 1), check_reciprocity(lat), verma_multiplicities(lat)
+        shelling_decomposition(line_shelling(p, seed=1))
+        facet = lat.faces_of_dim(lat.d - 1)[0]
+        relative_h(lat, [*lat.below(facet).tolist(), facet], [])
+        g2_via_stresses(p)
+        cone = cone_over(p)
+        lattices.append(cone.lattice)
+        for v in sample_directions(cone, seed=3, grid=2)[:4]:
+            decomp = classify_faces(cone, v)
+            for face in decomp.back:
+                tau_plus_v(decomp, face)
+            check_generalized_monotonicity(cone, v)
+        pos, _, G = dense_interval_tables(lat, lat.bottom)
+        assert toric_g(lat) == Polynomial(G[pos[lat.top]].tolist())
+    assert not [lat for lat in lattices if "leq" in lat._cache]

@@ -13,7 +13,7 @@ from toricgh.catalog import (
     simplex_lattice,
 )
 
-from oracles import CanonicalBudgetExceeded, canonical_form, is_isomorphic
+from oracles import CanonicalBudgetExceeded, canonical_form, dense_order, is_isomorphic
 
 CUBE_FACETS = [
     {0, 1, 2, 3}, {4, 5, 6, 7}, {0, 1, 4, 5},
@@ -131,7 +131,17 @@ def test_every_constructor_output_validates(cube):
         cube_lattice(2).pyramid(check=False),
         cyclic_lattice(7, 4),
     ]:
-        FaceLattice(lat.faces, lat.n_vertices, lat.leq, lat.dims, check=True)
+        FaceLattice(lat.faces, lat.n_vertices, lat.pairs, lat.dims, check=True)
+
+
+def test_corrupted_pairs_fail_validation(cube):
+    px, py = cube.pairs
+    vertex, edge = cube.index_of({0}), cube.index_of({0, 1})
+    drop_cover = ~((px == vertex) & (py == edge))
+    drop_bottom = np.arange(len(px)) != 0
+    for keep, message in ((drop_cover, "Eulerian|graded"), (drop_bottom, "not unique")):
+        with pytest.raises(LatticeError, match=message):
+            FaceLattice(cube.faces, cube.n_vertices, (px[keep], py[keep]), cube.dims, check=True)
 
 
 def test_grading_conventions(cube):
@@ -169,11 +179,19 @@ def test_json_round_trip(cube):
         FaceLattice.from_json({"dim": 2, "n_vertices": 8, "facets": data["facets"]})
 
 
-def test_leq_is_read_only(cube):
+def test_order_is_read_only(cube):
     with pytest.raises(ValueError):
-        cube.leq[0, 0] = False
+        cube.pairs[0][0] = 5
+    with pytest.raises(ValueError):
+        cube.pairs[1][0] = 5
     with pytest.raises(ValueError):
         cube.dims[0] = 5
+    # the dense compatibility view is built from the pairs, and frozen too
+    lat = FaceLattice.from_vertex_facets(8, CUBE_FACETS)
+    assert "leq" not in lat._cache
+    assert np.array_equal(lat.leq, dense_order(lat))
+    with pytest.raises(ValueError):
+        lat.leq[0, 0] = False
 
 
 def test_maximal_chains_have_uniform_length(cube):
@@ -201,9 +219,13 @@ def test_catalog_face_order_is_count_then_sorted_vertices():
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.frozensets(st.integers(0, 140), max_size=7), max_size=40))
 def test_sorted_faces_matches_per_face_sort(family):
-    faces, sizes, bits = _sorted_faces(family, 141)
+    faces, sizes, bits, (rows, verts) = _sorted_faces(family, 141)
     assert faces == _by_sorted_vertices(family)
     assert sizes.tolist() == [len(f) for f in faces]
-    # bit v of the packed row is set iff v is a vertex of the face
-    inc = np.unpackbits(bits.view(np.uint8), axis=1).astype(bool)
+    # bit 63 - v % 64 of word v // 64 is set iff v is a vertex of the face
+    inc = np.unpackbits(bits.astype(">u8").view(np.uint8), axis=1).astype(bool)
     assert [set(np.flatnonzero(row).tolist()) for row in inc] == [set(f) for f in faces]
+    members = [set() for _ in faces]
+    for r, v in zip(rows.tolist(), verts.tolist()):
+        members[r].add(v)
+    assert members == [set(f) for f in faces]

@@ -21,7 +21,14 @@ from toricgh.catalog import catalog, parse_recipe
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.toric import flag_vector
 
-from oracles import dense_build, dense_covers, dense_flag_vector, dense_from_vertex_facets
+from oracles import (
+    dense_build,
+    dense_covers,
+    dense_flag_vector,
+    dense_from_vertex_facets,
+    dense_order,
+    strict_pairs,
+)
 
 CATALOG = catalog()
 SMALL = [e for e in CATALOG if len(e.lattice()) <= 200]
@@ -30,7 +37,8 @@ SMALL = [e for e in CATALOG if len(e.lattice()) <= 200]
 def _assert_matches_dense(lat):
     faces, leq, dims = dense_build(lat.faces, lat.n_vertices, check=False)
     assert tuple(faces) == lat.faces
-    assert np.array_equal(lat.leq, leq) and np.array_equal(lat.dims, dims)
+    assert np.array_equal(dense_order(lat), leq) and np.array_equal(lat.dims, dims)
+    assert np.array_equal(np.stack(lat.pairs), np.stack(strict_pairs(leq)))
     assert [lat.covers_of(i) for i in range(len(faces))] == dense_covers(leq)
     assert flag_vector(lat) == dense_flag_vector(leq, dims)
 
@@ -41,7 +49,7 @@ def test_order_grading_covers_and_flags_match_dense_oracle(name):
     _assert_matches_dense(lat)
     px, py = lat.pairs
     assert px.dtype == py.dtype == np.int64 and bool((px < py).all())
-    strict = lat.leq & ~np.eye(len(lat), dtype=bool)
+    strict = dense_order(lat) & ~np.eye(len(lat), dtype=bool)
     assert np.array_equal(np.stack([px, py]), np.array(np.nonzero(strict)))
 
 
@@ -113,7 +121,8 @@ def test_mutated_lattices_fail_like_dense_oracle(entry, kind, by_facets, rng):
     if new[1] is not None:
         faces, leq, dims = old[1]
         assert new[1].faces == tuple(faces)
-        assert np.array_equal(new[1].leq, leq) and np.array_equal(new[1].dims, dims)
+        assert np.array_equal(dense_order(new[1]), leq) and np.array_equal(new[1].dims, dims)
+        assert np.array_equal(np.stack(new[1].pairs), np.stack(strict_pairs(leq)))
 
 
 def test_mutations_reach_each_kind_of_rejection():

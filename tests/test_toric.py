@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from toricgh.catalog import (
@@ -35,7 +36,7 @@ from toricgh.toric import (
     toric_h,
 )
 
-from oracles import Invariant, convolution, g_invariant, gtilde_invariant
+from oracles import Invariant, convolution, dense_order, g_invariant, gtilde_invariant
 
 SQUARE = cube_lattice(2)
 CUBE3 = cube_lattice(3)
@@ -92,13 +93,14 @@ def test_fan_h_examples():
 def _flag_oracle(lat, dims):
     """Chain count by explicit enumeration over face tuples."""
     pools = [lat.faces_of_dim(k) for k in dims]
+    leq = dense_order(lat)
 
     def count(prefix_face, level):
         if level == len(pools):
             return 1
         total = 0
         for f in pools[level]:
-            if prefix_face is None or lat.leq[prefix_face, f]:
+            if prefix_face is None or leq[prefix_face, f]:
                 total += count(f, level + 1)
         return total
 
@@ -301,3 +303,29 @@ def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
         builds.clear()
         assert _verify_one("monotonicity", inp, 0, "all")
         assert len(builds) == 1 and "pairs" in inp.lattice()._cache
+
+
+def test_int64_guard_refuses_past_the_limit(monkeypatch, capsys):
+    import toricgh.toric as toric_module
+    from toricgh.cli import main
+    from toricgh.toric import _pair_tables
+
+    monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 12)
+    lat = cube_lattice(4)
+    for compute in (toric_h, flag_vector, lambda lat: _pair_tables(*lat.pairs, lat.dims, lat.d)):
+        with pytest.raises(LatticeError, match="int64"):
+            compute(lat)
+    assert main(["gh", "cube4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "int64" in err
+
+
+def test_int64_guard_counts_chains_when_the_product_bound_is_coarse():
+    import toricgh.toric as toric_module
+    from math import prod
+
+    lat = cube_lattice(7)
+    f = np.bincount(lat.dims + 1)
+    assert prod(int(k) + 1 for k in f) >= toric_module._INT64_LIMIT >> (lat.d + 2)
+    assert toric_h(lat) == Polynomial(toric_module._interval_tables(lat, 0)[1][-1].tolist())
+    assert lat._cache["int64_ok"]
