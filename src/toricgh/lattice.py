@@ -232,11 +232,7 @@ class FaceLattice:
 
     @property
     def leq(self) -> np.ndarray:
-        """Dense read-only view: ``leq[i, j]`` iff face i lies in face j.
-
-        Built from ``pairs`` on first access, at n² bytes; nothing in the
-        library reads it.
-        """
+        """Dense n x n view, ``leq[i, j]`` iff face i lies in face j; nothing in the library reads it."""
         leq = self._cache.get("leq")
         if leq is None:
             leq = np.eye(len(self.faces), dtype=bool)
@@ -414,31 +410,25 @@ def _sorted_faces(face_sets, n_vertices):
 def _strict_pairs(sizes, bits, members):
     """Every strict inclusion x < y between the sorted faces, sorted by (x, y).
 
-    Only larger faces can contain x, and they must hold x's rarest
-    vertex: the candidates for x are the run of that vertex in an
-    inverted index (the faces holding each vertex, ascending) past the
-    faces of x's size.  Each candidate is tested on the packed words,
-    about _CHUNK of them at a time, and the runs are already in (x, y)
-    order.  The empty face lies below every other face.
+    The faces containing x are larger and hold its rarest vertex, so the
+    candidates for x are that vertex's run of an inverted index (the
+    faces holding each vertex, ascending) past the faces of x's size.
+    They are tested on the packed words, about _CHUNK at a time, and
+    come out in (x, y) order.
     """
-    n = len(sizes)
-    rows, verts = members
-    if not len(verts):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    n, (rows, verts) = len(sizes), members
     freq = np.bincount(verts)
     rare = np.full(n, np.iinfo(np.int64).max)
     np.minimum.at(rare, rows, freq[verts] * len(freq) + verts)
-    rare %= len(freq)
+    rare %= max(len(freq), 1)
     keys = np.sort(verts * n + rows)        # the faces of each vertex, ascending
     holders = keys % n
-    # candidates of x: holders of rare[x] from the first face larger than x
     lo = np.searchsorted(keys, rare * n + np.searchsorted(sizes, sizes, "right"))
     cnt = np.where(sizes > 0, np.searchsorted(keys, rare * n + n) - lo, 0)
     xs = np.flatnonzero(cnt)
     ends = np.cumsum(cnt[xs])
-    out_x, out_y = [], []
-    if sizes[0] == 0:
-        out_x, out_y = [np.zeros(n - 1, dtype=np.int64)], [np.arange(1, n)]
+    k = n - 1 if sizes[0] == 0 else 0       # the empty face lies below every other
+    out = [(np.zeros(k, dtype=np.int64), np.arange(1, k + 1))]
     a = 0
     while a < len(xs):
         base = ends[a] - cnt[xs[a]]
@@ -449,10 +439,9 @@ def _strict_pairs(sizes, bits, members):
         for w in range(1, bits.shape[1]):
             outside |= np.repeat(bits[x, w], c) & ~bits[y, w]
         keep = outside == 0
-        out_x.append(np.repeat(x, c)[keep])
-        out_y.append(y[keep])
+        out.append((np.repeat(x, c)[keep], y[keep]))
         a = b
-    return np.concatenate(out_x), np.concatenate(out_y)
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def _run_starts(a):

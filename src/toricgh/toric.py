@@ -6,9 +6,10 @@ recursion
     h(P, t) = sum over faces F < P of g(F, t) (t-1)^(d - 1 - dim F),
     g_k = h_k - h_{k-1} for 0 <= k <= d/2,
 
-starting from g = h = 1 on the empty polytope.  Two engines run it one
-dimension layer at a time, in exact int64 with numpy doing the bulk
-sums, and both read only the lattice's list of strict comparable pairs:
+starting from g = h = 1 on the empty polytope.  One engine,
+``_chunk_tables``, runs it one dimension layer at a time, in exact
+int64 with numpy doing the bulk sums, on the lattice's list of strict
+comparable pairs and the triples x < z < y it forms:
 ``_interval_tables`` for the intervals [root, x] over one root (P and
 its faces from the bottom, one quotient from a face), and
 ``_pair_tables`` for every interval [x, y] at once, and on the reversed
@@ -47,44 +48,39 @@ def _kernels(width: int) -> np.ndarray:
     return T
 
 
-# Bound on every intermediate of the int64 tables; ``_guard`` refuses orders
-# whose h/g coefficients could pass it.
+# ``_guard`` refuses an order whose table entries could pass this bound.
 _INT64_LIMIT = 1 << 62
 
 
 def _guard(px, py, dims, d: int):
     """Refuse an order whose h/g coefficients could leave int64.
 
-    By induction over the recursion, the coefficients of h of [x, y]
-    have absolute sum at most 2^(dim y - dim x) c(x, y), where c(x, y)
-    counts the chains from x to y, and those of g at most twice that.
-    Every partial sum the tables form (the block sums, the kernel
-    products, h_k - h_{k-1}) is bounded by such a sum, so all of them
-    stay within 2^(d + 2) times the largest number of chains that end
-    at one face.  A chain holds at most one face of each dimension, so
-    the product of (f_e + 1) over the dimensions e bounds that number;
-    only when it is too coarse does one pass over the dimension layers
-    count the chains, refusing before any count could pass
-    ``_INT64_LIMIT >> (d + 2)``.
+    By induction over the recursion, the coefficients of h of [x, y] sum
+    in absolute value to at most 2^(dim y - dim x) c(x, y), c(x, y) the
+    number of chains from x to y, and those of g to twice that; every
+    partial sum in the tables (block sums, kernel products, h_k - h_{k-1})
+    is bounded by such a sum.  So every entry stays within 2^(d + 2)
+    times the most chains that end at one face.  That count is at most
+    the product of (f_e + 1) over the dimensions e; when the product is
+    too coarse the chains are counted layer by layer, refusing before a
+    count could pass ``_INT64_LIMIT >> (d + 2)``.
     """
     cap = _INT64_LIMIT >> (d + 2)
-    # a chain holds at most one face per dimension: skip the pass when that bound is safe
     if prod(int(f) + 1 for f in np.bincount(dims + 1)) < cap:
         return
-    chains = np.ones(len(dims), dtype=np.int64)
-    below = np.bincount(py, minlength=len(dims))
-    layer = dims[py]
+    chains = np.ones(len(dims), dtype=np.int64)     # chains ending at each face
+    below, layer = np.bincount(py, minlength=len(dims)), dims[py]
     for e in range(d + 1):
         sel = np.flatnonzero(layer == e)
         if sel.size and int(chains.max()) * int(below[py[sel]].max()) >= cap:
             raise LatticeError(
-                f"h/g coefficients of this lattice could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
+                f"h/g coefficients could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
             )
         np.add.at(chains, py[sel], chains[px[sel]])
 
 
 def _guarded(lat: FaceLattice) -> FaceLattice:
-    """``lat`` once ``_guard`` has passed on it."""
+    """``lat``, once ``_guard`` has passed on it."""
     if "int64_ok" not in lat._cache:
         _guard(*lat.pairs, lat.dims, lat.d)
         lat._cache["int64_ok"] = True

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 import toricgh.lattice as lattice_module
 from toricgh.catalog import catalog, cube_lattice, parse_recipe
-from toricgh.lattice import FaceLattice, _triples
+from toricgh.lattice import FaceLattice, LatticeError, _triples
 from toricgh.toric import _pair_tables
 
 from oracles import (
+    dense_build,
     dense_from_vertex_facets,
     dense_order,
     searchsorted_intervals,
@@ -63,6 +64,14 @@ def _assert_passes_match(lat):
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_catalog_pairs_match_dense_order(entry):
     lat = entry.lattice()
+    _assert_pairs_match(lat, dense_order(lat))
+
+
+@pytest.mark.parametrize("name", ["cube7", "cyclic(70,2)", "prism(cyclic(40,3))"])
+def test_multiword_bitsets_match_dense_order(name):
+    # more than 64 vertices: the inclusion test runs over several words
+    lat = parse_recipe(name).lattice()
+    assert lat.n_vertices > 64
     _assert_pairs_match(lat, dense_order(lat))
 
 
@@ -134,3 +143,23 @@ def test_cube8_build_holds_no_dense_order():
     assert len(lat.faces) == 3 ** 8 + 1
     assert peak < len(lat.faces) ** 2
     assert "leq" not in lat._cache
+
+
+@pytest.mark.parametrize(
+    "faces, n",
+    [([{0}, {1}], 2), ([{0}], 1), ([set()], 0), ([set(), {0}], 1), ([{0}, {0, 1}], 2),
+     ([set(), {0}, {1}], 2), ([set(), {0}, {0, 1}, {1, 2}], 3)],
+)
+def test_tiny_face_families_fail_like_dense_oracle(faces, n):
+    def outcome(build):
+        try:
+            return build(faces, n)
+        except LatticeError as e:
+            return str(e)
+
+    new, old = outcome(FaceLattice.build), outcome(dense_build)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.faces == tuple(old[0]) and np.array_equal(new.dims, old[2])
+        _assert_pairs_match(new, old[1])
