@@ -38,14 +38,22 @@ def _binom_kernel(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernels(width: int) -> np.ndarray:
-    """T[k] multiplies a coefficient row by (t-1)^k, truncated at ``width``."""
+def _kernels(width: int):
+    """(stacks, keep), truncated at ``width`` coefficients.
+
+    ``stacks[e]`` multiplies the rows S[0], ..., S[e], stacked, by
+    (t-1)^e, ..., (t-1)^0 and sums them; ``keep[k + 1]`` masks the
+    coefficients g keeps for an interval of dimension k.
+    """
     T = np.zeros((width, width, width), dtype=np.int64)
     for k in range(width):
         for j, c in enumerate(_binom_kernel(k)):
             T[k, np.arange(width - j), np.arange(j, width)] = c
-    T.setflags(write=False)
-    return T
+    stacks = [np.ascontiguousarray(T[e::-1].reshape(-1, width)) for e in range(width)]
+    keep = np.arange(width) <= np.arange(-1, width)[:, None] // 2
+    for a in (*stacks, keep):
+        a.setflags(write=False)
+    return stacks, keep
 
 
 # ``_guard`` refuses an order whose table entries could pass this bound.
@@ -130,17 +138,21 @@ def _interval_tables(lat: FaceLattice, root: int):
     px, py = lat.pairs
     dims, start = lat.dims, lat._rows()
     lo, hi = start[root:root + 2]
+    order = None
     if root == lat.bottom:
+        # the triples are the pairs z < y with z nonempty, the row of
+        # (bottom, f) is f - 1, and the block order sorts them by (dim z, dim y, y)
+        order = np.argsort(dims[1:], kind="stable")
+        rank = np.empty_like(dims)
+        rank[order + 1] = np.arange(len(order))
         blocks = _blocks(lat)
-        at = blocks.order[blocks.bounds[blocks.span]:]      # dim z >= 0
-        xz, xy = px[at] - 1, py[at] - 1
+        at = blocks.order[blocks.bounds[blocks.span]:]
+        xz, xy = rank[px[at]], rank[py[at]]
     else:
         xz = xy = np.zeros(0, dtype=np.int64)
         for _, _, xz, xy in _triples(px, py, start, whole=True, rows=(lo, hi)):
             xz, xy = xz - lo, xy - lo
-    order, H, G = _chunk_tables(
-        np.full(hi - lo, dims[root]), dims[py[lo:hi]], xz, xy, lat.d, root == lat.bottom
-    )
+    order, H, G = _chunk_tables(np.full(hi - lo, dims[root]), dims[py[lo:hi]], xz, xy, lat.d, order)
     width = max(lat.d - int(dims[root]), 1)
     up = np.concatenate(([root], py[lo:hi][order]))
     H, G = (np.concatenate((np.eye(1, width, dtype=np.int64), t[:, :width])) for t in (H, G))
@@ -148,7 +160,7 @@ def _interval_tables(lat: FaceLattice, root: int):
     return cache[root]
 
 
-def _chunk_tables(dx, dy, xz, xy, d: int, presorted=False):
+def _chunk_tables(dx, dy, xz, xy, d: int, order=None):
     """h and g of the strict pairs of whole x's, from their triples x < z < y.
 
     Row r is a pair (x, y) with dim x = dx[r] and dim y = dy[r]; a triple
@@ -158,34 +170,34 @@ def _chunk_tables(dx, dy, xz, xy, d: int, presorted=False):
     The pass is the recursion over the layers of dim y: h of a layer is
     S[pair] against the stacked (t-1)^(dim y - dim z - 1) kernels, and
     once g of the layer is known it is summed, per pair (x, y), into
-    S[(x, y), dim z].  The triples are sorted by (dim z, dim y, y) here
-    unless ``presorted``.
+    S[(x, y), dim z].  A caller that passes ``order`` gives the triples
+    as positions in it, already sorted by (dim z, position of y).
     """
     width, span = max(d + 1, 1), d + 2
-    order = np.argsort(dy, kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(len(order))
-    z, y = row[xz], row[xy]
+    z, y = xz, xy
+    if order is None:
+        order = np.argsort(dy, kind="stable")
+        row = np.empty_like(order)
+        row[order] = np.arange(len(order))
+        by_z = np.argsort(dy[xz] * len(order) + row[xy])
+        z, y = row[xz[by_z]], row[xy[by_z]]
     e_y, x_dims = dy[order], dx[order]
-    if not presorted:
-        by_z = np.argsort(e_y[z] * len(order) + y)
-        z, y = z[by_z], y[by_z]
     layers = np.arange(-1, d + 2)
     row_bounds, pair_bounds = np.searchsorted(e_y, layers), np.searchsorted(e_y[z], layers)
     H = np.zeros((len(order), width), dtype=np.int64)
     G = np.zeros_like(H)
     S = np.zeros((len(order), span, width), dtype=np.int64)
     S[np.arange(len(order)), x_dims + 1, 0] = 1       # g(x, x) = 1
-    T = _kernels(width)
+    stacks, keep = _kernels(width)
     for e in range(int(e_y[0]) if len(e_y) else 0, d + 1):
         a, b = row_bounds[e + 1], row_bounds[e + 2]
         if a < b:
-            h = H[a:b] = S[a:b, :e + 1].reshape(b - a, -1) @ T[e::-1].reshape(-1, width)
+            h = H[a:b] = S[a:b, :e + 1].reshape(b - a, -1) @ stacks[e]
             # g_k = h_k - h_{k-1} up to half of each interval's dimension
             g = G[a:b]
-            g[:] = h
-            g[:, 1:] -= h[:, :-1]
-            g *= np.arange(width) <= (e - x_dims[a:b] - 1)[:, None] // 2
+            g[:, 0] = h[:, 0]
+            np.subtract(h[:, 1:], h[:, :-1], out=g[:, 1:])
+            g *= keep[e - x_dims[a:b]]
         p, q = pair_bounds[e + 1], pair_bounds[e + 2]
         if p < q:
             ys = y[p:q]
