@@ -354,7 +354,8 @@ def flag_vector(lat: FaceLattice) -> FlagVector:
     """
     if "flags" in lat._cache:
         return lat._cache["flags"]
-    d, dims, n = lat.d, lat.dims, len(_guarded(lat).faces)
+    _guarded(lat)
+    d, dims, n = lat.d, lat.dims, len(lat.faces)
     px, py = lat.pairs
     blocks = _blocks(lat)
     fv = FlagVector()
