@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toricgh.lattice import FaceLattice, LatticeError, _run_starts, _triples
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _triples
 from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
 
 
@@ -189,6 +189,7 @@ def _chunk_tables(dx, dy, xz, xy, d: int, order=None):
     S = np.zeros((len(order), span, width), dtype=np.int64)
     S[np.arange(len(order)), x_dims + 1, 0] = 1       # g(x, x) = 1
     stacks, keep = _kernels(width)
+    step = max(1, _CHUNK // width)
     for e in range(int(e_y[0]) if len(e_y) else 0, d + 1):
         a, b = row_bounds[e + 1], row_bounds[e + 2]
         if a < b:
@@ -198,11 +199,12 @@ def _chunk_tables(dx, dy, xz, xy, d: int, order=None):
             g[:, 0] = h[:, 0]
             np.subtract(h[:, 1:], h[:, :-1], out=g[:, 1:])
             g *= keep[e - x_dims[a:b]]
+        # the triples whose z is in the layer, a piece of about _CHUNK cells at a time
         p, q = pair_bounds[e + 1], pair_bounds[e + 2]
-        if p < q:
-            ys = y[p:q]
+        for p in range(p, q, step):
+            ys = y[p:min(p + step, q)]
             first = _run_starts(ys)
-            S[ys[first], e + 1] = np.add.reduceat(G[z[p:q]], first)
+            S[ys[first], e + 1] += np.add.reduceat(G[z[p:p + len(ys)]], first)
     return order, H, G
 
 

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toricgh.lattice as lattice_module
+import toricgh.toric as toric_module
 from toricgh.catalog import catalog, cube_lattice, parse_recipe
 from toricgh.lattice import FaceLattice, LatticeError, _triples
 from toricgh.toric import _pair_tables
@@ -104,8 +105,9 @@ def test_vertex_facet_towers_match_dense_oracle(tower, rng):
 
 @pytest.mark.parametrize("name", ["cube4", "prism(simplex3)", "cyclic(9,5)", "bipyramid(cross4)"])
 def test_small_chunks_agree_with_oracles(monkeypatch, name):
-    # fewer candidates and triples per chunk than one face has on its own
+    # fewer candidates, triples and table cells per chunk than one face has on its own
     monkeypatch.setattr(lattice_module, "_CHUNK", 61)
+    monkeypatch.setattr(toric_module, "_CHUNK", 61)
     ref = parse_recipe(name).lattice()
     lat = FaceLattice.from_vertex_facets(ref.n_vertices, ref.to_json()["facets"])
     _assert_pairs_match(lat, dense_order(lat))
