@@ -452,7 +452,7 @@ def _run_starts(a):
     return np.flatnonzero(new)
 
 
-def _triples(px, py, start, whole=False, rows=None):
+def _triples(px, py, start, whole=False):
     """The triples x < z < y of a strict order, about _CHUNK at a time.
 
     ``px, py`` are the strict pairs sorted by (x, y), so the pairs of
@@ -463,27 +463,24 @@ def _triples(px, py, start, whole=False, rows=None):
     the chunk's x's are scattered into a position block of at most
     _CHUNK // n rows of n entries, then gathered at (x, y), with no
     search over the keys.  With ``whole`` no x is split between two
-    chunks; ``rows`` limits the pass to one range of rows (x, z).
+    chunks.
     """
     n = len(start) - 1
-    first, stop = rows or (0, len(px))
-    z = py[first:stop]
-    per_row = start[z + 1] - start[z]     # triples that each row (x, z) opens
+    per_row = np.diff(start)[py]       # triples that each row (x, z) opens
     ends = np.cumsum(per_row)
-    x_count = int(px[stop - 1] - px[first]) + 1 if stop > first else 1
-    span = max(1, min(_CHUNK // max(n, 1), x_count))
+    span = max(1, _CHUNK // max(n, 1))
     block = np.empty((span, n), dtype=np.int64)
-    a = first
-    while a < stop:
-        x0, i = int(px[a]), a - first
-        base = ends[i] - per_row[i]
-        b = first + max(i + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
-        b = min(b, int(start[min(x0 + span, n)]), stop)
+    a = 0
+    while a < len(px):
+        x0 = int(px[a])
+        base = ends[a] - per_row[a]
+        b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
+        b = min(b, int(start[min(x0 + span, n)]))
         lo, hi = int(start[x0]), int(start[px[b - 1] + 1])
         if whole:
             b = hi
-        cnt = per_row[i:b - first]
-        zy = np.repeat(start[py[a:b]] - (ends[i:b - first] - cnt - base), cnt)
+        cnt = per_row[a:b]
+        zy = np.repeat(start[py[a:b]] - (ends[a:b] - cnt - base), cnt)
         zy += np.arange(len(zy))
         at = np.repeat((px[a:b] - x0) * n, cnt)
         at += py[zy]

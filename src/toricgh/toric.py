@@ -126,37 +126,40 @@ def _interval_tables(lat: FaceLattice, root: int):
     and row i of H/G holds the coefficients of h/g of the interval
     [root, x] viewed as a polytope of dimension dims[x] - dims[root] - 1.
     Rows run by dimension, then by face index.  They are the pair table
-    rows of root's run of ``lat.pairs`` (``_chunk_tables``).  For the
-    bottom the triples bottom < z < y are the other pairs, already in
-    the lattice's block order; any other root gathers its triples with
-    ``_triples``, so its cost follows the interval.  ``_guard`` bounds
-    every entry a priori.
+    rows of root's run of ``lat.pairs``, in dimensions relative to the
+    root, through ``_chunk_tables``.  For the bottom the triples
+    bottom < z < y are the other pairs, already in the lattice's block
+    order; any other root gathers those of its up-set, the runs of its
+    faces z, so its cost follows the interval.  ``_guard`` bounds every
+    entry a priori.
     """
     cache = _guarded(lat)._cache.setdefault("interval_tables", {})
     if root in cache:
         return cache[root]
     px, py = lat.pairs
-    dims, start = lat.dims, lat._rows()
-    lo, hi = start[root:root + 2]
+    start = lat._rows()
+    run = py[start[root]:start[root + 1]]
+    up = np.concatenate(([root], run))              # row 0 stands for [root, root]
+    rel = lat.dims[up] - lat.dims[root] - 1
     order = None
     if root == lat.bottom:
-        # the triples are the pairs z < y with z nonempty, the row of
-        # (bottom, f) is f - 1, and the block order sorts them by (dim z, dim y, y)
-        order = np.argsort(dims[1:], kind="stable")
-        rank = np.empty_like(dims)
-        rank[order + 1] = np.arange(len(order))
+        # row f is face f, and the block order sorts the pairs z < y, z
+        # nonempty, by (dim z, dim y, y)
+        order = np.argsort(rel, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
         blocks = _blocks(lat)
         at = blocks.order[blocks.bounds[blocks.span]:]
         xz, xy = rank[px[at]], rank[py[at]]
     else:
-        xz = xy = np.zeros(0, dtype=np.int64)
-        for _, _, xz, xy in _triples(px, py, start, whole=True, rows=(lo, hi)):
-            xz, xy = xz - lo, xy - lo
-    order, H, G = _chunk_tables(np.full(hi - lo, dims[root]), dims[py[lo:hi]], xz, xy, lat.d, order)
-    width = max(lat.d - int(dims[root]), 1)
-    up = np.concatenate(([root], py[lo:hi][order]))
-    H, G = (np.concatenate((np.eye(1, width, dtype=np.int64), t[:, :width])) for t in (H, G))
-    cache[root] = (dict(zip(up.tolist(), range(len(up)))), H, G)
+        # the runs of the faces z above root; y's row is its place in root's run
+        cnt = start[run + 1] - start[run]
+        ends = np.cumsum(cnt)
+        zy = np.repeat(start[run] - ends + cnt, cnt) + np.arange(ends[-1] if len(ends) else 0)
+        xz, xy = np.repeat(np.arange(1, len(up)), cnt), 1 + np.searchsorted(run, py[zy])
+    order, H, G = _chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]), order)
+    H[0, 0] = G[0, 0] = 1
+    cache[root] = (dict(zip(up[order].tolist(), range(len(up)))), H, G)
     return cache[root]
 
 
@@ -190,7 +193,7 @@ def _chunk_tables(dx, dy, xz, xy, d: int, order=None):
     S[np.arange(len(order)), x_dims + 1, 0] = 1       # g(x, x) = 1
     stacks, keep = _kernels(width)
     step = max(1, _CHUNK // width)
-    for e in range(int(e_y[0]) if len(e_y) else 0, d + 1):
+    for e in range(max(int(e_y[0]), 0), d + 1):
         a, b = row_bounds[e + 1], row_bounds[e + 2]
         if a < b:
             h = H[a:b] = S[a:b, :e + 1].reshape(b - a, -1) @ stacks[e]
