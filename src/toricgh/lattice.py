@@ -452,7 +452,7 @@ def _run_starts(a):
     return np.flatnonzero(new)
 
 
-def _triples(px, py, start, whole=False):
+def _triples(px, py, start, row_cost=0):
     """The triples x < z < y of a strict order, about _CHUNK at a time.
 
     ``px, py`` are the strict pairs sorted by (x, y), so the pairs of
@@ -462,8 +462,9 @@ def _triples(px, py, start, whole=False):
     chunk's x's.  The row of (x, y) is read by row pointers: the runs of
     the chunk's x's are scattered into a position block of at most
     _CHUNK // n rows of n entries, then gathered at (x, y), with no
-    search over the keys.  With ``whole`` no x is split between two
-    chunks.
+    search over the keys.  With a ``row_cost`` no x is split between two
+    chunks, and a chunk's runs hold at most about _CHUNK // row_cost
+    rows (one x at least).
     """
     n = len(start) - 1
     per_row = np.diff(start)[py]       # triples that each row (x, z) opens
@@ -476,9 +477,10 @@ def _triples(px, py, start, whole=False):
         base = ends[a] - per_row[a]
         b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
         b = min(b, int(start[min(x0 + span, n)]))
+        if row_cost:
+            b = min(b, int(start[np.searchsorted(start, a + _CHUNK // row_cost, "right") - 1]))
+            b = int(start[px[max(b, a + 1) - 1] + 1])
         lo, hi = int(start[x0]), int(start[px[b - 1] + 1])
-        if whole:
-            b = hi
         cnt = per_row[a:b]
         zy = np.repeat(start[py[a:b]] - (ends[a:b] - cnt - base), cnt)
         zy += np.arange(len(zy))

@@ -218,8 +218,8 @@ def _pair_tables(px, py, dims, d: int):
     one row per comparable pair x <= y, the diagonal added and the pairs
     sorted by (x, y), and rows of H/G holding the coefficients of h/g of
     [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The triples
-    come from ``_triples``, whole x's at a time, and each chunk goes
-    through ``_chunk_tables``.  Integer throughout; storage is
+    come from ``_triples``, whole x's at a time with the block S of
+    ``_chunk_tables`` near _CHUNK cells, and each chunk goes through it.  Integer throughout; storage is
     O(comparable pairs * d), and ``_guard`` bounds every coefficient.
     """
     n = len(dims)
@@ -233,7 +233,8 @@ def _pair_tables(px, py, dims, d: int):
     H = np.zeros((len(fx), max(d + 1, 1)), dtype=np.int64)
     G = np.zeros_like(H)
     H[~strict, 0] = G[~strict, 0] = 1
-    for lo, hi, xz, xy in _triples(px, py, np.searchsorted(px, np.arange(n + 1)), whole=True):
+    starts = np.searchsorted(px, np.arange(n + 1))
+    for lo, hi, xz, xy in _triples(px, py, starts, row_cost=(d + 2) * (d + 1)):
         order, h, g = _chunk_tables(dims[px[lo:hi]], dims[py[lo:hi]], xz - lo, xy - lo, d)
         H[full[lo + order]], G[full[lo + order]] = h, g
     return fx, fy, H, G

@@ -122,16 +122,16 @@ def test_triples_are_every_chain_of_three(monkeypatch):
     expect = sorted(
         (int(x), int(z), int(y)) for x, z in zip(*np.nonzero(lt)) for y in np.flatnonzero(lt[z])
     )
-    for whole in (False, True):
+    for row_cost in (0, 5):
         got, split, last = [], False, set()
-        for lo, hi, xz, xy in _triples(px, py, lat._rows(), whole=whole):
+        for lo, hi, xz, xy in _triples(px, py, lat._rows(), row_cost):
             assert np.all((lo <= xy) & (xy < hi)) and np.array_equal(px[xz], px[xy])
             got += zip(px[xz].tolist(), py[xz].tolist(), py[xy].tolist())
             xs = set(px[xz].tolist())
             split |= bool(xs & last)
             last = xs
         assert sorted(got) == expect
-        assert split == (not whole)
+        assert split == (not row_cost)
 
 
 def test_cube8_build_holds_no_dense_order():
