@@ -304,10 +304,6 @@ def catalog() -> list[CatalogEntry]:
     return [parse_recipe(n) for n in names]
 
 
-def catalog_entry(name: str) -> CatalogEntry:
-    return parse_recipe(name)
-
-
 def geometric_catalog() -> list[CatalogEntry]:
     """Catalog members with coordinates within the enumeration budget."""
     return [e for e in catalog() if e.realizable()]

@@ -16,11 +16,12 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 from toricgh import localization, rigidity, shelling, toric, verma
 from toricgh.catalog import catalog as full_catalog
 from toricgh.catalog import parse_recipe
-from toricgh.geometry import GeometricPolytope, cone_over, facet_enumeration
+from toricgh.geometry import GeometricPolytope, cone_over, exact_rank, facet_enumeration
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.polynomial import Polynomial
 
@@ -46,9 +47,15 @@ class Input:
                 self._lattice = self._entry.lattice()
         return self._lattice
 
+    def has_coordinates(self) -> bool:
+        """Whether ``polytope()`` succeeds: a polytope/v1 file or a realizable recipe."""
+        if self._entry is not None:
+            return self._entry.realizable()
+        return self._polytope is not None
+
     def polytope(self) -> GeometricPolytope:
         if self._polytope is None:
-            if self._entry is None or self._entry.realize() is None:
+            if not self.has_coordinates():
                 raise InputError(f"{self.name}: coordinates required")
             self._polytope = self._entry.realize()
         return self._polytope
@@ -206,9 +213,8 @@ def cmd_verify(args) -> int:
     results = []
     for suite in suites:
         for inp in instances:
-            if suite in GEOMETRIC_SUITES:
-                if inp._entry is not None and inp._entry.realize() is None:
-                    continue
+            if suite in GEOMETRIC_SUITES and not inp.has_coordinates():
+                continue
             t0 = time.perf_counter()
             ok = _verify_one(suite, inp, args.seed, args.faces)
             results.append({"suite": suite, "instance": inp.name, "pass": bool(ok),
@@ -263,10 +269,7 @@ def cmd_rigidity(args) -> int:
     if p.d < 3:
         raise InputError("rigidity needs dimension >= 3")
     fw = rigidity.build_framework(p)
-    mat = rigidity.rigidity_matrix(fw)
-    from toricgh.geometry import exact_rank
-
-    rank = exact_rank(mat)
+    rank = exact_rank(rigidity.rigidity_matrix(fw))
     stress = fw.n_edges - rank
     kernel = fw.d * len(fw.points) - rank
     if p.d >= 4:
@@ -279,7 +282,7 @@ def cmd_rigidity(args) -> int:
         "name": inp.name, "dim": p.d, "edges": fw.n_edges, "rank": rank,
         "kernel_dim": kernel, "stress_dim": stress, "expected_g2": g2,
         "g2_match": bool(verdict),
-        "infinitesimally_rigid": rigidity.infinitesimal_rigidity_check(fw),
+        "infinitesimally_rigid": kernel == comb(fw.d + 1, 2),
     }
     lines = [
         f"{inp.name}: framework with {fw.n_edges} bars on {len(fw.points)} joints (d={p.d})",

@@ -21,17 +21,13 @@ from toricgh.polynomial import Polynomial
 from toricgh import toric
 
 
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
-
-
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
 def primitive_ray(v) -> tuple[int, ...]:
     """Scale by a positive rational to the primitive integer vector."""
-    v = _frac_vec(v)
+    v = tuple(Fraction(x) for x in v)
     if all(x == 0 for x in v):
         return tuple(0 for _ in v)
     mult = lcm(*(x.denominator for x in v))
@@ -154,24 +150,6 @@ def solve(a_rows, b):
     return tuple(x)
 
 
-def echelon(rows):
-    """Integer echelon basis of the row space, as (pivot column, row) pairs."""
-    mat = _integer_rows(rows)
-    pivots, _ = _eliminate(mat)
-    return tuple((pc, tuple(mat[r])) for r, pc in enumerate(pivots))
-
-
-def in_span(basis, v) -> bool:
-    """Whether the integer vector ``v`` lies in the span of an ``echelon`` basis."""
-    v = list(v)
-    for pc, row in basis:
-        head = v[pc]
-        if head:
-            p = row[pc]
-            v = [p * a - head * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 # -- polytopes ----------------------------------------------------------
 
 
@@ -183,7 +161,8 @@ class GeometricPolytope:
     ``facets`` is a list of (normal, offset, tight vertex set) with
     <normal, x> <= offset valid on all vertices and tight exactly on the
     facet; normals are integer vectors.  ``lattice`` is the face
-    lattice derived from the tight sets.
+    lattice derived from the tight sets, and ``facet_faces`` names the
+    lattice face of each facet.
     """
 
     def __init__(self, vertices, coords, d, facets, lattice):
@@ -195,6 +174,11 @@ class GeometricPolytope:
 
     def __repr__(self):
         return f"GeometricPolytope(d={self.d}, vertices={len(self.vertices)})"
+
+    @cached_property
+    def facet_faces(self) -> tuple[int, ...]:
+        """Lattice face index of each facet, in ``facets`` order."""
+        return tuple(self.lattice.index_of(t) for _, _, t in self.facets)
 
     def barycenter(self):
         n = len(self.coords)
@@ -327,15 +311,21 @@ def facet_enumeration(vertices) -> GeometricPolytope:
 
     scale = lcm(*(x.denominator for c in coords for x in c))
     ints = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords]
+    facets = _double_description(ints, basis, scale)
+    for i in range(n):
+        # the points on every facet through point i are those of the
+        # smallest face holding it, which is a vertex iff it is i alone
+        common = (1 << n) - 1
+        for _, zero in facets:
+            if zero >> i & 1:
+                common &= zero
+        if common != 1 << i:
+            raise ValueError(f"input point {pts[i]} is not a vertex of the hull")
     facet_list = []
-    for h, zero in _double_description(ints, basis, scale):
+    for h, zero in facets:
         tight = frozenset(i for i in range(n) if zero >> i & 1)
         facet_list.append((tuple(-a for a in h[1:]), Fraction(h[0], scale), tight))
     facet_list.sort(key=lambda f: sorted(f[2]))
-    for i in range(n):
-        tight_normals = [f[0] for f in facet_list if i in f[2]]
-        if exact_rank(tight_normals) != d:
-            raise ValueError(f"input point {pts[i]} is not a vertex of the hull")
     lat = FaceLattice.from_vertex_facets(n, [f[2] for f in facet_list])
     return GeometricPolytope(tuple(pts), tuple(coords), d, facet_list, lat)
 
@@ -348,8 +338,10 @@ class Cone:
 
     Rays are (v, 1) over the vertex coordinates, made primitive.  Faces
     of the cone correspond to faces of P, with the zero cone standing in
-    for the empty face; the facet inequalities are lifted from those of
-    P, so classification of faces against a direction vector is exact.
+    for the empty face.  ``normals[j]`` is facet j of P lifted to an
+    integer inner normal of the cone.  The cone's facet j is the cone over
+    lattice face ``polytope.facet_faces[j]`` and the faces lying in it are
+    that face's down-set, so face-facet incidence is read off the lattice.
     """
 
     def __init__(self, polytope: GeometricPolytope):
@@ -363,13 +355,6 @@ class Cone:
         self.normals = tuple(
             primitive_ray([-x for x in a] + [b]) for a, b, _ in p.facets
         )
-        self.tight = tuple(
-            frozenset(
-                j for j, (_, _, tset) in enumerate(p.facets)
-                if set(p.lattice.faces[i]) <= tset
-            )
-            for i in range(len(p.lattice.faces))
-        )
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={len(self.rays)})"
@@ -377,11 +362,6 @@ class Cone:
     def face_rays(self, face: int):
         """Primitive ray generators of the cone over lattice face ``face``."""
         return [self.rays[v] for v in sorted(self.lattice.faces[face])]
-
-    @cached_property
-    def face_spans(self):
-        """The ``echelon`` basis of each face's linear span, computed once."""
-        return tuple(echelon(self.face_rays(i)) for i in range(len(self.lattice.faces)))
 
     def face_fan(self) -> "Fan":
         lat = self.lattice

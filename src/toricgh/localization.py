@@ -3,11 +3,13 @@
 Fix a pointed full-dimensional cone sigma and a nonzero vector v.  A face
 is a *back* face when moving off it in direction v stays inside sigma for
 a short time, a *front* face when the same holds for -v, and *fixed*
-(the Delta_0 class) when v lies in its linear span.  Both membership
-tests are exact: the interval condition is equivalent to the tight facet
-normals all pairing nonnegatively with v, and the span condition reduces
-v, scaled to integers, against each face's integer echelon basis, which
-the cone computes once for all directions.
+(the Delta_0 class) when v lies in its linear span.  A face is back
+exactly when no facet through it has an inner normal pairing negatively
+with v, so the back faces are those outside the down-sets of such facets
+in the face lattice; front is the same with the sign flipped.  The span
+of a face is the meet of the facet hyperplanes through it, so fixed =
+back & front.  All three come from one integer pairing per facet, with v
+scaled to a primitive integer vector.
 
 Every back face tau has a unique minimal fixed face above it (tau plus
 the drift direction), and summing g(tau, 1) g(sigma/tau, 1) over the
@@ -20,7 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from toricgh.geometry import Cone, dot, in_span, nullspace, primitive_ray
+import numpy as np
+
+from toricgh.geometry import Cone, dot, nullspace, primitive_ray
 from toricgh.toric import face_g, quotient_g
 
 
@@ -36,26 +40,29 @@ class ConeDecomposition:
 
 def classify_faces(cone: Cone, v) -> ConeDecomposition:
     """Split the faces of the cone into back / front / fixed classes."""
-    v = tuple(Fraction(x) for x in v)
-    if len(v) != cone.dim or not any(v):
-        raise ValueError(f"direction must be a nonzero vector of length {cone.dim}")
-    lat = cone.lattice
-    n = len(lat.faces)
-    pairing = [dot(normal, v) for normal in cone.normals]
-
-    back = frozenset(
-        i for i in range(n) if all(pairing[j] >= 0 for j in cone.tight[i])
-    )
-    front = frozenset(
-        i for i in range(n) if all(pairing[j] <= 0 for j in cone.tight[i])
-    )
     ray = primitive_ray(v)
-    spans = cone.face_spans
-    fixed = frozenset(i for i in range(1, n) if in_span(spans[i], ray))
-    if fixed != back & front:
-        raise AssertionError("span test disagrees with the facet-normal test")
+    if len(ray) != cone.dim or not any(ray):
+        raise ValueError(f"direction must be a nonzero vector of length {cone.dim}")
+    if cone.dim < 2:
+        # a point has no facets to lift, so the apex would pass as fixed
+        raise ValueError("face classes need a cone over a polytope of dimension >= 1")
+    lat = cone.lattice
+    pairing = [dot(normal, ray) for normal in cone.normals]
+
+    def outside(sign):
+        """The faces lying in a facet whose pairing with v has ``sign``."""
+        mask = np.zeros(len(lat.faces), dtype=bool)
+        for f, p in zip(cone.polytope.facet_faces, pairing):
+            if p * sign > 0:
+                mask[lat.below(f)] = True
+                mask[f] = True
+        return mask
+
+    back = frozenset(np.flatnonzero(~outside(-1)).tolist())
+    front = frozenset(np.flatnonzero(~outside(1)).tolist())
+    fixed = back & front
     minimal = tuple(sorted(i for i in fixed if fixed.isdisjoint(lat.below(i).tolist())))
-    return ConeDecomposition(cone, v, back, front, fixed, minimal)
+    return ConeDecomposition(cone, tuple(Fraction(x) for x in v), back, front, fixed, minimal)
 
 
 def tau_plus_v(decomp: ConeDecomposition, face: int) -> int:

@@ -134,7 +134,6 @@ class Polynomial:
 
 
 ZERO = Polynomial()
-ONE = Polynomial([1])
 T = Polynomial([0, 1])
 
 

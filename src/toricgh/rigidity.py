@@ -106,23 +106,6 @@ def infinitesimal_rigidity_check(fw: Framework) -> bool:
     return kernel_dimension(rigidity_matrix(fw)) == comb(fw.d + 1, 2)
 
 
-def euler_characteristic_g2(lat) -> int:
-    """C(d+1,2) - d f_0 + f_1 + (f_02 - 3 f_2), rank-free bookkeeping.
-
-    The alternating sum of the sizes of the three-term rigidity complex;
-    it equals g_2 without computing any rank.
-    """
-    d = lat.d
-    fv = flag_vector(lat)
-    return (
-        comb(d + 1, 2)
-        - d * fv.count(0)
-        + fv.count(1)
-        + fv.count(0, 2)
-        - 3 * fv.count(2)
-    )
-
-
 def degree_one_dim(fan) -> int:
     """Number of rays minus the rank of the ray matrix.
 

@@ -41,8 +41,7 @@ class Shelling:
     @property
     def facet_faces(self):
         """Lattice face index of each facet, in shelling order."""
-        lat = self.polytope.lattice
-        return tuple(lat.index_of(self.polytope.facets[i][2]) for i in self.order)
+        return tuple(self.polytope.facet_faces[i] for i in self.order)
 
 
 def _direction_stream(dim, seed):

@@ -33,6 +33,11 @@ word test on the packed vertex bitsets.  ``searchsorted_intervals`` and
 ``searchsorted_pair_tables`` are the triple passes the library ran
 before its row-pointer gather (``lattice._triples``): each triple finds
 the row of (x, y) by a ``searchsorted`` over the keys of all pairs.
+
+``span_fixed`` is the Delta_0 class the library computed before it read
+the classes off the facet down-sets: the faces whose linear span holds
+the direction, each tested by reducing the direction against the face's
+integer ``echelon`` basis (``face_spans``, built once per cone).
 """
 
 from fractions import Fraction
@@ -42,6 +47,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from toricgh.geometry import _eliminate, _integer_rows, primitive_ray
 from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
 from toricgh.toric import FlagVector, _binom_kernel, gtilde, toric_g
 
@@ -158,6 +164,38 @@ def brute_force_facets(vertices):
         if rank([f[0] for f in facet_list if i in f[2]]) != d:
             raise ValueError(f"input point {pts[i]} is not a vertex of the hull")
     return d, facet_list
+
+
+# -- fixed faces by span tests ------------------------------------------
+
+
+def echelon(rows):
+    """Integer echelon basis of the row space, as (pivot column, row) pairs."""
+    mat = _integer_rows(rows)
+    pivots, _ = _eliminate(mat)
+    return tuple((pc, tuple(mat[r])) for r, pc in enumerate(pivots))
+
+
+def in_span(basis, v) -> bool:
+    """Whether the integer vector ``v`` lies in the span of an ``echelon`` basis."""
+    v = list(v)
+    for pc, row in basis:
+        head = v[pc]
+        if head:
+            p = row[pc]
+            v = [p * a - head * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def face_spans(cone):
+    """The ``echelon`` basis of the linear span of each face of the cone."""
+    return tuple(echelon(cone.face_rays(i)) for i in range(len(cone.lattice.faces)))
+
+
+def span_fixed(spans, v):
+    """Delta_0: the faces other than the apex whose span (from ``face_spans``) holds v."""
+    ray = primitive_ray(v)
+    return frozenset(i for i in range(1, len(spans)) if in_span(spans[i], ray))
 
 
 # -- invariants on sublattices -------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricgh.cli import main
+from toricgh.cli import GEOMETRIC_SUITES, SUITES, main
 
 
 def run(capsys, *argv):
@@ -84,6 +84,33 @@ def test_shell_needs_coordinates(tmp_path, capsys):
     code, _, err = run(capsys, "shell", str(f))
     assert code == 2
     assert "coordinates required" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_all_skips_geometry_without_coordinates(tmp_path, capsys, fmt):
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps({"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, 2], [0, 2]]}))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    flag = ["--json"] if fmt == "json" else []
+    code, out, err = run(capsys, "verify", "all", str(lat), str(square), *flag)
+    assert code == 0 and not err
+    if fmt == "json":
+        rows = [(r["suite"], r["instance"]) for r in json.loads(out)]
+    else:
+        rows = [tuple(line.split()[1:]) for line in out.splitlines()]
+        assert all(line.startswith("PASS") for line in out.splitlines())
+    lattice_only = [s for s in SUITES if s not in GEOMETRIC_SUITES]
+    assert [s for s, i in rows if i == str(lat)] == lattice_only
+    assert [s for s, i in rows if i == str(square)] == list(SUITES)
+
+
+def test_localize_point_is_bad_input(tmp_path, capsys):
+    f = tmp_path / "point.json"
+    f.write_text(json.dumps({"vertices": [[3]]}))
+    code, _, err = run(capsys, "localize", str(f))
+    assert code == 2
+    assert "dimension >= 1" in err
 
 
 def test_rigidity_cube4(capsys):

@@ -8,10 +8,8 @@ from toricgh.catalog import cube_lattice, cyclic_lattice, cyclic_vertices
 from toricgh.geometry import (
     central_fan,
     cone_over,
-    echelon,
     exact_rank,
     facet_enumeration,
-    in_span,
     kernel_dimension,
     nullspace,
     primitive_ray,
@@ -102,9 +100,9 @@ def test_rank_matches_rref_oracle(rows):
     for v in basis:
         assert _apply(rows, v) == [0] * len(rows)
     # a nonzero kernel vector is orthogonal to the row space, so outside it
-    span = echelon(rows)
-    assert all(in_span(span, primitive_ray(row)) for row in rows)
-    assert not any(in_span(span, primitive_ray(v)) for v in basis)
+    span = oracles.echelon(rows)
+    assert all(oracles.in_span(span, primitive_ray(row)) for row in rows)
+    assert not any(oracles.in_span(span, primitive_ray(v)) for v in basis)
 
 
 @given(small_matrices, st.lists(small_entries, min_size=5, max_size=5), st.booleans())
@@ -217,8 +215,11 @@ def point_sets(draw):
     A base configuration in Q^k (random points, or points lifted to the
     paraboloid, which are in convex position) gets up to two extra
     coordinates, integer combinations of the first k, so that it lies in
-    a proper flat; then duplicates and midpoints, which are no vertices,
-    may join it.
+    a proper flat; then duplicates, midpoints, barycenters of a few points
+    and the barycenter of the points on a face (the face of the base
+    maximizing a drawn functional, the whole hull for the zero one) may
+    join it.  Each lies in the relative interior of the smallest face
+    holding its points, so it is a vertex only as a duplicate.
     """
     k = draw(st.integers(1, 4))
     coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -235,6 +236,17 @@ def point_sets(draw):
     if draw(st.booleans()):
         p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
         pts.append(tuple((x + y) / 2 for x, y in zip(p, q)))
+
+    def barycenter(group):
+        return tuple(Fraction(sum(col), len(group)) for col in zip(*group))
+
+    if draw(st.booleans()):
+        pts.append(barycenter(draw(st.lists(st.sampled_from(pts), min_size=2, max_size=4))))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-1, 1)] * k))
+        values = [sum(a * x for a, x in zip(c, p)) for p in pts]
+        face = [p for p, val in zip(pts, values) if val == max(values)]
+        pts.insert(draw(st.integers(0, len(pts))), barycenter(face))
     return pts
 
 

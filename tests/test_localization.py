@@ -1,7 +1,10 @@
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricgh.catalog import parse_recipe
-from toricgh.geometry import cone_over, exact_rank
+from toricgh.geometry import cone_over, exact_rank, facet_enumeration
 from toricgh.localization import (
     check_generalized_monotonicity,
     classify_faces,
@@ -10,6 +13,7 @@ from toricgh.localization import (
     tau_plus_v,
 )
 
+import oracles
 from oracles import dense_order
 
 
@@ -172,3 +176,44 @@ def test_sampler_hits_nontrivial_strata(square_cone):
     assert any(
         len(classify_faces(square_cone, v).fixed) > 1 for v in dirs
     )
+
+
+def test_cone_over_a_point_rejected():
+    # the ray over a point has no lifted facet, so no class can be read off
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        classify_faces(cone_over(facet_enumeration([[3]])), (1,))
+
+
+SPAN_ORACLE_CONES = (
+    "simplex2", "cube2", "simplex3", "cube3", "cross3", "cyclic(6,3)",
+    "pyramid(cube3)", "bipyramid(simplex3)", "prism(cross3)", "cube4",
+    "cross4", "cyclic(7,4)",
+)
+
+
+@cache
+def _cone_and_spans(name):
+    cone = cone_over(parse_recipe(name).realize())
+    return cone, oracles.face_spans(cone)
+
+
+@st.composite
+def cone_directions(draw):
+    """A catalog cone and a direction: random integers or a span-pair direction."""
+    cone, spans = _cone_and_spans(draw(st.sampled_from(SPAN_ORACLE_CONES)))
+    if draw(st.booleans()):
+        n = len(cone.lattice.faces)
+        v = span_pair_direction(cone, draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1)))
+        if v is not None:
+            return cone, spans, v
+    coords = st.lists(st.integers(-4, 4), min_size=cone.dim, max_size=cone.dim)
+    return cone, spans, tuple(draw(coords.filter(any)))
+
+
+@settings(deadline=None)
+@given(cone_directions())
+def test_lattice_classification_matches_span_oracle(case):
+    # Delta_0 read off the facet down-sets equals the faces whose span holds v
+    cone, spans, v = case
+    for w in (v, tuple(-x for x in v)):
+        assert classify_faces(cone, w).fixed == oracles.span_fixed(spans, w)
