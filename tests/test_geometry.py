@@ -235,7 +235,7 @@ def point_sets(draw):
         pts.append(draw(st.sampled_from(pts)))
     if draw(st.booleans()):
         p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
-        pts.append(tuple((x + y) / 2 for x, y in zip(p, q)))
+        pts.append(tuple(Fraction(x + y, 2) for x, y in zip(p, q)))
 
     def barycenter(group):
         return tuple(Fraction(sum(col), len(group)) for col in zip(*group))
