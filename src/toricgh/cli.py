@@ -227,7 +227,10 @@ def cmd_verify(args) -> int:
 
 
 def _parse_vector(text):
-    return tuple(Fraction(x) for x in text.split(","))
+    try:
+        return tuple(Fraction(x) for x in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in vector {text!r}") from None
 
 
 def cmd_shell(args) -> int:

@@ -217,6 +217,8 @@ def _rational_points(vertices):
             pts.append(tuple(Fraction(x) for x in row))
         except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"vertex row {i}: {e}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"vertex row {i}: zero denominator") from None
     return pts
 
 

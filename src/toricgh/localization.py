@@ -120,6 +120,8 @@ def sample_directions(cone: Cone, seed: int = 0, grid: int = 12):
     (these produce interesting Delta_0 classes) with a pseudo-random
     rational batch; all directions are nonzero and exact.
     """
+    if grid < 0:
+        raise ValueError(f"grid must be >= 0, got {grid}")
     lat = cone.lattice
     out = []
     seen = set()
@@ -132,16 +134,18 @@ def sample_directions(cone: Cone, seed: int = 0, grid: int = 12):
             seen.add(key)
             out.append(key)
 
-    proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
-    # the index order extends the face order, so a later b is never below a
-    pairs = []
-    for ai, a in enumerate(proper):
-        up = set(lat.above(a).tolist())
-        pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
+    # the proper faces are 1, ..., n - 2 and the index order extends the face
+    # order, so a pairs with the later ones not above it (the top is above all)
+    n = len(lat.faces)
+    counts = np.arange(n - 3, -1, -1) - np.diff(lat._rows())[1:n - 1] + 1
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    picks = list(range(starts[-1]))     # the pairs by number, in (a, b) order
     rng = random.Random(seed)
-    rng.shuffle(pairs)
-    for a, b in pairs[: 2 * grid]:
-        push(span_pair_direction(cone, a, b))
+    rng.shuffle(picks)
+    for k in picks[: 2 * grid]:
+        a = int(np.searchsorted(starts, k, side="right"))   # block a - 1 holds k
+        later = np.setdiff1d(np.arange(a + 1, n - 1), lat.above(a), assume_unique=True)
+        push(span_pair_direction(cone, a, int(later[k - starts[a - 1]])))
     push(cone.rays[0])
     push(tuple(sum(col) for col in zip(*cone.rays)))  # interior direction
     for _ in range(grid):

@@ -17,13 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
 from toricgh.geometry import GeometricPolytope, dot
 from toricgh.lattice import FaceLattice
 from toricgh.polynomial import Polynomial, binomial_power
-from toricgh.toric import face_g, toric_h
+from toricgh.toric import _interval_tables, _kernels, face_g, toric_h
 
 
 class ShellingError(RuntimeError):
@@ -65,16 +66,15 @@ def line_shelling(
     """
     if p.d < 1:
         raise ValueError("shellings need dimension >= 1")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     base = p.barycenter()
-    stream = _direction_stream(p.d, seed)
-    candidates = []
+    candidates = islice(_direction_stream(p.d, seed), retries)
     if direction is not None:
         direction = tuple(Fraction(x) for x in direction)
         if len(direction) != p.d:
             raise ValueError(f"direction must have {p.d} coordinates")
-        candidates.append(direction)
-    for _ in range(retries):
-        candidates.append(next(stream))
+        candidates = chain([direction], candidates)
 
     for v in candidates:
         speeds = [dot(a, v) for a, _, _ in p.facets]
@@ -179,18 +179,23 @@ def shelling_decomposition(sh: Shelling) -> list[Polynomial]:
         first_cover[faces[j]] = j
     if np.any(first_cover == r):
         raise ShellingError("some boundary face lies in no facet")
-    locals_ = [Polynomial() for _ in range(r)]
-    for g, j in enumerate(first_cover.tolist()):
-        locals_[j] = locals_[j] + face_g(lat, g) * binomial_power(
-            -1, d - 1 - int(lat.dims[g])
+    # g(F) (t-1)^(d-1-dim F) per boundary face F, one product per dimension on
+    # the rows of the bottom g table; summands of h, so in ``_guard``'s int64 bound
+    pos, _, G = _interval_tables(lat, lat.bottom)
+    face = np.fromiter(pos, dtype=np.intp, count=len(pos))
+    row = np.fromiter(pos.values(), dtype=np.intp, count=len(pos))
+    stacks, _ = _kernels(d + 1)
+    pieces = np.zeros((r, d + 1), dtype=np.int64)
+    for e in range(-1, d):
+        at = lat.dims[face] == e
+        np.add.at(pieces, first_cover[face[at]], G[row[at]] @ stacks[d - 1 - e][:d + 1])
+    locals_ = [Polynomial(coeffs) for coeffs in pieces.tolist()]
+    if (pieces < 0).any():
+        j = int(np.argmax((pieces < 0).any(axis=1)))
+        raise ShellingError(
+            f"negative local h at step {j + 1}: {locals_[j]} (order {sh.order})"
         )
-    total = Polynomial()
-    for j, loc in enumerate(locals_):
-        if any(c < 0 for c in loc.coeffs):
-            raise ShellingError(
-                f"negative local h at step {j + 1}: {loc} (order {sh.order})"
-            )
-        total = total + loc
+    total = Polynomial(pieces.sum(axis=0).tolist())
     if total != toric_h(lat):
         raise ShellingError(
             f"local pieces sum to {total}, expected {toric_h(lat)}"

@@ -38,8 +38,17 @@ the row of (x, y) by a ``searchsorted`` over the keys of all pairs.
 the classes off the facet down-sets: the faces whose linear span holds
 the direction, each tested by reducing the direction against the face's
 integer ``echelon`` basis (``face_spans``, built once per cone).
+
+``face_loop_pieces`` is the shelling decomposition the library computed
+before it read the pieces off the bottom g table: one ``Polynomial``
+g(F) (t-1)^(d-1-dim F) per boundary face F, added into the piece of the
+first facet holding F, here found on the dense order.
+``pair_list_directions`` is the direction sampler the library ran before
+it shuffled pair numbers: it lists every incomparable pair of proper
+faces, shuffles the list and reads the first 2 * grid pairs.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -49,7 +58,9 @@ import numpy as np
 
 from toricgh.geometry import _eliminate, _integer_rows, primitive_ray
 from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
-from toricgh.toric import FlagVector, _binom_kernel, gtilde, toric_g
+from toricgh.localization import span_pair_direction
+from toricgh.polynomial import Polynomial, binomial_power
+from toricgh.toric import FlagVector, _binom_kernel, face_g, gtilde, toric_g
 
 
 def rref(rows):
@@ -196,6 +207,52 @@ def span_fixed(spans, v):
     """Delta_0: the faces other than the apex whose span (from ``face_spans``) holds v."""
     ray = primitive_ray(v)
     return frozenset(i for i in range(1, len(spans)) if in_span(spans[i], ray))
+
+
+# -- shelling pieces and direction samples --------------------------------
+
+
+def face_loop_pieces(sh):
+    """The local pieces h(I_j, I_{j-1}, t) of a shelling, one face at a time."""
+    lat = sh.polytope.lattice
+    d = sh.polytope.d
+    leq = dense_order(lat)
+    pieces = [Polynomial() for _ in sh.facet_faces]
+    for g in range(len(lat.faces) - 1):
+        j = next(j for j, f in enumerate(sh.facet_faces) if leq[g, f])
+        pieces[j] = pieces[j] + face_g(lat, g) * binomial_power(-1, d - 1 - int(lat.dims[g]))
+    return pieces
+
+
+def pair_list_directions(cone, seed=0, grid=12):
+    """``sample_directions`` over a shuffled list of every incomparable proper pair."""
+    lat = cone.lattice
+    out = []
+    seen = set()
+
+    def push(v):
+        if v is None or not any(v):
+            return
+        key = tuple(Fraction(x) for x in v)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+
+    proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
+    # the index order extends the face order, so a later b is never below a
+    pairs = []
+    for ai, a in enumerate(proper):
+        up = set(lat.above(a).tolist())
+        pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
+    rng = random.Random(seed)
+    rng.shuffle(pairs)
+    for a, b in pairs[: 2 * grid]:
+        push(span_pair_direction(cone, a, b))
+    push(cone.rays[0])
+    push(tuple(sum(col) for col in zip(*cone.rays)))  # interior direction
+    for _ in range(grid):
+        push(tuple(rng.randint(-7, 7) for _ in range(cone.dim)))
+    return out
 
 
 # -- invariants on sublattices -------------------------------------------

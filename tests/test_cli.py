@@ -113,6 +113,16 @@ def test_localize_point_is_bad_input(tmp_path, capsys):
     assert "dimension >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("shell", "cube3", "--direction", "1/0,1,1"),
+    ("localize", "cube3", "--v=1/0,1,1,1"),
+])
+def test_zero_denominator_in_a_vector_is_bad_input(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: zero denominator") and err.count("\n") == 1
+
+
 def test_rigidity_cube4(capsys):
     code, out, _ = run(capsys, "rigidity", "cube4", "--json")
     assert code == 0

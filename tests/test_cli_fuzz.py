@@ -13,7 +13,7 @@ import os
 import re
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from toricgh.cli import main
@@ -93,6 +93,7 @@ def test_truncated_recipes_exit_0_or_2(recipe, data):
 
 @FUZZ
 @given(st.one_of(POLYTOPES, LATTICES, JSON))
+@example(doc={"vertices": [["1/0"]]})
 def test_malformed_documents_exit_0_or_2(doc):
     assert _gh_file(json.dumps(doc)) in (0, 2)
 

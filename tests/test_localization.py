@@ -3,7 +3,8 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricgh.catalog import parse_recipe
+from toricgh import localization
+from toricgh.catalog import geometric_catalog, parse_recipe
 from toricgh.geometry import cone_over, exact_rank, facet_enumeration
 from toricgh.localization import (
     check_generalized_monotonicity,
@@ -176,6 +177,32 @@ def test_sampler_hits_nontrivial_strata(square_cone):
     assert any(
         len(classify_faces(square_cone, v).fixed) > 1 for v in dirs
     )
+
+
+def test_negative_grid_rejected(square_cone):
+    with pytest.raises(ValueError, match="grid must be >= 0"):
+        sample_directions(square_cone, grid=-1)
+
+
+def test_sampler_matches_pair_list_oracle(monkeypatch):
+    # a span direction stands in as its pair (a, b), so the pair sequences
+    # themselves are compared, at no nullspace cost; grid 1 and 3 end the
+    # pair batch early, and the random batch after the shuffle checks that
+    # the generator's state is the oracle's too
+    def pair(cone, a, b):
+        return (a, b)
+
+    monkeypatch.setattr(localization, "span_pair_direction", pair)
+    monkeypatch.setattr(oracles, "span_pair_direction", pair)
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        cone = cone_over(entry.realize())
+        for grid in (1, 3, 6):
+            for seed in range(3):
+                got = sample_directions(cone, seed=seed, grid=grid)
+                expect = oracles.pair_list_directions(cone, seed=seed, grid=grid)
+                assert got == expect, (entry.name, grid, seed)
 
 
 def test_cone_over_a_point_rejected():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricgh.catalog import parse_recipe
+from toricgh import shelling
+from toricgh.catalog import geometric_catalog, parse_recipe
 from toricgh.geometry import facet_enumeration
 from toricgh.polynomial import Polynomial
 from toricgh.shelling import (
@@ -14,6 +15,7 @@ from toricgh.shelling import (
 )
 from toricgh.toric import face_g, toric_h
 
+import oracles
 from oracles import dense_order
 
 PRISM_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
@@ -72,6 +74,28 @@ def test_degenerate_direction_retries(prism):
 def test_retry_budget_exhaustion(square):
     with pytest.raises(ShellingError, match="no generic direction"):
         line_shelling(square, direction=(0, 1), retries=0)
+
+
+def test_negative_retries_rejected(square):
+    with pytest.raises(ValueError, match="retries must be >= 0"):
+        line_shelling(square, retries=-1)
+
+
+def test_directions_are_drawn_as_they_are_tried(prism, monkeypatch):
+    drawn = []
+    stream = shelling._direction_stream
+
+    def recorded(dim, seed):
+        for v in stream(dim, seed):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(shelling, "_direction_stream", recorded)
+    line_shelling(prism, direction=PAPER_DIRECTION)
+    assert drawn == []
+    # the axis direction is degenerate: draws stop at the first generic one
+    sh = line_shelling(prism, direction=(0, 0, 1), seed=3)
+    assert drawn and sh.direction == drawn[-1]
 
 
 def test_relative_h_whole_boundary_is_h(prism):
@@ -156,3 +180,26 @@ def test_tampered_order_is_caught(prism):
 
     with pytest.raises(ShellingError, match="no shared ridge"):
         _check_partial_unions(bad)
+
+
+def test_non_shelling_order_fails_the_nonnegativity_certificate(square):
+    # two opposite edges first: the second adds an edge and both its
+    # vertices but no empty face, a piece of 1 + 2(t - 1) = 2t - 1
+    sh = line_shelling(square, direction=(1, 2))
+    edges = [set(verts) for _, _, verts in square.facets]
+    opposite = next(i for i, e in enumerate(edges) if not e & edges[0])
+    rest = [i for i in range(4) if i not in (0, opposite)]
+    bad = Shelling(square, (0, opposite, *rest), sh.base_point, sh.direction, sh.crossings)
+    with pytest.raises(ShellingError, match="negative local h at step 2"):
+        shelling_decomposition(bad)
+
+
+def test_decomposition_matches_face_loop_oracle():
+    # the pieces scattered from the g table equal the per-face Polynomial sums
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        p = entry.realize()
+        for seed in range(3):
+            sh = line_shelling(p, seed=seed)
+            assert shelling_decomposition(sh) == oracles.face_loop_pieces(sh), (entry.name, seed)
