@@ -180,9 +180,9 @@ def prism_vertices(base):
 
 
 _OPS = {
-    "pyramid": (lambda lat: lat.pyramid(check=False), pyramid_vertices),
-    "bipyramid": (lambda lat: lat.bipyramid(check=False), bipyramid_vertices),
-    "prism": (lambda lat: lat.prism(check=False), prism_vertices),
+    "pyramid": (FaceLattice.pyramid, pyramid_vertices),
+    "bipyramid": (FaceLattice.bipyramid, bipyramid_vertices),
+    "prism": (FaceLattice.prism, prism_vertices),
 }
 
 

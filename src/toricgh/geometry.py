@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+import numpy as np
+
 from toricgh.lattice import FaceLattice
 from toricgh.polynomial import Polynomial
 from toricgh import toric
@@ -161,8 +163,9 @@ class GeometricPolytope:
     ``facets`` is a list of (normal, offset, tight vertex set) with
     <normal, x> <= offset valid on all vertices and tight exactly on the
     facet; normals are integer vectors.  ``lattice`` is the face
-    lattice derived from the tight sets, and ``facet_faces`` names the
-    lattice face of each facet.
+    lattice derived from the tight sets, ``facet_faces`` names the
+    lattice face of each facet, and ``facet_incidence`` marks the faces
+    lying in each facet.
     """
 
     def __init__(self, vertices, coords, d, facets, lattice):
@@ -179,6 +182,16 @@ class GeometricPolytope:
     def facet_faces(self) -> tuple[int, ...]:
         """Lattice face index of each facet, in ``facets`` order."""
         return tuple(self.lattice.index_of(t) for _, _, t in self.facets)
+
+    @cached_property
+    def facet_incidence(self) -> np.ndarray:
+        """Read-only r x n bool: row j marks facet j and the faces below it."""
+        lat = self.lattice
+        inc = np.zeros((len(self.facets), len(lat.faces)), dtype=bool)
+        for j, f in enumerate(self.facet_faces):
+            inc[j, np.append(lat.below(f), f)] = True
+        inc.setflags(write=False)
+        return inc
 
     def barycenter(self):
         n = len(self.coords)
@@ -342,8 +355,8 @@ class Cone:
     of the cone correspond to faces of P, with the zero cone standing in
     for the empty face.  ``normals[j]`` is facet j of P lifted to an
     integer inner normal of the cone.  The cone's facet j is the cone over
-    lattice face ``polytope.facet_faces[j]`` and the faces lying in it are
-    that face's down-set, so face-facet incidence is read off the lattice.
+    lattice face ``polytope.facet_faces[j]``, and the faces lying in it
+    are row j of ``polytope.facet_incidence``.
     """
 
     def __init__(self, polytope: GeometricPolytope):

@@ -262,13 +262,13 @@ class FaceLattice:
 
     # -- derived lattices ----------------------------------------------
 
-    def interval(self, lo: int, hi: int, check=False) -> "FaceLattice":
+    def interval(self, lo: int, hi: int) -> "FaceLattice":
         """The interval [lo, hi] re-graded so lo becomes the empty face.
 
         ``interval(bottom, F)`` is the face F as a polytope in its own
         right; ``interval(F, top)`` is the quotient polytope whose faces
         are the faces containing F.  Intervals of Eulerian polytope
-        lattices are again such, so validation is off by default.
+        lattices are again such; no derived lattice is re-validated.
         """
         up = self.above(lo).tolist()
         if lo != hi and hi not in up:
@@ -281,17 +281,17 @@ class FaceLattice:
             frozenset(atom_pos[a] for a in [*self.below(i).tolist(), i] if a in atom_pos)
             for i in sel
         ]
-        return FaceLattice.build(face_sets, len(atoms), check=check)
+        return FaceLattice.build(face_sets, len(atoms), check=False)
 
-    def face(self, i: int, check=False) -> "FaceLattice":
+    def face(self, i: int) -> "FaceLattice":
         """Face i as a polytope of dimension dims[i]."""
-        return self.interval(0, i, check=check)
+        return self.interval(0, i)
 
-    def quotient(self, i: int, check=False) -> "FaceLattice":
+    def quotient(self, i: int) -> "FaceLattice":
         """The quotient polytope P/F_i of dimension d - dims[i] - 1."""
-        return self.interval(i, self.top, check=check)
+        return self.interval(i, self.top)
 
-    def dual(self, check=False) -> "FaceLattice":
+    def dual(self) -> "FaceLattice":
         """Order-reversed lattice; atoms of the dual are the facets."""
         facets = self.faces_of_dim(self.d - 1)
         fpos = {f: p for p, f in enumerate(facets)}
@@ -299,26 +299,28 @@ class FaceLattice:
             frozenset(fpos[f] for f in [i, *self.above(i).tolist()] if f in fpos)
             for i in range(len(self.faces))
         ]
-        return FaceLattice.build(face_sets, len(facets), check=check)
+        return FaceLattice.build(face_sets, len(facets), check=False)
 
-    def pyramid(self, check=True) -> "FaceLattice":
+    def pyramid(self) -> "FaceLattice":
         """Cone over this polytope: faces are F and F + apex for all F."""
         apex = self.n_vertices
         sets = set(self.faces)
         sets.update(f | {apex} for f in self.faces)
-        return FaceLattice.build(sets, apex + 1, check=check)
+        return FaceLattice.build(sets, apex + 1, check=False)
 
-    def bipyramid(self, check=True) -> "FaceLattice":
+    def bipyramid(self) -> "FaceLattice":
         """Suspension: two apexes over every proper face, plus a new top."""
+        if self.d < 1:   # over a point the top would hold a non-atom vertex
+            raise LatticeError("bipyramid needs a polytope of dimension >= 1")
         a1, a2 = self.n_vertices, self.n_vertices + 1
         proper = self.faces[:-1]
         sets = set(proper)
         sets.update(f | {a1} for f in proper)
         sets.update(f | {a2} for f in proper)
         sets.add(self.faces[-1] | {a1, a2})
-        return FaceLattice.build(sets, a2 + 1, check=check)
+        return FaceLattice.build(sets, a2 + 1, check=False)
 
-    def prism(self, check=True) -> "FaceLattice":
+    def prism(self) -> "FaceLattice":
         """Product with a segment: bottom copy, top copy and vertical faces."""
         if self.d < 0:
             raise LatticeError("prism over the empty polytope is undefined")
@@ -330,7 +332,7 @@ class FaceLattice:
             sets.add(fb)
             sets.add(ft)
             sets.add(fb | ft)
-        return FaceLattice.build(sets, 2 * n, check=check)
+        return FaceLattice.build(sets, 2 * n, check=False)
 
     # -- serialization ---------------------------------------------------
 
@@ -347,8 +349,9 @@ class FaceLattice:
         if not {"dim", "n_vertices", "facets"} <= set(data):
             raise LatticeError("lattice/v1 needs dim, n_vertices, facets")
         n, facets = data["n_vertices"], data["facets"]
-        if not _is_int(n):
-            raise LatticeError(f"n_vertices must be an integer, got {n!r}")
+        for key in ("n_vertices", "dim"):
+            if not _is_int(data[key]):
+                raise LatticeError(f"{key} must be an integer, got {data[key]!r}")
         if not isinstance(facets, list) or not all(
             isinstance(f, list) and all(map(_is_int, f)) for f in facets
         ):

@@ -5,8 +5,8 @@ is a *back* face when moving off it in direction v stays inside sigma for
 a short time, a *front* face when the same holds for -v, and *fixed*
 (the Delta_0 class) when v lies in its linear span.  A face is back
 exactly when no facet through it has an inner normal pairing negatively
-with v, so the back faces are those outside the down-sets of such facets
-in the face lattice; front is the same with the sign flipped.  The span
+with v, so the back faces are those in no such row of the facet x face
+incidence matrix; front is the same with the sign flipped.  The span
 of a face is the meet of the facet hyperplanes through it, so fixed =
 back & front.  All three come from one integer pairing per facet, with v
 scaled to a primitive integer vector.
@@ -47,19 +47,11 @@ def classify_faces(cone: Cone, v) -> ConeDecomposition:
         # a point has no facets to lift, so the apex would pass as fixed
         raise ValueError("face classes need a cone over a polytope of dimension >= 1")
     lat = cone.lattice
-    pairing = [dot(normal, ray) for normal in cone.normals]
-
-    def outside(sign):
-        """The faces lying in a facet whose pairing with v has ``sign``."""
-        mask = np.zeros(len(lat.faces), dtype=bool)
-        for f, p in zip(cone.polytope.facet_faces, pairing):
-            if p * sign > 0:
-                mask[lat.below(f)] = True
-                mask[f] = True
-        return mask
-
-    back = frozenset(np.flatnonzero(~outside(-1)).tolist())
-    front = frozenset(np.flatnonzero(~outside(1)).tolist())
+    inc = cone.polytope.facet_incidence
+    # signs in Python ints: a normal times the primitive ray can pass int64
+    sign = np.array([(p > 0) - (p < 0) for p in (dot(a, ray) for a in cone.normals)])
+    back = frozenset(np.flatnonzero(~inc[sign < 0].any(axis=0)).tolist())
+    front = frozenset(np.flatnonzero(~inc[sign > 0].any(axis=0)).tolist())
     fixed = back & front
     minimal = tuple(sorted(i for i in fixed if fixed.isdisjoint(lat.below(i).tolist())))
     return ConeDecomposition(cone, tuple(Fraction(x) for x in v), back, front, fixed, minimal)

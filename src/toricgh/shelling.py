@@ -105,36 +105,35 @@ def _check_partial_unions(sh: Shelling):
     The full topological-disk condition is not verified; the rotating
     line guarantees it, and these checks catch bookkeeping errors.
     """
-    lat = sh.polytope.lattice
-    d = sh.polytope.d
-    faces = sh.facet_faces
-    r = len(faces)
-    dims = lat.dims
-
-    def faces_of(*tops):
-        """Mask of the faces lying in one of ``tops``: their down-sets."""
-        mask = np.zeros(len(lat.faces), dtype=bool)
-        mask[np.concatenate([lat.below(f) for f in tops])] = True
-        mask[list(tops)] = True
-        return mask
-
-    covered = faces_of(faces[0])
+    p = sh.polytope
+    inc = p.facet_incidence[list(sh.order)]
+    ridge = p.lattice.dims == p.d - 2
+    r = len(inc)
+    covered = inc[0].copy()
     for j in range(1, r):
-        fj = faces[j]
-        in_fj = faces_of(fj)
-        inside = in_fj & covered
-        inside[fj] = False
-        ridges = np.nonzero(inside & (dims == d - 2))[0]
+        inside = inc[j] & covered      # the faces of F_j in earlier facets
+        ridges = np.flatnonzero(inside & ridge)
         if not ridges.size:
             raise ShellingError(f"step {j + 1}: no shared ridge with earlier facets")
-        if np.any(inside & (dims >= 0) & ~faces_of(*ridges)):
+        # a shared ridge R lies in F_j and in exactly one earlier facet F_k,
+        # and the faces of R are those of the meet F_j ^ F_k: inc[k] & inc[j]
+        partners = inc[:j][inc[:j, ridges].any(axis=1)]
+        if np.any(inside & ~(partners & inc[j]).any(axis=0)):
             raise ShellingError(f"step {j + 1}: shared boundary is not pure")
-        n_all = int((in_fj & (dims == d - 2)).sum())
+        n_all = int((inc[j] & ridge).sum())
         if j < r - 1 and len(ridges) == n_all:
             raise ShellingError(f"step {j + 1}: facet glued along its whole boundary")
         if j == r - 1 and len(ridges) != n_all:
             raise ShellingError("last facet must close up the sphere")
-        covered |= in_fj
+        covered |= inc[j]
+
+
+def _first_cover(sh: Shelling) -> np.ndarray:
+    """The first facet in shelling order that holds each boundary face."""
+    inc = sh.polytope.facet_incidence[list(sh.order), :-1]
+    if not inc.any(axis=0).all():
+        raise ShellingError("some boundary face lies in no facet")
+    return inc.argmax(axis=0)
 
 
 def relative_h(lat: FaceLattice, faces_i, faces_j) -> Polynomial:
@@ -170,22 +169,14 @@ def shelling_decomposition(sh: Shelling) -> list[Polynomial]:
     """
     lat = sh.polytope.lattice
     d = sh.polytope.d
-    faces = sh.facet_faces
-    r = len(faces)
-    # the first facet in shelling order that holds each boundary face
-    first_cover = np.full(len(lat.faces) - 1, r)
-    for j in reversed(range(r)):
-        first_cover[lat.below(faces[j])] = j
-        first_cover[faces[j]] = j
-    if np.any(first_cover == r):
-        raise ShellingError("some boundary face lies in no facet")
+    first_cover = _first_cover(sh)
     # g(F) (t-1)^(d-1-dim F) per boundary face F, one product per dimension on
     # the rows of the bottom g table; summands of h, so in ``_guard``'s int64 bound
     pos, _, G = _interval_tables(lat, lat.bottom)
     face = np.fromiter(pos, dtype=np.intp, count=len(pos))
     row = np.fromiter(pos.values(), dtype=np.intp, count=len(pos))
     stacks, _ = _kernels(d + 1)
-    pieces = np.zeros((r, d + 1), dtype=np.int64)
+    pieces = np.zeros((len(sh.order), d + 1), dtype=np.int64)
     for e in range(-1, d):
         at = lat.dims[face] == e
         np.add.at(pieces, first_cover[face[at]], G[row[at]] @ stacks[d - 1 - e][:d + 1])

@@ -517,11 +517,11 @@ def _kalai_rhs(lat: FaceLattice, k: int) -> int:
 
 
 def check_cone_bipyramid(lat: FaceLattice) -> bool:
-    """g is fixed by coning and h gains a factor (1+t) under bipyramids."""
+    """g is fixed by coning and h gains a factor (1+t) under bipyramids (d >= 1)."""
     if lat.d < 0:
         raise LatticeError("needs a nonempty polytope")
-    cone_ok = toric_g(lat.pyramid(check=False)) == toric_g(lat)
-    bipyr_ok = toric_h(lat.bipyramid(check=False)) == Polynomial([1, 1]) * toric_h(lat)
+    cone_ok = toric_g(lat.pyramid()) == toric_g(lat)
+    bipyr_ok = lat.d < 1 or toric_h(lat.bipyramid()) == Polynomial([1, 1]) * toric_h(lat)
     return cone_ok and bipyr_ok
 
 

@@ -45,7 +45,16 @@ g(F) (t-1)^(d-1-dim F) per boundary face F, added into the piece of the
 first facet holding F, here found on the dense order.
 ``pair_list_directions`` is the direction sampler the library ran before
 it shuffled pair numbers: it lists every incomparable pair of proper
-faces, shuffles the list and reads the first 2 * grid pairs.
+faces, shuffles the list and reads the first 2 * grid pairs.  The
+shuffled list and the generator state after the shuffle are kept per
+(lattice, seed), since neither depends on the grid.
+
+``downset_first_cover``, ``downset_check_partial_unions`` and
+``downset_classes`` are the shelling checks and cone classes the library
+computed before it read the facet x face incidence matrix
+(``GeometricPolytope.facet_incidence``): each builds its face masks
+from the lattice down-sets ``lat.below`` of the facets, and of the
+shared ridges, at every step.
 """
 
 import random
@@ -56,10 +65,11 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from toricgh.geometry import _eliminate, _integer_rows, primitive_ray
+from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
 from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
+from toricgh.shelling import ShellingError
 from toricgh.toric import FlagVector, _binom_kernel, face_g, gtilde, toric_g
 
 
@@ -224,6 +234,9 @@ def face_loop_pieces(sh):
     return pieces
 
 
+_SHUFFLED = WeakKeyDictionary()
+
+
 def pair_list_directions(cone, seed=0, grid=12):
     """``sample_directions`` over a shuffled list of every incomparable proper pair."""
     lat = cone.lattice
@@ -238,14 +251,20 @@ def pair_list_directions(cone, seed=0, grid=12):
             seen.add(key)
             out.append(key)
 
-    proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
-    # the index order extends the face order, so a later b is never below a
-    pairs = []
-    for ai, a in enumerate(proper):
-        up = set(lat.above(a).tolist())
-        pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
-    rng = random.Random(seed)
-    rng.shuffle(pairs)
+    memo = _SHUFFLED.setdefault(lat, {})
+    if seed not in memo:
+        proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
+        # the index order extends the face order, so a later b is never below a
+        pairs = []
+        for ai, a in enumerate(proper):
+            up = set(lat.above(a).tolist())
+            pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
+        rng = random.Random(seed)
+        rng.shuffle(pairs)
+        memo[seed] = pairs, rng.getstate()
+    pairs, state = memo[seed]
+    rng = random.Random()
+    rng.setstate(state)
     for a, b in pairs[: 2 * grid]:
         push(span_pair_direction(cone, a, b))
     push(cone.rays[0])
@@ -253,6 +272,75 @@ def pair_list_directions(cone, seed=0, grid=12):
     for _ in range(grid):
         push(tuple(rng.randint(-7, 7) for _ in range(cone.dim)))
     return out
+
+
+def downset_first_cover(sh):
+    """The first facet in shelling order holding each boundary face, by a reversed loop."""
+    lat = sh.polytope.lattice
+    faces = sh.facet_faces
+    r = len(faces)
+    first_cover = np.full(len(lat.faces) - 1, r)
+    for j in reversed(range(r)):
+        first_cover[lat.below(faces[j])] = j
+        first_cover[faces[j]] = j
+    if np.any(first_cover == r):
+        raise ShellingError("some boundary face lies in no facet")
+    return first_cover
+
+
+def downset_check_partial_unions(sh):
+    """``shelling._check_partial_unions`` on masks rebuilt from down-sets at every step."""
+    lat = sh.polytope.lattice
+    d = sh.polytope.d
+    faces = sh.facet_faces
+    r = len(faces)
+    dims = lat.dims
+
+    def faces_of(*tops):
+        """Mask of the faces lying in one of ``tops``: their down-sets."""
+        mask = np.zeros(len(lat.faces), dtype=bool)
+        mask[np.concatenate([lat.below(f) for f in tops])] = True
+        mask[list(tops)] = True
+        return mask
+
+    covered = faces_of(faces[0])
+    for j in range(1, r):
+        fj = faces[j]
+        in_fj = faces_of(fj)
+        inside = in_fj & covered
+        inside[fj] = False
+        ridges = np.nonzero(inside & (dims == d - 2))[0]
+        if not ridges.size:
+            raise ShellingError(f"step {j + 1}: no shared ridge with earlier facets")
+        if np.any(inside & (dims >= 0) & ~faces_of(*ridges)):
+            raise ShellingError(f"step {j + 1}: shared boundary is not pure")
+        n_all = int((in_fj & (dims == d - 2)).sum())
+        if j < r - 1 and len(ridges) == n_all:
+            raise ShellingError(f"step {j + 1}: facet glued along its whole boundary")
+        if j == r - 1 and len(ridges) != n_all:
+            raise ShellingError("last facet must close up the sphere")
+        covered |= in_fj
+
+
+def downset_classes(cone, v):
+    """(back, front) of ``localization.classify_faces``, from the facet down-sets."""
+    lat = cone.lattice
+    ray = primitive_ray(v)
+    pairing = [dot(normal, ray) for normal in cone.normals]
+
+    def outside(sign):
+        """The faces lying in a facet whose pairing with v has ``sign``."""
+        mask = np.zeros(len(lat.faces), dtype=bool)
+        for f, p in zip(cone.polytope.facet_faces, pairing):
+            if p * sign > 0:
+                mask[lat.below(f)] = True
+                mask[f] = True
+        return mask
+
+    return (
+        frozenset(np.flatnonzero(~outside(-1)).tolist()),
+        frozenset(np.flatnonzero(~outside(1)).tolist()),
+    )
 
 
 # -- invariants on sublattices -------------------------------------------

@@ -100,7 +100,7 @@ def test_recipe_parser():
     assert parse_recipe("segment").dim == 1
     assert parse_recipe("prism(pyramid(cube2))").dim == 4
     assert parse_recipe("cyclic(7, 3)").name == "cyclic(7,3)"
-    assert parse_recipe("bipyramid(bipyramid(point))").dim == 2
+    assert parse_recipe("bipyramid(pyramid(point))").dim == 2
     for bad in ["cube", "dodecahedron", "cyclic(7)", "prism()", "cube3)",
                 "prism(cube3", "cube3 extra"]:
         with pytest.raises(ValueError):

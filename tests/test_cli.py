@@ -167,6 +167,11 @@ def test_unknown_recipe(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("recipe", ["bipyramid(point)", "bipyramid(empty)"])
+def test_bipyramid_below_dimension_one_is_bad_input(capsys, recipe):
+    assert run(capsys, "gh", recipe)[:2] == run(capsys, "verify", "all", recipe)[:2] == (2, "")
+
+
 def test_verify_scope_max_dim(capsys):
     code, out, _ = run(capsys, "verify", "cascade", "--max-dim", "2")
     assert code == 0
@@ -190,6 +195,9 @@ def test_bad_vertex_rows(tmp_path, capsys, vertices, reason):
 @pytest.mark.parametrize("data, reason", [
     ({"dim": 2, "n_vertices": 3.5, "facets": [[0, 1], [1, 2], [0, 2]]},
      "n_vertices must be an integer, got 3.5"),
+    ({"dim": True, "n_vertices": 2, "facets": [[0], [1]]}, "dim must be an integer, got True"),
+    ({"dim": 1.0, "n_vertices": 2, "facets": [[0], [1]]}, "dim must be an integer, got 1.0"),
+    ({"dim": "1", "n_vertices": 2, "facets": [[0], [1]]}, "dim must be an integer, got '1'"),
     ({"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, 2], [0, 5]]},
      "vertex index 5 out of range"),
     ({"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, "2"], [0, 2]]},

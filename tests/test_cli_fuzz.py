@@ -94,6 +94,7 @@ def test_truncated_recipes_exit_0_or_2(recipe, data):
 @FUZZ
 @given(st.one_of(POLYTOPES, LATTICES, JSON))
 @example(doc={"vertices": [["1/0"]]})
+@example(doc={"dim": True, "n_vertices": 2, "facets": [[0], [1]]})
 def test_malformed_documents_exit_0_or_2(doc):
     assert _gh_file(json.dumps(doc)) in (0, 2)
 

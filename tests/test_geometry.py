@@ -70,6 +70,16 @@ def test_facet_tight_sets_cut_out_lattice():
             assert inter == f or len(tight) == 0
 
 
+def test_facet_incidence_is_the_facet_down_sets():
+    for p in (facet_enumeration(list(product([0, 1], repeat=3))), facet_enumeration([[3]])):
+        inc = p.facet_incidence
+        leq = oracles.dense_order(p.lattice)
+        assert inc.shape == (len(p.facets), len(p.lattice.faces)) and not inc.flags.writeable
+        for j, f in enumerate(p.facet_faces):
+            assert (inc[j] == leq[:, f]).all()
+        assert p.facet_incidence is inc
+
+
 def test_exact_rank_examples():
     assert exact_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert exact_rank([[0, 0], [0, 0]]) == 0

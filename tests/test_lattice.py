@@ -60,7 +60,8 @@ def test_uncovered_vertex_rejected():
 
 def test_interval_vertex_figure_of_cube(cube):
     # 3 squares and 3 edges contain a cube vertex: the quotient is a triangle
-    q = cube.quotient(cube.index_of({0}), check=True)
+    q = cube.quotient(cube.index_of({0}))
+    q = FaceLattice.build(q.faces, q.n_vertices)
     assert q.d == 2
     assert q.f_vector() == (3, 3)
     assert len(q) == 8
@@ -76,7 +77,8 @@ def test_interval_full_and_degenerate(cube):
 
 
 def test_dual_of_cube_is_octahedron(cube):
-    oc = cube.dual(check=True)
+    oc = cube.dual()
+    oc = FaceLattice.build(oc.faces, oc.n_vertices)
     assert oc.f_vector() == (6, 12, 8)
     assert is_eulerian(oc)
 
@@ -122,16 +124,20 @@ def test_is_eulerian_cases(cube):
     assert not is_eulerian(broken)
 
 
-def test_every_constructor_output_validates(cube):
-    # re-validate structures produced with check=False paths
-    for lat in [
-        cube.dual(),
-        cube.quotient(cube.index_of({0})),
-        cube.face(cube.index_of({0, 1, 2, 3})),
-        cube_lattice(2).pyramid(check=False),
-        cyclic_lattice(7, 4),
-    ]:
-        FaceLattice(lat.faces, lat.n_vertices, lat.pairs, lat.dims, check=True)
+def test_every_constructor_output_validates():
+    # the derived lattices are built unvalidated: re-validate what they hold,
+    # over every catalog lattice (composites are derived lattices too)
+    for entry in catalog():
+        base = entry.lattice()
+        derived = [base, base.dual(), base.pyramid(), base.prism()]
+        derived += [base.face(base.faces_of_dim(base.d - 1)[0]), base.quotient(1)]
+        if base.d >= 1:
+            derived.append(base.bipyramid())
+        else:
+            with pytest.raises(LatticeError, match="dimension >= 1"):
+                base.bipyramid()
+        for lat in derived:
+            FaceLattice(lat.faces, lat.n_vertices, lat.pairs, lat.dims, check=True)
 
 
 def test_corrupted_pairs_fail_validation(cube):

@@ -205,6 +205,16 @@ def test_sampler_matches_pair_list_oracle(monkeypatch):
                 assert got == expect, (entry.name, grid, seed)
 
 
+def test_incidence_classes_match_down_set_oracle():
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        cone = cone_over(entry.realize())
+        for v in sample_directions(cone, seed=0, grid=6):
+            dec = classify_faces(cone, v)
+            assert (dec.back, dec.front) == oracles.downset_classes(cone, v), (entry.name, v)
+
+
 def test_cone_over_a_point_rejected():
     # the ray over a point has no lifted facet, so no class can be read off
     with pytest.raises(ValueError, match="dimension >= 1"):

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -203,3 +205,42 @@ def test_decomposition_matches_face_loop_oracle():
         for seed in range(3):
             sh = line_shelling(p, seed=seed)
             assert shelling_decomposition(sh) == oracles.face_loop_pieces(sh), (entry.name, seed)
+
+
+def _outcome(check, sh):
+    """What a check returns (as a list) or the text of its ShellingError."""
+    try:
+        out = check(sh)
+    except ShellingError as e:
+        return str(e)
+    return None if out is None else out.tolist()
+
+
+def test_incidence_checks_match_down_set_oracles():
+    # the line shellings and reordered ones, most of them no shellings: the
+    # checks on the incidence matrix pass, or fail at the same step with the
+    # same text, wherever the down-set ones do
+    seen = Counter()
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        p = entry.realize()
+        for seed in range(3):
+            sh = line_shelling(p, seed=seed)
+            order = list(sh.order)
+            rng = random.Random(seed)
+            j = rng.randrange(len(order) - 1)
+            swapped = order[:j] + [order[j + 1], order[j]] + order[j + 2:]
+            for o in (order, order[::-1], rng.sample(order, len(order)), swapped, order[:-1]):
+                other = Shelling(p, tuple(o), sh.base_point, sh.direction, sh.crossings)
+                got = _outcome(shelling._check_partial_unions, other)
+                assert got == _outcome(oracles.downset_check_partial_unions, other), (entry.name, o)
+                cover = _outcome(shelling._first_cover, other)
+                assert cover == _outcome(oracles.downset_first_cover, other), (entry.name, o)
+                seen[got if got is None else got.split(": ")[-1]] += 1
+                seen[isinstance(cover, str)] += 1
+    assert all(seen[k] for k in (
+        None, "no shared ridge with earlier facets", "shared boundary is not pure",
+        "facet glued along its whole boundary", "last facet must close up the sphere",
+        True, False,
+    )), seen
