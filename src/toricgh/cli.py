@@ -21,7 +21,7 @@ from math import comb
 from toricgh import localization, rigidity, shelling, toric, verma
 from toricgh.catalog import catalog as full_catalog
 from toricgh.catalog import parse_recipe
-from toricgh.geometry import GeometricPolytope, cone_over, exact_rank, facet_enumeration
+from toricgh.geometry import GeometricPolytope, cone_over, facet_enumeration
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.polynomial import Polynomial
 
@@ -272,7 +272,7 @@ def cmd_rigidity(args) -> int:
     if p.d < 3:
         raise InputError("rigidity needs dimension >= 3")
     fw = rigidity.build_framework(p)
-    rank = exact_rank(rigidity.rigidity_matrix(fw))
+    rank = rigidity.rigidity_rank(fw)
     stress = fw.n_edges - rank
     kernel = fw.d * len(fw.points) - rank
     if p.d >= 4:

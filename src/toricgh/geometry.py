@@ -1,8 +1,9 @@
 """Exact rational geometry: polytopes from vertices, cones and fans.
 
-Coordinates are ``fractions.Fraction``; every rank, kernel and solution
-comes from one fraction-free (Bareiss) elimination on integer rows, so
-there is no floating point anywhere.  Facet enumeration is the double
+Coordinates are ``fractions.Fraction``; every kernel and solution comes
+from one fraction-free (Bareiss) elimination on integer rows, and so does
+every rank that its value modulo a 31-bit prime does not settle, so there
+is no floating point anywhere.  Facet enumeration is the double
 description method (Motzkin; Fukuda & Prodon, "Double description method
 revisited", 1996) on the points scaled once to one integer lattice: it
 adds the points one at a time to the cone of a starting simplex, so its
@@ -95,13 +96,51 @@ def _eliminate(mat, full=False):
     return pivots, prev
 
 
-def exact_rank(rows) -> int:
-    """Rank over Q by fraction-free (Bareiss) Gaussian elimination.
+# a 31-bit prime: the product of two residues fits in int64
+_PRIME = 2_147_483_647
+
+
+def _rank_mod_p(mat) -> int:
+    """Rank over GF(_PRIME) of the int matrix ``mat``, on int64 rows.
+
+    Entries are reduced as Python ints before they enter int64, and every
+    product of two residues stays below 2^62, so nothing wraps.
+    """
+    a = np.array([[x % _PRIME for x in row] for row in mat], dtype=np.int64)
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = rank + np.flatnonzero(a[rank:, col])
+        if not nz.size:
+            continue
+        a[[rank, nz[0]]] = a[[nz[0], rank]]
+        prow = a[rank, col:] * pow(int(a[rank, col]), -1, _PRIME) % _PRIME
+        below = nz[1:]
+        a[below, col:] = (a[below, col:] - np.outer(a[below, col], prow) % _PRIME) % _PRIME
+        rank += 1
+    return rank
+
+
+def exact_rank(rows, at_most=None) -> int:
+    """Rank over Q, certified by a rank modulo the prime ``_PRIME``.
 
     Rows may hold ints or Fractions; denominators are cleared per row,
-    which does not change the rank.
+    which does not change the rank.  The rank mod p never exceeds the rank
+    over Q, so it is exact when it reaches an upper bound: min(rows,
+    cols), or ``at_most`` when the caller has proven the rank is no
+    larger.  Otherwise fraction-free (Bareiss) elimination gives the rank.
     """
-    return len(_eliminate(_integer_rows(rows))[0])
+    mat = _integer_rows(rows)
+    if not mat or not mat[0]:
+        return 0
+    bound = min(len(mat), len(mat[0]))
+    if at_most is not None:
+        bound = min(bound, at_most)
+    if _rank_mod_p(mat) == bound:
+        return bound
+    return len(_eliminate(mat)[0])
 
 
 def kernel_dimension(rows) -> int:

@@ -50,11 +50,21 @@ def classify_faces(cone: Cone, v) -> ConeDecomposition:
     inc = cone.polytope.facet_incidence
     # signs in Python ints: a normal times the primitive ray can pass int64
     sign = np.array([(p > 0) - (p < 0) for p in (dot(a, ray) for a in cone.normals)])
-    back = frozenset(np.flatnonzero(~inc[sign < 0].any(axis=0)).tolist())
-    front = frozenset(np.flatnonzero(~inc[sign > 0].any(axis=0)).tolist())
+    back = ~inc[sign < 0].any(axis=0)
+    front = ~inc[sign > 0].any(axis=0)
     fixed = back & front
-    minimal = tuple(sorted(i for i in fixed if fixed.isdisjoint(lat.below(i).tolist())))
-    return ConeDecomposition(cone, tuple(Fraction(x) for x in v), back, front, fixed, minimal)
+    # a fixed face above another fixed face is not minimal
+    px, py = lat.pairs
+    minimal = fixed.copy()
+    minimal[py[fixed[px] & fixed[py]]] = False
+
+    def faces(mask):
+        return frozenset(np.flatnonzero(mask).tolist())
+
+    return ConeDecomposition(
+        cone, tuple(Fraction(x) for x in v), faces(back), faces(front), faces(fixed),
+        tuple(np.flatnonzero(minimal).tolist()),
+    )
 
 
 def tau_plus_v(decomp: ConeDecomposition, face: int) -> int:
@@ -131,10 +141,10 @@ def sample_directions(cone: Cone, seed: int = 0, grid: int = 12):
     n = len(lat.faces)
     counts = np.arange(n - 3, -1, -1) - np.diff(lat._rows())[1:n - 1] + 1
     starts = np.concatenate(([0], np.cumsum(counts)))
-    picks = list(range(starts[-1]))     # the pairs by number, in (a, b) order
+    n_pairs = int(starts[-1])
     rng = random.Random(seed)
-    rng.shuffle(picks)
-    for k in picks[: 2 * grid]:
+    # the pairs are numbered in (a, b) order; draw 2 * grid of the numbers
+    for k in rng.sample(range(n_pairs), min(2 * grid, n_pairs)):
         a = int(np.searchsorted(starts, k, side="right"))   # block a - 1 holds k
         later = np.setdiff1d(np.arange(a + 1, n - 1), lat.above(a), assume_unique=True)
         push(span_pair_direction(cone, a, int(later[k - starts[a - 1]])))

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from toricgh.geometry import GeometricPolytope, exact_rank, kernel_dimension
 from toricgh.toric import flag_vector
@@ -88,9 +89,29 @@ def rigidity_matrix(fw: Framework):
     return rows
 
 
+def rigidity_rank(fw: Framework) -> int:
+    """Exact rank of the rigidity matrix, certified modulo a prime.
+
+    The joints are scaled to integer points by one positive integer, which
+    scales the matrix and leaves its rank unchanged.  When they affinely
+    span R^d, the C(d+1, 2)-dimensional space of trivial motions lies in
+    the kernel, so the rank is at most d n - C(d+1, 2); ``exact_rank``
+    takes its rank mod p when it reaches that bound.  Polytope frameworks
+    with triangulated 2-faces are infinitesimally rigid (Whiteley), so
+    they reach it and the Bareiss fallback does not run.
+    """
+    points = [[Fraction(x) for x in p] for p in fw.points]
+    mult = lcm(*(x.denominator for p in points for x in p))
+    joints = [[x.numerator * (mult // x.denominator) for x in p] for p in points]
+    at_most = None
+    if joints and exact_rank([[a - b for a, b in zip(p, joints[0])] for p in joints]) == fw.d:
+        at_most = fw.d * len(joints) - comb(fw.d + 1, 2)
+    return exact_rank(rigidity_matrix(Framework(tuple(joints), fw.edges, fw.d)), at_most=at_most)
+
+
 def stress_dimension(fw: Framework) -> int:
     """dim of the stress space = number of bars minus the matrix rank."""
-    return fw.n_edges - exact_rank(rigidity_matrix(fw))
+    return fw.n_edges - rigidity_rank(fw)
 
 
 def g2_via_stresses(p: GeometricPolytope) -> int:

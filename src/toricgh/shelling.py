@@ -39,11 +39,6 @@ class Shelling:
     direction: tuple
     crossings: tuple                # line parameter at each facet plane
 
-    @property
-    def facet_faces(self):
-        """Lattice face index of each facet, in shelling order."""
-        return tuple(self.polytope.facet_faces[i] for i in self.order)
-
 
 def _direction_stream(dim, seed):
     rng = random.Random(seed)

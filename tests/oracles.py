@@ -44,10 +44,13 @@ before it read the pieces off the bottom g table: one ``Polynomial``
 g(F) (t-1)^(d-1-dim F) per boundary face F, added into the piece of the
 first facet holding F, here found on the dense order.
 ``pair_list_directions`` is the direction sampler the library ran before
-it shuffled pair numbers: it lists every incomparable pair of proper
-faces, shuffles the list and reads the first 2 * grid pairs.  The
-shuffled list and the generator state after the shuffle are kept per
-(lattice, seed), since neither depends on the grid.
+it drew pair numbers: it lists every incomparable pair of proper faces
+and samples 2 * grid of them from the list.  ``random.sample`` reads only
+the length of what it samples from, so both draw the same indices and
+leave the generator in the same state.
+``loop_min_fixed`` is the antichain of minimal fixed faces the library
+found before one masked pass over the pairs: a fixed face is minimal
+when its down-set holds no other fixed face.
 
 ``downset_first_cover``, ``downset_check_partial_unions`` and
 ``downset_classes`` are the shelling checks and cone classes the library
@@ -227,18 +230,16 @@ def face_loop_pieces(sh):
     lat = sh.polytope.lattice
     d = sh.polytope.d
     leq = dense_order(lat)
-    pieces = [Polynomial() for _ in sh.facet_faces]
+    faces = [sh.polytope.facet_faces[i] for i in sh.order]
+    pieces = [Polynomial() for _ in faces]
     for g in range(len(lat.faces) - 1):
-        j = next(j for j, f in enumerate(sh.facet_faces) if leq[g, f])
+        j = next(j for j, f in enumerate(faces) if leq[g, f])
         pieces[j] = pieces[j] + face_g(lat, g) * binomial_power(-1, d - 1 - int(lat.dims[g]))
     return pieces
 
 
-_SHUFFLED = WeakKeyDictionary()
-
-
 def pair_list_directions(cone, seed=0, grid=12):
-    """``sample_directions`` over a shuffled list of every incomparable proper pair."""
+    """``sample_directions`` over a sample of the list of every incomparable proper pair."""
     lat = cone.lattice
     out = []
     seen = set()
@@ -251,21 +252,14 @@ def pair_list_directions(cone, seed=0, grid=12):
             seen.add(key)
             out.append(key)
 
-    memo = _SHUFFLED.setdefault(lat, {})
-    if seed not in memo:
-        proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
-        # the index order extends the face order, so a later b is never below a
-        pairs = []
-        for ai, a in enumerate(proper):
-            up = set(lat.above(a).tolist())
-            pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
-        rng = random.Random(seed)
-        rng.shuffle(pairs)
-        memo[seed] = pairs, rng.getstate()
-    pairs, state = memo[seed]
-    rng = random.Random()
-    rng.setstate(state)
-    for a, b in pairs[: 2 * grid]:
+    proper = [i for i in range(1, len(lat.faces) - 1) if lat.dims[i] >= 0]
+    # the index order extends the face order, so a later b is never below a
+    pairs = []
+    for ai, a in enumerate(proper):
+        up = set(lat.above(a).tolist())
+        pairs += [(a, b) for b in proper[ai + 1:] if b not in up]
+    rng = random.Random(seed)
+    for a, b in rng.sample(pairs, min(2 * grid, len(pairs))):
         push(span_pair_direction(cone, a, b))
     push(cone.rays[0])
     push(tuple(sum(col) for col in zip(*cone.rays)))  # interior direction
@@ -274,10 +268,15 @@ def pair_list_directions(cone, seed=0, grid=12):
     return out
 
 
+def loop_min_fixed(lat, fixed):
+    """The minimal members of ``fixed``, each tested against its down-set."""
+    return tuple(sorted(i for i in fixed if fixed.isdisjoint(lat.below(i).tolist())))
+
+
 def downset_first_cover(sh):
     """The first facet in shelling order holding each boundary face, by a reversed loop."""
     lat = sh.polytope.lattice
-    faces = sh.facet_faces
+    faces = [sh.polytope.facet_faces[i] for i in sh.order]
     r = len(faces)
     first_cover = np.full(len(lat.faces) - 1, r)
     for j in reversed(range(r)):
@@ -292,7 +291,7 @@ def downset_check_partial_unions(sh):
     """``shelling._check_partial_unions`` on masks rebuilt from down-sets at every step."""
     lat = sh.polytope.lattice
     d = sh.polytope.d
-    faces = sh.facet_faces
+    faces = [sh.polytope.facet_faces[i] for i in sh.order]
     r = len(faces)
     dims = lat.dims
 

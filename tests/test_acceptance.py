@@ -76,7 +76,7 @@ def test_criterion_02_prism_shelling_example():
     lat = prism.lattice
     assert toric_h(lat) == Polynomial([1, 3, 3, 1])
     sh = line_shelling(prism, direction=(Fraction(3, 4), Fraction(-1, 2), 1))
-    sizes = [len(lat.faces[f]) for f in sh.facet_faces]
+    sizes = [len(lat.faces[prism.facet_faces[i]]) for i in sh.order]
     locals_ = shelling_decomposition(sh)
     elapsed = time.monotonic() - t0
     ok = (

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricgh import geometry
 from toricgh.catalog import cube_lattice, cyclic_lattice, cyclic_vertices
 from toricgh.geometry import (
     central_fan,
@@ -86,6 +87,18 @@ def test_exact_rank_examples():
     assert exact_rank([[1, 2, 3], [2, 4, 6]]) == 1
     assert kernel_dimension([[1, 2, 3], [2, 4, 6]]) == 2
     assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert exact_rank([]) == exact_rank([[]]) == 0
+
+
+def test_exact_rank_past_the_modular_certificate():
+    p = geometry._PRIME
+    # multiples of the prime vanish mod p, so the certificate misses and
+    # Bareiss gives the rank over Q
+    assert geometry._rank_mod_p([[p]]) == 0
+    assert exact_rank([[p]]) == 1
+    assert exact_rank([[p, 0], [0, 1]]) == 2
+    # entries wider than int64 are reduced as Python ints, never wrapped
+    assert exact_rank([[2**70, 1], [2**71, 2]]) == 1
 
 
 small_entries = st.one_of(

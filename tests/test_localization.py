@@ -172,6 +172,17 @@ def test_inequality_on_sampled_directions():
             assert ok, (name, v, lhs, rhs)
 
 
+def test_sampled_directions_meet_the_bound():
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        cone = cone_over(entry.realize())
+        for seed in range(3):
+            for v in sample_directions(cone, seed=seed, grid=6):
+                lhs, rhs, ok = check_generalized_monotonicity(cone, v)
+                assert ok, (entry.name, seed, v, lhs, rhs)
+
+
 def test_sampler_hits_nontrivial_strata(square_cone):
     dirs = sample_directions(square_cone, seed=0, grid=4)
     assert any(
@@ -187,7 +198,7 @@ def test_negative_grid_rejected(square_cone):
 def test_sampler_matches_pair_list_oracle(monkeypatch):
     # a span direction stands in as its pair (a, b), so the pair sequences
     # themselves are compared, at no nullspace cost; grid 1 and 3 end the
-    # pair batch early, and the random batch after the shuffle checks that
+    # pair batch early, and the random batch after the pairs checks that
     # the generator's state is the oracle's too
     def pair(cone, a, b):
         return (a, b)
@@ -213,6 +224,7 @@ def test_incidence_classes_match_down_set_oracle():
         for v in sample_directions(cone, seed=0, grid=6):
             dec = classify_faces(cone, v)
             assert (dec.back, dec.front) == oracles.downset_classes(cone, v), (entry.name, v)
+            assert dec.min_fixed == oracles.loop_min_fixed(cone.lattice, dec.fixed), (entry.name, v)
 
 
 def test_cone_over_a_point_rejected():

@@ -3,8 +3,16 @@ from math import comb
 
 import pytest
 
-from toricgh.catalog import parse_recipe
-from toricgh.geometry import central_fan, cone_over, exact_rank, facet_enumeration
+from toricgh import geometry
+from toricgh.catalog import geometric_catalog, parse_recipe
+from toricgh.geometry import (
+    _eliminate,
+    _integer_rows,
+    central_fan,
+    cone_over,
+    exact_rank,
+    facet_enumeration,
+)
 from toricgh.rigidity import (
     Framework,
     build_framework,
@@ -12,6 +20,7 @@ from toricgh.rigidity import (
     g2_via_stresses,
     infinitesimal_rigidity_check,
     rigidity_matrix,
+    rigidity_rank,
     stress_dimension,
 )
 from toricgh.toric import g2_closed, toric_g
@@ -154,3 +163,49 @@ def kernel_dim_of(fw):
     from toricgh.geometry import kernel_dimension
 
     return kernel_dimension(rigidity_matrix(fw))
+
+
+def _bareiss_rank(fw):
+    return len(_eliminate(_integer_rows(rigidity_matrix(fw)))[0])
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Counts the Bareiss eliminations that ``exact_rank`` falls back to."""
+    calls = []
+
+    def spy(mat, full=False):
+        calls.append(len(mat))
+        return _eliminate(mat, full)
+
+    monkeypatch.setattr(geometry, "_eliminate", spy)
+    return calls
+
+
+def test_certified_rank_equals_bareiss(bareiss_calls):
+    # every catalog framework reaches d n - C(d+1, 2), so no fallback runs
+    polytopes = [e.realize() for e in geometric_catalog() if e.dim >= 3]
+    polytopes.append(facet_enumeration(parse_recipe("cube5").vertices()))
+    for p in polytopes:
+        fw = build_framework(p)
+        expect = _bareiss_rank(fw)
+        bareiss_calls.clear()
+        assert rigidity_rank(fw) == expect == fw.d * len(fw.points) - comb(fw.d + 1, 2), p
+        assert fw.n_edges - expect == stress_dimension(fw)
+        assert not bareiss_calls, p
+
+
+def test_framework_without_diagonals_falls_back_to_bareiss(bareiss_calls):
+    # without the diagonals of its square 2-faces the prism flexes, and the
+    # stresses of its two simplicial facets keep the rank below the number of
+    # bars too: no bound is met, so the rank mod p certifies nothing
+    p = parse_recipe("prism(cyclic(6,4))").realize()
+    lat = p.lattice
+    edges = tuple(tuple(sorted(lat.faces[e])) for e in lat.faces_of_dim(1))
+    fw = Framework(tuple(p.coords), edges, p.d)
+    expect = _bareiss_rank(fw)
+    assert expect < min(len(edges), p.d * len(p.coords) - comb(p.d + 1, 2))
+    bareiss_calls.clear()
+    assert rigidity_rank(fw) == expect
+    assert bareiss_calls
+    assert not infinitesimal_rigidity_check(fw)

@@ -45,7 +45,7 @@ def test_square_shelling_partial_unions_are_paths(square):
 def test_prism_shelling_with_triangles_first_and_fourth(prism):
     sh = line_shelling(prism, direction=PAPER_DIRECTION)
     lat = prism.lattice
-    sizes = [len(lat.faces[f]) for f in sh.facet_faces]
+    sizes = [len(lat.faces[prism.facet_faces[i]]) for i in sh.order]
     assert sizes[0] == 3 and sizes[3] == 3  # the simplicial facets
     loc = shelling_decomposition(sh)
     assert [p.to_json() for p in loc] == [
@@ -140,15 +140,15 @@ def test_decomposition_sums_and_nonnegativity():
 def test_value_at_one_is_g_of_facet(prism):
     sh = line_shelling(prism, seed=1)
     loc = shelling_decomposition(sh)
-    for piece, facet_face in zip(loc, sh.facet_faces):
-        assert piece(1) == face_g(prism.lattice, facet_face)(1)
+    for piece, i in zip(loc, sh.order):
+        assert piece(1) == face_g(prism.lattice, prism.facet_faces[i])(1)
 
 
 def test_last_step_is_g_of_last_facet(prism):
     for seed in range(4):
         sh = line_shelling(prism, seed=seed)
         loc = shelling_decomposition(sh)
-        assert loc[-1] == face_g(prism.lattice, sh.facet_faces[-1])
+        assert loc[-1] == face_g(prism.lattice, prism.facet_faces[sh.order[-1]])
 
 
 def test_reversed_shelling_gives_degree_reversed_locals(prism):
