@@ -106,7 +106,8 @@ def rigidity_rank(fw: Framework) -> int:
     at_most = None
     if joints and exact_rank([[a - b for a, b in zip(p, joints[0])] for p in joints]) == fw.d:
         at_most = fw.d * len(joints) - comb(fw.d + 1, 2)
-    return exact_rank(rigidity_matrix(Framework(tuple(joints), fw.edges, fw.d)), at_most=at_most)
+    rows = rigidity_matrix(Framework(tuple(joints), fw.edges, fw.d))
+    return exact_rank(rows, at_most=at_most)
 
 
 def stress_dimension(fw: Framework) -> int:
