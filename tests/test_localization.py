@@ -165,19 +165,11 @@ def test_front_back_invariants_sampled():
 
 
 def test_inequality_on_sampled_directions():
-    for name in ["cube2", "simplex3", "cube3", "cross3", "pyramid(cube2)"]:
-        cone = cone_over(parse_recipe(name).realize())
-        for v in sample_directions(cone, seed=5, grid=6):
-            lhs, rhs, ok = check_generalized_monotonicity(cone, v)
-            assert ok, (name, v, lhs, rhs)
-
-
-def test_sampled_directions_meet_the_bound():
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
         cone = cone_over(entry.realize())
-        for seed in range(3):
+        for seed in (0, 1, 2, 5):
             for v in sample_directions(cone, seed=seed, grid=6):
                 lhs, rhs, ok = check_generalized_monotonicity(cone, v)
                 assert ok, (entry.name, seed, v, lhs, rhs)
