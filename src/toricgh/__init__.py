@@ -9,7 +9,7 @@ share across concurrent tasks.
 """
 
 from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
-from toricgh.lattice import FaceLattice, LatticeError, is_eulerian
+from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.geometry import (
     Cone,
     Fan,

@@ -2,8 +2,9 @@
 
 Base families: simplex(d), cube(d), cross(d) and cyclic(n, d) with the
 standard realizations (unit simplex, 0/1 cube, unit cross-polytope,
-moment curve at integer parameters 1..n).  Cyclic facets come from the
-evenness criterion on the moment curve, independently of coordinates.
+moment curve at integer parameters 1..n).  Cyclic facets are generated
+by Gale's evenness criterion, block by block, independently of
+coordinates.
 Composite entries apply pyramid / bipyramid / prism to other entries;
 recipes like ``prism(pyramid(cube3))`` compose arbitrarily.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from toricgh.geometry import GeometricPolytope, facet_enumeration
@@ -129,24 +130,26 @@ def cross_vertices(d):
 
 
 def cyclic_facets(n, d):
-    """Facets of the cyclic polytope by the evenness criterion.
+    """Facets of the cyclic polytope by Gale's evenness criterion.
 
     A d-subset S of the n moment-curve points spans a facet exactly when
     every two points outside S are separated by an even number of points
-    of S; it suffices to test consecutive outside pairs.
+    of S.  So S is a run 0..a-1 at the start, a run n-b..n-1 at the end
+    and, apart from both, runs of even length: k = (d - a - b) / 2
+    disjoint pairs {p, p+1} inside a+1..n-b-2, placed by choosing k of
+    n-a-b-2-k slots.  The facets are listed from these choices and
+    returned in the order of ``combinations(range(n), d)``, so the cost
+    follows the facet count, not C(n, d).
     """
     facets = []
-    for s in combinations(range(n), d):
-        sset = set(s)
-        outside = [i for i in range(n) if i not in sset]
-        ok = True
-        for a, b in zip(outside, outside[1:]):
-            if sum(1 for k in s if a < k < b) % 2:
-                ok = False
-                break
-        if ok:
-            facets.append(frozenset(s))
-    return facets
+    for a in range(d + 1):
+        for b in range((d - a) % 2, min(d - a, n - 1 - a) + 1, 2):
+            k = (d - a - b) // 2
+            head, tail = tuple(range(a)), tuple(range(n - b, n))
+            for slots in combinations(range(n - a - b - 2 - k), k):
+                pairs = chain.from_iterable((a + 1 + s + i, a + 2 + s + i) for i, s in enumerate(slots))
+                facets.append(head + tuple(pairs) + tail)
+    return [frozenset(s) for s in sorted(facets)]
 
 
 def cyclic_lattice(n, d):

@@ -22,6 +22,15 @@ Construction validates that the poset is graded, atomic and Eulerian;
 inputs that fail (e.g. an open facet path) are rejected since they
 cannot be polytope boundaries.
 
+A vertex-facet incidence (``from_vertex_facets``) is checked on packed
+words over the vertices the facets name, and then closed under
+intersection on its smaller side: the facets, or, with more facets
+than vertices, the vertex columns (the facets through each vertex),
+each face's vertices then read off as the columns that hold its facet
+set.  Either way the cost follows faces x min(facets, vertices), and
+the faces reach the order builder as packed words (``_sorted_words``),
+with one frozenset made per face.
+
 Dimension conventions: dim(empty face) = -1; the one-element lattice is
 the empty polytope, which is distinct from a point (two elements).
 """
@@ -68,51 +77,48 @@ class FaceLattice:
         faces, sizes, bits, members = _sorted_faces(
             {frozenset(f) for f in face_sets}, n_vertices
         )
-        n = len(faces)
-        if n == 0:
-            raise LatticeError("no faces given")
-        px, py = _strict_pairs(sizes, bits, members)
-        if int(np.searchsorted(px, 1)) != n - 1:
-            raise LatticeError("no unique bottom element")
-        dims = _grade(sizes, px, py)
-        for a in (px, py, dims):
-            a.setflags(write=False)
-        return FaceLattice(faces, n_vertices, (px, py), dims, check=check)
+        return _from_sorted(faces, sizes, bits, members, n_vertices, check)
 
     @staticmethod
     def from_vertex_facets(n_vertices, facets, check=True) -> "FaceLattice":
         """Full face lattice from a vertex-facet incidence description.
 
         Proper faces are all intersections of facet vertex sets; the empty
-        face and the top face are adjoined.  Rejects descriptions whose
-        closure is not a graded Eulerian atomic lattice.
+        face and the top face are adjoined.  The closure is taken on the
+        smaller side of the incidence: with more facets than vertices it
+        closes the vertex columns (the facets through each vertex) under
+        intersection instead, and reads each face's vertices off as the
+        vertices whose column holds its facet set.  Once every vertex
+        lies on a facet both sides give the same faces.  Rejects
+        descriptions whose closure is not a graded Eulerian atomic
+        lattice.  Facet containment, vertex range and vertex coverage
+        are checked in that order, before the closure.
         """
         if n_vertices < 1:
             raise LatticeError("need at least one vertex")
         facets = [frozenset(f) for f in facets]
         if not facets or any(not f for f in facets):
             raise LatticeError("facets must be nonempty vertex sets")
-        for i, f in enumerate(facets):
-            for j, g in enumerate(facets):
-                if i != j and f <= g:
-                    raise LatticeError("one facet contains another")
-        _check_range(facets, n_vertices)
-        # the closure under intersection, on int bitmasks
-        masks = [sum(1 << v for v in f) for f in facets]
-        top = 0
-        for m in masks:
-            top |= m
-        if top.bit_count() != n_vertices:
+        # Facets are compared as words over the vertices they name,
+        # numbered in order (the identity once range and coverage hold),
+        # so the checks keep their order and nothing sized by n_vertices
+        # is made before coverage is known.
+        named = sorted(set().union(*facets))
+        if named[0] != 0 or named[-1] != len(named) - 1:
+            number = {v: i for i, v in enumerate(named)}
+            facet_sets = [frozenset(number[v] for v in f) for f in facets]
+        else:
+            facet_sets = facets
+        _, sizes, bits, members = _sorted_faces(facet_sets, len(named))
+        equal = (bits[1:] == bits[:-1]).all(axis=1).any()     # neighbours once sorted
+        if equal or _strict_pairs(sizes, bits, members)[0].size:
+            raise LatticeError("one facet contains another")
+        if named[0] < 0 or named[-1] >= n_vertices:
+            _check_range(facets, n_vertices)
+        if len(named) != n_vertices:
             raise LatticeError("some vertex lies on no facet")
-        found, frontier = set(masks), set(masks)
-        while frontier:
-            met = set()
-            for f in frontier:
-                met |= {f & g for g in masks}
-            frontier = met - found
-            found |= frontier
-        found.update((0, top))
-        return FaceLattice.build(map(_vertices, found), n_vertices, check=check)
+        words = _closure(bits, members, n_vertices)
+        return _from_sorted(*_sorted_words(words), n_vertices, check)
 
     def _validate(self):
         faces, dims = self.faces, self.dims
@@ -373,27 +379,8 @@ def _check_range(faces, n_vertices):
                 raise LatticeError(f"vertex index {v} out of range")
 
 
-def _vertices(mask: int) -> frozenset:
-    """The vertex set of a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def _sorted_faces(face_sets, n_vertices):
-    """(faces, sizes, bits, members): faces by vertex count, then by sorted vertex list.
-
-    ``bits`` holds one row of uint64 words per face, vertex v as bit
-    63 - v % 64 of word v // 64.  Two faces of one count compare at the
-    first vertex in which they differ, and the face holding it comes
-    first: with vertex 0 as the highest bit that is descending order of
-    the words, so one lexsort over them orders the faces, with no
-    per-face sort.  ``members`` is (rows, verts), one entry per vertex of
-    each face, rows counted in the sorted order.
-    """
+    """(faces, sizes, bits, members) of vertex sets, sorted as ``_sort`` orders them."""
     faces = list(face_sets)
     n = len(faces)
     sizes = np.fromiter(map(len, faces), dtype=np.int64, count=n)
@@ -404,10 +391,106 @@ def _sorted_faces(face_sets, n_vertices):
     rows = np.repeat(np.arange(n), sizes)
     bits = np.zeros((n, -(-max(n_vertices, 1) // 64)), dtype=np.uint64)
     np.bitwise_or.at(bits, (rows, verts // 64), np.uint64(1) << (63 - verts % 64).astype(np.uint64))
+    return _sort(faces, sizes, bits, (rows, verts))
+
+
+def _sorted_words(bits):
+    """(faces, sizes, bits, members) of faces given as word rows, sorted as ``_sort`` orders them.
+
+    The words are unpacked about _CHUNK bits at a time, and each face's
+    frozenset is made once, from its run of vertices.
+    """
+    step = max(1, _CHUNK // (64 * bits.shape[1]))
+    rows, verts = [], []
+    for a in range(0, len(bits), step):
+        r, v = np.nonzero(np.unpackbits(bits[a:a + step].astype(">u8").view(np.uint8), axis=1))
+        rows.append(r + a)
+        verts.append(v)
+    rows, verts = np.concatenate(rows), np.concatenate(verts)
+    sizes = np.bincount(rows, minlength=len(bits))
+    flat = verts.tolist()
+    faces = [frozenset(flat[b - k:b]) for b, k in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+    return _sort(faces, sizes, bits, (rows, verts))
+
+
+def _sort(faces, sizes, bits, members):
+    """(faces, sizes, bits, members) by vertex count, then by sorted vertex list.
+
+    ``bits`` holds one row of uint64 words per face, vertex v as bit
+    63 - v % 64 of word v // 64.  Two faces of one count compare at the
+    first vertex in which they differ, and the face holding it comes
+    first: with vertex 0 as the highest bit that is descending order of
+    the words, so one lexsort over them orders the faces, with no
+    per-face sort.  ``members`` is (rows, verts), one entry per vertex of
+    each face, rows counted in the sorted order.
+    """
+    rows, verts = members
     order = np.lexsort((*(~bits).T[::-1], sizes))
     rank = np.empty_like(order)
-    rank[order] = np.arange(n)
+    rank[order] = np.arange(len(order))
     return [faces[i] for i in order], sizes[order], bits[order], (rank[rows], verts)
+
+
+def _closure(bits, members, n_vertices):
+    """Word rows of every face of the facets ``bits``, closed on the smaller side.
+
+    With no more facets than vertices the facets' vertex sets are closed
+    under intersection, as ints with the words' bit layout.  Otherwise
+    the vertex columns are: the facet set of a face is an intersection
+    of the columns of its vertices (no facet for the top), and its
+    vertices are those whose column holds that set, read for all faces
+    in one pass over the words.  A closure costs one AND per face and
+    generator, and there are min(facets, vertices) generators.
+    """
+    m, width = bits.shape
+    if m <= n_vertices:
+        found = _intersections([int.from_bytes(row.tobytes(), "big") for row in bits.astype(">u8")])
+        found.update((0, ((1 << n_vertices) - 1) << (64 * width - n_vertices)))
+        words = b"".join(f.to_bytes(8 * width, "big") for f in found)
+        return np.frombuffer(words, dtype=">u8").reshape(-1, width).astype(np.uint64)
+    rows, verts = members
+    through = np.zeros((n_vertices, -(-m // 64) * 64), dtype=bool)
+    through[verts, rows] = True
+    columns = np.packbits(through, axis=1)
+    found = _intersections([int.from_bytes(c.tobytes(), "big") for c in columns])
+    found.add(0)
+    # the facet sets and the columns are read alike from big-endian bytes,
+    # and only AND and NOT act on them, so the word order does not matter
+    held = b"".join(f.to_bytes(columns.shape[1], "big") for f in found)
+    held = np.frombuffer(held, dtype=np.uint64).reshape(len(found), -1)
+    inside = np.zeros((len(found) + 1, 64 * width), dtype=bool)     # row 0 is the empty face
+    for v, column in enumerate(columns.view(np.uint64)):
+        inside[1:, v] = ~(held & ~column).any(axis=1)
+    return np.packbits(inside, axis=1).view(">u8").astype(np.uint64)
+
+
+def _intersections(gens):
+    """Every intersection of one or more of the int bitmasks ``gens``."""
+    found, frontier = set(gens), list(set(gens))
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = f & g
+                if h not in found:
+                    found.add(h)
+                    new.append(h)
+        frontier = new
+    return found
+
+
+def _from_sorted(faces, sizes, bits, members, n_vertices, check):
+    """The lattice of sorted faces: strict pairs by inclusion, then the grading."""
+    n = len(faces)
+    if n == 0:
+        raise LatticeError("no faces given")
+    px, py = _strict_pairs(sizes, bits, members)
+    if int(np.searchsorted(px, 1)) != n - 1:
+        raise LatticeError("no unique bottom element")
+    dims = _grade(sizes, px, py)
+    for a in (px, py, dims):
+        a.setflags(write=False)
+    return FaceLattice(faces, n_vertices, (px, py), dims, check=check)
 
 
 def _strict_pairs(sizes, bits, members):
@@ -515,7 +598,3 @@ def _grade(sizes, px, py):
         heights[ys[first]] = np.maximum.reduceat(heights[cx[a:b]], first) + 1
     return heights - 1
 
-
-def is_eulerian(lat: FaceLattice) -> bool:
-    """Every interval of length >= 1 has equal even- and odd-dim counts."""
-    return not lat._intervals()[1].any()

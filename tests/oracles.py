@@ -16,11 +16,17 @@ individualization when refinement stalls.
 
 ``dense_from_vertex_facets`` and ``dense_build`` are the face lattice
 construction the library used before it worked on the list of
-comparable pairs: a frozenset intersection closure, inclusion from an
-int64 incidence product, heights from a per-face loop, covers and the
-Eulerian balance from float64 matrix products, and flag numbers from
-``np.ix_`` slices of the dense order.  They return plain
-``(faces, leq, dims)`` and raise the same ``LatticeError`` messages.
+comparable pairs: a frozenset intersection closure of the facets
+(``set_closure``), inclusion from an int64 incidence product, heights
+from a per-face loop, covers and the Eulerian balance from float64
+matrix products, and flag numbers from ``np.ix_`` slices of the dense
+order.  They return plain ``(faces, leq, dims)`` and raise the same
+``LatticeError`` messages.  ``is_eulerian`` reads the balance the
+library computes; only tests ask for it.
+
+``subset_scan_cyclic_facets`` is the cyclic facet list the library made
+before it generated the facets block by block: Gale's evenness test on
+every d-subset, in the order of ``combinations``.
 
 ``dense_interval_tables`` is the single-root h/g table the library built
 before it read the list of comparable pairs: the root's block of the
@@ -473,10 +479,14 @@ def dense_from_vertex_facets(n_vertices, facets, check=True):
         for j, g in enumerate(facets):
             if i != j and f <= g:
                 raise LatticeError("one facet contains another")
-    top = frozenset(range(n_vertices))
-    if frozenset().union(*facets) != top:
+    if frozenset().union(*facets) != frozenset(range(n_vertices)):
         raise LatticeError("some vertex lies on no facet")
+    return dense_build(set_closure(n_vertices, facets), n_vertices, check=check)
 
+
+def set_closure(n_vertices, facets):
+    """The facets' intersections as frozensets, with the empty face and the top."""
+    facets = [frozenset(f) for f in facets]
     faces = set(facets)
     queue = list(facets)
     while queue:
@@ -487,8 +497,8 @@ def dense_from_vertex_facets(n_vertices, facets, check=True):
                 faces.add(h)
                 queue.append(h)
     faces.add(frozenset())
-    faces.add(top)
-    return dense_build(faces, n_vertices, check=check)
+    faces.add(frozenset(range(n_vertices)))
+    return faces
 
 
 def dense_build(face_sets, n_vertices, check=True):
@@ -746,3 +756,24 @@ def searchsorted_pair_tables(px, py, dims, d):
         g *= np.arange(width) <= (e_y - dx[rows] - 1)[:, None] // 2
         G[rows] = g
     return px, py, H, G
+
+
+def is_eulerian(lat) -> bool:
+    """Every interval of length >= 1 has equal even- and odd-dim counts."""
+    return not lat._intervals()[1].any()
+
+
+def subset_scan_cyclic_facets(n, d):
+    """Facets of the cyclic polytope C(n, d): Gale's evenness test on every d-subset."""
+    facets = []
+    for s in combinations(range(n), d):
+        sset = set(s)
+        outside = [i for i in range(n) if i not in sset]
+        ok = True
+        for a, b in zip(outside, outside[1:]):
+            if sum(1 for k in s if a < k < b) % 2:
+                ok = False
+                break
+        if ok:
+            facets.append(frozenset(s))
+    return facets

@@ -15,9 +15,8 @@ from toricgh.catalog import (
     simplex_lattice,
 )
 from toricgh.geometry import facet_enumeration
-from toricgh.lattice import is_eulerian
 
-from oracles import dense_order, is_isomorphic
+from oracles import dense_order, is_eulerian, is_isomorphic, subset_scan_cyclic_facets
 
 
 def test_base_families_agree_with_iterated_constructions():
@@ -26,6 +25,13 @@ def test_base_families_agree_with_iterated_constructions():
     ) or is_isomorphic(cube_lattice(3), cube_lattice(2).prism())
     assert is_isomorphic(cross_lattice(4), cross_lattice(3).bipyramid())
     assert is_isomorphic(simplex_lattice(3), simplex_lattice(2).pyramid())
+
+
+def test_cyclic_facets_match_subset_scan():
+    # the block-by-block generation lists the facets in the subset scan's order
+    for n in range(3, 16):
+        for d in range(2, n):
+            assert cyclic_facets(n, d) == subset_scan_cyclic_facets(n, d), (n, d)
 
 
 def test_cyclic_gale_evenness_against_enumeration():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,19 @@ def test_bad_lattice_files(tmp_path, capsys, data, reason):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and reason in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_huge_vertex_count_is_bad_input_fast(tmp_path, capsys):
+    # nothing sized by n_vertices is allocated before the facets cover the vertices
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(
+        {"dim": 2, "n_vertices": 1_000_000_000, "facets": [[0, 1], [1, 2], [2, 0], [999_999_999, 0]]}
+    ))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gh", str(f))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.strip() == "error: some vertex lies on no facet"
 
 
 @pytest.mark.parametrize("recipe", ["cyclic(5,", "cyclic(", "cyclic(5,x)"])

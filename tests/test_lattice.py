@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricgh.lattice import FaceLattice, LatticeError, _sorted_faces, is_eulerian
+from toricgh.lattice import FaceLattice, LatticeError, _sorted_faces
 from toricgh.catalog import (
     catalog,
     cross_lattice,
@@ -13,7 +13,7 @@ from toricgh.catalog import (
     simplex_lattice,
 )
 
-from oracles import CanonicalBudgetExceeded, canonical_form, dense_order, is_isomorphic
+from oracles import CanonicalBudgetExceeded, canonical_form, dense_order, is_eulerian, is_isomorphic
 
 CUBE_FACETS = [
     {0, 1, 2, 3}, {4, 5, 6, 7}, {0, 1, 4, 5},

@@ -27,11 +27,14 @@ from oracles import (
     dense_flag_vector,
     dense_from_vertex_facets,
     dense_order,
+    set_closure,
     strict_pairs,
 )
 
 CATALOG = catalog()
 SMALL = [e for e in CATALOG if len(e.lattice()) <= 200]
+MUTABLE = [e for e in SMALL if e.dim >= 1]
+KINDS = ["drop", "union", "vertex"]
 
 
 def _assert_matches_dense(lat):
@@ -102,8 +105,8 @@ def _mutate_facets(lat, kind, rng):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from([e for e in SMALL if e.dim >= 1]),
-    st.sampled_from(["drop", "union", "vertex"]),
+    st.sampled_from(MUTABLE),
+    st.sampled_from(KINDS),
     st.booleans(),
     st.randoms(use_true_random=False),
 )
@@ -148,6 +151,41 @@ def test_mutations_reach_each_kind_of_rejection():
         "face contains a non-atom vertex",
         "one facet contains another",
     } <= seen
+
+
+def _facet_side(lat):
+    """Whether from_vertex_facets closes the facets (no more facets than vertices)."""
+    return len(lat.faces_of_dim(lat.d - 1)) <= lat.n_vertices
+
+
+def test_mutations_reach_both_closure_sides():
+    # from_vertex_facets closes the facets or the vertex columns, whichever
+    # are fewer: the mutation test draws entries of both kinds, and mutated
+    # incidences that reach the closure on both sides
+    sides = {}
+    for e in MUTABLE:
+        sides.setdefault(_facet_side(e.lattice()), set()).add(re.match("[a-z]+", e.name)[0])
+    assert {"cross", "cyclic"} <= sides[False] and {"cube", "prism"} <= sides[True]
+    rng = random.Random(7)
+    reached = set()
+    for _ in range(200):
+        lat = rng.choice(MUTABLE).lattice()
+        facets, n = _mutate_facets(lat, rng.choice(KINDS), rng)
+        msg, _ = _outcome(FaceLattice.from_vertex_facets, n, facets)
+        if msg not in ("one facet contains another", "some vertex lies on no facet"):
+            reached.add(len(facets) <= n)
+    assert reached == {False, True}
+
+
+@pytest.mark.parametrize("name", ["cube7", "cross7", "cyclic(12,6)", "cyclic(14,7)"])
+def test_both_closure_sides_match_set_closure(name):
+    # the frozenset closure of the facets, ordered by build: no n x n product
+    lat = parse_recipe(name).lattice()
+    facets = [lat.faces[i] for i in lat.faces_of_dim(lat.d - 1)]
+    assert _facet_side(lat) == name.startswith("cube")
+    ref = FaceLattice.build(set_closure(lat.n_vertices, facets), lat.n_vertices, check=False)
+    assert lat.faces == ref.faces and np.array_equal(lat.dims, ref.dims)
+    assert np.array_equal(np.stack(lat.pairs), np.stack(ref.pairs))
 
 
 def test_no_float_dtype_in_the_package():
