@@ -2,7 +2,7 @@
 vectors, line shellings, rigidity stresses, face decompositions of cones
 and the identity/inequality checks that tie them together.
 
-All core objects (polynomials, face lattices, polytopes, fans) are
+All core objects (polynomials, face lattices, polytopes, cones) are
 immutable after construction; internal caches only ever store values that
 any thread would recompute identically, so everything here is safe to
 share across concurrent tasks.
@@ -12,13 +12,10 @@ from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.geometry import (
     Cone,
-    Fan,
     GeometricPolytope,
-    central_fan,
     cone_over,
     exact_rank,
     facet_enumeration,
-    kernel_dimension,
 )
 from toricgh.toric import (
     FlagVector,
@@ -28,12 +25,9 @@ from toricgh.toric import (
     check_kalai_identity,
     check_monotonicity,
     check_ubt,
-    fan_h,
     flag_vector,
-    g1_closed,
     g2_closed,
     gtilde,
-    simplicial_h,
     toric_g,
     toric_h,
 )
@@ -41,15 +35,12 @@ from toricgh.shelling import (
     Shelling,
     ShellingError,
     line_shelling,
-    relative_h,
     shelling_decomposition,
 )
 from toricgh.rigidity import (
     Framework,
     build_framework,
-    degree_one_dim,
     g2_via_stresses,
-    infinitesimal_rigidity_check,
     rigidity_matrix,
     stress_dimension,
 )
@@ -57,7 +48,6 @@ from toricgh.localization import (
     ConeDecomposition,
     check_generalized_monotonicity,
     classify_faces,
-    tau_plus_v,
 )
 from toricgh.verma import (
     MultiplicityTable,
@@ -67,6 +57,6 @@ from toricgh.verma import (
     verma_multiplicities,
 )
 # the ``catalog`` function is not re-exported, so ``toricgh.catalog`` stays the submodule
-from toricgh.catalog import CatalogEntry, geometric_catalog, parse_recipe
+from toricgh.catalog import CatalogEntry, parse_recipe
 
 __version__ = "0.1.0"

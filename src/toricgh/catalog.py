@@ -305,8 +305,3 @@ def catalog() -> list[CatalogEntry]:
         f"{o1}({o2}({b}))" for o1 in _OPS for o2 in _OPS for b in depth2
     ]
     return [parse_recipe(n) for n in names]
-
-
-def geometric_catalog() -> list[CatalogEntry]:
-    """Catalog members with coordinates within the enumeration budget."""
-    return [e for e in catalog() if e.realizable()]

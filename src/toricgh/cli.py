@@ -131,7 +131,10 @@ def _suite_instances(args):
 
 def _face_selection(lat, selector: str):
     if selector.startswith("dim="):
-        return lat.faces_of_dim(int(selector[4:]))
+        try:
+            return lat.faces_of_dim(int(selector[4:]))
+        except ValueError:
+            pass
     raise InputError(f"--faces takes 'all' or 'dim=k', got {selector!r}")
 
 

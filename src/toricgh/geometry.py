@@ -1,9 +1,9 @@
-"""Exact rational geometry: polytopes from vertices, cones and fans.
+"""Exact rational geometry: polytopes from vertices and the cones over them.
 
-Coordinates are ``fractions.Fraction``; every kernel and solution comes
-from one fraction-free (Bareiss) elimination on integer rows, and so does
-every rank that its value modulo a 31-bit prime does not settle, so there
-is no floating point anywhere.  Facet enumeration is the double
+Coordinates are ``fractions.Fraction``; every kernel comes from one
+fraction-free (Bareiss) elimination on integer rows, and so does every
+rank that its value modulo a 31-bit prime does not settle, so there is
+no floating point anywhere.  Facet enumeration is the double
 description method (Motzkin; Fukuda & Prodon, "Double description method
 revisited", 1996) on the points scaled once to one integer lattice: it
 adds the points one at a time to the cone of a starting simplex, so its
@@ -20,8 +20,6 @@ from math import gcd, lcm
 import numpy as np
 
 from toricgh.lattice import FaceLattice
-from toricgh.polynomial import Polynomial
-from toricgh import toric
 
 
 def dot(a, b):
@@ -143,13 +141,6 @@ def exact_rank(rows, at_most=None) -> int:
     return len(_eliminate(mat)[0])
 
 
-def kernel_dimension(rows) -> int:
-    """dim ker = number of columns minus the exact rank."""
-    if not rows:
-        return 0
-    return len(rows[0]) - exact_rank(rows)
-
-
 def nullspace(rows):
     """Basis of the right kernel as Fraction tuples.
 
@@ -173,22 +164,6 @@ def nullspace(rows):
             vec[pc] = Fraction(-mat[r][fc], den)
         basis.append(tuple(vec))
     return basis
-
-
-def solve(a_rows, b):
-    """One solution x of A x = b, or None when inconsistent.
-
-    The free variables are 0, as read off the reduced row echelon form.
-    """
-    ncols = len(a_rows[0])
-    mat = _integer_rows([list(row) + [bv] for row, bv in zip(a_rows, b)])
-    pivots, den = _eliminate(mat, full=True)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(mat[r][-1], den)
-    return tuple(x)
 
 
 # -- polytopes ----------------------------------------------------------
@@ -235,18 +210,6 @@ class GeometricPolytope:
     def barycenter(self):
         n = len(self.coords)
         return tuple(sum(col) / n for col in zip(*self.coords))
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": [[str(x) for x in v] for v in self.vertices],
-            "dim": self.d,
-            "facets": [sorted(t) for _, _, t in self.facets],
-            "lattice": self.lattice.to_json(),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "GeometricPolytope":
-        return facet_enumeration(data["vertices"])
 
 
 def _rational_points(vertices):
@@ -384,7 +347,7 @@ def facet_enumeration(vertices) -> GeometricPolytope:
     return GeometricPolytope(tuple(pts), tuple(coords), d, facet_list, lat)
 
 
-# -- cones and fans ------------------------------------------------------
+# -- cones -------------------------------------------------------------
 
 
 class Cone:
@@ -417,101 +380,8 @@ class Cone:
         """Primitive ray generators of the cone over lattice face ``face``."""
         return [self.rays[v] for v in sorted(self.lattice.faces[face])]
 
-    def face_fan(self) -> "Fan":
-        lat = self.lattice
-        cones = [frozenset(lat.faces[i]) for i in range(len(lat.faces))]
-        return Fan(
-            rays=self.rays,
-            cones=cones,
-            cone_faces=list(range(len(lat.faces))),
-            lattice=lat,
-            complete=False,
-        )
-
 
 def cone_over(p: GeometricPolytope) -> Cone:
     if not p.vertices:
         raise ValueError("cone over nothing")
     return Cone(p)
-
-
-class Fan:
-    """A fan described by ray indices per cone, tied to a source lattice.
-
-    Each cone is the cone over a face of the source polytope (the whole
-    polytope for the fan of a single full-dimensional cone); the zero
-    cone has an empty ray set.  The boundary subfan is generated by the
-    codimension-one cones lying in exactly one top-dimensional cone.
-    """
-
-    def __init__(self, rays, cones, cone_faces, lattice, complete):
-        self.rays = tuple(rays)
-        self.cones = tuple(frozenset(c) for c in cones)
-        self.cone_faces = tuple(cone_faces)
-        self.lattice = lattice
-        self.complete = complete
-        self._validate()
-        self.dim = max(self.cone_dim(i) for i in range(len(self.cones)))
-        self.boundary = self._boundary()
-
-    def __repr__(self):
-        return f"Fan(dim={self.dim}, cones={len(self.cones)}, complete={self.complete})"
-
-    def to_json(self) -> dict:
-        return {
-            "rays": [list(r) for r in self.rays],
-            "cones": [sorted(c) for c in self.cones],
-            "complete": self.complete,
-            "boundary": sorted(self.boundary),
-        }
-
-    def cone_dim(self, i) -> int:
-        return int(self.lattice.dims[self.cone_faces[i]]) + 1
-
-    def cone_g(self, i) -> Polynomial:
-        return toric.face_g(self.lattice, self.cone_faces[i])
-
-    def _validate(self):
-        index = {c: i for i, c in enumerate(self.cones)}
-        if len(index) != len(self.cones):
-            raise ValueError("duplicate cones in fan")
-        # intersection of any two cones must be a common face; at the
-        # ray-set level the meet of two faces is the intersection of
-        # their vertex sets, which must itself be a cone of the fan
-        for a in self.cones:
-            for b in self.cones:
-                if (a & b) not in index:
-                    raise ValueError("cone intersection is not a face of the fan")
-
-    def _boundary(self):
-        if self.complete:
-            return frozenset()
-        d = max(self.cone_dim(i) for i in range(len(self.cones)))
-        top = [i for i in range(len(self.cones)) if self.cone_dim(i) == d]
-        gen = [
-            i
-            for i in range(len(self.cones))
-            if self.cone_dim(i) == d - 1
-            and sum(1 for t in top if self.cones[i] <= self.cones[t]) == 1
-        ]
-        out = set()
-        for g in gen:
-            for i in range(len(self.cones)):
-                if self.cones[i] <= self.cones[g]:
-                    out.add(i)
-        return frozenset(out)
-
-
-def central_fan(p: GeometricPolytope) -> Fan:
-    """Complete fan of cones over the proper faces, origin at the barycenter."""
-    c = p.barycenter()
-    rays = [primitive_ray([x - y for x, y in zip(v, c)]) for v in p.coords]
-    lat = p.lattice
-    cones = [frozenset(lat.faces[i]) for i in range(len(lat.faces) - 1)]
-    return Fan(
-        rays=rays,
-        cones=cones,
-        cone_faces=list(range(len(lat.faces) - 1)),
-        lattice=lat,
-        complete=True,
-    )

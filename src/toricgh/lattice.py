@@ -80,7 +80,7 @@ class FaceLattice:
         return _from_sorted(faces, sizes, bits, members, n_vertices, check)
 
     @staticmethod
-    def from_vertex_facets(n_vertices, facets, check=True) -> "FaceLattice":
+    def from_vertex_facets(n_vertices, facets) -> "FaceLattice":
         """Full face lattice from a vertex-facet incidence description.
 
         Proper faces are all intersections of facet vertex sets; the empty
@@ -118,7 +118,7 @@ class FaceLattice:
         if len(named) != n_vertices:
             raise LatticeError("some vertex lies on no facet")
         words = _closure(bits, members, n_vertices)
-        return _from_sorted(*_sorted_words(words), n_vertices, check)
+        return _from_sorted(*_sorted_words(words), n_vertices, check=True)
 
     def _validate(self):
         faces, dims = self.faces, self.dims
@@ -246,18 +246,6 @@ class FaceLattice:
             leq.setflags(write=False)
             self._cache["leq"] = leq
         return leq
-
-    def covers_of(self, i) -> list[int]:
-        cov = self._cache.get("covers")
-        if cov is None:
-            px, py = self.pairs
-            cover = self._intervals()[0] == 0
-            cx, cy = px[cover], py[cover]
-            bounds = np.searchsorted(cx, np.arange(len(self.faces) + 1)).tolist()
-            cy = cy.tolist()
-            cov = [cy[a:b] for a, b in zip(bounds, bounds[1:])]
-            self._cache["covers"] = cov
-        return cov[i]
 
     def is_simplicial(self) -> bool:
         """Every proper face is a simplex (|vertices| = dim + 1)."""

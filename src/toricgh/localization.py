@@ -67,20 +67,6 @@ def classify_faces(cone: Cone, v) -> ConeDecomposition:
     )
 
 
-def tau_plus_v(decomp: ConeDecomposition, face: int) -> int:
-    """The unique smallest fixed face containing a back face."""
-    if face not in decomp.back:
-        raise ValueError("drift target is only defined for back faces")
-    lat = decomp.cone.lattice
-    up = {face, *lat.above(face).tolist()}
-    above = [i for i in decomp.fixed if i in up]
-    held = set(above)
-    mins = [i for i in above if held.isdisjoint(lat.below(i).tolist())]
-    if len(mins) != 1:
-        raise AssertionError(f"minimal fixed face above {face} is not unique: {mins}")
-    return mins[0]
-
-
 def check_generalized_monotonicity(cone: Cone, v):
     """g(sigma, 1) >= sum over minimal fixed faces of g(tau, 1) g(sigma/tau, 1).
 

@@ -102,10 +102,6 @@ class Polynomial:
             raise ValueError("reversal degree below polynomial degree")
         return Polynomial([self[d - k] for k in range(d + 1)])
 
-    def truncated(self, k: int) -> "Polynomial":
-        """Drop all terms of degree > k."""
-        return Polynomial(self.coeffs[: k + 1])
-
     def is_palindromic(self, d: int) -> bool:
         """True iff coefficient k equals coefficient d-k for 0 <= k <= d."""
         return all(self[k] == self[d - k] for k in range(d + 1))

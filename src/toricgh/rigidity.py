@@ -8,15 +8,10 @@ polytope all of them are restrictions of global affine motions, so the
 kernel has dimension C(d+1, 2).  The cokernel is the space of stresses,
 whose dimension realizes the invariant g_2 in dimension >= 4 and
 vanishes in dimension 3 (Cauchy-Dehn-Aleksandrov rigidity).
-
-Degree one is simpler: the rank of the ray-restriction matrix of a fan
-computes the number of rays minus dim V, realizing h_1 for central fans
-and g_1 for single full-dimensional cones.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -121,25 +116,3 @@ def g2_via_stresses(p: GeometricPolytope) -> int:
     Equals g_2(P) for convex P of dimension >= 4 and 0 in dimension 3.
     """
     return stress_dimension(build_framework(p))
-
-
-def infinitesimal_rigidity_check(fw: Framework) -> bool:
-    """All first-order motions are affine: kernel dim equals C(d+1, 2)."""
-    return fw.d * len(fw.points) - rigidity_rank(fw) == comb(fw.d + 1, 2)
-
-
-def degree_one_dim(fan) -> int:
-    """Number of rays minus the rank of the ray matrix.
-
-    When the rays span the ambient space this is #rays - dim V, which is
-    h_1 for a complete polytopal fan and g_1 for a full-dimensional cone
-    over a polytope; when they do not span, a warning is emitted and the
-    corank is returned anyway.
-    """
-    rays = list(fan.rays)
-    if not rays:
-        return 0
-    rank = exact_rank(rays)
-    if rank < len(rays[0]):
-        warnings.warn("fan rays do not span the ambient space", stacklevel=2)
-    return len(rays) - rank

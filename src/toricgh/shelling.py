@@ -22,9 +22,8 @@ from itertools import chain, islice
 import numpy as np
 
 from toricgh.geometry import GeometricPolytope, dot
-from toricgh.lattice import FaceLattice
-from toricgh.polynomial import Polynomial, binomial_power
-from toricgh.toric import _interval_tables, _kernels, face_g, toric_h
+from toricgh.polynomial import Polynomial
+from toricgh.toric import _interval_tables, _kernels, toric_h
 
 
 class ShellingError(RuntimeError):
@@ -129,30 +128,6 @@ def _first_cover(sh: Shelling) -> np.ndarray:
     if not inc.any(axis=0).all():
         raise ShellingError("some boundary face lies in no facet")
     return inc.argmax(axis=0)
-
-
-def relative_h(lat: FaceLattice, faces_i, faces_j) -> Polynomial:
-    """h(I, J, t) = sum over F in I minus J of g(F) (t-1)^(d-1-dim F).
-
-    I and J are subcomplexes of the boundary, given as lattice face
-    indices; the empty face counts as a member of every nonempty
-    subcomplex and may be omitted by the caller.
-    """
-    d = lat.d
-    si = set(faces_i) | ({lat.bottom} if faces_i else set())
-    sj = set(faces_j) | ({lat.bottom} if faces_j else set())
-    if not sj <= si:
-        raise ValueError("J must be a subcomplex of I")
-    for s in (si, sj):
-        if lat.top in s:
-            raise ValueError("subcomplexes live in the boundary, not P itself")
-        for f in s:
-            if not s.issuperset(lat.below(f).tolist()):
-                raise ValueError("face sets must be closed under subfaces")
-    out = Polynomial()
-    for f in si - sj:
-        out = out + face_g(lat, f) * binomial_power(-1, d - 1 - int(lat.dims[f]))
-    return out
 
 
 def shelling_decomposition(sh: Shelling) -> list[Polynomial]:

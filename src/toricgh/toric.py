@@ -406,26 +406,6 @@ def g2_closed(lat: FaceLattice) -> int:
     )
 
 
-# -- fans --------------------------------------------------------------
-
-
-def fan_h(fan) -> Polynomial:
-    """h-polynomial of a purely d-dimensional fan with known boundary.
-
-    Sums g(cone) (t-1)^(d - dim cone) over cones not in the boundary
-    subfan; for a complete fan the boundary is empty and this equals the
-    h-polynomial of the underlying polytope, and for the fan of a single
-    full-dimensional cone it collapses to g of the base.
-    """
-    d = fan.dim
-    out = Polynomial()
-    for c in range(len(fan.cones)):
-        if c in fan.boundary:
-            continue
-        out = out + fan.cone_g(c) * binomial_power(-1, d - fan.cone_dim(c))
-    return out
-
-
 # -- extended g --------------------------------------------------------
 
 

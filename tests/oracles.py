@@ -64,6 +64,15 @@ computed before it read the facet x face incidence matrix
 (``GeometricPolytope.facet_incidence``): each builds its face masks
 from the lattice down-sets ``lat.below`` of the facets, and of the
 shared ridges, at every step.
+
+``Fan``, ``central_fan``, ``face_fan``, ``fan_h`` and ``degree_one_dim``
+are the fan layer the library once exported: fans of cones over the
+faces of a polytope, their h-polynomial as a sum of cone g-polynomials,
+and the corank of the ray matrix.  ``relative_h`` is a shelling piece
+summed face by face over a pair of subcomplexes, ``tau_plus_v`` the
+drift of a back face to its minimal fixed face, ``covers`` the Hasse
+diagram read off the interval counts, and ``geometric_catalog`` the
+realizable slice of the catalog.
 """
 
 import random
@@ -74,6 +83,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
 from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
 from toricgh.localization import span_pair_direction
@@ -406,7 +416,7 @@ class CanonicalBudgetExceeded(RuntimeError):
 def canonical_form(lat, budget=512):
     """Certificate equal for isomorphic lattices, distinct otherwise."""
     n = len(lat.faces)
-    up = [tuple(lat.covers_of(i)) for i in range(n)]
+    up = [tuple(c) for c in covers(lat)]
     down = [[] for _ in range(n)]
     for i in range(n):
         for j in up[i]:
@@ -777,3 +787,134 @@ def subset_scan_cyclic_facets(n, d):
         if ok:
             facets.append(frozenset(s))
     return facets
+
+
+def geometric_catalog():
+    """The catalog entries with coordinates within the enumeration budget."""
+    return [e for e in catalog() if e.realizable()]
+
+
+def covers(lat):
+    """Row k lists the faces covering face k, ascending: the pairs with no face between."""
+    px, py = lat.pairs
+    cover = lat._intervals()[0] == 0
+    cx, cy = px[cover], py[cover].tolist()
+    bounds = np.searchsorted(cx, np.arange(len(lat.faces) + 1)).tolist()
+    return [cy[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# -- fans, shelling pieces and drift -----------------------------------------
+
+
+class Fan:
+    """A fan given by ray indices per cone, each the cone over a face of ``lattice``.
+
+    The zero cone has an empty ray set.  The boundary subfan is generated
+    by the codimension-one cones lying in exactly one top-dimensional
+    cone; a complete fan has none.
+    """
+
+    def __init__(self, rays, cones, cone_faces, lattice, complete):
+        self.rays = tuple(rays)
+        self.cones = tuple(frozenset(c) for c in cones)
+        self.cone_faces = tuple(cone_faces)
+        self.lattice = lattice
+        self.complete = complete
+        index = set(self.cones)
+        if len(index) != len(self.cones):
+            raise ValueError("duplicate cones in fan")
+        # the meet of two cones is the intersection of their ray sets,
+        # which must itself be a cone of the fan
+        if any(a & b not in index for a in self.cones for b in self.cones):
+            raise ValueError("cone intersection is not a face of the fan")
+        self.dim = max(map(self.cone_dim, range(len(self.cones))))
+        self.boundary = frozenset() if complete else self._boundary()
+
+    def cone_dim(self, i):
+        return int(self.lattice.dims[self.cone_faces[i]]) + 1
+
+    def cone_g(self, i):
+        return face_g(self.lattice, self.cone_faces[i])
+
+    def _boundary(self):
+        n, d = len(self.cones), self.dim
+        top = [t for t in range(n) if self.cone_dim(t) == d]
+        gen = [
+            i for i in range(n)
+            if self.cone_dim(i) == d - 1
+            and sum(self.cones[i] <= self.cones[t] for t in top) == 1
+        ]
+        return frozenset(i for g in gen for i in range(n) if self.cones[i] <= self.cones[g])
+
+
+def central_fan(p):
+    """Complete fan of the cones over the proper faces, origin at the barycenter."""
+    c = p.barycenter()
+    rays = [primitive_ray([x - y for x, y in zip(v, c)]) for v in p.coords]
+    lat = p.lattice
+    proper = range(len(lat.faces) - 1)
+    return Fan(rays, [lat.faces[i] for i in proper], proper, lat, complete=True)
+
+
+def face_fan(cone):
+    """The fan of one full-dimensional cone and all its faces."""
+    lat = cone.lattice
+    every = range(len(lat.faces))
+    return Fan(cone.rays, [lat.faces[i] for i in every], every, lat, complete=False)
+
+
+def fan_h(fan):
+    """Sum of g(cone) (t-1)^(d - dim cone) over the cones off the boundary.
+
+    h of the polytope for a complete fan, g of the base for the fan of a
+    single full-dimensional cone.
+    """
+    out = Polynomial()
+    for c in range(len(fan.cones)):
+        if c not in fan.boundary:
+            out = out + fan.cone_g(c) * binomial_power(-1, fan.dim - fan.cone_dim(c))
+    return out
+
+
+def degree_one_dim(fan):
+    """Number of rays minus the rank of the ray matrix: h_1 or g_1 when the rays span."""
+    rays = list(fan.rays)
+    return len(rays) - rank(rays) if rays else 0
+
+
+def relative_h(lat, faces_i, faces_j):
+    """h(I, J, t) = sum over F in I minus J of g(F) (t-1)^(d-1-dim F).
+
+    I and J are subcomplexes of the boundary, given as lattice face
+    indices; the empty face counts as a member of every nonempty
+    subcomplex and may be omitted.
+    """
+    d = lat.d
+    si = set(faces_i) | ({lat.bottom} if faces_i else set())
+    sj = set(faces_j) | ({lat.bottom} if faces_j else set())
+    if not sj <= si:
+        raise ValueError("J must be a subcomplex of I")
+    for s in (si, sj):
+        if lat.top in s:
+            raise ValueError("subcomplexes live in the boundary, not P itself")
+        for f in s:
+            if not s.issuperset(lat.below(f).tolist()):
+                raise ValueError("face sets must be closed under subfaces")
+    out = Polynomial()
+    for f in si - sj:
+        out = out + face_g(lat, f) * binomial_power(-1, d - 1 - int(lat.dims[f]))
+    return out
+
+
+def tau_plus_v(decomp, face):
+    """The unique smallest fixed face above the back face ``face``."""
+    if face not in decomp.back:
+        raise ValueError("drift target is only defined for back faces")
+    lat = decomp.cone.lattice
+    up = {face, *lat.above(face).tolist()}
+    above = [i for i in decomp.fixed if i in up]
+    held = set(above)
+    mins = [i for i in above if held.isdisjoint(lat.below(i).tolist())]
+    if len(mins) != 1:
+        raise AssertionError(f"minimal fixed face above {face} is not unique: {mins}")
+    return mins[0]

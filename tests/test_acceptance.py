@@ -29,16 +29,14 @@ from toricgh.toric import (
     check_g_cascade,
     check_kalai_identity,
     check_monotonicity_all,
-    fan_h,
     g1_closed,
     g2_closed,
     toric_g,
     toric_h,
 )
 from toricgh.verma import check_reciprocity, check_verma_vs_polar, verma_multiplicities
-from toricgh.geometry import central_fan
 
-from oracles import dense_order
+from oracles import central_fan, dense_order, fan_h
 
 ZERO = Polynomial()
 

@@ -9,14 +9,19 @@ from toricgh.catalog import (
     cyclic_facets,
     cyclic_lattice,
     cyclic_vertices,
-    geometric_catalog,
     parse_recipe,
     point_lattice,
     simplex_lattice,
 )
 from toricgh.geometry import facet_enumeration
 
-from oracles import dense_order, is_eulerian, is_isomorphic, subset_scan_cyclic_facets
+from oracles import (
+    dense_order,
+    geometric_catalog,
+    is_eulerian,
+    is_isomorphic,
+    subset_scan_cyclic_facets,
+)
 
 
 def test_base_families_agree_with_iterated_constructions():

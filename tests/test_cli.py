@@ -68,6 +68,13 @@ def test_verify_monotonicity_cube4(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("faces", ["dim=x", "dim=", "bogus"])
+def test_verify_bad_face_selection(capsys, faces):
+    code, out, err = run(capsys, "verify", "monotonicity", "cube3", "--faces", faces)
+    assert code == 2 and out == ""
+    assert err == f"error: --faces takes 'all' or 'dim=k', got {faces!r}\n"
+
+
 def test_shell_reproduces_prism_example(capsys):
     code, out, _ = run(
         capsys, "shell", "prism(simplex2)", "--direction", "3/4,-1/2,1", "--json"
@@ -129,7 +136,16 @@ def test_rigidity_cube4(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["stress_dim"] == 2 and data["g2_match"] is True
-    assert data["kernel_dim"] == 10
+    assert data["kernel_dim"] == 10 and data["infinitesimally_rigid"] is True
+
+
+def test_rigidity_cube3(capsys):
+    # the kernel is C(4, 2) = 6, the trivial motions alone
+    code, out, _ = run(capsys, "rigidity", "cube3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["kernel_dim"] == 6 and data["infinitesimally_rigid"] is True
+    assert data["stress_dim"] == 0 and data["g2_match"] is True
 
 
 def test_localize_square_cone(capsys):

@@ -22,6 +22,7 @@ from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.toric import flag_vector
 
 from oracles import (
+    covers,
     dense_build,
     dense_covers,
     dense_flag_vector,
@@ -42,7 +43,7 @@ def _assert_matches_dense(lat):
     assert tuple(faces) == lat.faces
     assert np.array_equal(dense_order(lat), leq) and np.array_equal(lat.dims, dims)
     assert np.array_equal(np.stack(lat.pairs), np.stack(strict_pairs(leq)))
-    assert [lat.covers_of(i) for i in range(len(faces))] == dense_covers(leq)
+    assert covers(lat) == dense_covers(leq)
     assert flag_vector(lat) == dense_flag_vector(leq, dims)
 
 

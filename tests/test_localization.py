@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricgh import localization
-from toricgh.catalog import geometric_catalog, parse_recipe
+from toricgh.catalog import parse_recipe
 from toricgh.geometry import cone_over, exact_rank, facet_enumeration
 from toricgh.localization import (
     check_generalized_monotonicity,
     classify_faces,
     sample_directions,
     span_pair_direction,
-    tau_plus_v,
 )
 
 import oracles
-from oracles import dense_order
+from oracles import dense_order, geometric_catalog, tau_plus_v
 
 
 @pytest.fixture(scope="module")

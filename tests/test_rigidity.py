@@ -4,11 +4,10 @@ from math import comb
 import pytest
 
 from toricgh import geometry
-from toricgh.catalog import geometric_catalog, parse_recipe
+from toricgh.catalog import parse_recipe
 from toricgh.geometry import (
     _eliminate,
     _integer_rows,
-    central_fan,
     cone_over,
     exact_rank,
     facet_enumeration,
@@ -16,14 +15,19 @@ from toricgh.geometry import (
 from toricgh.rigidity import (
     Framework,
     build_framework,
-    degree_one_dim,
     g2_via_stresses,
-    infinitesimal_rigidity_check,
     rigidity_matrix,
     rigidity_rank,
     stress_dimension,
 )
 from toricgh.toric import g2_closed, toric_g
+
+from oracles import central_fan, degree_one_dim, face_fan, geometric_catalog
+
+
+def infinitesimally_rigid(fw):
+    """All first-order motions are affine: the kernel has dimension C(d+1, 2)."""
+    return fw.d * len(fw.points) - rigidity_rank(fw) == comb(fw.d + 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +68,7 @@ def test_triangle_in_plane():
     mat = rigidity_matrix(fw)
     assert exact_rank(mat) == 3
     # kernel = 3 = dim of planar rigid motions
-    assert infinitesimal_rigidity_check(fw)
+    assert infinitesimally_rigid(fw)
 
 
 def test_square_without_diagonal_is_flexible():
@@ -74,7 +78,7 @@ def test_square_without_diagonal_is_flexible():
         edges=((0, 1), (1, 2), (2, 3), (0, 3)),
         d=2,
     )
-    assert not infinitesimal_rigidity_check(fw)  # classic 4-bar linkage
+    assert not infinitesimally_rigid(fw)  # classic 4-bar linkage
 
 
 def test_cube3_rank_and_kernel(cube3):
@@ -82,7 +86,7 @@ def test_cube3_rank_and_kernel(cube3):
     mat = rigidity_matrix(fw)
     assert exact_rank(mat) == 18
     assert stress_dimension(fw) == 0
-    assert infinitesimal_rigidity_check(fw)  # kernel 24 - 18 = 6 = C(4,2)
+    assert infinitesimally_rigid(fw)  # kernel 24 - 18 = 6 = C(4,2)
 
 
 def test_cube4_stresses_give_g2(cube4):
@@ -90,7 +94,7 @@ def test_cube4_stresses_give_g2(cube4):
     mat = rigidity_matrix(fw)
     assert exact_rank(mat) == 54
     assert stress_dimension(fw) == 2
-    assert infinitesimal_rigidity_check(fw)  # kernel 64 - 54 = 10 = C(5,2)
+    assert infinitesimally_rigid(fw)  # kernel 64 - 54 = 10 = C(5,2)
     assert g2_via_stresses(cube4) == toric_g(cube4.lattice)[2] == g2_closed(cube4.lattice)
 
 
@@ -137,17 +141,9 @@ def test_stress_dimension_triangulation_order_invariance():
 def test_degree_one_dims():
     sq = parse_recipe("cube2").realize()
     assert degree_one_dim(central_fan(sq)) == 2      # f0 - d = h1
-    assert degree_one_dim(cone_over(sq).face_fan()) == 1  # f0 - (d+1) = g1
-    ray = cone_over(parse_recipe("point").realize()).face_fan()
+    assert degree_one_dim(face_fan(cone_over(sq))) == 1  # f0 - (d+1) = g1
+    ray = face_fan(cone_over(parse_recipe("point").realize()))
     assert degree_one_dim(ray) == 0
-
-
-def test_degree_one_warns_when_rays_do_not_span():
-    class Stub:
-        rays = ((1, 0, 0), (0, 1, 0))
-
-    with pytest.warns(UserWarning, match="span"):
-        assert degree_one_dim(Stub()) == 0
 
 
 def test_catalog_rigidity_invariants():
@@ -155,14 +151,13 @@ def test_catalog_rigidity_invariants():
         p = parse_recipe(name).realize()
         fw = build_framework(p)
         assert stress_dimension(fw) == 0, name
-        assert infinitesimal_rigidity_check(fw), name
+        assert infinitesimally_rigid(fw), name
         assert kernel_dim_of(fw) == comb(p.d + 1, 2)
 
 
 def kernel_dim_of(fw):
-    from toricgh.geometry import kernel_dimension
-
-    return kernel_dimension(rigidity_matrix(fw))
+    rows = rigidity_matrix(fw)
+    return len(rows[0]) - exact_rank(rows)
 
 
 def _bareiss_rank(fw):
@@ -208,4 +203,4 @@ def test_framework_without_diagonals_falls_back_to_bareiss(bareiss_calls):
     bareiss_calls.clear()
     assert rigidity_rank(fw) == expect
     assert bareiss_calls
-    assert not infinitesimal_rigidity_check(fw)
+    assert not infinitesimally_rigid(fw)

@@ -5,20 +5,19 @@ from fractions import Fraction
 import pytest
 
 from toricgh import shelling
-from toricgh.catalog import geometric_catalog, parse_recipe
+from toricgh.catalog import parse_recipe
 from toricgh.geometry import facet_enumeration
 from toricgh.polynomial import Polynomial
 from toricgh.shelling import (
     Shelling,
     ShellingError,
     line_shelling,
-    relative_h,
     shelling_decomposition,
 )
 from toricgh.toric import face_g, toric_h
 
 import oracles
-from oracles import dense_order
+from oracles import dense_order, geometric_catalog, relative_h
 
 PRISM_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
 PAPER_DIRECTION = (Fraction(3, 4), Fraction(-1, 2), 1)
