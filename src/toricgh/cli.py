@@ -129,16 +129,20 @@ def _suite_instances(args):
     return [Input(e.name, entry=e) for e in entries]
 
 
-def _face_selection(lat, selector: str):
+def _face_selection(selector: str):
+    """A ``--faces`` selector parsed: 'all', or the dimension k of 'dim=k'."""
+    if selector == "all":
+        return selector
     if selector.startswith("dim="):
         try:
-            return lat.faces_of_dim(int(selector[4:]))
+            return int(selector[4:])
         except ValueError:
             pass
     raise InputError(f"--faces takes 'all' or 'dim=k', got {selector!r}")
 
 
-def _verify_one(suite: str, inp: Input, seed: int, faces: str = "all"):
+def _verify_one(suite: str, inp: Input, seed: int, faces="all"):
+    """One suite on one instance; ``faces`` is 'all' or a face dimension."""
     lat = inp.lattice()
     if suite == "ds":
         return lat.d < 0 or toric.check_dehn_sommerville(lat)
@@ -149,9 +153,7 @@ def _verify_one(suite: str, inp: Input, seed: int, faces: str = "all"):
     if suite == "monotonicity":
         if faces == "all":
             return toric.check_monotonicity_all(lat)
-        return all(
-            toric.check_monotonicity(lat, f) for f in _face_selection(lat, faces)
-        )
+        return all(toric.check_monotonicity(lat, f) for f in lat.faces_of_dim(faces))
     if suite == "ubt":
         return lat.d < 1 or toric.check_ubt(lat)
     if suite == "kalai-identity":
@@ -212,14 +214,27 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     suites = SUITES if args.suite == "all" else (args.suite,)
+    faces = _face_selection(args.faces)
+    if faces != "all" and "monotonicity" not in suites:
+        raise InputError(f"--faces applies to monotonicity only, not {args.suite}")
     instances = _suite_instances(args)
+    if faces != "all":
+        # every instance is checked before any row runs, so a selector that
+        # misses one leaves no partial output behind
+        for inp in instances:
+            lat = inp.lattice()
+            if not lat.faces_of_dim(faces):
+                raise InputError(
+                    f"{inp.name}: --faces dim={faces} selects no face;"
+                    f" face dimensions run from -1 to {lat.d}"
+                )
     results = []
     for suite in suites:
         for inp in instances:
             if suite in GEOMETRIC_SUITES and not inp.has_coordinates():
                 continue
             t0 = time.perf_counter()
-            ok = _verify_one(suite, inp, args.seed, args.faces)
+            ok = _verify_one(suite, inp, args.seed, faces)
             results.append({"suite": suite, "instance": inp.name, "pass": bool(ok),
                             "seconds": round(time.perf_counter() - t0, 6)})
             if not args.json:

@@ -1,6 +1,10 @@
 """Exact rational geometry: polytopes from vertices and the cones over them.
 
-Coordinates are ``fractions.Fraction``; every kernel comes from one
+The input points and their affine coordinates are ``fractions.Fraction``
+tuples.  The polytope also keeps the coordinates scaled by one positive
+integer to integer points, which is where the double description runs;
+``shelling.line_shelling`` reads them to order its crossings by integer
+keys, and its base point is their average.  Every kernel comes from one
 fraction-free (Bareiss) elimination on integer rows, and so does every
 rank that its value modulo a 31-bit prime does not settle, so there is
 no floating point anywhere.  Facet enumeration is the double
@@ -141,15 +145,16 @@ def exact_rank(rows, at_most=None) -> int:
     return len(_eliminate(mat)[0])
 
 
-def nullspace(rows):
-    """Basis of the right kernel as Fraction tuples.
+def _integer_kernel(rows):
+    """Basis of the right kernel as int tuples, and their common divisor.
 
-    One vector per free column, in column order: 1 at its free column, 0
-    at the other free columns (the basis read off the reduced row echelon
-    form).
+    Rows may hold ints or Fractions, cleared per row as in ``exact_rank``.
+    Returns (basis, den): one vector per free column, in column order,
+    is den at its free column, 0 at the other free columns, and the
+    negated fraction-free reduced column at the pivot columns.  Divided
+    by den (the last Bareiss pivot) it is the basis read off the reduced
+    row echelon form.
     """
-    if not rows:
-        return []
     ncols = len(rows[0])
     mat = _integer_rows(rows)
     pivots, den = _eliminate(mat, full=True)
@@ -158,12 +163,12 @@ def nullspace(rows):
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = den
         for r, pc in enumerate(pivots):
-            vec[pc] = Fraction(-mat[r][fc], den)
+            vec[pc] = -mat[r][fc]
         basis.append(tuple(vec))
-    return basis
+    return basis, den
 
 
 # -- polytopes ----------------------------------------------------------
@@ -174,20 +179,23 @@ class GeometricPolytope:
 
     ``vertices`` are the input points; ``coords`` are the same points in
     affine coordinates on the hull, so they always span dimension d.
+    ``integer_points`` is (scale, points): the coords times the least
+    positive integer ``scale`` that makes them all integers.
     ``facets`` is a list of (normal, offset, tight vertex set) with
     <normal, x> <= offset valid on all vertices and tight exactly on the
-    facet; normals are integer vectors.  ``lattice`` is the face
-    lattice derived from the tight sets, ``facet_faces`` names the
-    lattice face of each facet, and ``facet_incidence`` marks the faces
-    lying in each facet.
+    facet; normals are integer vectors and each offset times ``scale`` is
+    an integer.  ``lattice`` is the face lattice derived from the tight
+    sets, ``facet_faces`` names the lattice face of each facet, and
+    ``facet_incidence`` marks the faces lying in each facet.
     """
 
-    def __init__(self, vertices, coords, d, facets, lattice):
+    def __init__(self, vertices, coords, d, facets, lattice, integer_points):
         self.vertices = vertices
         self.coords = coords
         self.d = d
         self.facets = facets
         self.lattice = lattice
+        self.integer_points = integer_points
 
     def __repr__(self):
         return f"GeometricPolytope(d={self.d}, vertices={len(self.vertices)})"
@@ -208,8 +216,8 @@ class GeometricPolytope:
         return inc
 
     def barycenter(self):
-        n = len(self.coords)
-        return tuple(sum(col) / n for col in zip(*self.coords))
+        scale, pts = self.integer_points
+        return tuple(Fraction(sum(col), scale * len(pts)) for col in zip(*pts))
 
 
 def _rational_points(vertices):
@@ -322,12 +330,12 @@ def facet_enumeration(vertices) -> GeometricPolytope:
     coords, d, basis = _affine_coordinates(pts)
     n = len(pts)
 
+    scale = lcm(*(x.denominator for c in coords for x in c))
+    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords)
     if d == 0:
         lat = FaceLattice.build([frozenset(), frozenset({0})], 1)
-        return GeometricPolytope(tuple(pts), tuple(coords), 0, [], lat)
+        return GeometricPolytope(tuple(pts), tuple(coords), 0, [], lat, (scale, ints))
 
-    scale = lcm(*(x.denominator for c in coords for x in c))
-    ints = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords]
     facets = _double_description(ints, basis, scale)
     for i in range(n):
         # the points on every facet through point i are those of the
@@ -344,7 +352,7 @@ def facet_enumeration(vertices) -> GeometricPolytope:
         facet_list.append((tuple(-a for a in h[1:]), Fraction(h[0], scale), tight))
     facet_list.sort(key=lambda f: sorted(f[2]))
     lat = FaceLattice.from_vertex_facets(n, [f[2] for f in facet_list])
-    return GeometricPolytope(tuple(pts), tuple(coords), d, facet_list, lat)
+    return GeometricPolytope(tuple(pts), tuple(coords), d, facet_list, lat, (scale, ints))
 
 
 # -- cones -------------------------------------------------------------

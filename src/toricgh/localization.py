@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from toricgh.geometry import Cone, dot, nullspace, primitive_ray
+from toricgh.geometry import Cone, _integer_kernel, dot, primitive_ray
 from toricgh.toric import face_g, quotient_g
 
 
@@ -84,20 +84,26 @@ def check_generalized_monotonicity(cone: Cone, v):
 
 
 def span_pair_direction(cone: Cone, f1: int, f2: int):
-    """A nonzero rational vector in span(f1) meet span(f2), if any."""
+    """A nonzero rational vector in span(f1) meet span(f2), if any.
+
+    Each kernel vector of [rays of f1 | -rays of f2] comes in ints, scaled
+    by the last Bareiss pivot; its f1 part is summed over the int rays and
+    divided by the pivot once per coordinate.
+    """
     r1 = cone.face_rays(f1)
     r2 = cone.face_rays(f2)
     if not r1 or not r2:
         return None
     cols = [list(ray) for ray in r1] + [[-x for x in ray] for ray in r2]
     rows = [[cols[c][i] for c in range(len(cols))] for i in range(cone.dim)]
-    for coeffs in nullspace(rows):
+    basis, den = _integer_kernel(rows)
+    for coeffs in basis:
         vec = [
             sum(coeffs[k] * r1[k][i] for k in range(len(r1)))
             for i in range(cone.dim)
         ]
         if any(vec):
-            return tuple(vec)
+            return tuple(Fraction(x, den) for x in vec)
     return None
 
 

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
+from math import lcm
 
 import numpy as np
 
@@ -57,12 +58,20 @@ def line_shelling(
     parameters are pairwise distinct; non-generic directions (given or
     drawn) are discarded and a fresh one is drawn from the seeded
     stream, up to the retry budget.
+
+    Crossings are compared in integers.  With the polytope's integer
+    points x = scale * coords, B their sum and n their number, facet i
+    (<a_i, x> <= b_i) is crossed at t_i = (L / (scale n)) num_i / den_i,
+    where num_i = n scale b_i - <a_i, B> > 0 (the base point is interior),
+    w = L v is the direction cleared of denominators and den_i = <a_i, w>.
+    The factor in front is positive, so with M = lcm |den_i| the integer
+    keys num_i (M / den_i) = M num_i / den_i sort and tie exactly as the
+    t_i do; the exact Fractions are made for the accepted direction only.
     """
     if p.d < 1:
         raise ValueError("shellings need dimension >= 1")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    base = p.barycenter()
     candidates = islice(_direction_stream(p.d, seed), retries)
     if direction is not None:
         direction = tuple(Fraction(x) for x in direction)
@@ -70,19 +79,28 @@ def line_shelling(
             raise ValueError(f"direction must have {p.d} coordinates")
         candidates = chain([direction], candidates)
 
+    scale, pts = p.integer_points
+    n = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    normals = [a for a, _, _ in p.facets]
+    nums = [
+        n * b.numerator * (scale // b.denominator) - dot(a, total)
+        for a, b, _ in p.facets
+    ]
     for v in candidates:
-        speeds = [dot(a, v) for a, _, _ in p.facets]
-        if any(s == 0 for s in speeds):
+        mult = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (mult // x.denominator) for x in v]
+        dens = [dot(a, w) for a in normals]
+        if not all(dens):
             continue
-        times = [
-            (b - dot(a, base)) / s for (a, b, _), s in zip(p.facets, speeds)
-        ]
-        if len(set(times)) != len(times):
+        m = lcm(*dens)
+        keys = [num * (m // den) for num, den in zip(nums, dens)]
+        if len(set(keys)) != len(keys):
             continue
-        up = sorted((t, i) for i, t in enumerate(times) if speeds[i] > 0)
-        down = sorted((t, i) for i, t in enumerate(times) if speeds[i] < 0)
-        order = tuple(i for _, i in up + down)
-        sh = Shelling(p, order, base, v, tuple(times[i] for i in order))
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        order = tuple([i for i in by_key if dens[i] > 0] + [i for i in by_key if dens[i] < 0])
+        crossings = tuple(Fraction(mult * nums[i], scale * n * dens[i]) for i in order)
+        sh = Shelling(p, order, p.barycenter(), v, crossings)
         _check_partial_unions(sh)
         return sh
     raise ShellingError(
@@ -98,28 +116,42 @@ def _check_partial_unions(sh: Shelling):
     of the boundary of F_j, proper for j < r and all of it for j = r.
     The full topological-disk condition is not verified; the rotating
     line guarantees it, and these checks catch bookkeeping errors.
+
+    All steps are read at once: the covered faces before each step are a
+    running OR down the incidence rows.  A shared ridge lies in F_j and
+    in exactly one earlier facet F_k, and its faces are those of the meet
+    F_j ^ F_k, so the shared boundary is pure when every face of F_j that
+    is covered lies in a facet F_k, k < j, sharing a ridge with F_j: the
+    lower triangle of R R^T, with R the facet x ridge incidence.  The
+    first failing step raises.
     """
     p = sh.polytope
     inc = p.facet_incidence[list(sh.order)]
-    ridge = p.lattice.dims == p.d - 2
     r = len(inc)
-    covered = inc[0].copy()
-    for j in range(1, r):
-        inside = inc[j] & covered      # the faces of F_j in earlier facets
-        ridges = np.flatnonzero(inside & ridge)
-        if not ridges.size:
-            raise ShellingError(f"step {j + 1}: no shared ridge with earlier facets")
-        # a shared ridge R lies in F_j and in exactly one earlier facet F_k,
-        # and the faces of R are those of the meet F_j ^ F_k: inc[k] & inc[j]
-        partners = inc[:j][inc[:j, ridges].any(axis=1)]
-        if np.any(inside & ~(partners & inc[j]).any(axis=0)):
-            raise ShellingError(f"step {j + 1}: shared boundary is not pure")
-        n_all = int((inc[j] & ridge).sum())
-        if j < r - 1 and len(ridges) == n_all:
-            raise ShellingError(f"step {j + 1}: facet glued along its whole boundary")
-        if j == r - 1 and len(ridges) != n_all:
-            raise ShellingError("last facet must close up the sphere")
-        covered |= inc[j]
+    if r < 2:
+        return
+    ridge = p.lattice.dims == p.d - 2
+    # row i below is the (i + 2)-th facet of the order against those before it
+    inside = inc[1:] & np.logical_or.accumulate(inc[:-1], axis=0)
+    shared = inside[:, ridge].sum(axis=1)
+    n_all = inc[1:, ridge].sum(axis=1)
+    # bool products: partners[i, k] marks the earlier facets k sharing a
+    # ridge with row i, and partners @ inc the faces lying in one of them
+    rid = inc[:, ridge]
+    partners = np.tril(rid @ rid.T, -1)[1:]
+    impure = (inside & ~(partners @ inc)).any(axis=1)
+    last = np.arange(1, r) == r - 1
+    fails = [
+        (shared == 0, "step {}: no shared ridge with earlier facets"),
+        (impure, "step {}: shared boundary is not pure"),
+        (~last & (shared == n_all), "step {}: facet glued along its whole boundary"),
+        (last & (shared != n_all), "last facet must close up the sphere"),
+    ]
+    bad = np.any([mask for mask, _ in fails], axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        text = next(text for mask, text in fails if mask[i])
+        raise ShellingError(text.format(i + 2))
 
 
 def _first_cover(sh: Shelling) -> np.ndarray:

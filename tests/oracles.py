@@ -58,6 +58,15 @@ leave the generator in the same state.
 found before one masked pass over the pairs: a fixed face is minimal
 when its down-set holds no other fixed face.
 
+``fraction_line_shelling`` is the line shelling the library computed
+before it ordered the crossings by integer keys: every crossing time a
+Fraction, from the Fraction barycenter of the coordinates.
+``loop_partial_unions`` is its shelling certificate before the one
+array pass: a loop over the facets in order with a running OR of the
+incidence rows.  ``fraction_span_pair_direction`` is the span direction
+before the integer kernel: the Fraction ``nullspace`` of the stacked
+rays, then Fraction sums over them.
+
 ``downset_first_cover``, ``downset_check_partial_unions`` and
 ``downset_classes`` are the shelling checks and cone classes the library
 computed before it read the facet x face incidence matrix
@@ -77,7 +86,7 @@ realizable slice of the catalog.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import gcd, lcm
 from weakref import WeakKeyDictionary
 
@@ -88,7 +97,7 @@ from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
 from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
-from toricgh.shelling import ShellingError
+from toricgh.shelling import Shelling, ShellingError, _direction_stream
 from toricgh.toric import FlagVector, _binom_kernel, face_g, gtilde, toric_g
 
 
@@ -335,6 +344,80 @@ def downset_check_partial_unions(sh):
         if j == r - 1 and len(ridges) != n_all:
             raise ShellingError("last facet must close up the sphere")
         covered |= in_fj
+
+
+def loop_partial_unions(sh):
+    """``shelling._check_partial_unions`` as a loop over the facets in shelling order.
+
+    A running OR of the incidence rows holds the covered faces; at each
+    step the earlier facets holding one of the shared ridges are listed,
+    and the shared faces must all lie in their meets with F_j.
+    """
+    p = sh.polytope
+    inc = p.facet_incidence[list(sh.order)]
+    ridge = p.lattice.dims == p.d - 2
+    r = len(inc)
+    covered = inc[0].copy()
+    for j in range(1, r):
+        inside = inc[j] & covered
+        ridges = np.flatnonzero(inside & ridge)
+        if not ridges.size:
+            raise ShellingError(f"step {j + 1}: no shared ridge with earlier facets")
+        partners = inc[:j][inc[:j, ridges].any(axis=1)]
+        if np.any(inside & ~(partners & inc[j]).any(axis=0)):
+            raise ShellingError(f"step {j + 1}: shared boundary is not pure")
+        n_all = int((inc[j] & ridge).sum())
+        if j < r - 1 and len(ridges) == n_all:
+            raise ShellingError(f"step {j + 1}: facet glued along its whole boundary")
+        if j == r - 1 and len(ridges) != n_all:
+            raise ShellingError("last facet must close up the sphere")
+        covered |= inc[j]
+
+
+def fraction_line_shelling(p, direction=None, seed=0, retries=64):
+    """``shelling.line_shelling`` with every crossing time a Fraction.
+
+    The base point is the average of ``p.coords``; each candidate's
+    crossing times (b - <a, base>) / <a, v> are compared as Fractions.
+    The candidates come from the same seeded stream, and the accepted
+    order passes ``loop_partial_unions``.
+    """
+    if p.d < 1:
+        raise ValueError("shellings need dimension >= 1")
+    n = len(p.coords)
+    base = tuple(sum(col) / n for col in zip(*p.coords))
+    candidates = islice(_direction_stream(p.d, seed), retries)
+    if direction is not None:
+        candidates = chain([tuple(Fraction(x) for x in direction)], candidates)
+    for v in candidates:
+        speeds = [dot(a, v) for a, _, _ in p.facets]
+        if any(s == 0 for s in speeds):
+            continue
+        times = [(b - dot(a, base)) / s for (a, b, _), s in zip(p.facets, speeds)]
+        if len(set(times)) != len(times):
+            continue
+        up = sorted((t, i) for i, t in enumerate(times) if speeds[i] > 0)
+        down = sorted((t, i) for i, t in enumerate(times) if speeds[i] < 0)
+        order = tuple(i for _, i in up + down)
+        sh = Shelling(p, order, base, v, tuple(times[i] for i in order))
+        loop_partial_unions(sh)
+        return sh
+    raise ShellingError(f"no generic direction found in {retries} retries (seed {seed})")
+
+
+def fraction_span_pair_direction(cone, f1, f2):
+    """``localization.span_pair_direction`` on the Fraction ``nullspace`` above."""
+    r1 = cone.face_rays(f1)
+    r2 = cone.face_rays(f2)
+    if not r1 or not r2:
+        return None
+    cols = [list(ray) for ray in r1] + [[-x for x in ray] for ray in r2]
+    rows = [[col[i] for col in cols] for i in range(cone.dim)]
+    for coeffs in nullspace(rows):
+        vec = [sum(c * ray[i] for c, ray in zip(coeffs, r1)) for i in range(cone.dim)]
+        if any(vec):
+            return tuple(vec)
+    return None
 
 
 def downset_classes(cone, v):

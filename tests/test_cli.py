@@ -75,6 +75,35 @@ def test_verify_bad_face_selection(capsys, faces):
     assert err == f"error: --faces takes 'all' or 'dim=k', got {faces!r}\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("monotonicity", "cube3", "--faces", "dim=99"),
+     "cube3: --faces dim=99 selects no face; face dimensions run from -1 to 3"),
+    (("monotonicity", "cube3", "--faces", "dim=-5"),
+     "cube3: --faces dim=-5 selects no face; face dimensions run from -1 to 3"),
+    (("monotonicity", "cube3", "empty", "--faces", "dim=0"),
+     "empty: --faces dim=0 selects no face; face dimensions run from -1 to -1"),
+    (("all", "cube3", "--faces", "dim=4"),
+     "cube3: --faces dim=4 selects no face; face dimensions run from -1 to 3"),
+    (("ds", "cube3", "--faces", "dim=x"), "--faces takes 'all' or 'dim=k', got 'dim=x'"),
+    (("ds", "cube3", "--faces", "bogus"), "--faces takes 'all' or 'dim=k', got 'bogus'"),
+    (("ds", "cube3", "--faces", "dim=1"), "--faces applies to monotonicity only, not ds"),
+    (("shelling", "cube3", "--faces", "dim=0"),
+     "--faces applies to monotonicity only, not shelling"),
+])
+def test_verify_face_selection_refused(capsys, argv, reason):
+    # checked before any row runs, so nothing reaches stdout
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("suite, rows", [("monotonicity", 1), ("ds", 1), ("all", len(SUITES))])
+def test_verify_face_selection_accepted(capsys, suite, rows):
+    faces = "dim=1" if suite != "ds" else "all"
+    code, out, err = run(capsys, "verify", suite, "cube3", "--faces", faces)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == rows
+
+
 def test_shell_reproduces_prism_example(capsys):
     code, out, _ = run(
         capsys, "shell", "prism(simplex2)", "--direction", "3/4,-1/2,1", "--json"

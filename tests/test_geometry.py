@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from toricgh import geometry
 from toricgh.catalog import cube_lattice, cyclic_lattice, cyclic_vertices
 from toricgh.geometry import (
+    _integer_kernel,
     cone_over,
     exact_rank,
     facet_enumeration,
-    nullspace,
     primitive_ray,
 )
 
@@ -114,7 +114,9 @@ def _apply(rows, x):
 def test_rank_matches_rref_oracle(rows):
     rank = exact_rank(rows)
     assert rank == oracles.rank(rows)  # independent route: RREF over Fraction
-    basis = nullspace(rows)
+    ints, den = _integer_kernel(rows)
+    assert all(type(x) is int for v in ints for x in v)
+    basis = [tuple(Fraction(x, den) for x in v) for v in ints]
     assert basis == oracles.nullspace(rows)
     assert len(basis) == 3 - rank
     for v in basis:
@@ -132,7 +134,10 @@ def test_rank_equals_rank_of_transpose(rows):
 
 
 def test_nullspace_example():
-    ns = nullspace([[1, 2, 3], [2, 4, 6]])
+    rows = [[1, 2, 3], [2, 4, 6]]
+    ints, den = _integer_kernel(rows)
+    ns = [tuple(Fraction(x, den) for x in v) for v in ints]
+    assert ns == oracles.nullspace(rows)
     assert len(ns) == 2
     for v in ns:
         assert sum(a * b for a, b in zip([1, 2, 3], v)) == 0

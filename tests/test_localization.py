@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -205,6 +207,25 @@ def test_sampler_matches_pair_list_oracle(monkeypatch):
                 got = sample_directions(cone, seed=seed, grid=grid)
                 expect = oracles.pair_list_directions(cone, seed=seed, grid=grid)
                 assert got == expect, (entry.name, grid, seed)
+
+
+def test_integer_span_directions_match_fraction_oracle():
+    # random pairs of proper faces, comparable or not, the same face twice
+    # and pairs whose spans meet only in 0 (the answer is then None)
+    rng = random.Random(5)
+    seen = set()
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        cone = cone_over(entry.realize())
+        n = len(cone.lattice.faces)
+        for _ in range(12):
+            a, b = rng.randrange(1, n - 1), rng.randrange(1, n - 1)
+            got = span_pair_direction(cone, a, b)
+            assert got == oracles.fraction_span_pair_direction(cone, a, b), (entry.name, a, b)
+            assert got is None or all(type(x) is Fraction for x in got)
+            seen.add(got is None)
+    assert seen == {True, False}
 
 
 def test_incidence_classes_match_down_set_oracle():

@@ -243,3 +243,57 @@ def test_incidence_checks_match_down_set_oracles():
         "facet glued along its whole boundary", "last facet must close up the sphere",
         True, False,
     )), seen
+
+
+def _same_shelling(got, expect):
+    assert got.order == expect.order
+    assert got.direction == expect.direction
+    assert got.base_point == expect.base_point
+    assert got.crossings == expect.crossings
+    assert all(type(x) is Fraction for x in got.base_point + got.crossings)
+
+
+def test_integer_crossing_keys_match_fraction_oracle(prism):
+    # the integer keys accept the same candidate and order it the same way,
+    # on every geometric entry and on given directions: the paper's, the
+    # axis-parallel one that is retried, and the zero vector
+    for entry in geometric_catalog():
+        if entry.dim < 1:
+            continue
+        p = entry.realize()
+        for seed in range(3):
+            _same_shelling(line_shelling(p, seed=seed), oracles.fraction_line_shelling(p, seed=seed))
+    for direction, seed in [(PAPER_DIRECTION, 0), ((0, 0, 1), 3), ((0, 0, 0), 0)]:
+        got = line_shelling(prism, direction=direction, seed=seed)
+        _same_shelling(got, oracles.fraction_line_shelling(prism, direction=direction, seed=seed))
+    assert got.direction != (0, 0, 0)
+
+
+def test_one_pass_certificate_matches_loop_oracle():
+    # full reorderings of the facets: shuffled, swapped and reversed line
+    # shellings, many of them no shellings.  "last facet must close up the
+    # sphere" cannot arise here: each ridge of the last facet lies in one
+    # other facet, which comes earlier, so its whole boundary is shared.
+    seen = Counter()
+    for entry in geometric_catalog():
+        if entry.dim < 2:
+            continue
+        p = entry.realize()
+        for seed in range(3):
+            order = list(line_shelling(p, seed=seed).order)
+            rng = random.Random(seed)
+            orders = [order[::-1]] + [rng.sample(order, len(order)) for _ in range(2)]
+            for _ in range(2):
+                j, k = rng.sample(range(len(order)), 2)
+                swapped = order.copy()
+                swapped[j], swapped[k] = swapped[k], swapped[j]
+                orders.append(swapped)
+            for o in orders:
+                other = Shelling(p, tuple(o), (), (), ())
+                got = _outcome(shelling._check_partial_unions, other)
+                assert got == _outcome(oracles.loop_partial_unions, other), (entry.name, o)
+                seen[got if got is None else got.split(": ")[-1]] += 1
+    assert set(seen) == {
+        None, "no shared ridge with earlier facets", "shared boundary is not pure",
+        "facet glued along its whole boundary",
+    }, seen
