@@ -8,12 +8,11 @@ coordinates.
 Composite entries apply pyramid / bipyramid / prism to other entries;
 recipes like ``prism(pyramid(cube3))`` compose arbitrarily.
 
-Realizations are exact and optional: an entry is realized only when
-C(n, d) for its n vertices is within ``ENUMERATION_BUDGET``, so
-lattice-level checks run on everything while coordinate-level checks
-(shellings, rigidity, cones) run on the realizable slice.  The budget
-is an admission rule kept from the brute-force facet enumeration; the
-double description enumerator's cost follows the facets instead.
+An entry is the one input type of the command line: a recipe, a
+polytope/v1 file (vertices, realized when loaded) or a lattice/v1 file
+(a lattice, no vertices).  Lattice-level checks run on every entry;
+coordinate-level checks (shellings, rigidity, cones) run on the entries
+with vertices, realized exactly by the double description method.
 """
 
 from __future__ import annotations
@@ -21,16 +20,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import comb
 
 from toricgh.geometry import GeometricPolytope, facet_enumeration
 from toricgh.lattice import FaceLattice
 
-# entries whose C(n, d) exceeds this stay lattice-only (see the module docstring)
-ENUMERATION_BUDGET = 60_000
-
 
 class CatalogEntry:
+    """A named polytope: a lattice, and vertices when known.
+
+    With no ``make_lattice`` the entry is its vertices alone, and its
+    lattice is the realization's.
+    """
+
     def __init__(self, name, make_lattice, make_vertices=None):
         self.name = name
         self._make_lattice = make_lattice
@@ -40,7 +41,7 @@ class CatalogEntry:
 
     def lattice(self) -> FaceLattice:
         if self._lattice is None:
-            self._lattice = self._make_lattice()
+            self._lattice = self._make_lattice() if self._make_lattice else self.polytope().lattice
         return self._lattice
 
     @property
@@ -50,17 +51,15 @@ class CatalogEntry:
     def vertices(self):
         return self._make_vertices() if self._make_vertices else None
 
-    def realizable(self) -> bool:
-        verts = self.vertices()
-        if verts is None:
-            return False
-        return comb(len(verts), max(self.dim, 1)) <= ENUMERATION_BUDGET
+    def has_coordinates(self) -> bool:
+        """Whether ``polytope()`` has vertices to realize; builds nothing."""
+        return self._make_vertices is not None
 
-    def realize(self) -> GeometricPolytope | None:
-        """Exact realization, or None when out of enumeration budget."""
+    def polytope(self) -> GeometricPolytope:
+        """The exact realization of the entry's vertices."""
         if self._polytope is None:
-            if not self.realizable():
-                return None
+            if not self.has_coordinates():
+                raise ValueError(f"{self.name}: coordinates required")
             self._polytope = facet_enumeration(self.vertices())
         return self._polytope
 

@@ -3,7 +3,8 @@
 Subcommands: gh, flags, verify, shell, rigidity, localize, verma.
 Inputs are catalog recipes (``cube4``, ``prism(pyramid(simplex2))``,
 ``cyclic(7,4)``) or JSON files: polytope/v1 ``{"vertices": [["p/q", ...]]}``
-or lattice/v1 ``{"dim": d, "n_vertices": n, "facets": [[...]]}``.
+or lattice/v1 ``{"dim": d, "n_vertices": n, "facets": [[...]]}``, each
+read into a ``CatalogEntry``.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
 """
@@ -19,9 +20,9 @@ from fractions import Fraction
 from math import comb
 
 from toricgh import localization, rigidity, shelling, toric, verma
+from toricgh.catalog import CatalogEntry, parse_recipe
 from toricgh.catalog import catalog as full_catalog
-from toricgh.catalog import parse_recipe
-from toricgh.geometry import GeometricPolytope, cone_over, facet_enumeration
+from toricgh.geometry import cone_over
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.polynomial import Polynomial
 
@@ -30,55 +31,42 @@ class InputError(Exception):
     pass
 
 
-class Input:
-    """A named polytope: lattice always, coordinates when available."""
-
-    def __init__(self, name, lattice=None, polytope=None, entry=None):
-        self.name = name
-        self._lattice = lattice
-        self._polytope = polytope
-        self._entry = entry
-
-    def lattice(self) -> FaceLattice:
-        if self._lattice is None:
-            if self._polytope is not None:
-                self._lattice = self._polytope.lattice
-            else:
-                self._lattice = self._entry.lattice()
-        return self._lattice
-
-    def has_coordinates(self) -> bool:
-        """Whether ``polytope()`` succeeds: a polytope/v1 file or a realizable recipe."""
-        if self._entry is not None:
-            return self._entry.realizable()
-        return self._polytope is not None
-
-    def polytope(self) -> GeometricPolytope:
-        if self._polytope is None:
-            if not self.has_coordinates():
-                raise InputError(f"{self.name}: coordinates required")
-            self._polytope = self._entry.realize()
-        return self._polytope
+FORMS = {"polytope/v1": {"vertices"}, "lattice/v1": {"dim", "n_vertices", "facets"}}
 
 
-def load_input(text: str) -> Input:
-    if os.path.exists(text):
+def load_input(text: str) -> CatalogEntry:
+    """A recipe, or a polytope/v1 or lattice/v1 file read into an entry.
+
+    A file's polytope or lattice is built here, so a bad file exits 2
+    before any output.
+    """
+    if not os.path.exists(text):
         try:
-            with open(text) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{text}: parse error at line {e.lineno}, column {e.colno}")
-        except OSError as e:    # a directory, or a file we may not read
-            raise InputError(f"{text}: cannot read: {e.strerror}")
-        if isinstance(data, dict) and "vertices" in data:
-            return Input(text, polytope=facet_enumeration(data["vertices"]))
-        if isinstance(data, dict) and "facets" in data:
-            return Input(text, lattice=FaceLattice.from_json(data))
-        raise InputError(f"{text}: neither polytope/v1 nor lattice/v1")
+            return parse_recipe(text)
+        except ValueError as e:
+            raise InputError(str(e))
     try:
-        return Input(text, entry=parse_recipe(text))
-    except ValueError as e:
-        raise InputError(str(e))
+        with open(text) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{text}: parse error at line {e.lineno}, column {e.colno}")
+    except OSError as e:    # a directory, or a file we may not read
+        raise InputError(f"{text}: cannot read: {e.strerror}")
+    keys = set(data) if isinstance(data, dict) else set()
+    if {"vertices", "facets"} <= keys:
+        raise InputError(f"{text}: holds both vertices (polytope/v1) and facets (lattice/v1)")
+    form = "polytope/v1" if "vertices" in keys else "lattice/v1" if "facets" in keys else None
+    if form is None:
+        raise InputError(f"{text}: neither polytope/v1 nor lattice/v1")
+    if keys - FORMS[form]:
+        raise InputError(f"{text}: unknown {form} keys {sorted(keys - FORMS[form])}")
+    if form == "polytope/v1":
+        entry = CatalogEntry(text, None, lambda: data["vertices"])
+        entry.polytope()
+    else:
+        entry = CatalogEntry(text, lambda: FaceLattice.from_json(data))
+        entry.lattice()
+    return entry
 
 
 def _emit(args, payload: dict, text_lines):
@@ -126,7 +114,7 @@ def _suite_instances(args):
     entries = full_catalog()
     if args.max_dim is not None:
         entries = [e for e in entries if e.dim <= args.max_dim]
-    return [Input(e.name, entry=e) for e in entries]
+    return entries
 
 
 def _face_selection(selector: str):
@@ -141,8 +129,37 @@ def _face_selection(selector: str):
     raise InputError(f"--faces takes 'all' or 'dim=k', got {selector!r}")
 
 
-def _verify_one(suite: str, inp: Input, seed: int, faces="all"):
-    """One suite on one instance; ``faces`` is 'all' or a face dimension."""
+def _verify_one(suite: str, inp: CatalogEntry, seed: int, faces="all"):
+    """One suite on one instance; ``faces`` is 'all' or a face dimension.
+
+    The coordinate suites read the realization's lattice only; rigidity
+    compares its stresses with the entry's own lattice as well.
+    """
+    if suite == "shelling":
+        p = inp.polytope()
+        if p.d < 1:
+            return True
+        for s in range(seed, seed + 3):
+            shelling.shelling_decomposition(shelling.line_shelling(p, seed=s))
+        return True
+    if suite == "rigidity":
+        p = inp.polytope()
+        if p.d < 3:
+            return True
+        stress = rigidity.g2_via_stresses(p)
+        if p.d == 3:
+            return stress == 0
+        lat = inp.lattice()
+        return stress == toric.toric_g(lat)[2] == toric.g2_closed(lat)
+    if suite == "localization":
+        p = inp.polytope()
+        if p.d < 1:
+            return True
+        cone = cone_over(p)
+        return all(
+            localization.check_generalized_monotonicity(cone, v)[2]
+            for v in localization.sample_directions(cone, seed=seed, grid=6)
+        )
     lat = inp.lattice()
     if suite == "ds":
         return lat.d < 0 or toric.check_dehn_sommerville(lat)
@@ -171,30 +188,6 @@ def _verify_one(suite: str, inp: Input, seed: int, faces="all"):
             verma.truncated_inequality(lat, k, s)[1]
             for k in range(lat.d // 2 + 2)
             for s in range(lat.d + 2)
-        )
-    if suite == "shelling":
-        p = inp.polytope()
-        if p.d < 1:
-            return True
-        for s in range(seed, seed + 3):
-            shelling.shelling_decomposition(shelling.line_shelling(p, seed=s))
-        return True
-    if suite == "rigidity":
-        p = inp.polytope()
-        if p.d < 3:
-            return True
-        stress = rigidity.g2_via_stresses(p)
-        if p.d == 3:
-            return stress == 0
-        return stress == toric.toric_g(lat)[2] == toric.g2_closed(lat)
-    if suite == "localization":
-        p = inp.polytope()
-        if p.d < 1:
-            return True
-        cone = cone_over(p)
-        return all(
-            localization.check_generalized_monotonicity(cone, v)[2]
-            for v in localization.sample_directions(cone, seed=seed, grid=6)
         )
     raise InputError(f"unknown suite {suite!r}")
 
@@ -228,17 +221,21 @@ def cmd_verify(args) -> int:
                     f"{inp.name}: --faces dim={faces} selects no face;"
                     f" face dimensions run from -1 to {lat.d}"
                 )
+    # the geometric suites skip instances without coordinates; a run
+    # left with no row would pass having checked nothing
+    rows = [(suite, inp) for suite in suites for inp in instances
+            if suite not in GEOMETRIC_SUITES or inp.has_coordinates()]
+    if not rows:
+        raise InputError(f"verify {args.suite}: no instance"
+                         f"{' with coordinates' if instances else ''} selected")
     results = []
-    for suite in suites:
-        for inp in instances:
-            if suite in GEOMETRIC_SUITES and not inp.has_coordinates():
-                continue
-            t0 = time.perf_counter()
-            ok = _verify_one(suite, inp, args.seed, faces)
-            results.append({"suite": suite, "instance": inp.name, "pass": bool(ok),
-                            "seconds": round(time.perf_counter() - t0, 6)})
-            if not args.json:
-                print(f"{'PASS' if ok else 'FAIL'}  {suite}  {inp.name}")
+    for suite, inp in rows:
+        t0 = time.perf_counter()
+        ok = _verify_one(suite, inp, args.seed, faces)
+        results.append({"suite": suite, "instance": inp.name, "pass": bool(ok),
+                        "seconds": round(time.perf_counter() - t0, 6)})
+        if not args.json:
+            print(f"{'PASS' if ok else 'FAIL'}  {suite}  {inp.name}")
     if args.json:
         print(json.dumps(results, indent=2))
     return 0 if all(r["pass"] for r in results) else 1

@@ -81,7 +81,7 @@ and the corank of the ray matrix.  ``relative_h`` is a shelling piece
 summed face by face over a pair of subcomplexes, ``tau_plus_v`` the
 drift of a back face to its minimal fixed face, ``covers`` the Hasse
 diagram read off the interval counts, and ``geometric_catalog`` the
-realizable slice of the catalog.
+entries of the catalog with coordinates.
 """
 
 import random
@@ -873,8 +873,8 @@ def subset_scan_cyclic_facets(n, d):
 
 
 def geometric_catalog():
-    """The catalog entries with coordinates within the enumeration budget."""
-    return [e for e in catalog() if e.realizable()]
+    """The catalog entries with coordinates (every built-in entry has them)."""
+    return [e for e in catalog() if e.has_coordinates()]
 
 
 def covers(lat):

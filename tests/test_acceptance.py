@@ -5,7 +5,7 @@ the wall-clock budgets stated on criteria 1, 3 and 5.  Each test prints
 a `criterion NN [PASS|FAIL]` line (visible with `pytest -s`).
 
 The instance set is the full built-in catalog; "geometric" means the
-members whose exact realization is within the facet-enumeration budget.
+members with coordinates, realized exactly by the double description.
 """
 
 import time
@@ -48,7 +48,7 @@ def entries():
 
 @pytest.fixture(scope="module")
 def geometric(entries):
-    return [e for e in entries if e.realizable() and e.dim >= 1]
+    return [e for e in entries if e.has_coordinates() and e.dim >= 1]
 
 
 def _line(num, desc, ok, detail=""):
@@ -57,7 +57,7 @@ def _line(num, desc, ok, detail=""):
 
 def test_criterion_01_square_h_and_quadrant_fan():
     t0 = time.monotonic()
-    square = parse_recipe("cube2").realize()
+    square = parse_recipe("cube2").polytope()
     h = toric_h(square.lattice)
     fh = fan_h(central_fan(square))
     elapsed = time.monotonic() - t0
@@ -70,7 +70,7 @@ def test_criterion_01_square_h_and_quadrant_fan():
 
 def test_criterion_02_prism_shelling_example():
     t0 = time.monotonic()
-    prism = parse_recipe("prism(simplex2)").realize()
+    prism = parse_recipe("prism(simplex2)").polytope()
     lat = prism.lattice
     assert toric_h(lat) == Polynomial([1, 3, 3, 1])
     sh = line_shelling(prism, direction=(Fraction(3, 4), Fraction(-1, 2), 1))
@@ -127,7 +127,7 @@ def test_criterion_05_rigidity_realizes_g2(geometric):
     for e in geometric:
         if e.dim not in (3, 4):
             continue
-        p = e.realize()
+        p = e.polytope()
         fw = build_framework(p)
         mat = rigidity_matrix(fw)
         rank = exact_rank(mat)
@@ -151,7 +151,7 @@ def test_criterion_05_rigidity_realizes_g2(geometric):
 def test_criterion_06_shelling_decompositions(geometric):
     bad = []
     for e in geometric:
-        p = e.realize()
+        p = e.polytope()
         h = toric_h(p.lattice)
         for seed in range(5):
             try:
@@ -232,14 +232,14 @@ def test_criterion_10_monotonicity_and_cascade(entries):
 
 
 def test_criterion_11_localization_inequality(geometric):
-    square_cone = cone_over(parse_recipe("cube2").realize())
+    square_cone = cone_over(parse_recipe("cube2").polytope())
     lat = square_cone.lattice
     v = span_pair_direction(square_cone, lat.index_of({0, 1}), lat.index_of({2, 3}))
     lhs, rhs, ok0 = check_generalized_monotonicity(square_cone, v)
     anchors = (lhs, rhs, ok0) == (2, 2, True)
     bad = []
     for e in geometric:
-        cone = cone_over(e.realize())
+        cone = cone_over(e.polytope())
         for v in sample_directions(cone, seed=17, grid=4):
             l, r, ok = check_generalized_monotonicity(cone, v)
             if not ok:
@@ -258,7 +258,7 @@ def test_criterion_12_front_back_property_gate(geometric):
         e for e in geometric if e.dim == 5
     ][:2]
     for e in sampled:
-        cone = cone_over(e.realize())
+        cone = cone_over(e.polytope())
         lat = cone.lattice
         leq = dense_order(lat)
         n = len(lat.faces)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from toricgh.catalog import (
     point_lattice,
     simplex_lattice,
 )
+from toricgh.cli import load_input
 from toricgh.geometry import facet_enumeration
 
 from oracles import (
@@ -87,24 +90,33 @@ def test_geometric_entries_round_trip():
                  "prism(simplex3)", "bipyramid(simplex2)",
                  "prism(cross5)", "prism(prism(cross3))"]:
         entry = parse_recipe(name)
-        p = entry.realize()
+        p = entry.polytope()
         assert p is not None
         assert set(p.lattice.faces) == set(entry.lattice().faces), name
 
 
-def test_realization_budget():
-    assert parse_recipe("cube4").realizable()
-    assert not parse_recipe("cube5").realizable()   # C(32,5) too large
-    assert parse_recipe("cross6").realizable()
-    assert not parse_recipe("empty").realizable()
-    assert parse_recipe("cube5").realize() is None
+def test_realization_budget(tmp_path):
+    # every entry with vertices realizes: no C(n, d) rule refuses cube5
+    # (C(32, 5) = 201,376) or prism(cube5) (C(64, 6) = 74,974,368)
+    for name in ["cube4", "cube5", "prism(cube5)", "cross6"]:
+        entry = parse_recipe(name)
+        assert entry.has_coordinates()
+        assert entry._lattice is None and entry._polytope is None   # the predicate builds nothing
+        assert set(entry.polytope().lattice.faces) == set(entry.lattice().faces), name
+    lattice_file = tmp_path / "square.json"
+    lattice_file.write_text(json.dumps(cube_lattice(2).to_json()))
+    for entry in (parse_recipe("empty"), load_input(str(lattice_file))):
+        assert not entry.has_coordinates()
+        with pytest.raises(ValueError, match="coordinates required"):
+            entry.polytope()
 
 
 def test_geometric_catalog_is_realizable_slice():
     geo = geometric_catalog()
-    assert all(e.realizable() for e in geo)
-    assert any(e.name == "cube4" for e in geo)
-    assert all(e.name != "cube5" for e in geo)
+    assert len(geo) == 128
+    assert all(e.has_coordinates() for e in geo)
+    names = {e.name for e in geo}
+    assert {"cube4", "cube5", "cube6", "prism(cube5)", "prism(prism(cube3))"} <= names
 
 
 def test_recipe_parser():

@@ -142,6 +142,74 @@ def test_verify_all_skips_geometry_without_coordinates(tmp_path, capsys, fmt):
     assert [s for s, i in rows if i == str(square)] == list(SUITES)
 
 
+TRIANGLE = {"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize("command", ["shell", "localize", "rigidity"])
+def test_lattice_file_has_no_coordinates(tmp_path, capsys, command):
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps(TRIANGLE))
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out, err) == (2, "", f"error: {f}: coordinates required\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("ds", "--max-dim", "-2"), "verify ds: no instance selected"),
+    (("shelling", "LAT"), "verify shelling: no instance with coordinates selected"),
+    (("shelling", "empty"), "verify shelling: no instance with coordinates selected"),
+    (("localization", "empty", "LAT"),
+     "verify localization: no instance with coordinates selected"),
+])
+def test_verify_selecting_no_row_is_bad_input(tmp_path, capsys, argv, reason):
+    # a run that would check nothing exits 2 before any row runs
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps(TRIANGLE))
+    argv = [str(f) if a == "LAT" else a for a in argv]
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("suite, lattices", [
+    ("shelling", 1), ("localization", 1),
+    ("rigidity", 2),    # the realization's, and the recipe's for the g_2 comparison
+])
+def test_geometric_suites_build_one_lattice_per_need(monkeypatch, capsys, suite, lattices):
+    from toricgh.lattice import FaceLattice
+
+    built = []
+    for name in ("build", "from_vertex_facets"):
+        make = getattr(FaceLattice, name)
+        monkeypatch.setattr(FaceLattice, name, staticmethod(
+            lambda *a, _make=make, **k: built.append(1) or _make(*a, **k)))
+    code, _, _ = run(capsys, "verify", suite, "cube4")
+    assert code == 0 and len(built) == lattices
+
+
+def test_entries_past_the_old_subset_rule_are_geometric(capsys):
+    # cube5 has C(32, 5) = 201,376 vertex 5-subsets; double description does not care
+    code, out, _ = run(capsys, "shell", "cube5", "--json")
+    steps = json.loads(out)["steps"]
+    assert code == 0 and len(steps) == 10
+    assert steps[-1]["running_sum"] == json.loads(run(capsys, "gh", "cube5", "--json")[1])["h"]
+    code, out, _ = run(capsys, "verify", "rigidity", "cube5", "prism(cube5)")
+    assert code == 0 and out.count("PASS") == 2
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "facets": [[0, 1], [1, 2], [0, 2]]},
+     "holds both vertices (polytope/v1) and facets (lattice/v1)"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "name": "triangle"},
+     "unknown polytope/v1 keys ['name']"),
+    ({**TRIANGLE, "dims": 2}, "unknown lattice/v1 keys ['dims']"),
+    ({"dim": 2, "n_vertices": 3}, "neither polytope/v1 nor lattice/v1"),
+])
+def test_unknown_keys_and_mixed_forms_are_bad_input(tmp_path, capsys, data, reason):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "gh", str(f))
+    assert (code, out, err) == (2, "", f"error: {f}: {reason}\n")
+
+
 def test_localize_point_is_bad_input(tmp_path, capsys):
     f = tmp_path / "point.json"
     f.write_text(json.dumps({"vertices": [[3]]}))

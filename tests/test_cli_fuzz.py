@@ -5,7 +5,9 @@ let something through.  Inputs are drawn small (numbers below 5, a few
 tokens, a few points), so a well-formed draw still runs in milliseconds:
 truncated and garbled recipes from the recipe grammar, and polytope/v1
 and lattice/v1 JSON with wrong types, shapes and values, as documents
-and as truncated text.
+and as truncated text.  The coordinate commands (``shell``,
+``rigidity``, ``localize`` and the geometric ``verify`` suites) may
+also exit 1 on such documents, but never with a traceback.
 """
 
 import json
@@ -57,22 +59,38 @@ GOOD_DOCS = [
 ]
 
 
-def _gh(text):
-    """Exit code of ``toricgh gh text``; any other exception fails the test."""
+# equally long integer rows: many draws are polytopes the commands run on
+INTEGER_POINTS = st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=8))
+GEOMETRIC_COMMANDS = [("shell",), ("rigidity",), ("localize",),
+                      ("verify", "shelling"), ("verify", "rigidity"), ("verify", "localization")]
+
+
+def _exit(*argv):
+    """Exit code of ``toricgh argv``; any other exception fails the test."""
     try:
-        return main(["gh", text])
+        return main(list(argv))
     except SystemExit as e:     # argparse: a recipe that starts with "-"
         return e.code
 
 
-def _gh_file(content):
+def _gh(text):
+    return _exit("gh", text)
+
+
+def _on_file(content, *command):
+    """Exit code of ``toricgh command FILE``, FILE holding ``content``."""
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
-        return _gh(path)
+        return _exit(*command, path)
     finally:
         os.unlink(path)
+
+
+def _gh_file(content):
+    return _on_file(content, "gh")
 
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -105,3 +123,12 @@ def test_truncated_documents_exit_0_or_2(doc, data):
     text = json.dumps(doc)
     cut = data.draw(st.integers(0, len(text)))
     assert _gh_file(text[:cut]) in (0, 2)
+
+
+@FUZZ
+@given(st.sampled_from(GEOMETRIC_COMMANDS),
+       st.one_of(st.fixed_dictionaries({"vertices": INTEGER_POINTS}), POLYTOPES, LATTICES, JSON))
+@example(command=("verify", "shelling"), doc=GOOD_DOCS[1])
+@example(command=("rigidity",), doc={"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+def test_geometric_commands_on_documents_exit_0_1_or_2(command, doc):
+    assert _on_file(json.dumps(doc), *command) in (0, 1, 2)

@@ -81,7 +81,7 @@ def test_no_reader_builds_the_dense_order(monkeypatch):
     monkeypatch.setattr(FaceLattice, "leq", property(lambda lat: pytest.fail("leq was read")))
     lattices = []
     for name in ("cube4", "cyclic(7,4)", "prism(simplex3)", "bipyramid(cube3)"):
-        p = parse_recipe(name).realize()
+        p = parse_recipe(name).polytope()
         lat = p.lattice
         lattices += [lat, lat.dual(), lat.interval(lat.index_of(p.facets[0][2] & p.facets[1][2]), lat.top)]
         report(lat)

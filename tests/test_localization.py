@@ -21,7 +21,7 @@ from oracles import dense_order, geometric_catalog, tau_plus_v
 
 @pytest.fixture(scope="module")
 def square_cone():
-    return cone_over(parse_recipe("cube2").realize())
+    return cone_over(parse_recipe("cube2").polytope())
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def test_opposite_two_faces_strata(square_cone, opposite_direction):
 
 
 def test_first_octant_like_cone():
-    c = cone_over(parse_recipe("simplex2").realize())
+    c = cone_over(parse_recipe("simplex2").polytope())
     dec = classify_faces(c, _interior(c))
     assert dec.fixed == frozenset({c.lattice.top})
     assert dec.back == frozenset(range(len(c.lattice.faces)))
@@ -160,7 +160,7 @@ def test_front_back_invariants_square(square_cone, opposite_direction):
 
 def test_front_back_invariants_sampled():
     for name in ["simplex2", "cube3", "cross3", "cyclic(6,3)"]:
-        cone = cone_over(parse_recipe(name).realize())
+        cone = cone_over(parse_recipe(name).polytope())
         for v in sample_directions(cone, seed=2, grid=4):
             _assert_front_back_invariants(cone, v)
 
@@ -169,7 +169,7 @@ def test_inequality_on_sampled_directions():
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        cone = cone_over(entry.realize())
+        cone = cone_over(entry.polytope())
         for seed in (0, 1, 2, 5):
             for v in sample_directions(cone, seed=seed, grid=6):
                 lhs, rhs, ok = check_generalized_monotonicity(cone, v)
@@ -201,7 +201,7 @@ def test_sampler_matches_pair_list_oracle(monkeypatch):
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        cone = cone_over(entry.realize())
+        cone = cone_over(entry.polytope())
         for grid in (1, 3, 6):
             for seed in range(3):
                 got = sample_directions(cone, seed=seed, grid=grid)
@@ -217,7 +217,7 @@ def test_integer_span_directions_match_fraction_oracle():
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        cone = cone_over(entry.realize())
+        cone = cone_over(entry.polytope())
         n = len(cone.lattice.faces)
         for _ in range(12):
             a, b = rng.randrange(1, n - 1), rng.randrange(1, n - 1)
@@ -232,7 +232,7 @@ def test_incidence_classes_match_down_set_oracle():
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        cone = cone_over(entry.realize())
+        cone = cone_over(entry.polytope())
         for v in sample_directions(cone, seed=0, grid=6):
             dec = classify_faces(cone, v)
             assert (dec.back, dec.front) == oracles.downset_classes(cone, v), (entry.name, v)
@@ -254,7 +254,7 @@ SPAN_ORACLE_CONES = (
 
 @cache
 def _cone_and_spans(name):
-    cone = cone_over(parse_recipe(name).realize())
+    cone = cone_over(parse_recipe(name).polytope())
     return cone, oracles.face_spans(cone)
 
 

@@ -32,24 +32,24 @@ def infinitesimally_rigid(fw):
 
 @pytest.fixture(scope="module")
 def cube3():
-    return parse_recipe("cube3").realize()
+    return parse_recipe("cube3").polytope()
 
 
 @pytest.fixture(scope="module")
 def cube4():
-    return parse_recipe("cube4").realize()
+    return parse_recipe("cube4").polytope()
 
 
 def test_framework_edge_counts(cube3, cube4):
     assert build_framework(cube3).n_edges == 12 + 6  # one diagonal per square
     assert build_framework(cube4).n_edges == 32 + 96 - 72  # = 56
-    simp = parse_recipe("cross4").realize()
+    simp = parse_recipe("cross4").polytope()
     assert build_framework(simp).n_edges == 24  # simplicial: edges only
 
 
 def test_framework_needs_dim_three():
     with pytest.raises(ValueError):
-        build_framework(parse_recipe("cube2").realize())
+        build_framework(parse_recipe("cube2").polytope())
 
 
 def test_rigidity_matrix_single_edge():
@@ -100,13 +100,13 @@ def test_cube4_stresses_give_g2(cube4):
 
 def test_simplicial_three_polytopes_are_rigid():
     for name in ["cross3", "simplex3", "cyclic(6,3)"]:
-        p = parse_recipe(name).realize()
+        p = parse_recipe(name).polytope()
         assert stress_dimension(build_framework(p)) == 0, name
 
 
 def test_three_way_agreement_on_dim4_sample():
     for name in ["cross4", "cyclic(6,4)", "pyramid(cube3)", "prism(simplex3)"]:
-        p = parse_recipe(name).realize()
+        p = parse_recipe(name).polytope()
         lat = p.lattice
         assert (
             g2_via_stresses(p) == toric_g(lat)[2] == g2_closed(lat)
@@ -133,22 +133,22 @@ def test_stress_dimension_affine_invariance(cube4):
 
 def test_stress_dimension_triangulation_order_invariance():
     # relabeling vertices changes which diagonals the fan rule picks
-    pts = parse_recipe("cube4").realize().vertices
+    pts = parse_recipe("cube4").polytope().vertices
     relabeled = facet_enumeration(list(reversed(pts)))
     assert g2_via_stresses(relabeled) == 2
 
 
 def test_degree_one_dims():
-    sq = parse_recipe("cube2").realize()
+    sq = parse_recipe("cube2").polytope()
     assert degree_one_dim(central_fan(sq)) == 2      # f0 - d = h1
     assert degree_one_dim(face_fan(cone_over(sq))) == 1  # f0 - (d+1) = g1
-    ray = face_fan(cone_over(parse_recipe("point").realize()))
+    ray = face_fan(cone_over(parse_recipe("point").polytope()))
     assert degree_one_dim(ray) == 0
 
 
 def test_catalog_rigidity_invariants():
     for name in ["cube3", "cross3", "prism(simplex2)", "pyramid(cube2)"]:
-        p = parse_recipe(name).realize()
+        p = parse_recipe(name).polytope()
         fw = build_framework(p)
         assert stress_dimension(fw) == 0, name
         assert infinitesimally_rigid(fw), name
@@ -179,7 +179,7 @@ def bareiss_calls(monkeypatch):
 
 def test_certified_rank_equals_bareiss(bareiss_calls):
     # every catalog framework reaches d n - C(d+1, 2), so no fallback runs
-    polytopes = [e.realize() for e in geometric_catalog() if e.dim >= 3]
+    polytopes = [e.polytope() for e in geometric_catalog() if e.dim >= 3]
     polytopes.append(facet_enumeration(parse_recipe("cube5").vertices()))
     for p in polytopes:
         fw = build_framework(p)
@@ -194,7 +194,7 @@ def test_framework_without_diagonals_falls_back_to_bareiss(bareiss_calls):
     # without the diagonals of its square 2-faces the prism flexes, and the
     # stresses of its two simplicial facets keep the rank below the number of
     # bars too: no bound is met, so the rank mod p certifies nothing
-    p = parse_recipe("prism(cyclic(6,4))").realize()
+    p = parse_recipe("prism(cyclic(6,4))").polytope()
     lat = p.lattice
     edges = tuple(tuple(sorted(lat.faces[e])) for e in lat.faces_of_dim(1))
     fw = Framework(tuple(p.coords), edges, p.d)

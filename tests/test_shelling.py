@@ -129,7 +129,7 @@ def test_relative_h_validates_subcomplexes(prism):
 
 def test_decomposition_sums_and_nonnegativity():
     for name, seeds in [("cube3", 5), ("cross3", 5), ("cube4", 3), ("cyclic(7,3)", 3)]:
-        p = parse_recipe(name).realize()
+        p = parse_recipe(name).polytope()
         for seed in range(seeds):
             loc = shelling_decomposition(line_shelling(p, seed=seed))
             assert sum(loc, Polynomial()) == toric_h(p.lattice), (name, seed)
@@ -200,7 +200,7 @@ def test_decomposition_matches_face_loop_oracle():
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        p = entry.realize()
+        p = entry.polytope()
         for seed in range(3):
             sh = line_shelling(p, seed=seed)
             assert shelling_decomposition(sh) == oracles.face_loop_pieces(sh), (entry.name, seed)
@@ -223,7 +223,7 @@ def test_incidence_checks_match_down_set_oracles():
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        p = entry.realize()
+        p = entry.polytope()
         for seed in range(3):
             sh = line_shelling(p, seed=seed)
             order = list(sh.order)
@@ -260,7 +260,7 @@ def test_integer_crossing_keys_match_fraction_oracle(prism):
     for entry in geometric_catalog():
         if entry.dim < 1:
             continue
-        p = entry.realize()
+        p = entry.polytope()
         for seed in range(3):
             _same_shelling(line_shelling(p, seed=seed), oracles.fraction_line_shelling(p, seed=seed))
     for direction, seed in [(PAPER_DIRECTION, 0), ((0, 0, 1), 3), ((0, 0, 0), 0)]:
@@ -278,7 +278,7 @@ def test_one_pass_certificate_matches_loop_oracle():
     for entry in geometric_catalog():
         if entry.dim < 2:
             continue
-        p = entry.realize()
+        p = entry.polytope()
         for seed in range(3):
             order = list(line_shelling(p, seed=seed).order)
             rng = random.Random(seed)

@@ -290,7 +290,7 @@ def test_non_eulerian_rejected_by_constructor():
 
 def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
     import toricgh.toric as toric_module
-    from toricgh.cli import Input, _verify_one
+    from toricgh.cli import _verify_one
 
     builds = []
     pass_once = toric_module._pair_tables
@@ -307,7 +307,7 @@ def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
         for f in range(1, len(lat) - 1):
             assert quotient_g(lat, f) == quotient_g(alone, f), (name, f)
             assert check_monotonicity(lat, f) == check_monotonicity(alone, f)
-        inp = Input(name, entry=parse_recipe(name))
+        inp = parse_recipe(name)
         builds.clear()
         assert _verify_one("monotonicity", inp, 0, "all")
         assert len(builds) == 1 and "pairs" in inp.lattice()._cache
