@@ -145,7 +145,7 @@ def test_verify_all_skips_geometry_without_coordinates(tmp_path, capsys, fmt):
 TRIANGLE = {"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, 2], [0, 2]]}
 
 
-@pytest.mark.parametrize("command", ["shell", "localize", "rigidity"])
+@pytest.mark.parametrize("command", ["localize", "rigidity"])
 def test_lattice_file_has_no_coordinates(tmp_path, capsys, command):
     f = tmp_path / "lat.json"
     f.write_text(json.dumps(TRIANGLE))
@@ -157,8 +157,6 @@ def test_lattice_file_has_no_coordinates(tmp_path, capsys, command):
     (("ds", "--max-dim", "-2"), "verify ds: no instance selected"),
     (("shelling", "LAT"), "verify shelling: no instance with coordinates selected"),
     (("shelling", "empty"), "verify shelling: no instance with coordinates selected"),
-    (("localization", "empty", "LAT"),
-     "verify localization: no instance with coordinates selected"),
 ])
 def test_verify_selecting_no_row_is_bad_input(tmp_path, capsys, argv, reason):
     # a run that would check nothing exits 2 before any row runs
@@ -193,21 +191,6 @@ def test_entries_past_the_old_subset_rule_are_geometric(capsys):
     assert steps[-1]["running_sum"] == json.loads(run(capsys, "gh", "cube5", "--json")[1])["h"]
     code, out, _ = run(capsys, "verify", "rigidity", "cube5", "prism(cube5)")
     assert code == 0 and out.count("PASS") == 2
-
-
-@pytest.mark.parametrize("data, reason", [
-    ({"vertices": [[0, 0], [1, 0], [0, 1]], "facets": [[0, 1], [1, 2], [0, 2]]},
-     "holds both vertices (polytope/v1) and facets (lattice/v1)"),
-    ({"vertices": [[0, 0], [1, 0], [0, 1]], "name": "triangle"},
-     "unknown polytope/v1 keys ['name']"),
-    ({**TRIANGLE, "dims": 2}, "unknown lattice/v1 keys ['dims']"),
-    ({"dim": 2, "n_vertices": 3}, "neither polytope/v1 nor lattice/v1"),
-])
-def test_unknown_keys_and_mixed_forms_are_bad_input(tmp_path, capsys, data, reason):
-    f = tmp_path / "doc.json"
-    f.write_text(json.dumps(data))
-    code, out, err = run(capsys, "gh", str(f))
-    assert (code, out, err) == (2, "", f"error: {f}: {reason}\n")
 
 
 def test_localize_point_is_bad_input(tmp_path, capsys):
@@ -317,6 +300,10 @@ def test_bad_vertex_rows(tmp_path, capsys, vertices, reason):
     ({"dim": 2, "n_vertices": 3, "facets": [[0, 1], [1, "2"], [0, 2]]},
      "facets must be lists of vertex indices"),
     (5, "neither polytope/v1 nor lattice/v1"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "facets": [[0, 1], [1, 2], [0, 2]]},
+     "holds both vertices (polytope/v1) and facets (lattice/v1)"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "name": "triangle"}, "unknown polytope/v1 keys ['name']"),
+    ({**TRIANGLE, "dims": 2}, "unknown lattice/v1 keys ['dims']"),
 ])
 def test_bad_lattice_files(tmp_path, capsys, data, reason):
     f = tmp_path / "bad.json"

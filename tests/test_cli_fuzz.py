@@ -74,10 +74,6 @@ def _exit(*argv):
         return e.code
 
 
-def _gh(text):
-    return _exit("gh", text)
-
-
 def _on_file(content, *command):
     """Exit code of ``toricgh command FILE``, FILE holding ``content``."""
     fd, path = tempfile.mkstemp(suffix=".json")
@@ -89,24 +85,20 @@ def _on_file(content, *command):
         os.unlink(path)
 
 
-def _gh_file(content):
-    return _on_file(content, "gh")
-
-
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @FUZZ
 @given(RECIPES)
 def test_garbled_recipes_exit_0_or_2(recipe):
-    assert _gh(recipe) in (0, 2)
+    assert _exit("gh", recipe) in (0, 2)
 
 
 @FUZZ
 @given(st.sampled_from(VALID), st.data())
 def test_truncated_recipes_exit_0_or_2(recipe, data):
     cut = data.draw(st.integers(0, len(recipe)))
-    assert _gh(recipe[:cut]) in (0, 2)
+    assert _exit("gh", recipe[:cut]) in (0, 2)
 
 
 @FUZZ
@@ -114,7 +106,7 @@ def test_truncated_recipes_exit_0_or_2(recipe, data):
 @example(doc={"vertices": [["1/0"]]})
 @example(doc={"dim": True, "n_vertices": 2, "facets": [[0], [1]]})
 def test_malformed_documents_exit_0_or_2(doc):
-    assert _gh_file(json.dumps(doc)) in (0, 2)
+    assert _on_file(json.dumps(doc), "gh") in (0, 2)
 
 
 @FUZZ
@@ -122,7 +114,7 @@ def test_malformed_documents_exit_0_or_2(doc):
 def test_truncated_documents_exit_0_or_2(doc, data):
     text = json.dumps(doc)
     cut = data.draw(st.integers(0, len(text)))
-    assert _gh_file(text[:cut]) in (0, 2)
+    assert _on_file(text[:cut], "gh") in (0, 2)
 
 
 @FUZZ
