@@ -2,11 +2,15 @@
 
 Base families: simplex(d), cube(d), cross(d) and cyclic(n, d) with the
 standard realizations (unit simplex, 0/1 cube, unit cross-polytope,
-moment curve at integer parameters 1..n).  Cyclic facets are generated
-by Gale's evenness criterion, block by block, independently of
-coordinates.
-Composite entries apply pyramid / bipyramid / prism to other entries;
-recipes like ``prism(pyramid(cube3))`` compose arbitrarily.
+moment curve at integer parameters 1..n).  simplex and cyclic are facet
+lists, the cyclic facets generated by Gale's evenness criterion, block
+by block.  cube(d) is prism^d(point) and cross(d) bipyramid^(d-1) of the
+segment [-1, 1], lattice and vertices alike.  Composite entries apply
+pyramid / bipyramid / prism to other entries, as in
+``prism(pyramid(cube3))``.  Facet lists are validated, operations are
+not.  A recipe is checked and its dimension read off when it is parsed:
+cyclic(n, d) needs 2 <= d < n, prism a nonempty base and bipyramid a
+base of dimension >= 1.
 
 An entry is the one input type of the command line: a recipe, a
 polytope/v1 file (vertices, realized when loaded) or a lattice/v1 file
@@ -19,21 +23,22 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 from toricgh.geometry import GeometricPolytope, facet_enumeration
 from toricgh.lattice import FaceLattice
 
 
 class CatalogEntry:
-    """A named polytope: a lattice, and vertices when known.
+    """A named polytope of known dimension: a lattice, and vertices when known.
 
-    With no ``make_lattice`` the entry is its vertices alone, and its
-    lattice is the realization's.
+    The dimension comes with the name (from the recipe grammar, or from
+    the object a file was built into), so reading it builds nothing.
     """
 
-    def __init__(self, name, make_lattice, make_vertices=None):
+    def __init__(self, name, dim, make_lattice, make_vertices=None):
         self.name = name
+        self.dim = dim
         self._make_lattice = make_lattice
         self._make_vertices = make_vertices
         self._lattice = None
@@ -41,12 +46,8 @@ class CatalogEntry:
 
     def lattice(self) -> FaceLattice:
         if self._lattice is None:
-            self._lattice = self._make_lattice() if self._make_lattice else self.polytope().lattice
+            self._lattice = self._make_lattice()
         return self._lattice
-
-    @property
-    def dim(self) -> int:
-        return self.lattice().d
 
     def vertices(self):
         return self._make_vertices() if self._make_vertices else None
@@ -65,6 +66,14 @@ class CatalogEntry:
 
     def __repr__(self):
         return f"CatalogEntry({self.name!r}, d={self.dim})"
+
+
+def realized_entry(name, vertices) -> CatalogEntry:
+    """The entry of a vertex list, realized here: bad vertices raise at once."""
+    p = facet_enumeration(vertices)
+    entry = CatalogEntry(name, p.d, lambda: p.lattice, lambda: vertices)
+    entry._polytope = p
+    return entry
 
 
 # -- base families -------------------------------------------------------
@@ -93,39 +102,6 @@ def simplex_vertices(d):
         tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
     ]
     return [zero] + basis
-
-
-def cube_lattice(d):
-    facets = []
-    for axis in range(d):
-        for side in (0, 1):
-            facets.append(
-                frozenset(
-                    v for v in range(2 ** d) if (v >> axis) & 1 == side
-                )
-            )
-    return FaceLattice.from_vertex_facets(2 ** d, facets)
-
-
-def cube_vertices(d):
-    return [tuple(Fraction((v >> a) & 1) for a in range(d)) for v in range(2 ** d)]
-
-
-def cross_lattice(d):
-    # vertex 2i is +e_i, vertex 2i+1 is -e_i; facets pick one sign per axis
-    facets = [
-        frozenset(2 * i + s for i, s in enumerate(signs))
-        for signs in product((0, 1), repeat=d)
-    ]
-    return FaceLattice.from_vertex_facets(2 * d, facets)
-
-
-def cross_vertices(d):
-    out = []
-    for i in range(d):
-        for s in (1, -1):
-            out.append(tuple(Fraction(s * int(i == j)) for j in range(d)))
-    return out
 
 
 def cyclic_facets(n, d):
@@ -182,22 +158,28 @@ def prism_vertices(base):
 
 
 _OPS = {
-    "pyramid": (FaceLattice.pyramid, pyramid_vertices),
-    "bipyramid": (FaceLattice.bipyramid, bipyramid_vertices),
-    "prism": (FaceLattice.prism, prism_vertices),
+    # lattice operation, vertex operation, least dimension of the base
+    "pyramid": (FaceLattice.pyramid, pyramid_vertices, -1),
+    "bipyramid": (FaceLattice.bipyramid, bipyramid_vertices, 1),
+    "prism": (FaceLattice.prism, prism_vertices, 0),
 }
 
 
 def apply_op(op: str, entry: CatalogEntry) -> CatalogEntry:
-    lat_op, vert_op = _OPS[op]
+    lat_op, vert_op, least = _OPS[op]
+    if entry.dim < least:
+        raise ValueError(f"{op} needs a polytope of dimension >= {least}")
     make_vertices = None
     if entry._make_vertices is not None:
         make_vertices = lambda: vert_op(entry.vertices())
-    return CatalogEntry(
-        f"{op}({entry.name})",
-        lambda: lat_op(entry.lattice()),
-        make_vertices,
-    )
+    return CatalogEntry(f"{op}({entry.name})", entry.dim + 1,
+                        lambda: lat_op(entry.lattice()), make_vertices)
+
+
+def _repeat(step, times, x):
+    for _ in range(times):
+        x = step(x)
+    return x
 
 
 # -- the catalog and the recipe grammar -----------------------------------
@@ -205,9 +187,9 @@ def apply_op(op: str, entry: CatalogEntry) -> CatalogEntry:
 
 def _base_entry(name):
     if name == "empty":
-        return CatalogEntry("empty", empty_lattice)
+        return CatalogEntry("empty", -1, empty_lattice)
     if name == "point":
-        return CatalogEntry("point", point_lattice, lambda: [()])
+        return CatalogEntry("point", 0, point_lattice, lambda: [()])
     if name == "segment":
         return _base_entry("simplex1")
     m = re.fullmatch(r"(simplex|cube|cross)(\d+)", name)
@@ -215,12 +197,17 @@ def _base_entry(name):
         kind, d = m.group(1), int(m.group(2))
         if d < 1 or (kind == "cross" and d < 2):
             raise ValueError(f"{name}: dimension too small")
-        maker = {
-            "simplex": (simplex_lattice, simplex_vertices),
-            "cube": (cube_lattice, cube_vertices),
-            "cross": (cross_lattice, cross_vertices),
-        }[kind]
-        return CatalogEntry(name, lambda: maker[0](d), lambda: maker[1](d))
+        # cube and cross iterate in one maker, which keeps one lattice alive
+        # at a time; nested entries would keep every step
+        if kind == "simplex":
+            makers = lambda: simplex_lattice(d), lambda: simplex_vertices(d)
+        elif kind == "cube":        # prism^d(point)
+            makers = (lambda: _repeat(FaceLattice.prism, d, point_lattice()),
+                      lambda: _repeat(prism_vertices, d, [()]))
+        else:                       # bipyramid^(d-1) of the segment [-1, 1]
+            makers = (lambda: _repeat(FaceLattice.bipyramid, d - 1, simplex_lattice(1)),
+                      lambda: _repeat(bipyramid_vertices, d - 1, [(Fraction(1),), (Fraction(-1),)]))
+        return CatalogEntry(name, d, *makers)
     return None
 
 
@@ -256,11 +243,10 @@ def parse_recipe(text: str) -> CatalogEntry:
             expect(",")
             d = number()
             expect(")")
-            return CatalogEntry(
-                f"cyclic({n},{d})",
-                lambda: cyclic_lattice(n, d),
-                lambda: cyclic_vertices(n, d),
-            )
+            if not 2 <= d < n:
+                raise ValueError("cyclic polytopes need 2 <= d < n")
+            return CatalogEntry(f"cyclic({n},{d})", d,
+                                lambda: cyclic_lattice(n, d), lambda: cyclic_vertices(n, d))
         if head in _OPS:
             expect("(")
             inner = expr()

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from toricgh import localization, rigidity, shelling, toric, verma
-from toricgh.catalog import CatalogEntry, parse_recipe
+from toricgh.catalog import CatalogEntry, parse_recipe, realized_entry
 from toricgh.catalog import catalog as full_catalog
 from toricgh.geometry import cone_over
 from toricgh.lattice import FaceLattice, LatticeError
@@ -61,12 +61,9 @@ def load_input(text: str) -> CatalogEntry:
     if keys - FORMS[form]:
         raise InputError(f"{text}: unknown {form} keys {sorted(keys - FORMS[form])}")
     if form == "polytope/v1":
-        entry = CatalogEntry(text, None, lambda: data["vertices"])
-        entry.polytope()
-    else:
-        entry = CatalogEntry(text, lambda: FaceLattice.from_json(data))
-        entry.lattice()
-    return entry
+        return realized_entry(text, data["vertices"])
+    lat = FaceLattice.from_json(data)
+    return CatalogEntry(text, lat.d, lambda: lat)
 
 
 def _emit(args, payload: dict, text_lines):

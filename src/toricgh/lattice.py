@@ -18,9 +18,10 @@ and flag counting are integer sums over the pairs and over the triples
 x < z < y they form (``_triples``); down-sets and up-sets (``below``,
 ``above``) are slices of the same list.  ``leq`` is a dense boolean
 view kept for outside readers only, built on first access.
-Construction validates that the poset is graded, atomic and Eulerian;
-inputs that fail (e.g. an open facet path) are rejected since they
-cannot be polytope boundaries.
+A lattice made from a facet list (``from_vertex_facets``) is validated
+as graded, atomic and Eulerian; inputs that fail (e.g. an open facet
+path) cannot be polytope boundaries.  One made from face sets
+(``build``: the operations, intervals and duals) is not.
 
 A vertex-facet incidence (``from_vertex_facets``) is checked on packed
 words over the vertices the facets name, and then closed under
@@ -53,31 +54,29 @@ class LatticeError(ValueError):
 
 
 class FaceLattice:
-    def __init__(self, faces, n_vertices, pairs, dims, check=True):
+    def __init__(self, faces, n_vertices, pairs, dims):
         self.faces = tuple(faces)
         self.n_vertices = n_vertices
         self.pairs = tuple(pairs)   # (px, py): strict pairs px[k] < py[k], sorted by (x, y)
         self.dims = dims
         self.d = int(dims[-1])
         self._cache = {}
-        if check:
-            self._validate()
 
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def build(face_sets, n_vertices, check=True) -> "FaceLattice":
+    def build(face_sets, n_vertices) -> "FaceLattice":
         """Create a lattice from a collection of faces given as vertex sets.
 
         The order relation is set inclusion, which is the face relation
         for every atomic lattice (each face is the join of its vertices).
         The empty face must be a member unless the collection is the
-        single-element empty-polytope lattice.
+        single-element empty-polytope lattice.  Not validated.
         """
         faces, sizes, bits, members = _sorted_faces(
             {frozenset(f) for f in face_sets}, n_vertices
         )
-        return _from_sorted(faces, sizes, bits, members, n_vertices, check)
+        return _from_sorted(faces, sizes, bits, members, n_vertices)
 
     @staticmethod
     def from_vertex_facets(n_vertices, facets) -> "FaceLattice":
@@ -118,7 +117,9 @@ class FaceLattice:
         if len(named) != n_vertices:
             raise LatticeError("some vertex lies on no facet")
         words = _closure(bits, members, n_vertices)
-        return _from_sorted(*_sorted_words(words), n_vertices, check=True)
+        lat = _from_sorted(*_sorted_words(words), n_vertices)
+        lat._validate()
+        return lat
 
     def _validate(self):
         faces, dims = self.faces, self.dims
@@ -275,7 +276,7 @@ class FaceLattice:
             frozenset(atom_pos[a] for a in [*self.below(i).tolist(), i] if a in atom_pos)
             for i in sel
         ]
-        return FaceLattice.build(face_sets, len(atoms), check=False)
+        return FaceLattice.build(face_sets, len(atoms))
 
     def face(self, i: int) -> "FaceLattice":
         """Face i as a polytope of dimension dims[i]."""
@@ -293,14 +294,14 @@ class FaceLattice:
             frozenset(fpos[f] for f in [i, *self.above(i).tolist()] if f in fpos)
             for i in range(len(self.faces))
         ]
-        return FaceLattice.build(face_sets, len(facets), check=False)
+        return FaceLattice.build(face_sets, len(facets))
 
     def pyramid(self) -> "FaceLattice":
         """Cone over this polytope: faces are F and F + apex for all F."""
         apex = self.n_vertices
         sets = set(self.faces)
         sets.update(f | {apex} for f in self.faces)
-        return FaceLattice.build(sets, apex + 1, check=False)
+        return FaceLattice.build(sets, apex + 1)
 
     def bipyramid(self) -> "FaceLattice":
         """Suspension: two apexes over every proper face, plus a new top."""
@@ -312,7 +313,7 @@ class FaceLattice:
         sets.update(f | {a1} for f in proper)
         sets.update(f | {a2} for f in proper)
         sets.add(self.faces[-1] | {a1, a2})
-        return FaceLattice.build(sets, a2 + 1, check=False)
+        return FaceLattice.build(sets, a2 + 1)
 
     def prism(self) -> "FaceLattice":
         """Product with a segment: bottom copy, top copy and vertical faces."""
@@ -326,7 +327,7 @@ class FaceLattice:
             sets.add(fb)
             sets.add(ft)
             sets.add(fb | ft)
-        return FaceLattice.build(sets, 2 * n, check=False)
+        return FaceLattice.build(sets, 2 * n)
 
     # -- serialization ---------------------------------------------------
 
@@ -467,7 +468,7 @@ def _intersections(gens):
     return found
 
 
-def _from_sorted(faces, sizes, bits, members, n_vertices, check):
+def _from_sorted(faces, sizes, bits, members, n_vertices):
     """The lattice of sorted faces: strict pairs by inclusion, then the grading."""
     n = len(faces)
     if n == 0:
@@ -478,7 +479,7 @@ def _from_sorted(faces, sizes, bits, members, n_vertices, check):
     dims = _grade(sizes, px, py)
     for a in (px, py, dims):
         a.setflags(write=False)
-    return FaceLattice(faces, n_vertices, (px, py), dims, check=check)
+    return FaceLattice(faces, n_vertices, (px, py), dims)
 
 
 def _strict_pairs(sizes, bits, members):

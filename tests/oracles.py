@@ -28,6 +28,12 @@ library computes; only tests ask for it.
 before it generated the facets block by block: Gale's evenness test on
 every d-subset, in the order of ``combinations``.
 
+``cube_lattice``, ``cube_vertices``, ``cross_lattice`` and
+``cross_vertices`` are the cube and cross-polytope the library built
+from facet lists before it built them as prism^d(point) and
+bipyramid^(d-1)(segment).  ``validated_build`` is ``FaceLattice.build``
+with the validation that only facet lists get.
+
 ``dense_interval_tables`` is the single-root h/g table the library built
 before it read the list of comparable pairs: the root's block of the
 dense order copied with ``np.ix_`` and one int64 product per pair of
@@ -86,7 +92,7 @@ entries of the catalog with coordinates.
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from math import gcd, lcm
 from weakref import WeakKeyDictionary
 
@@ -94,7 +100,7 @@ import numpy as np
 
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
-from toricgh.lattice import _CHUNK, LatticeError, _sorted_faces
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _sorted_faces
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
@@ -870,6 +876,47 @@ def subset_scan_cyclic_facets(n, d):
         if ok:
             facets.append(frozenset(s))
     return facets
+
+
+def cube_lattice(d):
+    """The d-cube from its 2d facets: vertex v has coordinate a = (v >> a) & 1."""
+    facets = []
+    for axis in range(d):
+        for side in (0, 1):
+            facets.append(
+                frozenset(
+                    v for v in range(2 ** d) if (v >> axis) & 1 == side
+                )
+            )
+    return FaceLattice.from_vertex_facets(2 ** d, facets)
+
+
+def cube_vertices(d):
+    return [tuple(Fraction((v >> a) & 1) for a in range(d)) for v in range(2 ** d)]
+
+
+def cross_lattice(d):
+    # vertex 2i is +e_i, vertex 2i+1 is -e_i; facets pick one sign per axis
+    facets = [
+        frozenset(2 * i + s for i, s in enumerate(signs))
+        for signs in product((0, 1), repeat=d)
+    ]
+    return FaceLattice.from_vertex_facets(2 * d, facets)
+
+
+def cross_vertices(d):
+    out = []
+    for i in range(d):
+        for s in (1, -1):
+            out.append(tuple(Fraction(s * int(i == j)) for j in range(d)))
+    return out
+
+
+def validated_build(face_sets, n_vertices):
+    """``FaceLattice.build`` followed by the validation it leaves out."""
+    lat = FaceLattice.build(face_sets, n_vertices)
+    lat._validate()
+    return lat
 
 
 def geometric_catalog():

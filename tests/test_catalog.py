@@ -6,8 +6,6 @@ import pytest
 from toricgh.catalog import (
     CatalogEntry,
     catalog,
-    cross_lattice,
-    cube_lattice,
     cyclic_facets,
     cyclic_lattice,
     cyclic_vertices,
@@ -19,6 +17,10 @@ from toricgh.cli import load_input
 from toricgh.geometry import facet_enumeration
 
 from oracles import (
+    cross_lattice,
+    cross_vertices,
+    cube_lattice,
+    cube_vertices,
     dense_order,
     geometric_catalog,
     is_eulerian,
@@ -27,11 +29,23 @@ from oracles import (
 )
 
 
-def test_base_families_agree_with_iterated_constructions():
-    assert set(cube_lattice(3).faces) == set(
-        cube_lattice(2).prism().faces
-    ) or is_isomorphic(cube_lattice(3), cube_lattice(2).prism())
-    assert is_isomorphic(cross_lattice(4), cross_lattice(3).bipyramid())
+FACET_LISTS = {"cube": (cube_lattice, cube_vertices), "cross": (cross_lattice, cross_vertices)}
+
+
+@pytest.mark.parametrize("kind, d", [("cube", d) for d in range(1, 9)] + [("cross", d) for d in range(2, 8)])
+def test_base_families_agree_with_iterated_constructions(kind, d):
+    # cube(d) = prism^d(point) and cross(d) = bipyramid^(d-1)(segment) give
+    # the facet lists' lattice and vertices, labels and order included
+    entry = parse_recipe(f"{kind}{d}")
+    lattice, vertices = FACET_LISTS[kind]
+    lat, ref = entry.lattice(), lattice(d)
+    assert lat.faces == ref.faces and lat.n_vertices == ref.n_vertices
+    assert np.array_equal(lat.dims, ref.dims)
+    assert np.array_equal(np.stack(lat.pairs), np.stack(ref.pairs))
+    assert entry.vertices() == vertices(d)
+
+
+def test_simplex_is_an_iterated_pyramid():
     assert is_isomorphic(simplex_lattice(3), simplex_lattice(2).pyramid())
 
 
@@ -106,6 +120,7 @@ def test_realization_budget(tmp_path):
     lattice_file = tmp_path / "square.json"
     lattice_file.write_text(json.dumps(cube_lattice(2).to_json()))
     for entry in (parse_recipe("empty"), load_input(str(lattice_file))):
+        assert entry.dim == entry.lattice().d
         assert not entry.has_coordinates()
         with pytest.raises(ValueError, match="coordinates required"):
             entry.polytope()
@@ -125,9 +140,20 @@ def test_recipe_parser():
     assert parse_recipe("cyclic(7, 3)").name == "cyclic(7,3)"
     assert parse_recipe("bipyramid(pyramid(point))").dim == 2
     for bad in ["cube", "dodecahedron", "cyclic(7)", "prism()", "cube3)",
-                "prism(cube3", "cube3 extra"]:
+                "prism(cube3", "cube3 extra", "cube0", "cross1",
+                # out of the grammar's bounds, refused before anything is built
+                "cyclic(3,5)", "cyclic(4,4)", "cyclic(5,1)", "prism(empty)",
+                "bipyramid(point)", "prism(bipyramid(empty))"]:
         with pytest.raises(ValueError):
             parse_recipe(bad)
+
+
+def test_dimension_is_read_off_the_recipe():
+    # the base's d, +1 per operation: reading it, or repr(), builds nothing
+    entries = catalog()
+    dims = [e.dim for e in entries]
+    assert all(map(repr, entries)) and all(e._lattice is None for e in entries)
+    assert dims == [e.lattice().d for e in entries]
 
 
 def test_point_and_empty():

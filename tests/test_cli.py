@@ -169,9 +169,17 @@ def test_verify_selecting_no_row_is_bad_input(tmp_path, capsys, argv, reason):
 
 @pytest.mark.parametrize("suite, lattices", [
     ("shelling", 1), ("localization", 1),
-    ("rigidity", 2),    # the realization's, and the recipe's for the g_2 comparison
+    # the realization's, and the recipe's for the g_2 comparison: the point and four prisms
+    ("rigidity", 1 + 5),
 ])
 def test_geometric_suites_build_one_lattice_per_need(monkeypatch, capsys, suite, lattices):
+    built = _count_lattices(monkeypatch)
+    code, _, _ = run(capsys, "verify", suite, "cube4")
+    assert code == 0 and len(built) == lattices
+
+
+def _count_lattices(monkeypatch):
+    """A list that gets one entry per lattice constructor call."""
     from toricgh.lattice import FaceLattice
 
     built = []
@@ -179,8 +187,16 @@ def test_geometric_suites_build_one_lattice_per_need(monkeypatch, capsys, suite,
         make = getattr(FaceLattice, name)
         monkeypatch.setattr(FaceLattice, name, staticmethod(
             lambda *a, _make=make, **k: built.append(1) or _make(*a, **k)))
-    code, _, _ = run(capsys, "verify", suite, "cube4")
-    assert code == 0 and len(built) == lattices
+    return built
+
+
+@pytest.mark.parametrize("suite", ["shelling", "localization"])
+def test_max_dim_filter_builds_no_recipe_lattice(monkeypatch, capsys, suite):
+    # the filter reads the recipes' dimensions: the only lattices made are
+    # the realizations', one per row (the realized point's by build)
+    built = _count_lattices(monkeypatch)
+    code, out, _ = run(capsys, "verify", suite, "--max-dim", "3")
+    assert code == 0 and len(built) == len(out.splitlines()) == 26
 
 
 def test_entries_past_the_old_subset_rule_are_geometric(capsys):
@@ -267,6 +283,23 @@ def test_unknown_recipe(capsys):
 @pytest.mark.parametrize("recipe", ["bipyramid(point)", "bipyramid(empty)"])
 def test_bipyramid_below_dimension_one_is_bad_input(capsys, recipe):
     assert run(capsys, "gh", recipe)[:2] == run(capsys, "verify", "all", recipe)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("gh", "cyclic(3,5)"), "cyclic polytopes need 2 <= d < n"),
+    (("shell", "cyclic(3,5)"), "cyclic polytopes need 2 <= d < n"),
+    (("rigidity", "cyclic(4,5)"), "cyclic polytopes need 2 <= d < n"),
+    (("localize", "cyclic(4,4)"), "cyclic polytopes need 2 <= d < n"),
+    (("verify", "shelling", "cyclic(3,5)"), "cyclic polytopes need 2 <= d < n"),
+    (("verify", "localization", "cyclic(3,5)"), "cyclic polytopes need 2 <= d < n"),
+    (("verify", "ds", "cube3", "prism(empty)"), "prism needs a polytope of dimension >= 0"),
+    (("flags", "prism(empty)"), "prism needs a polytope of dimension >= 0"),
+    (("verify", "all", "cube3", "bipyramid(point)"), "bipyramid needs a polytope of dimension >= 1"),
+])
+def test_bad_recipes_exit_2_before_any_output(capsys, argv, reason):
+    # refused when parsed: no command runs on a triangle for cyclic(3,5), and
+    # no verify row is printed before a later scope entry is refused
+    assert run(capsys, *argv) == (2, "", f"error: {reason}\n")
 
 
 def test_verify_scope_max_dim(capsys):

@@ -7,7 +7,10 @@ truncated and garbled recipes from the recipe grammar, and polytope/v1
 and lattice/v1 JSON with wrong types, shapes and values, as documents
 and as truncated text.  The coordinate commands (``shell``,
 ``rigidity``, ``localize`` and the geometric ``verify`` suites) may
-also exit 1 on such documents, but never with a traceback.
+also exit 1 on such documents, but never with a traceback.  Well-formed
+recipes of the grammar, some of them out of its bounds (cube0,
+cyclic(3,5), prism(empty)), are refused alike by ``gh``, ``flags`` and
+``shell``: when they are parsed, before any output.
 """
 
 import json
@@ -32,6 +35,18 @@ TOKENS = st.one_of(
 RECIPES = st.lists(TOKENS, min_size=1, max_size=9).map("".join).filter(
     lambda r: not re.search(r"\d\d", r))
 VALID = ["cube3", "cyclic(6,4)", "prism(pyramid(simplex2))", "bipyramid(cross3)"]
+# bases up to d = 4, cyclic(n, d) with n <= 8 (d >= n included), and at
+# most two operations over them
+BASES = st.one_of(
+    st.sampled_from(["empty", "point", "segment"]),
+    st.builds("{}{}".format, st.sampled_from(["simplex", "cube", "cross"]), st.integers(0, 4)),
+    st.builds("cyclic({},{})".format, st.integers(0, 8), st.integers(0, 8)),
+)
+GRAMMAR = st.builds(
+    lambda ops, base: "".join(f"{op}(" for op in ops) + base + ")" * len(ops),
+    st.lists(st.sampled_from(["pyramid", "bipyramid", "prism"]), max_size=2),
+    BASES,
+)
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 5),
@@ -92,6 +107,20 @@ FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 @given(RECIPES)
 def test_garbled_recipes_exit_0_or_2(recipe):
     assert _exit("gh", recipe) in (0, 2)
+
+
+@settings(FUZZ, max_examples=80)
+@given(GRAMMAR)
+@example(recipe="cyclic(3,5)")
+@example(recipe="prism(empty)")
+@example(recipe="pyramid(bipyramid(point))")
+def test_grammar_recipes_are_refused_alike(recipe):
+    # gh, flags and shell read the same entry: a recipe gh refuses is
+    # refused by the others, and shell may refuse more (no coordinates)
+    codes = [_exit(command, recipe) for command in ("gh", "flags", "shell")]
+    assert set(codes) <= {0, 1, 2}
+    if codes[0] == 2:
+        assert codes == [2, 2, 2]
 
 
 @FUZZ

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricgh import geometry
-from toricgh.catalog import cube_lattice, cyclic_lattice, cyclic_vertices
+from toricgh.catalog import cyclic_lattice, cyclic_vertices
 from toricgh.geometry import (
     _integer_kernel,
     cone_over,
@@ -15,7 +15,7 @@ from toricgh.geometry import (
 )
 
 import oracles
-from oracles import Fan, central_fan, face_fan
+from oracles import Fan, central_fan, cube_lattice, face_fan
 
 
 def test_unit_square():

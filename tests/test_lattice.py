@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from toricgh.lattice import FaceLattice, LatticeError, _sorted_faces
 from toricgh.catalog import (
     catalog,
-    cross_lattice,
-    cube_lattice,
     cyclic_lattice,
     point_lattice,
     simplex_lattice,
@@ -17,9 +15,12 @@ from oracles import (
     CanonicalBudgetExceeded,
     canonical_form,
     covers,
+    cross_lattice,
+    cube_lattice,
     dense_order,
     is_eulerian,
     is_isomorphic,
+    validated_build,
 )
 
 CUBE_FACETS = [
@@ -68,7 +69,7 @@ def test_uncovered_vertex_rejected():
 def test_interval_vertex_figure_of_cube(cube):
     # 3 squares and 3 edges contain a cube vertex: the quotient is a triangle
     q = cube.quotient(cube.index_of({0}))
-    q = FaceLattice.build(q.faces, q.n_vertices)
+    q = validated_build(q.faces, q.n_vertices)
     assert q.d == 2
     assert q.f_vector() == (3, 3)
     assert len(q) == 8
@@ -85,7 +86,7 @@ def test_interval_full_and_degenerate(cube):
 
 def test_dual_of_cube_is_octahedron(cube):
     oc = cube.dual()
-    oc = FaceLattice.build(oc.faces, oc.n_vertices)
+    oc = validated_build(oc.faces, oc.n_vertices)
     assert oc.f_vector() == (6, 12, 8)
     assert is_eulerian(oc)
 
@@ -126,7 +127,6 @@ def test_is_eulerian_cases(cube):
     broken = FaceLattice.build(
         [f for f in cube.faces if f != frozenset({4, 5, 6, 7})],
         8,
-        check=False,
     )
     assert not is_eulerian(broken)
 
@@ -144,7 +144,7 @@ def test_every_constructor_output_validates():
             with pytest.raises(LatticeError, match="dimension >= 1"):
                 base.bipyramid()
         for lat in derived:
-            FaceLattice(lat.faces, lat.n_vertices, lat.pairs, lat.dims, check=True)
+            lat._validate()
 
 
 def test_corrupted_pairs_fail_validation(cube):
@@ -154,7 +154,7 @@ def test_corrupted_pairs_fail_validation(cube):
     drop_bottom = np.arange(len(px)) != 0
     for keep, message in ((drop_cover, "Eulerian|graded"), (drop_bottom, "not unique")):
         with pytest.raises(LatticeError, match=message):
-            FaceLattice(cube.faces, cube.n_vertices, (px[keep], py[keep]), cube.dims, check=True)
+            FaceLattice(cube.faces, cube.n_vertices, (px[keep], py[keep]), cube.dims)._validate()
 
 
 def test_grading_conventions(cube):

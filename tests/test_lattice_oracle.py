@@ -30,6 +30,7 @@ from oracles import (
     dense_order,
     set_closure,
     strict_pairs,
+    validated_build,
 )
 
 CATALOG = catalog()
@@ -65,7 +66,7 @@ def test_relabelled_vertices_match_dense_oracle(entry, rng):
     perm = list(range(lat.n_vertices))
     rng.shuffle(perm)
     faces = [frozenset(perm[v] for v in f) for f in lat.faces]
-    _assert_matches_dense(FaceLattice.build(faces, lat.n_vertices, check=True))
+    _assert_matches_dense(validated_build(faces, lat.n_vertices))
 
 
 def _outcome(build, *args):
@@ -119,7 +120,7 @@ def test_mutated_lattices_fail_like_dense_oracle(entry, kind, by_facets, rng):
         old = _outcome(dense_from_vertex_facets, n, facets)
     else:
         faces, n = _mutate_faces(lat, kind, rng)
-        new = _outcome(FaceLattice.build, faces, n)
+        new = _outcome(validated_build, faces, n)
         old = _outcome(dense_build, faces, n)
     assert new[0] == old[0]
     if new[1] is not None:
@@ -141,7 +142,7 @@ def test_mutations_reach_each_kind_of_rejection():
             msg, _ = _outcome(FaceLattice.from_vertex_facets, n, facets)
         else:
             faces, n = _mutate_faces(lat, kind, rng)
-            msg, _ = _outcome(FaceLattice.build, faces, n)
+            msg, _ = _outcome(validated_build, faces, n)
         seen.add(re.sub(r"\[.*\]", "[...]", msg))
     assert {
         "accept",
@@ -184,7 +185,7 @@ def test_both_closure_sides_match_set_closure(name):
     lat = parse_recipe(name).lattice()
     facets = [lat.faces[i] for i in lat.faces_of_dim(lat.d - 1)]
     assert _facet_side(lat) == name.startswith("cube")
-    ref = FaceLattice.build(set_closure(lat.n_vertices, facets), lat.n_vertices, check=False)
+    ref = FaceLattice.build(set_closure(lat.n_vertices, facets), lat.n_vertices)
     assert lat.faces == ref.faces and np.array_equal(lat.dims, ref.dims)
     assert np.array_equal(np.stack(lat.pairs), np.stack(ref.pairs))
 

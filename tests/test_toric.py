@@ -5,8 +5,6 @@ import pytest
 
 from toricgh.catalog import (
     catalog,
-    cross_lattice,
-    cube_lattice,
     cyclic_lattice,
     parse_recipe,
     point_lattice,
@@ -39,6 +37,8 @@ from oracles import (
     Invariant,
     central_fan,
     convolution,
+    cross_lattice,
+    cube_lattice,
     dense_order,
     face_fan,
     fan_h,

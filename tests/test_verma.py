@@ -1,8 +1,6 @@
 import pytest
 
 from toricgh.catalog import (
-    cross_lattice,
-    cube_lattice,
     cyclic_lattice,
     parse_recipe,
     point_lattice,
@@ -17,6 +15,8 @@ from toricgh.verma import (
     truncated_inequality,
     verma_multiplicities,
 )
+
+from oracles import cross_lattice, cube_lattice
 
 SQUARE = cube_lattice(2)
 CUBE3 = cube_lattice(3)
