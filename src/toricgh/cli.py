@@ -6,7 +6,8 @@ Inputs are catalog recipes (``cube4``, ``prism(pyramid(simplex2))``,
 or lattice/v1 ``{"dim": d, "n_vertices": n, "facets": [[...]]}``, each
 read into a ``CatalogEntry``.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (an input
+too large for the memory at hand among them).
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def cmd_flags(args) -> int:
 
 def _suite_instances(args):
     if args.scope:
+        if args.max_dim is not None:
+            raise InputError("--max-dim filters the catalog; it does not apply to a scope")
         return [load_input(s) for s in args.scope]
     entries = full_catalog()
     if args.max_dim is not None:
@@ -439,6 +442,9 @@ def main(argv=None) -> int:
     except shelling.ShellingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory on {args.command}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

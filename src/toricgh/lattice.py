@@ -20,8 +20,15 @@ x < z < y they form (``_triples``); down-sets and up-sets (``below``,
 view kept for outside readers only, built on first access.
 A lattice made from a facet list (``from_vertex_facets``) is validated
 as graded, atomic and Eulerian; inputs that fail (e.g. an open facet
-path) cannot be polytope boundaries.  One made from face sets
-(``build``: the operations, intervals and duals) is not.
+path) cannot be polytope boundaries.  One made from face sets (``build``:
+the empty polytope and the point) is not.
+
+Derived lattices (pyramid, bipyramid, prism, dual, intervals) are not
+rediscovered by inclusion either: each operation reads its faces, its
+strict pairs and its dims off the base lattice's by a rule, and
+``_assemble`` orders the faces as ``_sort`` does, relabels the pairs
+into one int64 key array and sorts it once, in place.  They are not
+validated.
 
 A vertex-facet incidence (``from_vertex_facets``) is checked on packed
 words over the vertices the facets name, and then closed under
@@ -71,7 +78,9 @@ class FaceLattice:
         The order relation is set inclusion, which is the face relation
         for every atomic lattice (each face is the join of its vertices).
         The empty face must be a member unless the collection is the
-        single-element empty-polytope lattice.  Not validated.
+        single-element empty-polytope lattice.  Not validated.  The
+        library builds only the empty polytope and the point this way;
+        the operations build by rule (``_assemble``).
         """
         faces, sizes, bits, members = _sorted_faces(
             {frozenset(f) for f in face_sets}, n_vertices
@@ -227,6 +236,16 @@ class FaceLattice:
             )
         return cols
 
+    def _bits(self) -> np.ndarray:
+        """The packed vertex words of each face, as ``_sort`` reads them."""
+        bits = self._cache.get("bits")
+        if bits is None:
+            sizes = np.fromiter(map(len, self.faces), dtype=np.int64, count=len(self.faces))
+            rows = np.repeat(np.arange(len(sizes)), sizes)
+            verts = np.fromiter(chain.from_iterable(self.faces), dtype=np.int64, count=len(rows))
+            bits = self._cache["bits"] = _pack(rows, verts, len(sizes), self.n_vertices)
+        return bits
+
     def above(self, i) -> np.ndarray:
         """The faces strictly above face i, ascending: its run of ``pairs``."""
         rows = self._rows()
@@ -256,6 +275,10 @@ class FaceLattice:
         )
 
     # -- derived lattices ----------------------------------------------
+    #
+    # Every operation below reads the faces, pairs and dims of its result
+    # off this lattice's by a rule and hands them to ``_assemble``: no
+    # inclusion test and no grading pass.
 
     def interval(self, lo: int, hi: int) -> "FaceLattice":
         """The interval [lo, hi] re-graded so lo becomes the empty face.
@@ -264,19 +287,28 @@ class FaceLattice:
         right; ``interval(F, top)`` is the quotient polytope whose faces
         are the faces containing F.  Intervals of Eulerian polytope
         lattices are again such; no derived lattice is re-validated.
+        The pairs are those of the selected faces' runs that end inside;
+        the vertices are the atoms (the faces one above lo).
         """
-        up = self.above(lo).tolist()
+        up = self.above(lo)
         if lo != hi and hi not in up:
             raise LatticeError("interval endpoints are not comparable")
-        inside = set(self.below(hi).tolist())
-        sel = [lo, *(i for i in up if i in inside), hi][: 1 if lo == hi else None]
-        atoms = [i for i in sel if self.dims[i] == self.dims[lo] + 1]
-        atom_pos = {a: p for p, a in enumerate(atoms)}
-        face_sets = [
-            frozenset(atom_pos[a] for a in [*self.below(i).tolist(), i] if a in atom_pos)
-            for i in sel
-        ]
-        return FaceLattice.build(face_sets, len(atoms))
+        sel = np.union1d(np.intersect1d(up, self.below(hi), assume_unique=True), [lo, hi])
+        pos = np.full(len(self.faces), -1)
+        pos[sel] = np.arange(len(sel))
+        start, (px, py) = self._rows(), self.pairs
+        run = _spans(start[sel], start[sel + 1])
+        x, y = pos[px[run]], pos[py[run]]
+        inside = y >= 0
+        x, y = x[inside], y[inside]
+        dims = self.dims[sel] - self.dims[lo] - 1
+        atom = dims == 0
+        atoms = np.flatnonzero(atom)
+        on = atom[x]
+        rows = np.concatenate((y[on], atoms))
+        verts = (np.cumsum(atom) - 1)[np.concatenate((x[on], atoms))]
+        return _assemble(_face_sets(rows, verts, len(sel)), _pack(rows, verts, len(sel), len(atoms)),
+                         dims, [(x, 0, y, 0)], len(atoms))
 
     def face(self, i: int) -> "FaceLattice":
         """Face i as a polytope of dimension dims[i]."""
@@ -287,47 +319,96 @@ class FaceLattice:
         return self.interval(i, self.top)
 
     def dual(self) -> "FaceLattice":
-        """Order-reversed lattice; atoms of the dual are the facets."""
-        facets = self.faces_of_dim(self.d - 1)
-        fpos = {f: p for p, f in enumerate(facets)}
-        face_sets = [
-            frozenset(fpos[f] for f in [i, *self.above(i).tolist()] if f in fpos)
-            for i in range(len(self.faces))
-        ]
-        return FaceLattice.build(face_sets, len(facets))
+        """Order-reversed lattice; atoms of the dual are the facets.
+
+        Face i becomes the set of facets holding it, of dimension
+        d - 1 - dims[i], and every pair is reversed.
+        """
+        px, py = self.pairs
+        facet = self.dims == self.d - 1
+        facets = np.flatnonzero(facet)
+        up = facet[py]
+        rows = np.concatenate((px[up], facets))
+        verts = (np.cumsum(facet) - 1)[np.concatenate((py[up], facets))]
+        n = len(self.faces)
+        return _assemble(_face_sets(rows, verts, n), _pack(rows, verts, n, len(facets)),
+                         self.d - 1 - self.dims, [(py, 0, px, 0)], len(facets))
 
     def pyramid(self) -> "FaceLattice":
-        """Cone over this polytope: faces are F and F + apex for all F."""
-        apex = self.n_vertices
-        sets = set(self.faces)
-        sets.update(f | {apex} for f in self.faces)
-        return FaceLattice.build(sets, apex + 1)
+        """Cone over this polytope: faces are F and F + apex for all F.
+
+        F < G gives (F, G), (F + a, G + a) and (F, G + a); every F lies
+        below F + a.
+        """
+        apex, m = self.n_vertices, len(self.faces)
+        base = _place(self._bits(), _width(apex + 1))
+        px, py = self.pairs
+        every = np.arange(m)
+        return _assemble(
+            [*self.faces, *(f | {apex} for f in self.faces)],
+            np.concatenate((base, base | _pack([0], [apex], 1, apex + 1))),
+            np.concatenate((self.dims, self.dims + 1)),
+            [(px, 0, py, 0), (px, m, py, m), (px, 0, py, m), (every, 0, every, m)],
+            apex + 1,
+        )
 
     def bipyramid(self) -> "FaceLattice":
-        """Suspension: two apexes over every proper face, plus a new top."""
+        """Suspension: two apexes over every proper face, plus a new top.
+
+        Over the k proper faces: F < G gives (F, G), and (F + a, G + a)
+        and (F, G + a) for each apex a; F lies below F + a, and every
+        face below the new top.
+        """
         if self.d < 1:   # over a point the top would hold a non-atom vertex
             raise LatticeError("bipyramid needs a polytope of dimension >= 1")
         a1, a2 = self.n_vertices, self.n_vertices + 1
-        proper = self.faces[:-1]
-        sets = set(proper)
-        sets.update(f | {a1} for f in proper)
-        sets.update(f | {a2} for f in proper)
-        sets.add(self.faces[-1] | {a1, a2})
-        return FaceLattice.build(sets, a2 + 1)
+        k = len(self.faces) - 1
+        base = _place(self._bits(), _width(a2 + 1))
+        apex1, apex2 = _pack([0], [a1], 1, a2 + 1), _pack([0], [a2], 1, a2 + 1)
+        px, py = self.pairs
+        proper = py != k
+        px, py = px[proper], py[proper]
+        every = np.arange(k)
+        proper_faces, proper_dims = self.faces[:-1], self.dims[:-1]
+        return _assemble(
+            [*proper_faces, *(f | {a1} for f in proper_faces), *(f | {a2} for f in proper_faces),
+             self.faces[-1] | {a1, a2}],
+            np.concatenate((base[:k], base[:k] | apex1, base[:k] | apex2, base[k:] | apex1 | apex2)),
+            np.concatenate((proper_dims, proper_dims + 1, proper_dims + 1, [self.d + 1])),
+            [(px, 0, py, 0), (px, k, py, k), (px, 2 * k, py, 2 * k), (px, 0, py, k),
+             (px, 0, py, 2 * k), (every, 0, every, k), (every, 0, every, 2 * k),
+             (np.arange(3 * k), 0, np.full(3 * k, 3 * k), 0)],
+            a2 + 1,
+        )
 
     def prism(self) -> "FaceLattice":
-        """Product with a segment: bottom copy, top copy and vertical faces."""
+        """Product with a segment: bottom copy, top copy and vertical faces.
+
+        The faces are the empty face and (F, s) for the k faces F != {}
+        and s in {bottom, top, side}; (F, s) < (G, s') iff F <= G and
+        s <= s' (bottom < side, top < side), and the two differ.
+        """
         if self.d < 0:
             raise LatticeError("prism over the empty polytope is undefined")
-        n = self.n_vertices
-        sets = {frozenset()}
-        for f in self.faces[1:]:
-            fb = frozenset(f)
-            ft = frozenset(v + n for v in f)
-            sets.add(fb)
-            sets.add(ft)
-            sets.add(fb | ft)
-        return FaceLattice.build(sets, 2 * n)
+        n, k = self.n_vertices, len(self.faces) - 1
+        width = _width(2 * n)
+        bits = self._bits()[1:]
+        bottom, top = _place(bits, width), _place(bits, width, n)
+        px, py = self.pairs
+        px, py = px[k:], py[k:]          # the empty face's run is the first k pairs
+        every = np.arange(1, k + 1)
+        faces = self.faces[1:]
+        tops = [frozenset([v + n for v in f]) for f in faces]
+        dims = self.dims[1:]
+        return _assemble(
+            [frozenset(), *faces, *tops, *map(frozenset.union, faces, tops)],
+            np.concatenate((np.zeros((1, width), dtype=np.uint64), bottom, top, bottom | top)),
+            np.concatenate(([-1], dims, dims, dims + 1)),
+            [(px, 0, py, 0), (px, k, py, k), (px, 2 * k, py, 2 * k), (px, 0, py, 2 * k),
+             (px, k, py, 2 * k), (every, 0, every, 2 * k), (every, k, every, 2 * k),
+             (np.zeros(3 * k, dtype=np.int64), 0, np.arange(1, 3 * k + 1), 0)],
+            2 * n,
+        )
 
     # -- serialization ---------------------------------------------------
 
@@ -378,9 +459,35 @@ def _sorted_faces(face_sets, n_vertices):
         _check_range(faces, n_vertices)
     verts = np.array(flat, dtype=np.int64)
     rows = np.repeat(np.arange(n), sizes)
-    bits = np.zeros((n, -(-max(n_vertices, 1) // 64)), dtype=np.uint64)
+    return _sort(faces, sizes, _pack(rows, verts, n, n_vertices), (rows, verts))
+
+
+def _width(n_vertices):
+    """Words per face row over ``n_vertices`` vertices."""
+    return -(-max(n_vertices, 1) // 64)
+
+
+def _pack(rows, verts, n, n_vertices):
+    """Word rows of n faces from (rows, verts), one entry per vertex of each face.
+
+    Vertex v is bit 63 - v % 64 of word v // 64.
+    """
+    verts = np.asarray(verts, dtype=np.int64)
+    bits = np.zeros((n, _width(n_vertices)), dtype=np.uint64)
     np.bitwise_or.at(bits, (rows, verts // 64), np.uint64(1) << (63 - verts % 64).astype(np.uint64))
-    return _sort(faces, sizes, bits, (rows, verts))
+    return bits
+
+
+def _place(bits, width, shift=0):
+    """Word rows ``bits`` widened to ``width`` words, each vertex v moved to v + shift."""
+    q, r = divmod(shift, 64)
+    out = np.zeros((len(bits), width), dtype=np.uint64)
+    w = min(bits.shape[1], width - q)
+    out[:, q:q + w] = bits[:, :w] >> np.uint64(r)
+    if r:       # the low r bits of each word spill into the next
+        w = min(bits.shape[1], width - q - 1)
+        out[:, q + 1:q + 1 + w] |= bits[:, :w] << np.uint64(64 - r)
+    return out
 
 
 def _sorted_words(bits):
@@ -414,10 +521,20 @@ def _sort(faces, sizes, bits, members):
     each face, rows counted in the sorted order.
     """
     rows, verts = members
-    order = np.lexsort((*(~bits).T[::-1], sizes))
+    order = _face_order(sizes, bits)
+    return [faces[i] for i in order], sizes[order], bits[order], (_ranks(order)[rows], verts)
+
+
+def _face_order(sizes, bits):
+    """The face order: by vertex count, then descending words (see ``_sort``)."""
+    return np.lexsort((*(~bits).T[::-1], sizes))
+
+
+def _ranks(order):
+    """The inverse permutation: where each original index lands in ``order``."""
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return [faces[i] for i in order], sizes[order], bits[order], (rank[rows], verts)
+    return rank
 
 
 def _closure(bits, members, n_vertices):
@@ -477,9 +594,50 @@ def _from_sorted(faces, sizes, bits, members, n_vertices):
     if int(np.searchsorted(px, 1)) != n - 1:
         raise LatticeError("no unique bottom element")
     dims = _grade(sizes, px, py)
+    return _frozen(faces, n_vertices, px, py, dims, bits)
+
+
+def _frozen(faces, n_vertices, px, py, dims, bits):
+    """The lattice of sorted faces and their order, its arrays read-only."""
     for a in (px, py, dims):
         a.setflags(write=False)
-    return FaceLattice(faces, n_vertices, (px, py), dims)
+    lat = FaceLattice(faces, n_vertices, (px, py), dims)
+    lat._cache["bits"] = bits
+    return lat
+
+
+def _assemble(faces, bits, dims, pairs, n_vertices):
+    """The lattice of faces whose order and grading a construction rule gives.
+
+    ``faces`` (vertex frozensets), ``bits`` (their packed words) and
+    ``dims`` list the faces in any labelling, and ``pairs`` holds the
+    strict pairs x < y in runs (x, dx, y, dy), each the labels
+    x + dx < y + dy.  The faces are ordered as ``_sort`` orders them;
+    the pairs are relabelled into one int64 key x * n + y, filled run by
+    run and sorted in place, so no pair array is concatenated or copied.
+    """
+    n = len(faces)
+    order = _face_order(np.fromiter(map(len, faces), dtype=np.int64, count=n), bits)
+    rank = _ranks(order)
+    key = np.empty(sum(len(x) for x, _, _, _ in pairs), dtype=np.int64)
+    a = 0
+    for x, dx, y, dy in pairs:
+        run = key[a:a + len(x)]
+        np.take(rank[dx:], x, out=run)
+        run *= n
+        run += rank[dy:][y]
+        a += len(x)
+    key.sort()
+    px = key // n
+    py = np.remainder(key, n, out=key)
+    return _frozen([faces[i] for i in order], n_vertices, px, py, dims[order], bits[order])
+
+
+def _face_sets(rows, verts, n):
+    """The vertex frozensets of n faces from (rows, verts), one entry per vertex of each face."""
+    flat = verts[np.argsort(rows, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    return [frozenset(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _strict_pairs(sizes, bits, members):
@@ -517,6 +675,12 @@ def _strict_pairs(sizes, bits, members):
         out.append((np.repeat(x, c)[keep], y[keep]))
         a = b
     return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _spans(starts, ends):
+    """The indices of the ranges starts[k]:ends[k], one after the other."""
+    cnt = ends - starts
+    return np.repeat(starts - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
 
 
 def _run_starts(a):

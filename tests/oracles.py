@@ -34,6 +34,13 @@ from facet lists before it built them as prism^d(point) and
 bipyramid^(d-1)(segment).  ``validated_build`` is ``FaceLattice.build``
 with the validation that only facet lists get.
 
+``pyramid_by_inclusion``, ``bipyramid_by_inclusion``,
+``prism_by_inclusion``, ``dual_by_inclusion`` and
+``interval_by_inclusion`` are the derived lattices the library built
+before it read them off the base lattice by construction rules: each
+makes its faces as frozensets and rediscovers the order and the grading
+with ``FaceLattice.build``.
+
 ``dense_interval_tables`` is the single-root h/g table the library built
 before it read the list of comparable pairs: the root's block of the
 dense order copied with ``np.ix_`` and one int64 product per pair of
@@ -1048,3 +1055,62 @@ def tau_plus_v(decomp, face):
     if len(mins) != 1:
         raise AssertionError(f"minimal fixed face above {face} is not unique: {mins}")
     return mins[0]
+
+
+# -- derived lattices by inclusion ---------------------------------------------
+
+
+def interval_by_inclusion(lat, lo, hi):
+    """``lat.interval(lo, hi)`` as frozensets of atoms, its order rediscovered by ``build``."""
+    up = lat.above(lo).tolist()
+    if lo != hi and hi not in up:
+        raise LatticeError("interval endpoints are not comparable")
+    inside = set(lat.below(hi).tolist())
+    sel = [lo, *(i for i in up if i in inside), hi][: 1 if lo == hi else None]
+    atoms = [i for i in sel if lat.dims[i] == lat.dims[lo] + 1]
+    atom_pos = {a: p for p, a in enumerate(atoms)}
+    face_sets = [
+        frozenset(atom_pos[a] for a in [*lat.below(i).tolist(), i] if a in atom_pos)
+        for i in sel
+    ]
+    return FaceLattice.build(face_sets, len(atoms))
+
+
+def dual_by_inclusion(lat):
+    """``lat.dual()``: each face as the set of facets holding it, by ``build``."""
+    facets = lat.faces_of_dim(lat.d - 1)
+    fpos = {f: p for p, f in enumerate(facets)}
+    face_sets = [
+        frozenset(fpos[f] for f in [i, *lat.above(i).tolist()] if f in fpos)
+        for i in range(len(lat.faces))
+    ]
+    return FaceLattice.build(face_sets, len(facets))
+
+
+def pyramid_by_inclusion(lat):
+    """``lat.pyramid()``: the faces F and F + apex, by ``build``."""
+    apex = lat.n_vertices
+    sets = set(lat.faces)
+    sets.update(f | {apex} for f in lat.faces)
+    return FaceLattice.build(sets, apex + 1)
+
+
+def bipyramid_by_inclusion(lat):
+    """``lat.bipyramid()``: two apexes over every proper face and a new top, by ``build``."""
+    a1, a2 = lat.n_vertices, lat.n_vertices + 1
+    proper = lat.faces[:-1]
+    sets = set(proper)
+    sets.update(f | {a1} for f in proper)
+    sets.update(f | {a2} for f in proper)
+    sets.add(lat.faces[-1] | {a1, a2})
+    return FaceLattice.build(sets, a2 + 1)
+
+
+def prism_by_inclusion(lat):
+    """``lat.prism()``: bottom, top and vertical copies of every face, by ``build``."""
+    n = lat.n_vertices
+    sets = {frozenset()}
+    for f in lat.faces[1:]:
+        ft = frozenset(v + n for v in f)
+        sets.update((f, ft, f | ft))
+    return FaceLattice.build(sets, 2 * n)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -157,6 +160,8 @@ def test_lattice_file_has_no_coordinates(tmp_path, capsys, command):
     (("ds", "--max-dim", "-2"), "verify ds: no instance selected"),
     (("shelling", "LAT"), "verify shelling: no instance with coordinates selected"),
     (("shelling", "empty"), "verify shelling: no instance with coordinates selected"),
+    (("ds", "cube3", "cube4", "--max-dim", "2"),
+     "--max-dim filters the catalog; it does not apply to a scope"),
 ])
 def test_verify_selecting_no_row_is_bad_input(tmp_path, capsys, argv, reason):
     # a run that would check nothing exits 2 before any row runs
@@ -179,7 +184,13 @@ def test_geometric_suites_build_one_lattice_per_need(monkeypatch, capsys, suite,
 
 
 def _count_lattices(monkeypatch):
-    """A list that gets one entry per lattice constructor call."""
+    """A list that gets one entry per lattice constructor call.
+
+    The operations (pyramid, bipyramid, prism, dual, intervals) build
+    through ``lattice._assemble``, so it is counted with the two
+    constructors.
+    """
+    from toricgh import lattice
     from toricgh.lattice import FaceLattice
 
     built = []
@@ -187,6 +198,8 @@ def _count_lattices(monkeypatch):
         make = getattr(FaceLattice, name)
         monkeypatch.setattr(FaceLattice, name, staticmethod(
             lambda *a, _make=make, **k: built.append(1) or _make(*a, **k)))
+    monkeypatch.setattr(lattice, "_assemble",
+                        lambda *a, _make=lattice._assemble: built.append(1) or _make(*a))
     return built
 
 
@@ -372,3 +385,19 @@ def test_verify_has_no_all_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "ds", "cube3", "--all"])
     assert exc.value.code == 2
+
+
+def test_running_out_of_memory_is_bad_input():
+    # a child capped at 400 MB of address space: the closure of cyclic(30,12)
+    # outgrows it, and the CLI answers exit 2 with one line, not a traceback
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-m", "toricgh.cli", "gh", "cyclic(30,12)"],
+                           capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == "error: out of memory on gh\n"

@@ -7,19 +7,25 @@ from toricgh.lattice import FaceLattice, LatticeError, _sorted_faces
 from toricgh.catalog import (
     catalog,
     cyclic_lattice,
+    empty_lattice,
     point_lattice,
     simplex_lattice,
 )
 
 from oracles import (
     CanonicalBudgetExceeded,
+    bipyramid_by_inclusion,
     canonical_form,
     covers,
     cross_lattice,
     cube_lattice,
     dense_order,
+    dual_by_inclusion,
+    interval_by_inclusion,
     is_eulerian,
     is_isomorphic,
+    prism_by_inclusion,
+    pyramid_by_inclusion,
     validated_build,
 )
 
@@ -145,6 +151,44 @@ def test_every_constructor_output_validates():
                 base.bipyramid()
         for lat in derived:
             lat._validate()
+
+
+def _same_lattice(rule, oracle, what):
+    # the rule's output is the oracle's lattice, face order and all, and read-only
+    assert rule.faces == oracle.faces and rule.n_vertices == oracle.n_vertices, what
+    for a, b in zip((*rule.pairs, rule.dims), (*oracle.pairs, oracle.dims)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), what
+        assert not a.flags.writeable, what
+
+
+def test_operations_match_inclusion_oracles():
+    for entry in catalog():
+        lat = entry.lattice()
+        ops = [("pyramid", pyramid_by_inclusion), ("prism", prism_by_inclusion),
+               ("dual", dual_by_inclusion)]
+        if lat.d >= 1:
+            ops.append(("bipyramid", bipyramid_by_inclusion))
+        for name, oracle in ops:
+            _same_lattice(getattr(lat, name)(), oracle(lat), f"{name}({entry.name})")
+        if len(lat) <= 100:
+            for f in range(len(lat)):
+                _same_lattice(lat.face(f), interval_by_inclusion(lat, 0, f), (entry.name, f))
+                _same_lattice(lat.quotient(f), interval_by_inclusion(lat, f, lat.top),
+                              (entry.name, f))
+
+
+@pytest.mark.parametrize("start, op, oracle, steps", [
+    (point_lattice, "prism", prism_by_inclusion, 8),                            # cube1 ... cube8
+    (lambda: simplex_lattice(1), "bipyramid", bipyramid_by_inclusion, 7),      # cross2 ... cross8
+    (empty_lattice, "pyramid", pyramid_by_inclusion, 4),                        # point ... simplex3
+])
+def test_operation_chains_match_inclusion_oracles(start, op, oracle, steps):
+    lat = start()
+    _same_lattice(lat.dual(), dual_by_inclusion(lat), "dual")
+    _same_lattice(lat.face(0), interval_by_inclusion(lat, 0, 0), "face(0)")
+    for step in range(steps):
+        lat, base = getattr(lat, op)(), lat
+        _same_lattice(lat, oracle(base), (op, step))
 
 
 def test_corrupted_pairs_fail_validation(cube):
