@@ -2,15 +2,16 @@
 
 Base families: simplex(d), cube(d), cross(d) and cyclic(n, d) with the
 standard realizations (unit simplex, 0/1 cube, unit cross-polytope,
-moment curve at integer parameters 1..n).  simplex and cyclic are facet
-lists, the cyclic facets generated by Gale's evenness criterion, block
-by block.  cube(d) is prism^d(point) and cross(d) bipyramid^(d-1) of the
-segment [-1, 1], lattice and vertices alike.  Composite entries apply
-pyramid / bipyramid / prism to other entries, as in
-``prism(pyramid(cube3))``.  Facet lists are validated, operations are
-not.  A recipe is checked and its dimension read off when it is parsed:
-cyclic(n, d) needs 2 <= d < n, prism a nonempty base and bipyramid a
-base of dimension >= 1.
+moment curve at integer parameters 1..n).  cyclic is a facet list,
+generated by Gale's evenness criterion, block by block.  The lattice of
+simplex(d) is pyramid^d(point); cube(d) is prism^d(point) and cross(d)
+bipyramid^(d-1) of the segment [-1, 1], lattice and vertices alike.
+The empty polytope and the point are the literals of
+``toricgh.lattice``.  Composite entries apply pyramid / bipyramid /
+prism to other entries, as in ``prism(pyramid(cube3))``.  Facet lists
+are validated, operations are not.  A recipe is checked and its
+dimension read off when it is parsed: cyclic(n, d) needs 2 <= d < n,
+prism a nonempty base and bipyramid a base of dimension >= 1.
 
 An entry is the one input type of the command line: a recipe, a
 polytope/v1 file (vertices, realized when loaded) or a lattice/v1 file
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from toricgh.geometry import GeometricPolytope, facet_enumeration
-from toricgh.lattice import FaceLattice
+from toricgh.lattice import FaceLattice, empty_lattice, point_lattice
 
 
 class CatalogEntry:
@@ -79,21 +80,9 @@ def realized_entry(name, vertices) -> CatalogEntry:
 # -- base families -------------------------------------------------------
 
 
-def empty_lattice():
-    return FaceLattice.build([frozenset()], 0)
-
-
-def point_lattice():
-    return FaceLattice.build([frozenset(), frozenset({0})], 1)
-
-
 def simplex_lattice(d):
-    if d == 0:
-        return point_lattice()
-    verts = range(d + 1)
-    return FaceLattice.from_vertex_facets(
-        d + 1, [frozenset(s) for s in combinations(verts, d)]
-    )
+    """pyramid^d(point)."""
+    return _repeat(FaceLattice.pyramid, d, point_lattice())
 
 
 def simplex_vertices(d):

@@ -213,14 +213,13 @@ def cmd_verify(args) -> int:
     instances = _suite_instances(args)
     if faces != "all":
         # every instance is checked before any row runs, so a selector that
-        # misses one leaves no partial output behind
+        # misses one leaves no partial output behind.  Only proper faces
+        # count: at the bottom or the top monotonicity reads g(P) >= g(P).
         for inp in instances:
-            lat = inp.lattice()
-            if not lat.faces_of_dim(faces):
-                raise InputError(
-                    f"{inp.name}: --faces dim={faces} selects no face;"
-                    f" face dimensions run from -1 to {lat.d}"
-                )
+            if not 0 <= faces < inp.dim:
+                proper = (f"proper face dimensions run from 0 to {inp.dim - 1}" if inp.dim > 0
+                          else "it has no proper face")
+                raise InputError(f"{inp.name}: --faces dim={faces} selects no proper face; {proper}")
     # the geometric suites skip instances without coordinates; a run
     # left with no row would pass having checked nothing
     rows = [(suite, inp) for suite in suites for inp in instances

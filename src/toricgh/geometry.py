@@ -23,7 +23,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from toricgh.lattice import FaceLattice
+from toricgh.lattice import FaceLattice, point_lattice
 
 
 def dot(a, b):
@@ -209,7 +209,7 @@ class GeometricPolytope:
     def facet_incidence(self) -> np.ndarray:
         """Read-only r x n bool: row j marks facet j and the faces below it."""
         lat = self.lattice
-        inc = np.zeros((len(self.facets), len(lat.faces)), dtype=bool)
+        inc = np.zeros((len(self.facets), len(lat)), dtype=bool)
         for j, f in enumerate(self.facet_faces):
             inc[j, np.append(lat.below(f), f)] = True
         inc.setflags(write=False)
@@ -333,8 +333,7 @@ def facet_enumeration(vertices) -> GeometricPolytope:
     scale = lcm(*(x.denominator for c in coords for x in c))
     ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords)
     if d == 0:
-        lat = FaceLattice.build([frozenset(), frozenset({0})], 1)
-        return GeometricPolytope(tuple(pts), tuple(coords), 0, [], lat, (scale, ints))
+        return GeometricPolytope(tuple(pts), tuple(coords), 0, [], point_lattice(), (scale, ints))
 
     facets = _double_description(ints, basis, scale)
     for i in range(n):

@@ -1,16 +1,21 @@
 """Graded face lattices of convex polytopes.
 
-A lattice is stored as an indexed family of faces, each identified by its
-vertex set.  Faces are sorted by vertex count, which is a linear
-extension of the order (face i below face j implies i <= j) but not
-always a sort by dimension: in the prism over a tetrahedron the
-4-vertex tetrahedron {0, 1, 2, 3} comes before the 4-vertex square
-{0, 1, 4, 5}.  Code that needs the dimension layers reads ``dims``.
-Index 0 is the empty face and the last index is the whole polytope.
+A lattice is stored as an indexed family of faces, each held as its
+packed vertex words (``words``: one read-only uint64 row per face,
+vertex v as bit 63 - v % 64 of word v // 64, the bitset form of Kaibel
+and Pfetsch).  The vertex sets (``faces``, frozensets) are unpacked from
+the words on first read and cached; the invariants read only the order,
+so most lattices never make them.  Faces are sorted by vertex count,
+which is a linear extension of the order (face i below face j implies
+i <= j) but not always a sort by dimension: in the prism over a
+tetrahedron the 4-vertex tetrahedron {0, 1, 2, 3} comes before the
+4-vertex square {0, 1, 4, 5}.  Code that needs the dimension layers
+reads ``dims``.  Index 0 is the empty face and the last index is the
+whole polytope.
 
 The order relation is held once, as ``pairs``: the integer list of
 strict comparable pairs x < y, sorted by (x, y), so the pairs of each x
-are one run.  It is built straight from packed vertex bitsets: each face
+are one run.  It is built straight from the packed words: each face
 is tested only against the larger faces that hold its rarest vertex,
 read from an inverted vertex index, so the cost follows the comparable
 pairs and no n x n array is ever formed.  Grading, validation, covers
@@ -18,17 +23,18 @@ and flag counting are integer sums over the pairs and over the triples
 x < z < y they form (``_triples``); down-sets and up-sets (``below``,
 ``above``) are slices of the same list.  ``leq`` is a dense boolean
 view kept for outside readers only, built on first access.
-A lattice made from a facet list (``from_vertex_facets``) is validated
-as graded, atomic and Eulerian; inputs that fail (e.g. an open facet
-path) cannot be polytope boundaries.  One made from face sets (``build``:
-the empty polytope and the point) is not.
 
-Derived lattices (pyramid, bipyramid, prism, dual, intervals) are not
-rediscovered by inclusion either: each operation reads its faces, its
-strict pairs and its dims off the base lattice's by a rule, and
-``_assemble`` orders the faces as ``_sort`` does, relabels the pairs
+There are two constructors.  A lattice made from a facet list
+(``from_vertex_facets``) is validated as graded, atomic and Eulerian;
+inputs that fail (e.g. an open facet path) cannot be polytope
+boundaries.  Derived lattices (pyramid, bipyramid, prism, dual,
+intervals) are not rediscovered by inclusion: each operation reads its
+words, its strict pairs and its dims off the base lattice's by a rule,
+and ``_assemble`` orders the faces as ``_sort`` does, relabels the pairs
 into one int64 key array and sorts it once, in place.  They are not
-validated.
+validated.  The empty polytope and the point are literals
+(``empty_lattice``, ``point_lattice``); the simplex and the cube are
+built from the point by rule.
 
 A vertex-facet incidence (``from_vertex_facets``) is checked on packed
 words over the vertices the facets name, and then closed under
@@ -36,8 +42,7 @@ intersection on its smaller side: the facets, or, with more facets
 than vertices, the vertex columns (the facets through each vertex),
 each face's vertices then read off as the columns that hold its facet
 set.  Either way the cost follows faces x min(facets, vertices), and
-the faces reach the order builder as packed words (``_sorted_words``),
-with one frozenset made per face.
+the faces reach the order builder as packed words (``_sorted_words``).
 
 Dimension conventions: dim(empty face) = -1; the one-element lattice is
 the empty polytope, which is distinct from a point (two elements).
@@ -61,8 +66,8 @@ class LatticeError(ValueError):
 
 
 class FaceLattice:
-    def __init__(self, faces, n_vertices, pairs, dims):
-        self.faces = tuple(faces)
+    def __init__(self, words, n_vertices, pairs, dims):
+        self.words = words          # packed vertex words, one row per face
         self.n_vertices = n_vertices
         self.pairs = tuple(pairs)   # (px, py): strict pairs px[k] < py[k], sorted by (x, y)
         self.dims = dims
@@ -70,22 +75,6 @@ class FaceLattice:
         self._cache = {}
 
     # -- construction -------------------------------------------------
-
-    @staticmethod
-    def build(face_sets, n_vertices) -> "FaceLattice":
-        """Create a lattice from a collection of faces given as vertex sets.
-
-        The order relation is set inclusion, which is the face relation
-        for every atomic lattice (each face is the join of its vertices).
-        The empty face must be a member unless the collection is the
-        single-element empty-polytope lattice.  Not validated.  The
-        library builds only the empty polytope and the point this way;
-        the operations build by rule (``_assemble``).
-        """
-        faces, sizes, bits, members = _sorted_faces(
-            {frozenset(f) for f in face_sets}, n_vertices
-        )
-        return _from_sorted(faces, sizes, bits, members, n_vertices)
 
     @staticmethod
     def from_vertex_facets(n_vertices, facets) -> "FaceLattice":
@@ -104,7 +93,7 @@ class FaceLattice:
         """
         if n_vertices < 1:
             raise LatticeError("need at least one vertex")
-        facets = [frozenset(f) for f in facets]
+        facets = [set(f) for f in facets]
         if not facets or any(not f for f in facets):
             raise LatticeError("facets must be nonempty vertex sets")
         # Facets are compared as words over the vertices they name,
@@ -114,10 +103,10 @@ class FaceLattice:
         named = sorted(set().union(*facets))
         if named[0] != 0 or named[-1] != len(named) - 1:
             number = {v: i for i, v in enumerate(named)}
-            facet_sets = [frozenset(number[v] for v in f) for f in facets]
+            facet_sets = [[number[v] for v in f] for f in facets]
         else:
             facet_sets = facets
-        _, sizes, bits, members = _sorted_faces(facet_sets, len(named))
+        sizes, bits, members = _sorted_faces(facet_sets, len(named))
         equal = (bits[1:] == bits[:-1]).all(axis=1).any()     # neighbours once sorted
         if equal or _strict_pairs(sizes, bits, members)[0].size:
             raise LatticeError("one facet contains another")
@@ -131,10 +120,10 @@ class FaceLattice:
         return lat
 
     def _validate(self):
-        faces, dims = self.faces, self.dims
+        words, dims = self.words, self.dims
         px, py = self.pairs
-        n = len(faces)
-        if faces[0] != frozenset() or dims[0] != -1:
+        n = len(self)
+        if words[0].any() or dims[0] != -1:
             raise LatticeError("missing empty face at the bottom")
         if np.count_nonzero(py == n - 1) != n - 1 or np.count_nonzero(px == 0) != n - 1:
             raise LatticeError("bottom or top element is not unique")
@@ -152,14 +141,12 @@ class FaceLattice:
                 f"not Eulerian: interval [{set(self.faces[i]) or '{}'}, "
                 f"{set(self.faces[j])}] is unbalanced"
             )
-        # atomicity: dim-0 faces are singletons and generate every face
-        for i in np.nonzero(dims == 0)[0]:
-            if len(faces[i]) != 1:
-                raise LatticeError("an atom is not a single vertex")
-        atom_of = {next(iter(faces[i])) for i in np.nonzero(dims == 0)[0]}
-        for f in faces:
-            if not set(f) <= atom_of:
-                raise LatticeError("face contains a non-atom vertex")
+        # atomicity: dim-0 faces hold one vertex each and generate every face
+        atoms = words[dims == 0]
+        if np.any(_sizes(atoms) != 1):
+            raise LatticeError("an atom is not a single vertex")
+        if (np.bitwise_or.reduce(words) & ~np.bitwise_or.reduce(atoms)).any():
+            raise LatticeError("face contains a non-atom vertex")
 
     def _intervals(self):
         """Per strict pair x < y: faces strictly between, and sum of (-1)^dim over [x, y].
@@ -189,10 +176,21 @@ class FaceLattice:
     # -- basic queries -------------------------------------------------
 
     def __len__(self):
-        return len(self.faces)
+        return len(self.dims)
 
     def __repr__(self):
-        return f"FaceLattice(d={self.d}, faces={len(self.faces)})"
+        return f"FaceLattice(d={self.d}, faces={len(self)})"
+
+    @property
+    def faces(self) -> tuple[frozenset, ...]:
+        """Each face's vertex set, unpacked from ``words`` on first read."""
+        faces = self._cache.get("faces")
+        if faces is None:
+            rows, verts = _unpack(self.words)
+            flat = verts.tolist()
+            ends = np.cumsum(np.bincount(rows, minlength=len(self))).tolist()
+            faces = self._cache["faces"] = tuple(frozenset(flat[a:b]) for a, b in zip([0, *ends], ends))
+        return faces
 
     def index_of(self, vertex_set) -> int:
         key = frozenset(vertex_set)
@@ -209,7 +207,7 @@ class FaceLattice:
 
     @property
     def top(self) -> int:
-        return len(self.faces) - 1
+        return len(self) - 1
 
     @property
     def bottom(self) -> int:
@@ -223,7 +221,7 @@ class FaceLattice:
         """Row pointers: the run of face x in ``pairs`` is rows[x]:rows[x + 1]."""
         rows = self._cache.get("rows")
         if rows is None:
-            rows = self._cache["rows"] = np.searchsorted(self.pairs[0], np.arange(len(self.faces) + 1))
+            rows = self._cache["rows"] = np.searchsorted(self.pairs[0], np.arange(len(self) + 1))
         return rows
 
     def _columns(self):
@@ -232,19 +230,9 @@ class FaceLattice:
         if cols is None:
             by_col = np.argsort(self.pairs[1], kind="stable")
             cols = self._cache["columns"] = (
-                by_col, np.searchsorted(self.pairs[1][by_col], np.arange(len(self.faces) + 1))
+                by_col, np.searchsorted(self.pairs[1][by_col], np.arange(len(self) + 1))
             )
         return cols
-
-    def _bits(self) -> np.ndarray:
-        """The packed vertex words of each face, as ``_sort`` reads them."""
-        bits = self._cache.get("bits")
-        if bits is None:
-            sizes = np.fromiter(map(len, self.faces), dtype=np.int64, count=len(self.faces))
-            rows = np.repeat(np.arange(len(sizes)), sizes)
-            verts = np.fromiter(chain.from_iterable(self.faces), dtype=np.int64, count=len(rows))
-            bits = self._cache["bits"] = _pack(rows, verts, len(sizes), self.n_vertices)
-        return bits
 
     def above(self, i) -> np.ndarray:
         """The faces strictly above face i, ascending: its run of ``pairs``."""
@@ -261,7 +249,7 @@ class FaceLattice:
         """Dense n x n view, ``leq[i, j]`` iff face i lies in face j; nothing in the library reads it."""
         leq = self._cache.get("leq")
         if leq is None:
-            leq = np.eye(len(self.faces), dtype=bool)
+            leq = np.eye(len(self), dtype=bool)
             leq[self.pairs] = True
             leq.setflags(write=False)
             self._cache["leq"] = leq
@@ -269,14 +257,11 @@ class FaceLattice:
 
     def is_simplicial(self) -> bool:
         """Every proper face is a simplex (|vertices| = dim + 1)."""
-        return all(
-            len(self.faces[i]) == self.dims[i] + 1
-            for i in range(len(self.faces) - 1)
-        )
+        return bool(np.all(_sizes(self.words[:-1]) == self.dims[:-1] + 1))
 
     # -- derived lattices ----------------------------------------------
     #
-    # Every operation below reads the faces, pairs and dims of its result
+    # Every operation below reads the words, pairs and dims of its result
     # off this lattice's by a rule and hands them to ``_assemble``: no
     # inclusion test and no grading pass.
 
@@ -294,7 +279,7 @@ class FaceLattice:
         if lo != hi and hi not in up:
             raise LatticeError("interval endpoints are not comparable")
         sel = np.union1d(np.intersect1d(up, self.below(hi), assume_unique=True), [lo, hi])
-        pos = np.full(len(self.faces), -1)
+        pos = np.full(len(self), -1)
         pos[sel] = np.arange(len(sel))
         start, (px, py) = self._rows(), self.pairs
         run = _spans(start[sel], start[sel + 1])
@@ -307,8 +292,7 @@ class FaceLattice:
         on = atom[x]
         rows = np.concatenate((y[on], atoms))
         verts = (np.cumsum(atom) - 1)[np.concatenate((x[on], atoms))]
-        return _assemble(_face_sets(rows, verts, len(sel)), _pack(rows, verts, len(sel), len(atoms)),
-                         dims, [(x, 0, y, 0)], len(atoms))
+        return _assemble(_pack(rows, verts, len(sel), len(atoms)), dims, [(x, 0, y, 0)], len(atoms))
 
     def face(self, i: int) -> "FaceLattice":
         """Face i as a polytope of dimension dims[i]."""
@@ -330,8 +314,7 @@ class FaceLattice:
         up = facet[py]
         rows = np.concatenate((px[up], facets))
         verts = (np.cumsum(facet) - 1)[np.concatenate((py[up], facets))]
-        n = len(self.faces)
-        return _assemble(_face_sets(rows, verts, n), _pack(rows, verts, n, len(facets)),
+        return _assemble(_pack(rows, verts, len(self), len(facets)),
                          self.d - 1 - self.dims, [(py, 0, px, 0)], len(facets))
 
     def pyramid(self) -> "FaceLattice":
@@ -340,12 +323,11 @@ class FaceLattice:
         F < G gives (F, G), (F + a, G + a) and (F, G + a); every F lies
         below F + a.
         """
-        apex, m = self.n_vertices, len(self.faces)
-        base = _place(self._bits(), _width(apex + 1))
+        apex, m = self.n_vertices, len(self)
+        base = _place(self.words, _width(apex + 1))
         px, py = self.pairs
         every = np.arange(m)
         return _assemble(
-            [*self.faces, *(f | {apex} for f in self.faces)],
             np.concatenate((base, base | _pack([0], [apex], 1, apex + 1))),
             np.concatenate((self.dims, self.dims + 1)),
             [(px, 0, py, 0), (px, m, py, m), (px, 0, py, m), (every, 0, every, m)],
@@ -362,17 +344,15 @@ class FaceLattice:
         if self.d < 1:   # over a point the top would hold a non-atom vertex
             raise LatticeError("bipyramid needs a polytope of dimension >= 1")
         a1, a2 = self.n_vertices, self.n_vertices + 1
-        k = len(self.faces) - 1
-        base = _place(self._bits(), _width(a2 + 1))
+        k = len(self) - 1
+        base = _place(self.words, _width(a2 + 1))
         apex1, apex2 = _pack([0], [a1], 1, a2 + 1), _pack([0], [a2], 1, a2 + 1)
         px, py = self.pairs
         proper = py != k
         px, py = px[proper], py[proper]
         every = np.arange(k)
-        proper_faces, proper_dims = self.faces[:-1], self.dims[:-1]
+        proper_dims = self.dims[:-1]
         return _assemble(
-            [*proper_faces, *(f | {a1} for f in proper_faces), *(f | {a2} for f in proper_faces),
-             self.faces[-1] | {a1, a2}],
             np.concatenate((base[:k], base[:k] | apex1, base[:k] | apex2, base[k:] | apex1 | apex2)),
             np.concatenate((proper_dims, proper_dims + 1, proper_dims + 1, [self.d + 1])),
             [(px, 0, py, 0), (px, k, py, k), (px, 2 * k, py, 2 * k), (px, 0, py, k),
@@ -390,18 +370,15 @@ class FaceLattice:
         """
         if self.d < 0:
             raise LatticeError("prism over the empty polytope is undefined")
-        n, k = self.n_vertices, len(self.faces) - 1
+        n, k = self.n_vertices, len(self) - 1
         width = _width(2 * n)
-        bits = self._bits()[1:]
+        bits = self.words[1:]
         bottom, top = _place(bits, width), _place(bits, width, n)
         px, py = self.pairs
         px, py = px[k:], py[k:]          # the empty face's run is the first k pairs
         every = np.arange(1, k + 1)
-        faces = self.faces[1:]
-        tops = [frozenset([v + n for v in f]) for f in faces]
         dims = self.dims[1:]
         return _assemble(
-            [frozenset(), *faces, *tops, *map(frozenset.union, faces, tops)],
             np.concatenate((np.zeros((1, width), dtype=np.uint64), bottom, top, bottom | top)),
             np.concatenate(([-1], dims, dims, dims + 1)),
             [(px, 0, py, 0), (px, k, py, k), (px, 2 * k, py, 2 * k), (px, 0, py, 2 * k),
@@ -449,8 +426,20 @@ def _check_range(faces, n_vertices):
                 raise LatticeError(f"vertex index {v} out of range")
 
 
+def empty_lattice() -> FaceLattice:
+    """The empty polytope: the empty face alone, of dimension -1."""
+    none = np.zeros(0, dtype=np.int64)
+    return _frozen(np.zeros((1, 1), dtype=np.uint64), 0, none, none, np.array([-1], dtype=np.int64))
+
+
+def point_lattice() -> FaceLattice:
+    """The point: the empty face below its one vertex."""
+    return _frozen(_pack([1], [0], 2, 1), 1, np.zeros(1, dtype=np.int64),
+                   np.ones(1, dtype=np.int64), np.array([-1, 0], dtype=np.int64))
+
+
 def _sorted_faces(face_sets, n_vertices):
-    """(faces, sizes, bits, members) of vertex sets, sorted as ``_sort`` orders them."""
+    """(sizes, bits, members) of vertex sets, sorted as ``_sort`` orders them."""
     faces = list(face_sets)
     n = len(faces)
     sizes = np.fromiter(map(len, faces), dtype=np.int64, count=n)
@@ -459,7 +448,7 @@ def _sorted_faces(face_sets, n_vertices):
         _check_range(faces, n_vertices)
     verts = np.array(flat, dtype=np.int64)
     rows = np.repeat(np.arange(n), sizes)
-    return _sort(faces, sizes, _pack(rows, verts, n, n_vertices), (rows, verts))
+    return _sort(sizes, _pack(rows, verts, n, n_vertices), (rows, verts))
 
 
 def _width(n_vertices):
@@ -490,11 +479,10 @@ def _place(bits, width, shift=0):
     return out
 
 
-def _sorted_words(bits):
-    """(faces, sizes, bits, members) of faces given as word rows, sorted as ``_sort`` orders them.
+def _unpack(bits):
+    """(rows, verts) of word rows, one entry per vertex of each face, both ascending.
 
-    The words are unpacked about _CHUNK bits at a time, and each face's
-    frozenset is made once, from its run of vertices.
+    The words are unpacked about _CHUNK bits at a time.
     """
     step = max(1, _CHUNK // (64 * bits.shape[1]))
     rows, verts = [], []
@@ -502,15 +490,23 @@ def _sorted_words(bits):
         r, v = np.nonzero(np.unpackbits(bits[a:a + step].astype(">u8").view(np.uint8), axis=1))
         rows.append(r + a)
         verts.append(v)
-    rows, verts = np.concatenate(rows), np.concatenate(verts)
-    sizes = np.bincount(rows, minlength=len(bits))
-    flat = verts.tolist()
-    faces = [frozenset(flat[b - k:b]) for b, k in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
-    return _sort(faces, sizes, bits, (rows, verts))
+    return np.concatenate(rows), np.concatenate(verts)
 
 
-def _sort(faces, sizes, bits, members):
-    """(faces, sizes, bits, members) by vertex count, then by sorted vertex list.
+def _sizes(bits):
+    """The vertex count of each word row, summed over its bytes from a 256-entry table."""
+    per_byte = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    return per_byte[bits.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _sorted_words(bits):
+    """(sizes, bits, members) of faces given as word rows, sorted as ``_sort`` orders them."""
+    rows, verts = _unpack(bits)
+    return _sort(np.bincount(rows, minlength=len(bits)), bits, (rows, verts))
+
+
+def _sort(sizes, bits, members):
+    """(sizes, bits, members) by vertex count, then by sorted vertex list.
 
     ``bits`` holds one row of uint64 words per face, vertex v as bit
     63 - v % 64 of word v // 64.  Two faces of one count compare at the
@@ -522,7 +518,7 @@ def _sort(faces, sizes, bits, members):
     """
     rows, verts = members
     order = _face_order(sizes, bits)
-    return [faces[i] for i in order], sizes[order], bits[order], (_ranks(order)[rows], verts)
+    return sizes[order], bits[order], (_ranks(order)[rows], verts)
 
 
 def _face_order(sizes, bits):
@@ -585,39 +581,41 @@ def _intersections(gens):
     return found
 
 
-def _from_sorted(faces, sizes, bits, members, n_vertices):
+def _from_sorted(sizes, bits, members, n_vertices):
     """The lattice of sorted faces: strict pairs by inclusion, then the grading."""
-    n = len(faces)
+    n = len(bits)
     if n == 0:
         raise LatticeError("no faces given")
     px, py = _strict_pairs(sizes, bits, members)
     if int(np.searchsorted(px, 1)) != n - 1:
         raise LatticeError("no unique bottom element")
     dims = _grade(sizes, px, py)
-    return _frozen(faces, n_vertices, px, py, dims, bits)
+    return _frozen(bits, n_vertices, px, py, dims)
 
 
-def _frozen(faces, n_vertices, px, py, dims, bits):
-    """The lattice of sorted faces and their order, its arrays read-only."""
-    for a in (px, py, dims):
+def _frozen(bits, n_vertices, px, py, dims):
+    """The lattice of sorted faces and their order, its arrays read-only.
+
+    Every lattice is made here: the facet lists through ``_from_sorted``,
+    the construction rules through ``_assemble`` and the two literals.
+    """
+    for a in (bits, px, py, dims):
         a.setflags(write=False)
-    lat = FaceLattice(faces, n_vertices, (px, py), dims)
-    lat._cache["bits"] = bits
-    return lat
+    return FaceLattice(bits, n_vertices, (px, py), dims)
 
 
-def _assemble(faces, bits, dims, pairs, n_vertices):
+def _assemble(bits, dims, pairs, n_vertices):
     """The lattice of faces whose order and grading a construction rule gives.
 
-    ``faces`` (vertex frozensets), ``bits`` (their packed words) and
-    ``dims`` list the faces in any labelling, and ``pairs`` holds the
-    strict pairs x < y in runs (x, dx, y, dy), each the labels
-    x + dx < y + dy.  The faces are ordered as ``_sort`` orders them;
-    the pairs are relabelled into one int64 key x * n + y, filled run by
-    run and sorted in place, so no pair array is concatenated or copied.
+    ``bits`` (the packed words of the faces) and ``dims`` list the
+    faces in any labelling, and ``pairs`` holds the strict pairs x < y
+    in runs (x, dx, y, dy), each the labels x + dx < y + dy.  The faces
+    are ordered as ``_sort`` orders them; the pairs are relabelled into
+    one int64 key x * n + y, filled run by run and sorted in place, so no
+    pair array is concatenated or copied.
     """
-    n = len(faces)
-    order = _face_order(np.fromiter(map(len, faces), dtype=np.int64, count=n), bits)
+    n = len(bits)
+    order = _face_order(_sizes(bits), bits)
     rank = _ranks(order)
     key = np.empty(sum(len(x) for x, _, _, _ in pairs), dtype=np.int64)
     a = 0
@@ -630,14 +628,7 @@ def _assemble(faces, bits, dims, pairs, n_vertices):
     key.sort()
     px = key // n
     py = np.remainder(key, n, out=key)
-    return _frozen([faces[i] for i in order], n_vertices, px, py, dims[order], bits[order])
-
-
-def _face_sets(rows, verts, n):
-    """The vertex frozensets of n faces from (rows, verts), one entry per vertex of each face."""
-    flat = verts[np.argsort(rows, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    return [frozenset(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    return _frozen(bits[order], n_vertices, px, py, dims[order])
 
 
 def _strict_pairs(sizes, bits, members):

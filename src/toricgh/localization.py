@@ -130,7 +130,7 @@ def sample_directions(cone: Cone, seed: int = 0, grid: int = 12):
 
     # the proper faces are 1, ..., n - 2 and the index order extends the face
     # order, so a pairs with the later ones not above it (the top is above all)
-    n = len(lat.faces)
+    n = len(lat)
     counts = np.arange(n - 3, -1, -1) - np.diff(lat._rows())[1:n - 1] + 1
     starts = np.concatenate(([0], np.cumsum(counts)))
     n_pairs = int(starts[-1])

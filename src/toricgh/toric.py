@@ -111,7 +111,7 @@ def _blocks(lat: FaceLattice) -> _Blocks:
     blocks = lat._cache.get("blocks")
     if blocks is None:
         px, py = lat.pairs
-        n, span = len(lat.faces), lat.d + 2
+        n, span = len(lat), lat.d + 2
         block = (lat.dims[px] + 1) * span + lat.dims[py] + 1
         order = np.argsort(block * n + py)
         bounds = np.searchsorted(block[order], np.arange(span * span + 1))
@@ -261,7 +261,7 @@ def _pairs(lat: FaceLattice) -> _PairTable:
     table = lat._cache.get("pairs")
     if table is None:
         px, py, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
-        n = len(lat.faces)
+        n = len(lat)
         # bottom <= x for every x opens the table; (x, top) closes block x
         quot = np.cumsum(np.bincount(px, minlength=n)) - 1
         table = lat._cache["pairs"] = _PairTable(
@@ -281,7 +281,7 @@ def _polar_g(lat: FaceLattice) -> np.ndarray:
     if polar is None:
         below, above = lat.pairs
         px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
-        first = np.searchsorted(px, np.arange(len(lat.faces)))
+        first = np.searchsorted(px, np.arange(len(lat)))
         polar = lat._cache["polar_g"] = G[first]
     return polar
 
@@ -361,7 +361,7 @@ def flag_vector(lat: FaceLattice) -> FlagVector:
     if "flags" in lat._cache:
         return lat._cache["flags"]
     _guarded(lat)
-    d, dims, n = lat.d, lat.dims, len(lat.faces)
+    d, dims, n = lat.d, lat.dims, len(lat)
     px, py = lat.pairs
     blocks = _blocks(lat)
     fv = FlagVector()
@@ -441,7 +441,7 @@ def check_monotonicity_all(lat: FaceLattice) -> bool:
     _pairs(lat)
     return all(
         check_monotonicity(lat, f)
-        for f in range(1, len(lat.faces) - 1)
+        for f in range(1, len(lat) - 1)
     )
 
 

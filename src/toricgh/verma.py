@@ -60,7 +60,7 @@ def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
     solved, m_y(t) g([y, x], t) is pushed from all of it onto every x > y
     over the pair table.
     """
-    n = len(lat.faces)
+    n = len(lat)
     width = (lat.d + 1) // 2 + 2
     acc = np.zeros((n, width), dtype=np.int64)
     m = np.zeros((n, width), dtype=np.int64)
@@ -100,7 +100,7 @@ def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
 def check_verma_vs_polar(lat: FaceLattice) -> bool:
     """m_k of each cone equals g_k of the polar of its base polytope."""
     table = verma_multiplicities(lat)
-    for f in range(len(lat.faces)):
+    for f in range(len(lat)):
         if table[f] != _trim(polar_g(lat, f).coeffs or (1,)):
             return False
     return True

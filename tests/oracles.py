@@ -28,18 +28,22 @@ library computes; only tests ask for it.
 before it generated the facets block by block: Gale's evenness test on
 every d-subset, in the order of ``combinations``.
 
+``build`` is the constructor the library kept for face sets before
+the empty polytope and the point became literals: inclusion over the
+given vertex sets, found and graded by the library's own pair builder,
+with no validation.  ``validated_build`` is ``build`` with the
+validation that only facet lists get.  ``simplex_facet_lattice``,
 ``cube_lattice``, ``cube_vertices``, ``cross_lattice`` and
-``cross_vertices`` are the cube and cross-polytope the library built
-from facet lists before it built them as prism^d(point) and
-bipyramid^(d-1)(segment).  ``validated_build`` is ``FaceLattice.build``
-with the validation that only facet lists get.
+``cross_vertices`` are the simplex, cube and cross-polytope the library
+built from facet lists before it built them as pyramid^d(point),
+prism^d(point) and bipyramid^(d-1)(segment).
 
 ``pyramid_by_inclusion``, ``bipyramid_by_inclusion``,
 ``prism_by_inclusion``, ``dual_by_inclusion`` and
 ``interval_by_inclusion`` are the derived lattices the library built
 before it read them off the base lattice by construction rules: each
 makes its faces as frozensets and rediscovers the order and the grading
-with ``FaceLattice.build``.
+with ``build``.
 
 ``dense_interval_tables`` is the single-root h/g table the library built
 before it read the list of comparable pairs: the root's block of the
@@ -107,7 +111,7 @@ import numpy as np
 
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _sorted_faces
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
@@ -769,8 +773,8 @@ def dense_order(lat):
 
 
 def _dense_order(lat):
-    faces, _, bits, _ = _sorted_faces(lat.faces, lat.n_vertices)
-    assert tuple(faces) == lat.faces
+    _, bits, _ = _sorted_faces(lat.faces, lat.n_vertices)
+    assert (bits == lat.words).all()
     n = len(bits)
     leq = np.zeros((n, n), dtype=bool)
     step = max(1, _CHUNK // n)
@@ -885,6 +889,13 @@ def subset_scan_cyclic_facets(n, d):
     return facets
 
 
+def simplex_facet_lattice(d):
+    """The d-simplex from its d + 1 facets; the point (d = 0) by ``build``."""
+    if d == 0:
+        return build([(), (0,)], 1)
+    return FaceLattice.from_vertex_facets(d + 1, list(combinations(range(d + 1), d)))
+
+
 def cube_lattice(d):
     """The d-cube from its 2d facets: vertex v has coordinate a = (v >> a) & 1."""
     facets = []
@@ -919,9 +930,22 @@ def cross_vertices(d):
     return out
 
 
+def build(face_sets, n_vertices):
+    """The lattice of a collection of faces given as vertex sets, ordered by inclusion.
+
+    Inclusion is the face relation for every atomic lattice (each face
+    is the join of its vertices), so the order is found by the
+    library's inclusion test on the packed words and graded by longest
+    chains, as for a facet list's closure.  The empty face must be a
+    member unless the collection is the one-element empty-polytope
+    lattice.  Not validated.
+    """
+    return _from_sorted(*_sorted_faces({frozenset(f) for f in face_sets}, n_vertices), n_vertices)
+
+
 def validated_build(face_sets, n_vertices):
-    """``FaceLattice.build`` followed by the validation it leaves out."""
-    lat = FaceLattice.build(face_sets, n_vertices)
+    """``build`` followed by the validation it leaves out."""
+    lat = build(face_sets, n_vertices)
     lat._validate()
     return lat
 
@@ -1073,7 +1097,7 @@ def interval_by_inclusion(lat, lo, hi):
         frozenset(atom_pos[a] for a in [*lat.below(i).tolist(), i] if a in atom_pos)
         for i in sel
     ]
-    return FaceLattice.build(face_sets, len(atoms))
+    return build(face_sets, len(atoms))
 
 
 def dual_by_inclusion(lat):
@@ -1084,7 +1108,7 @@ def dual_by_inclusion(lat):
         frozenset(fpos[f] for f in [i, *lat.above(i).tolist()] if f in fpos)
         for i in range(len(lat.faces))
     ]
-    return FaceLattice.build(face_sets, len(facets))
+    return build(face_sets, len(facets))
 
 
 def pyramid_by_inclusion(lat):
@@ -1092,7 +1116,7 @@ def pyramid_by_inclusion(lat):
     apex = lat.n_vertices
     sets = set(lat.faces)
     sets.update(f | {apex} for f in lat.faces)
-    return FaceLattice.build(sets, apex + 1)
+    return build(sets, apex + 1)
 
 
 def bipyramid_by_inclusion(lat):
@@ -1103,7 +1127,7 @@ def bipyramid_by_inclusion(lat):
     sets.update(f | {a1} for f in proper)
     sets.update(f | {a2} for f in proper)
     sets.add(lat.faces[-1] | {a1, a2})
-    return FaceLattice.build(sets, a2 + 1)
+    return build(sets, a2 + 1)
 
 
 def prism_by_inclusion(lat):
@@ -1113,4 +1137,4 @@ def prism_by_inclusion(lat):
     for f in lat.faces[1:]:
         ft = frozenset(v + n for v in f)
         sets.update((f, ft, f | ft))
-    return FaceLattice.build(sets, 2 * n)
+    return build(sets, 2 * n)

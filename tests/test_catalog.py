@@ -12,6 +12,7 @@ from toricgh.catalog import (
     parse_recipe,
     point_lattice,
     simplex_lattice,
+    simplex_vertices,
 )
 from toricgh.cli import load_input
 from toricgh.geometry import facet_enumeration
@@ -25,18 +26,22 @@ from oracles import (
     geometric_catalog,
     is_eulerian,
     is_isomorphic,
+    simplex_facet_lattice,
     subset_scan_cyclic_facets,
 )
 
 
-FACET_LISTS = {"cube": (cube_lattice, cube_vertices), "cross": (cross_lattice, cross_vertices)}
+FACET_LISTS = {"simplex": (simplex_facet_lattice, simplex_vertices),
+               "cube": (cube_lattice, cube_vertices), "cross": (cross_lattice, cross_vertices)}
 
 
-@pytest.mark.parametrize("kind, d", [("cube", d) for d in range(1, 9)] + [("cross", d) for d in range(2, 8)])
+@pytest.mark.parametrize("kind, d", [("simplex", d) for d in range(8)] + [("cube", d) for d in range(1, 9)]
+                         + [("cross", d) for d in range(2, 8)])
 def test_base_families_agree_with_iterated_constructions(kind, d):
-    # cube(d) = prism^d(point) and cross(d) = bipyramid^(d-1)(segment) give
-    # the facet lists' lattice and vertices, labels and order included
-    entry = parse_recipe(f"{kind}{d}")
+    # simplex(d) = pyramid^d(point), cube(d) = prism^d(point) and
+    # cross(d) = bipyramid^(d-1)(segment) give the facet lists' lattice and
+    # vertices, labels and order included (simplex0 is the point)
+    entry = parse_recipe(f"{kind}{d}" if d else "point")
     lattice, vertices = FACET_LISTS[kind]
     lat, ref = entry.lattice(), lattice(d)
     assert lat.faces == ref.faces and lat.n_vertices == ref.n_vertices

@@ -80,13 +80,20 @@ def test_verify_bad_face_selection(capsys, faces):
 
 @pytest.mark.parametrize("argv, reason", [
     (("monotonicity", "cube3", "--faces", "dim=99"),
-     "cube3: --faces dim=99 selects no face; face dimensions run from -1 to 3"),
+     "cube3: --faces dim=99 selects no proper face; proper face dimensions run from 0 to 2"),
     (("monotonicity", "cube3", "--faces", "dim=-5"),
-     "cube3: --faces dim=-5 selects no face; face dimensions run from -1 to 3"),
+     "cube3: --faces dim=-5 selects no proper face; proper face dimensions run from 0 to 2"),
     (("monotonicity", "cube3", "empty", "--faces", "dim=0"),
-     "empty: --faces dim=0 selects no face; face dimensions run from -1 to -1"),
+     "empty: --faces dim=0 selects no proper face; it has no proper face"),
     (("all", "cube3", "--faces", "dim=4"),
-     "cube3: --faces dim=4 selects no face; face dimensions run from -1 to 3"),
+     "cube3: --faces dim=4 selects no proper face; proper face dimensions run from 0 to 2"),
+    # the bottom and the top: monotonicity would read g(P) >= g(P) and check nothing
+    (("monotonicity", "cube3", "--faces", "dim=3"),
+     "cube3: --faces dim=3 selects no proper face; proper face dimensions run from 0 to 2"),
+    (("monotonicity", "cube3", "--faces", "dim=-1"),
+     "cube3: --faces dim=-1 selects no proper face; proper face dimensions run from 0 to 2"),
+    (("monotonicity", "point", "--faces", "dim=0"),
+     "point: --faces dim=0 selects no proper face; it has no proper face"),
     (("ds", "cube3", "--faces", "dim=x"), "--faces takes 'all' or 'dim=k', got 'dim=x'"),
     (("ds", "cube3", "--faces", "bogus"), "--faces takes 'all' or 'dim=k', got 'bogus'"),
     (("ds", "cube3", "--faces", "dim=1"), "--faces applies to monotonicity only, not ds"),
@@ -184,29 +191,24 @@ def test_geometric_suites_build_one_lattice_per_need(monkeypatch, capsys, suite,
 
 
 def _count_lattices(monkeypatch):
-    """A list that gets one entry per lattice constructor call.
+    """A list that gets one entry per lattice made.
 
-    The operations (pyramid, bipyramid, prism, dual, intervals) build
-    through ``lattice._assemble``, so it is counted with the two
-    constructors.
+    Every lattice is made by ``lattice._frozen``: the facet lists, the
+    operations (pyramid, bipyramid, prism, dual, intervals) and the
+    empty and point literals.
     """
     from toricgh import lattice
-    from toricgh.lattice import FaceLattice
 
     built = []
-    for name in ("build", "from_vertex_facets"):
-        make = getattr(FaceLattice, name)
-        monkeypatch.setattr(FaceLattice, name, staticmethod(
-            lambda *a, _make=make, **k: built.append(1) or _make(*a, **k)))
-    monkeypatch.setattr(lattice, "_assemble",
-                        lambda *a, _make=lattice._assemble: built.append(1) or _make(*a))
+    monkeypatch.setattr(lattice, "_frozen",
+                        lambda *a, _make=lattice._frozen: built.append(1) or _make(*a))
     return built
 
 
 @pytest.mark.parametrize("suite", ["shelling", "localization"])
 def test_max_dim_filter_builds_no_recipe_lattice(monkeypatch, capsys, suite):
     # the filter reads the recipes' dimensions: the only lattices made are
-    # the realizations', one per row (the realized point's by build)
+    # the realizations', one per row (the realized point's is the literal)
     built = _count_lattices(monkeypatch)
     code, out, _ = run(capsys, "verify", suite, "--max-dim", "3")
     assert code == 0 and len(built) == len(out.splitlines()) == 26

@@ -15,6 +15,7 @@ from toricgh.catalog import (
 from oracles import (
     CanonicalBudgetExceeded,
     bipyramid_by_inclusion,
+    build,
     canonical_form,
     covers,
     cross_lattice,
@@ -117,6 +118,12 @@ def test_pyramid_bipyramid_prism_counts():
     assert tri.prism().f_vector() == (6, 9, 5)
 
 
+@pytest.mark.parametrize("literal, face_sets, n", [(empty_lattice, [()], 0), (point_lattice, [(), (0,)], 1)])
+def test_literals_equal_the_inclusion_build(literal, face_sets, n):
+    # the words, pairs and dims written out by hand, as the inclusion order finds them
+    _same_lattice(literal(), build(face_sets, n), literal.__name__)
+
+
 def test_pyramid_of_point_is_segment():
     seg = point_lattice().pyramid()
     assert seg.d == 1 and seg.f_vector() == (2,)
@@ -128,9 +135,9 @@ def test_bipyramid_of_square_is_octahedron(cube):
 
 def test_is_eulerian_cases(cube):
     assert is_eulerian(cube)
-    assert is_eulerian(FaceLattice.build([frozenset()], 0))  # vacuous
+    assert is_eulerian(build([frozenset()], 0))  # vacuous
     # removing a facet breaks the balance
-    broken = FaceLattice.build(
+    broken = build(
         [f for f in cube.faces if f != frozenset({4, 5, 6, 7})],
         8,
     )
@@ -156,7 +163,7 @@ def test_every_constructor_output_validates():
 def _same_lattice(rule, oracle, what):
     # the rule's output is the oracle's lattice, face order and all, and read-only
     assert rule.faces == oracle.faces and rule.n_vertices == oracle.n_vertices, what
-    for a, b in zip((*rule.pairs, rule.dims), (*oracle.pairs, oracle.dims)):
+    for a, b in zip((rule.words, *rule.pairs, rule.dims), (oracle.words, *oracle.pairs, oracle.dims)):
         assert a.dtype == b.dtype and np.array_equal(a, b), what
         assert not a.flags.writeable, what
 
@@ -198,7 +205,7 @@ def test_corrupted_pairs_fail_validation(cube):
     drop_bottom = np.arange(len(px)) != 0
     for keep, message in ((drop_cover, "Eulerian|graded"), (drop_bottom, "not unique")):
         with pytest.raises(LatticeError, match=message):
-            FaceLattice(cube.faces, cube.n_vertices, (px[keep], py[keep]), cube.dims)._validate()
+            FaceLattice(cube.words, cube.n_vertices, (px[keep], py[keep]), cube.dims)._validate()
 
 
 def test_grading_conventions(cube):
@@ -277,12 +284,12 @@ def test_catalog_face_order_is_count_then_sorted_vertices():
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.frozensets(st.integers(0, 140), max_size=7), max_size=40))
 def test_sorted_faces_matches_per_face_sort(family):
-    faces, sizes, bits, (rows, verts) = _sorted_faces(family, 141)
-    assert faces == _by_sorted_vertices(family)
-    assert sizes.tolist() == [len(f) for f in faces]
+    sizes, bits, (rows, verts) = _sorted_faces(family, 141)
     # bit 63 - v % 64 of word v // 64 is set iff v is a vertex of the face
     inc = np.unpackbits(bits.astype(">u8").view(np.uint8), axis=1).astype(bool)
-    assert [set(np.flatnonzero(row).tolist()) for row in inc] == [set(f) for f in faces]
+    faces = [frozenset(np.flatnonzero(row).tolist()) for row in inc]
+    assert faces == _by_sorted_vertices(family)
+    assert sizes.tolist() == [len(f) for f in faces]
     members = [set() for _ in faces]
     for r, v in zip(rows.tolist(), verts.tolist()):
         members[r].add(v)

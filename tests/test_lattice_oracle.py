@@ -22,6 +22,7 @@ from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.toric import flag_vector
 
 from oracles import (
+    build,
     covers,
     dense_build,
     dense_covers,
@@ -155,6 +156,17 @@ def test_mutations_reach_each_kind_of_rejection():
     } <= seen
 
 
+@pytest.mark.parametrize("faces, n, message", [
+    ([(0,), (0, 1)], 2, "missing empty face at the bottom"),
+    ([(), (0, 1), (2,), (0, 1, 2)], 3, "an atom is not a single vertex"),
+    ([(), (0,), (1,), (0, 1, 2)], 3, "face contains a non-atom vertex"),
+])
+def test_validation_on_words_fails_like_dense_oracle(faces, n, message):
+    # the bottom and atom checks read the packed words; the mutations above
+    # reach only the last of these messages
+    assert _outcome(validated_build, faces, n)[0] == _outcome(dense_build, faces, n)[0] == message
+
+
 def _facet_side(lat):
     """Whether from_vertex_facets closes the facets (no more facets than vertices)."""
     return len(lat.faces_of_dim(lat.d - 1)) <= lat.n_vertices
@@ -185,7 +197,7 @@ def test_both_closure_sides_match_set_closure(name):
     lat = parse_recipe(name).lattice()
     facets = [lat.faces[i] for i in lat.faces_of_dim(lat.d - 1)]
     assert _facet_side(lat) == name.startswith("cube")
-    ref = FaceLattice.build(set_closure(lat.n_vertices, facets), lat.n_vertices)
+    ref = build(set_closure(lat.n_vertices, facets), lat.n_vertices)
     assert lat.faces == ref.faces and np.array_equal(lat.dims, ref.dims)
     assert np.array_equal(np.stack(lat.pairs), np.stack(ref.pairs))
 

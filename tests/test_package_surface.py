@@ -5,14 +5,15 @@ A name that ``toricgh/__init__.py`` exports must be read somewhere else in
 ``def`` or ``class`` is not a read, and neither is a read inside a
 function, method or class that nothing else reads in turn, so a layer
 that only tests reach (a class and the helpers that build it) is caught
-as a whole.  perfbench reads a few names by module path; those must stay.
+as a whole.  The public members of ``FaceLattice`` are held to the same
+rule.  perfbench reads a few names by module path; those must stay.
 """
 
 import ast
 from pathlib import Path
 
 from toricgh import toric
-from toricgh.lattice import FaceLattice
+from toricgh.lattice import FaceLattice, point_lattice
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toricgh"
 
@@ -84,7 +85,17 @@ def test_every_export_is_read_inside_the_package():
     assert [name for name in exports if name not in reads] == []
 
 
+PERFBENCH_MEMBERS = ("leq", "is_simplicial", "dual", "interval", "face", "quotient", "to_json")
+
+
 def test_names_perfbench_reads_by_module_path():
     assert callable(toric.g1_closed) and callable(toric.simplicial_h)
-    for attr in ("leq", "is_simplicial", "dual", "interval", "face", "quotient"):
+    for attr in PERFBENCH_MEMBERS:
         assert hasattr(FaceLattice, attr), attr
+
+
+def test_every_lattice_member_is_read_inside_the_package():
+    # methods, properties and instance attributes alike
+    members = {name for name in dir(point_lattice()) if not name.startswith("_")}
+    reads = _live_reads()
+    assert sorted(members - reads - set(PERFBENCH_MEMBERS)) == []

@@ -1,7 +1,7 @@
 """The pair-list builder and the row-pointer triple gather against their oracles.
 
-``FaceLattice.build`` makes the strict comparable pairs straight from the
-packed vertex bitsets, and ``lattice._triples`` finds the row of each
+``lattice._strict_pairs`` makes the strict comparable pairs straight from
+the packed vertex bitsets, and ``lattice._triples`` finds the row of each
 (x, y) by row pointers.  ``oracles.dense_order`` and
 ``oracles.dense_from_vertex_facets`` are the dense inclusion tests the
 builder replaced; ``searchsorted_intervals`` and

@@ -6,6 +6,7 @@ import pytest
 from toricgh.catalog import (
     catalog,
     cyclic_lattice,
+    empty_lattice,
     parse_recipe,
     point_lattice,
     simplex_lattice,
@@ -28,6 +29,7 @@ from toricgh.toric import (
     g2_closed,
     gtilde,
     quotient_g,
+    report,
     simplicial_h,
     toric_g,
     toric_h,
@@ -51,7 +53,7 @@ CUBE3 = cube_lattice(3)
 CUBE4 = cube_lattice(4)
 OCT = cross_lattice(3)
 PRISM3 = simplex_lattice(2).prism()
-EMPTY = FaceLattice.build([frozenset()], 0)
+EMPTY = empty_lattice()
 
 
 def test_h_and_g_of_square():
@@ -311,6 +313,15 @@ def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
         builds.clear()
         assert _verify_one("monotonicity", inp, 0, "all")
         assert len(builds) == 1 and "pairs" in inp.lattice()._cache
+
+
+def test_invariants_make_no_vertex_sets():
+    # h, g, the checks and the flag numbers read the order only, so a
+    # rule-built lattice never unpacks its words into vertex sets
+    lat = parse_recipe("cube6").lattice()
+    report(lat)
+    flag_vector(lat)
+    assert "faces" not in lat._cache
 
 
 def test_int64_guard_refuses_past_the_limit(monkeypatch, capsys):
