@@ -8,7 +8,7 @@ any thread would recompute identically, so everything here is safe to
 share across concurrent tasks.
 """
 
-from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
+from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.geometry import (
     Cone,

@@ -348,16 +348,15 @@ def cmd_verma(args) -> int:
     inp = load_input(args.input)
     lat = inp.lattice()
     table = verma.verma_multiplicities(lat)
+    match = verma.polar_matches(lat)
     faces = []
     for f in sorted(table, key=lambda i: (int(lat.dims[i]), i)):
-        pg = verma.polar_g(lat, f)
-        match = table[f] == tuple(pg.coeffs or (1,))
         faces.append(
             {
                 "face": sorted(lat.faces[f]),
                 "m": list(table[f]),
-                "polar_g": pg.to_json() or [1],
-                "match": bool(match),
+                "polar_g": verma.polar_g(lat, f).to_json() or [1],
+                "match": bool(match[f]),
             }
         )
     ok = all(row["match"] for row in faces)

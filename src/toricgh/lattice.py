@@ -278,7 +278,9 @@ class FaceLattice:
         up = self.above(lo)
         if lo != hi and hi not in up:
             raise LatticeError("interval endpoints are not comparable")
-        sel = np.union1d(np.intersect1d(up, self.below(hi), assume_unique=True), [lo, hi])
+        # faces are indexed by vertex count, so lo, the faces between and hi ascend
+        inside = np.intersect1d(up, self.below(hi), assume_unique=True)
+        sel = np.concatenate(([lo], inside, [hi])) if lo != hi else np.array([lo])
         pos = np.full(len(self), -1)
         pos[sel] = np.arange(len(sel))
         start, (px, py) = self._rows(), self.pairs

@@ -141,9 +141,3 @@ def binomial_power(base_shift: int, n: int) -> Polynomial:
     if n < 0:
         raise ValueError("negative exponent in binomial_power")
     return Polynomial([comb(n, k) * base_shift ** (n - k) for k in range(n + 1)])
-
-
-def coefficientwise_geq(a: Polynomial, b: Polynomial) -> bool:
-    """True iff every coefficient of a - b (zero-padded) is >= 0."""
-    n = max(len(a.coeffs), len(b.coeffs))
-    return all(a[k] >= b[k] for k in range(n))

@@ -23,13 +23,14 @@ cone/bipyramid identities.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
 
 from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _triples
-from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
+from toricgh.polynomial import Polynomial, binomial_power
 
 
 def _binom_kernel(k: int) -> np.ndarray:
@@ -317,11 +318,15 @@ def face_g(lat: FaceLattice, face: int) -> Polynomial:
 
 def quotient_g(lat: FaceLattice, face: int) -> Polynomial:
     """g of P/face: a pair table lookup, else one table rooted at the face."""
+    return Polynomial(_quotient_row(lat, face))
+
+
+def _quotient_row(lat: FaceLattice, face: int) -> list[int]:
     table = lat._cache.get("pairs")
     if table is not None:
-        return Polynomial(table.quot_g[face].tolist())
+        return table.quot_g[face].tolist()
     pos, _, G = _interval_tables(lat, face)
-    return _row_poly(G, pos, lat.top)
+    return G[pos[lat.top]].tolist()
 
 
 def simplicial_h(f: tuple[int, ...], d: int) -> Polynomial:
@@ -430,19 +435,43 @@ def check_dehn_sommerville(lat: FaceLattice) -> bool:
 
 
 def check_monotonicity(lat: FaceLattice, face: int) -> bool:
-    """g(P) >= g(F) g(P/F) coefficientwise, for a proper nonempty face."""
-    lhs = toric_g(lat)
-    rhs = face_g(lat, face) * quotient_g(lat, face)
-    return coefficientwise_geq(lhs, rhs)
+    """g(P) >= g(F) g(P/F) coefficientwise, for a proper nonempty face F.
+
+    At the bottom or the top the inequality reads g(P) >= g(P) and checks
+    nothing, so those raise ``ValueError``.  The rows of F and P/F come
+    from the pair table if the lattice has one, else from the tables
+    rooted at the bottom and at F, as int lists.
+    """
+    top = lat.top
+    if not lat.bottom < face < top:
+        raise ValueError(f"monotonicity needs a proper nonempty face, not face {face}")
+    table = lat._cache.get("pairs")
+    if table is not None:
+        g, face_row = table.G[top], table.G[face]
+    else:
+        pos, _, G = _interval_tables(lat, lat.bottom)
+        g, face_row = G[pos[top]], G[pos[face]]
+    return _monotone(g.tolist(), face_row.tolist(), _quotient_row(lat, face))
 
 
 def check_monotonicity_all(lat: FaceLattice) -> bool:
-    """Monotonicity at every proper face, reading one pair table."""
-    _pairs(lat)
+    """Monotonicity at every proper face, reading one pair table and g(P) once."""
+    table = _pairs(lat)
+    g = table.G[lat.top].tolist()
     return all(
-        check_monotonicity(lat, f)
+        _monotone(g, table.G[f].tolist(), table.quot_g[f].tolist())
         for f in range(1, len(lat) - 1)
     )
+
+
+def _monotone(g: list[int], face: list[int], quot: list[int]) -> bool:
+    """g >= face * quot coefficientwise, on ascending coefficient lists."""
+    rhs = [0] * (len(face) + len(quot) - 1)
+    for i, a in enumerate(face):
+        if a:
+            for j, b in enumerate(quot):
+                rhs[i + j] += a * b
+    return all(a >= b for a, b in zip_longest(g, rhs, fillvalue=0))
 
 
 def check_ubt(lat: FaceLattice) -> bool:

@@ -18,15 +18,22 @@ checks here.
 A cone over a polytope is identified with the polytope's face lattice:
 face F of dimension e stands for the cone of dimension e + 1, the empty
 face for the apex.
+
+The faces of one dimension are incomparable, so the solver works a
+dimension layer at a time on the pair table: a layer's equations are one
+array slice, and its push onto the faces above is one truncated
+convolution and one sum per face.  The solution (and the table made
+from it) is kept on the lattice, so the polar comparison and the
+table's readers solve once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from toricgh.lattice import FaceLattice
+from toricgh.lattice import FaceLattice, _run_starts
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _column, _pairs, _polar_g
+from toricgh.toric import _blocks, _column, _pairs, _polar_g
 
 
 class MultiplicityTable(dict):
@@ -43,67 +50,103 @@ class MultiplicityTable(dict):
         }
 
 
-def _trim(row):
-    row = list(row)
-    while row and row[-1] == 0:
-        row.pop()
-    return tuple(row) if row else (0,)
+def _trimmed(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row as a tuple without its trailing zeros; (0,) for a zero row."""
+    nonzero = rows != 0
+    ends = np.where(nonzero.any(axis=1), rows.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    return [tuple(row[:k]) for row, k in zip(rows.tolist(), ends.tolist())]
+
+
+def _multiplicities(lat: FaceLattice) -> np.ndarray:
+    """Row f holds m_0(f), m_1(f), ..., zero-padded; solved once per lattice.
+
+    The faces of one dimension e are incomparable, so the stalk
+    equations of a layer read only what the layers below pushed into
+    ``acc``: m = (-1)^e acc[layer, :e // 2 + 1], each face checked to be
+    nonnegative with nothing beyond its middle degree.  The layer then
+    pushes (-1)^(e + 1) m_x(t) g([x, y], t), truncated, from each of its
+    faces x onto every y > x: one convolution over its rows of the pair
+    table (its block rows, grouped by y) and one sum per y.
+    """
+    m = lat._cache.get("verma_m")
+    if m is not None:
+        return m
+    n, d, dims = len(lat), lat.d, lat.dims
+    width = (d + 1) // 2 + 2
+    acc = np.zeros((n, width), dtype=np.int64)
+    m = np.zeros_like(acc)
+    m[lat.bottom, 0] = 1                            # the apex
+    table, blocks = _pairs(lat), _blocks(lat)
+    strict_x, G = lat.pairs[0], table.G
+    by_dim = np.argsort(dims, kind="stable")
+    layers = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
+    for e in range(-1, d + 1):
+        if e >= 0:
+            layer = by_dim[layers[e + 1]:layers[e + 2]]
+            k_max = e // 2
+            solved = acc[layer, :k_max + 1] * (1 if e % 2 == 0 else -1)
+            beyond = acc[layer, k_max + 1:].any(axis=1)
+            bad = beyond | (solved < 0).any(axis=1)
+            if bad.any():
+                # the first failing face by index; "beyond" before "negative" at one face
+                i = int(np.argmax(bad))
+                if beyond[i]:
+                    raise AssertionError(f"multiplicity beyond middle degree at face {layer[i]}")
+                raise AssertionError(
+                    f"negative multiplicity at face {layer[i]}: {tuple(solved[i].tolist())}"
+                )
+            m[layer, :k_max + 1] = solved
+        # the strict pairs with dim x = e, by (dim y, y); strict pair k is
+        # row k + x + 1 of the pair table, past the x + 1 diagonal rows
+        k = blocks.order[blocks.bounds[(e + 1) * blocks.span]:blocks.bounds[(e + 2) * blocks.span]]
+        if not len(k):
+            continue
+        x = strict_x[k]
+        g = G[k + x + 1, :width]
+        c = m[x, :max(e, 0) // 2 + 1] * (-1 if e % 2 == 0 else 1)
+        push = np.zeros((len(k), width), dtype=np.int64)
+        for j in range(c.shape[1]):
+            take = min(g.shape[1], width - j)
+            push[:, j:j + take] += c[:, j, None] * g[:, :take]
+        y = lat.pairs[1][k]
+        first = _run_starts(y)
+        acc[y[first]] += np.add.reduceat(push, first)
+    lat._cache["verma_m"] = m
+    return m
 
 
 def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
     """Solve for all m_k(tau) over the cone on ``lat``, apex upward.
 
-    Faces are processed in increasing dimension; each step solves the
-    degree-k Euler characteristic equations at one stalk.  The solution
-    is asserted integral and nonnegative, and zero beyond the middle
-    degree of the face, as the resolution requires.  Once a layer is
-    solved, m_y(t) g([y, x], t) is pushed from all of it onto every x > y
-    over the pair table.
+    The faces are solved a dimension layer at a time from the degree-k
+    Euler characteristic equations at their stalks (``_multiplicities``).
+    The solution is asserted nonnegative, and zero beyond the middle
+    degree of each face, as the resolution requires; a failure names the
+    first such face of the lowest failing layer.  The table is built once
+    per lattice.
     """
-    n = len(lat)
-    width = (lat.d + 1) // 2 + 2
-    acc = np.zeros((n, width), dtype=np.int64)
-    m = np.zeros((n, width), dtype=np.int64)
-    table = MultiplicityTable()
-    pairs = _pairs(lat)
-    px, py, G = pairs.px, pairs.py, pairs.G
-    for e in np.unique(lat.dims):
-        cone_dim = int(e) + 1  # the cone over a face of dimension e
-        for y in np.nonzero(lat.dims == e)[0].tolist():
-            if y == lat.bottom:
-                row = (1,)
-            else:
-                # the stalk equation reads acc + (-1)^cone_dim * m_k = 0
-                k_max = (cone_dim - 1) // 2
-                sign = 1 if cone_dim % 2 else -1
-                row = tuple(int(sign * acc[y, k]) for k in range(k_max + 1))
-                if any(acc[y, k] != 0 for k in range(k_max + 1, width)):
-                    raise AssertionError(
-                        f"multiplicity beyond middle degree at face {y}"
-                    )
-                if any(v < 0 for v in row):
-                    raise AssertionError(f"negative multiplicity at face {y}: {row}")
-            table[y] = _trim(row)
-            m[y, : len(table[y])] = table[y][:width]
-
-        # push (-1)^(cone dim) * m_y(t) * g([y, x], t) onto every x > y
-        sel = np.nonzero((px != py) & (lat.dims[px] == e))[0]
-        sign_y = -1 if cone_dim % 2 else 1
-        for j in range(width):
-            c = sign_y * m[px[sel], j]
-            if c.any():
-                take = min(G.shape[1], width - j)
-                np.add.at(acc[:, j:j + take], py[sel], c[:, None] * G[sel, :take])
+    table = lat._cache.get("verma")
+    if table is None:
+        table = lat._cache["verma"] = MultiplicityTable(enumerate(_trimmed(_multiplicities(lat))))
     return table
+
+
+def polar_matches(lat: FaceLattice) -> np.ndarray:
+    """Per face tau, whether m(tau) equals g of the polar of its base.
+
+    A polar g that is zero compares as 1, the empty polytope's.
+    """
+    m, polar = _multiplicities(lat), _polar_g(lat)
+    have, want = np.zeros((2, len(lat), max(m.shape[1], polar.shape[1])), dtype=np.int64)
+    have[:, :m.shape[1]] = m
+    want[:, :polar.shape[1]] = polar
+    want[~polar.any(axis=1), 0] = 1
+    return (have == want).all(axis=1)
 
 
 def check_verma_vs_polar(lat: FaceLattice) -> bool:
     """m_k of each cone equals g_k of the polar of its base polytope."""
-    table = verma_multiplicities(lat)
-    for f in range(len(lat)):
-        if table[f] != _trim(polar_g(lat, f).coeffs or (1,)):
-            return False
-    return True
+    return bool(polar_matches(lat).all())
 
 
 def polar_g(lat: FaceLattice, face: int) -> Polynomial:

@@ -99,6 +99,14 @@ summed face by face over a pair of subcomplexes, ``tau_plus_v`` the
 drift of a back face to its minimal fixed face, ``covers`` the Hasse
 diagram read off the interval counts, and ``geometric_catalog`` the
 entries of the catalog with coordinates.
+
+``verma_by_face`` is the Verma solver the library ran before it solved
+a dimension layer at a time: one stalk at a time in ascending index,
+its row checked "beyond middle degree" first and "negative" second, and
+every pair (x, y) with x in the layer found by a mask over all pairs,
+then pushed one degree at a time with ``np.add.at``.
+``coefficientwise_geq`` is the comparison monotonicity made on
+``Polynomial`` values before it compared int lists.
 """
 
 import random
@@ -115,7 +123,7 @@ from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _so
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
-from toricgh.toric import FlagVector, _binom_kernel, face_g, gtilde, toric_g
+from toricgh.toric import FlagVector, _binom_kernel, _pairs, face_g, gtilde, toric_g
 
 
 def rref(rows):
@@ -1138,3 +1146,55 @@ def prism_by_inclusion(lat):
         ft = frozenset(v + n for v in f)
         sets.update((f, ft, f | ft))
     return build(sets, 2 * n)
+
+
+# -- multiplicities and monotonicity by face -----------------------------------
+
+
+def verma_by_face(lat):
+    """{face: (m_0, m_1, ...)} over the cone on ``lat``, one stalk at a time."""
+    def trim(row):
+        row = list(row)
+        while row and row[-1] == 0:
+            row.pop()
+        return tuple(row) if row else (0,)
+
+    n = len(lat)
+    width = (lat.d + 1) // 2 + 2
+    acc = np.zeros((n, width), dtype=np.int64)
+    m = np.zeros((n, width), dtype=np.int64)
+    table = {}
+    pairs = _pairs(lat)
+    px, py, G = pairs.px, pairs.py, pairs.G
+    for e in np.unique(lat.dims):
+        cone_dim = int(e) + 1  # the cone over a face of dimension e
+        for y in np.nonzero(lat.dims == e)[0].tolist():
+            if y == lat.bottom:
+                row = (1,)
+            else:
+                # the stalk equation reads acc + (-1)^cone_dim * m_k = 0
+                k_max = (cone_dim - 1) // 2
+                sign = 1 if cone_dim % 2 else -1
+                row = tuple(int(sign * acc[y, k]) for k in range(k_max + 1))
+                if any(acc[y, k] != 0 for k in range(k_max + 1, width)):
+                    raise AssertionError(f"multiplicity beyond middle degree at face {y}")
+                if any(v < 0 for v in row):
+                    raise AssertionError(f"negative multiplicity at face {y}: {row}")
+            table[y] = trim(row)
+            m[y, : len(table[y])] = table[y][:width]
+
+        # push (-1)^(cone dim) * m_y(t) * g([y, x], t) onto every x > y
+        sel = np.nonzero((px != py) & (lat.dims[px] == e))[0]
+        sign_y = -1 if cone_dim % 2 else 1
+        for j in range(width):
+            c = sign_y * m[px[sel], j]
+            if c.any():
+                take = min(G.shape[1], width - j)
+                np.add.at(acc[:, j:j + take], py[sel], c[:, None] * G[sel, :take])
+    return table
+
+
+def coefficientwise_geq(a, b):
+    """True iff every coefficient of a - b (zero-padded) is >= 0."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return all(a[k] >= b[k] for k in range(n))

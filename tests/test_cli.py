@@ -403,3 +403,18 @@ def test_running_out_of_memory_is_bad_input():
                            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == "error: out of memory on gh\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verma", "cube5", "--json"), ("verify", "verma", "cube4"), ("verify", "all", "cube4"),
+])
+def test_commands_leave_numpy_ma_unimported(argv):
+    # numpy.ma takes 15-18 ms to import into a fresh process, and
+    # np.unique and np.union1d import it; no command needs it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    probe = ("import sys; from toricgh.cli import main; code = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules, code)")
+    child = subprocess.run([sys.executable, "-c", probe, *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.stdout.splitlines()[-1] == "False 0", child.stderr

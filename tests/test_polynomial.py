@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from toricgh.polynomial import Polynomial, binomial_power, coefficientwise_geq
+from toricgh.polynomial import Polynomial, binomial_power
+
+from oracles import coefficientwise_geq
 
 
 def test_trailing_zeros_trimmed():

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from toricgh.catalog import (
     catalog,
@@ -13,8 +14,9 @@ from toricgh.catalog import (
 )
 from toricgh.geometry import cone_over, facet_enumeration
 from toricgh.lattice import FaceLattice, LatticeError
-from toricgh.polynomial import Polynomial, coefficientwise_geq
+from toricgh.polynomial import Polynomial
 from toricgh.toric import (
+    _monotone,
     _pairs,
     check_cone_bipyramid,
     check_dehn_sommerville,
@@ -38,6 +40,7 @@ from toricgh.toric import (
 from oracles import (
     Invariant,
     central_fan,
+    coefficientwise_geq,
     convolution,
     cross_lattice,
     cube_lattice,
@@ -174,6 +177,37 @@ def test_monotonicity_examples():
     assert check_monotonicity_all(CUBE4)
 
 
+def test_monotonicity_refuses_the_bottom_and_the_top():
+    lat = parse_recipe("cube3").lattice()
+    for face in (lat.bottom, lat.top):
+        with pytest.raises(ValueError, match=f"proper nonempty face, not face {face}$"):
+            check_monotonicity(lat, face)
+    _pairs(lat)
+    with pytest.raises(ValueError, match=f"not face {lat.top}$"):
+        check_monotonicity(lat, lat.top)
+
+
+def test_monotonicity_matches_polynomial_comparison():
+    # each face once on a lattice without a pair table (rooted tables),
+    # then on one with it, against the Polynomial comparison of before
+    for name in ["cube4", "cross4", "cyclic(8,5)", "prism(pyramid(cube2))", "pyramid(cross4)"]:
+        bare, paired = parse_recipe(name).lattice(), parse_recipe(name).lattice()
+        _pairs(paired)
+        g = toric_g(paired)
+        for f in range(1, len(bare) - 1):
+            expected = coefficientwise_geq(g, face_g(paired, f) * quotient_g(paired, f))
+            assert check_monotonicity(bare, f) is expected is check_monotonicity(paired, f)
+        assert "pairs" not in bare._cache
+        assert check_monotonicity_all(paired)
+
+
+@given(st.lists(st.integers(-5, 5), max_size=5), st.lists(st.integers(-5, 5), max_size=4),
+       st.lists(st.integers(-5, 5), max_size=4))
+def test_monotone_lists_match_polynomial_comparison(g, face, quot):
+    expected = coefficientwise_geq(Polynomial(g), Polynomial(face) * Polynomial(quot))
+    assert _monotone(g, face, quot) is expected
+
+
 def test_ubt():
     assert toric_g(CUBE4)[2] == 2 <= comb(12, 2)
     assert check_ubt(CUBE4)
@@ -304,7 +338,7 @@ def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
         builds.clear()
         assert check_monotonicity_all(lat)
         assert len(builds) == 1
-        assert set(lat._cache["interval_tables"]) == {lat.bottom}
+        assert "interval_tables" not in lat._cache     # g(P) is the pair table's too
         # the table's quotients are the per-root values of a lattice without one
         for f in range(1, len(lat) - 1):
             assert quotient_g(lat, f) == quotient_g(alone, f), (name, f)

@@ -1,22 +1,25 @@
+import numpy as np
 import pytest
 
 from toricgh.catalog import (
+    catalog,
     cyclic_lattice,
     parse_recipe,
     point_lattice,
     simplex_lattice,
 )
 from toricgh.polynomial import Polynomial
-from toricgh.toric import quotient_g, toric_g
+from toricgh.toric import _pairs, _polar_g, quotient_g, toric_g
 from toricgh.verma import (
     check_reciprocity,
     check_verma_vs_polar,
     polar_g,
+    polar_matches,
     truncated_inequality,
     verma_multiplicities,
 )
 
-from oracles import cross_lattice, cube_lattice
+from oracles import cross_lattice, cube_lattice, verma_by_face
 
 SQUARE = cube_lattice(2)
 CUBE3 = cube_lattice(3)
@@ -54,6 +57,119 @@ def test_polar_comparison():
     assert check_verma_vs_polar(simplex_lattice(4))
     assert check_verma_vs_polar(cyclic_lattice(7, 4))
     assert check_verma_vs_polar(cube_lattice(4))
+
+
+def _oracle_lattices():
+    for entry in catalog():
+        yield entry.name, entry.lattice()
+        yield f"dual({entry.name})", entry.lattice().dual()
+    for d in range(1, 9):
+        yield f"cube{d}", parse_recipe(f"cube{d}").lattice()
+    for d in range(2, 9):
+        yield f"cross{d}", parse_recipe(f"cross{d}").lattice()
+
+
+def test_layered_solver_matches_per_face_oracle():
+    for name, lat in _oracle_lattices():
+        assert verma_multiplicities(lat) == verma_by_face(lat), name
+
+
+def test_polar_matches_the_per_face_comparison():
+    # the comparison ``verma`` and ``verify verma`` made face by face before
+    for entry in catalog():
+        lat = entry.lattice()
+        table = verma_by_face(lat)
+        expected = [table[f] == Polynomial(polar_g(lat, f).coeffs or (1,)).coeffs
+                    for f in range(len(lat))]
+        assert polar_matches(lat).tolist() == expected, entry.name
+        assert check_verma_vs_polar(lat) == all(expected), entry.name
+
+
+def test_polar_matches_flags_a_changed_polar_row():
+    lat = parse_recipe("cube3").lattice()
+    polar = lat._cache["polar_g"] = _polar_g(lat).copy()
+    polar[lat.top, 1] += 1
+    match = polar_matches(lat)
+    assert match.tolist() == [f != lat.top for f in range(len(lat))]
+    assert not check_verma_vs_polar(lat)
+
+
+def test_multiplicities_are_solved_once_per_lattice():
+    lat = parse_recipe("cyclic(9,6)").lattice()
+    assert check_verma_vs_polar(lat)
+    m = lat._cache["verma_m"]
+    table = verma_multiplicities(lat)
+    assert lat._cache["verma_m"] is m
+    assert verma_multiplicities(lat) is table
+    assert polar_matches(lat).all()
+
+
+def _corrupt(name, *entries):
+    """A fresh lattice whose cached pair table holds G[(x, y), k] = value for each entry."""
+    lat = parse_recipe(name).lattice()
+    table = _pairs(lat)
+    for x, y, k, value in entries:
+        table.G[np.flatnonzero((table.px == x) & (table.py == y))[0], k] = value
+    return lat
+
+
+def _message(solve, lat):
+    with pytest.raises(AssertionError) as err:
+        solve(lat)
+    return str(err.value)
+
+
+def _vertex_below(lat, face):
+    return next(int(v) for v in lat.below(face) if lat.dims[v] == 0)
+
+
+def _cube3_error_cases():
+    # the cone over an edge has m = (1,): g([bottom, edge])_0 = 3 makes its
+    # m_0 -1, and g([v, edge])_1 = 1 at a vertex v of it puts -1 past degree 0
+    lat = CUBE3_BY_RULE
+    v, a, b = 1, 9, 10                  # a vertex, then two edges by index
+
+    def negative(e):
+        return (lat.bottom, e, 0, 3)
+
+    def beyond(e):
+        return (_vertex_below(lat, e), e, 1, 1)
+
+    neg, past = "negative multiplicity at face {}: (-1,)", "multiplicity beyond middle degree at face {}"
+    return {
+        "vertex negative": ([(lat.bottom, v, 0, -1)], neg.format(v)),
+        "edge beyond": ([beyond(a)], past.format(a)),
+        "negative then beyond": ([negative(a), beyond(b)], neg.format(a)),
+        "beyond then negative": ([beyond(a), negative(b)], past.format(a)),
+        "one face both": ([negative(a), beyond(a)], past.format(a)),
+    }
+
+
+CUBE3_BY_RULE = parse_recipe("cube3").lattice()
+CUBE3_ERRORS = _cube3_error_cases()
+
+
+@pytest.mark.parametrize("case", sorted(CUBE3_ERRORS))
+def test_solver_errors_name_the_face_the_oracle_names(case):
+    entries, expected = CUBE3_ERRORS[case]
+    assert [int(CUBE3_BY_RULE.dims[f]) for f in (1, 9, 10)] == [0, 1, 1]
+    lat = _corrupt("cube3", *entries)
+    assert _message(verma_by_face, lat) == expected
+    assert _message(verma_multiplicities, lat) == expected
+    assert "verma_m" not in lat._cache
+
+
+def test_solver_errors_go_by_layer_before_index():
+    # in prism(simplex3) the tetrahedron 33 precedes the square 34 by index,
+    # but the square's layer is solved first, so its failure is the one named
+    prism = parse_recipe("prism(simplex3)").lattice()
+    tetra, square = 33, 34
+    assert (int(prism.dims[tetra]), int(prism.dims[square])) == (3, 2)
+    lat = _corrupt("prism(simplex3)", (prism.bottom, square, 0, -1),
+                   (_vertex_below(prism, tetra), tetra, 2, 1))
+    got = _message(verma_by_face, lat)
+    assert got.startswith(f"negative multiplicity at face {square}: ")
+    assert _message(verma_multiplicities, lat) == got
 
 
 def test_middle_degree_matches_self_for_even_dim():
