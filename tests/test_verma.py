@@ -79,8 +79,7 @@ def test_polar_matches_the_per_face_comparison():
     for entry in catalog():
         lat = entry.lattice()
         table = verma_by_face(lat)
-        expected = [table[f] == Polynomial(polar_g(lat, f).coeffs or (1,)).coeffs
-                    for f in range(len(lat))]
+        expected = [table[f] == (polar_g(lat, f).coeffs or (1,)) for f in range(len(lat))]
         assert polar_matches(lat).tolist() == expected, entry.name
         assert check_verma_vs_polar(lat) == all(expected), entry.name
 
@@ -123,6 +122,9 @@ def _vertex_below(lat, face):
     return next(int(v) for v in lat.below(face) if lat.dims[v] == 0)
 
 
+CUBE3_BY_RULE = parse_recipe("cube3").lattice()
+
+
 def _cube3_error_cases():
     # the cone over an edge has m = (1,): g([bottom, edge])_0 = 3 makes its
     # m_0 -1, and g([v, edge])_1 = 1 at a vertex v of it puts -1 past degree 0
@@ -145,7 +147,6 @@ def _cube3_error_cases():
     }
 
 
-CUBE3_BY_RULE = parse_recipe("cube3").lattice()
 CUBE3_ERRORS = _cube3_error_cases()
 
 
