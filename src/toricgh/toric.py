@@ -438,20 +438,14 @@ def check_monotonicity(lat: FaceLattice, face: int) -> bool:
     """g(P) >= g(F) g(P/F) coefficientwise, for a proper nonempty face F.
 
     At the bottom or the top the inequality reads g(P) >= g(P) and checks
-    nothing, so those raise ``ValueError``.  The rows of F and P/F come
-    from the pair table if the lattice has one, else from the tables
-    rooted at the bottom and at F, as int lists.
+    nothing, so those raise ``ValueError``.  g(P) and g(F) come from the
+    tables rooted at the bottom, and g(P/F) as ``quotient_g`` reads it,
+    all as int lists.
     """
-    top = lat.top
-    if not lat.bottom < face < top:
+    if not lat.bottom < face < lat.top:
         raise ValueError(f"monotonicity needs a proper nonempty face, not face {face}")
-    table = lat._cache.get("pairs")
-    if table is not None:
-        g, face_row = table.G[top], table.G[face]
-    else:
-        pos, _, G = _interval_tables(lat, lat.bottom)
-        g, face_row = G[pos[top]], G[pos[face]]
-    return _monotone(g.tolist(), face_row.tolist(), _quotient_row(lat, face))
+    pos, _, G = _interval_tables(lat, lat.bottom)
+    return _monotone(G[pos[lat.top]].tolist(), G[pos[face]].tolist(), _quotient_row(lat, face))
 
 
 def check_monotonicity_all(lat: FaceLattice) -> bool:
