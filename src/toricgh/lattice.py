@@ -138,8 +138,8 @@ class FaceLattice:
         if bad.size:
             i, j = int(px[bad[0]]), int(py[bad[0]])
             raise LatticeError(
-                f"not Eulerian: interval [{set(self.faces[i]) or '{}'}, "
-                f"{set(self.faces[j])}] is unbalanced"
+                f"not Eulerian: interval [{_vertex_set(self.faces[i])}, "
+                f"{_vertex_set(self.faces[j])}] is unbalanced"
             )
         # atomicity: dim-0 faces hold one vertex each and generate every face
         atoms = words[dims == 0]
@@ -199,7 +199,7 @@ class FaceLattice:
             lookup = {f: i for i, f in enumerate(self.faces)}
             self._cache["lookup"] = lookup
         if key not in lookup:
-            raise KeyError(f"{set(key) or '{}'} is not a face")
+            raise KeyError(f"{_vertex_set(key)} is not a face")
         return lookup[key]
 
     def faces_of_dim(self, k) -> list[int]:
@@ -674,6 +674,11 @@ def _spans(starts, ends):
     """The indices of the ranges starts[k]:ends[k], one after the other."""
     cnt = ends - starts
     return np.repeat(starts - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+
+
+def _vertex_set(face) -> str:
+    """A face's vertices in ascending order, as a set literal: messages do not follow hash order."""
+    return "{" + ", ".join(map(str, sorted(face))) + "}"
 
 
 def _run_starts(a):

@@ -12,9 +12,12 @@ int64 with numpy doing the bulk sums, on the lattice's list of strict
 comparable pairs and the triples x < z < y it forms:
 ``_interval_tables`` for the intervals [root, x] over one root (P and
 its faces from the bottom, one quotient from a face), and
-``_pair_tables`` for every interval [x, y] at once, and on the reversed
-order for every polar.  The rest of the module is arithmetic on those
-tables: closed forms for g1/g2, the extended g-tilde numbers, and
+``_pair_tables`` for every interval [x, y] at once.  A second engine,
+``_face_flags``, counts the chains below every face a layer at a time;
+its top row is the flag vector, and since toric h is linear in the flag
+numbers (``_flag_coeffs``), every polar's g is read off the rows with
+their dimensions reversed.  The rest of the module is arithmetic on
+those tables: closed forms for g1/g2, the extended g-tilde numbers, and
 executable checks of Dehn-Sommerville, monotonicity, the upper bound
 inequality, the vertex identity relating g_k and g_{k+1}, and the
 cone/bipyramid identities.
@@ -105,6 +108,10 @@ class _Blocks(NamedTuple):
         """The rows of lat.pairs with dim x = a and dim y = b, by y."""
         k = (a + 1) * self.span + b + 1
         return self.order[self.bounds[k]:self.bounds[k + 1]]
+
+    def from_dim(self, a: int) -> np.ndarray:
+        """The rows of lat.pairs with dim x = a, by (dim y, y)."""
+        return self.order[self.bounds[(a + 1) * self.span]:self.bounds[(a + 2) * self.span]]
 
 
 def _blocks(lat: FaceLattice) -> _Blocks:
@@ -222,6 +229,8 @@ def _pair_tables(px, py, dims, d: int):
     come from ``_triples``, whole x's at a time with the block S of
     ``_chunk_tables`` near _CHUNK cells, and each chunk goes through it.  Integer throughout; storage is
     O(comparable pairs * d), and ``_guard`` bounds every coefficient.
+    The library runs it on the forward order only: the polars, intervals
+    of the reversed order, are read off ``_face_flags`` instead.
     """
     n = len(dims)
     fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
@@ -272,18 +281,30 @@ def _pairs(lat: FaceLattice) -> _PairTable:
 
 
 def _polar_g(lat: FaceLattice) -> np.ndarray:
-    """Row f holds g of the polar of face f, from the reversed order.
+    """Row f holds g of the polar of face f, read off its flag numbers.
 
-    The polar of F is the interval [F, bottom] of the order-reversed
-    lattice, where F has dimension d - 1 - dim F; (F, bottom) opens the
-    block of F in the reversed pair table.
+    The polar of a face w of dimension e is [bottom, w] with the order
+    reversed, so f_S(w*) = f_{e-1-S}(w): h(w*) is w's row of
+    ``_face_flags`` with its columns bit-reversed, times
+    ``_flag_coeffs(e)``, and g truncates it as ``_chunk_tables`` does.
+    |h_k(w*)| is at most the chains of [bottom, w] times max |C_e| =
+    C(e, floor(e/2)) <= 2^e, so every entry stays inside the bound
+    ``_guard`` checks.  The bottom, the empty face, is its own polar:
+    row 0 is 1.
     """
     polar = lat._cache.get("polar_g")
     if polar is None:
-        below, above = lat.pairs
-        px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
-        first = np.searchsorted(px, np.arange(len(lat)))
-        polar = lat._cache["polar_g"] = G[first]
+        flags = _face_flags(lat)
+        polar = np.zeros((len(lat), max(lat.d + 1, 1)), dtype=np.int64)
+        polar[lat.bottom, 0] = 1
+        for e, F in enumerate(flags):
+            h = F @ _polar_coeffs(e)
+            # g_k = h_k - h_{k-1} up to half of the face's dimension
+            k = e // 2 + 1
+            g = h[:, :k].copy()
+            g[:, 1:] -= h[:, :k - 1]
+            polar[np.flatnonzero(lat.dims == e), :k] = g
+        lat._cache["polar_g"] = polar
     return polar
 
 
@@ -356,36 +377,99 @@ class FlagVector(dict):
         return {",".join(map(str, s)): v for s, v in sorted(self.items())}
 
 
-def flag_vector(lat: FaceLattice) -> FlagVector:
-    """All 2^d flag numbers by chain counting over the comparable pairs.
+def _face_flags(lat: FaceLattice) -> list[np.ndarray]:
+    """The flag numbers of every face, one int64 array per dimension e.
 
-    ``counts[w]`` is the number of chains with the prefix's dimensions
-    that end at face w.  Extending the prefix by a dimension scatter-adds
-    these counts along the pairs from its last layer to the new one.
+    Row i of array e is the i-th face w of dimension e by index, and
+    column S, a bitmask of dimensions (bit j for dim j < e), holds
+    f_S([bottom, w]): the chains bottom < w_1 < ... < w that meet the
+    dimensions in S.  Column 0 is 1.  A chain whose highest dimension
+    below w is a ends at a face u < w of dim a, so columns
+    [2^a, 2^(a+1)) of w's row sum the rows of array a over the pairs
+    u < w.  Once the dimensions below a have pushed, array a is whole,
+    and it pushes onto every face above in one ``np.add.reduceat`` per
+    piece of about _CHUNK cells: the pairs with dim x = a, in block
+    order, run by (dim y, y).  Every entry counts chains that end at w,
+    which ``_guard`` bounds.  Built once per lattice.
     """
-    if "flags" in lat._cache:
-        return lat._cache["flags"]
-    _guarded(lat)
-    d, dims, n = lat.d, lat.dims, len(lat)
-    px, py = lat.pairs
-    blocks = _blocks(lat)
-    fv = FlagVector()
-    fv[()] = 1
+    flags = lat._cache.get("face_flags")
+    if flags is None:
+        px, py = _guarded(lat).pairs
+        blocks, dims, d = _blocks(lat), lat.dims, lat.d
+        by_dim = np.argsort(dims, kind="stable")
+        rank = np.empty(len(lat), dtype=np.int64)     # each face's place in by_dim
+        rank[by_dim] = np.arange(len(lat))
+        starts = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
+        pos = rank - starts[dims + 1]                 # each face's row in its array
+        starts = starts.tolist()
+        flags = [
+            np.zeros((starts[e + 2] - starts[e + 1], 1 << e), dtype=np.int64) for e in range(d + 1)
+        ]
+        for F in flags:
+            F[:, 0] = 1
+        for a in range(d):
+            sel, step = blocks.from_dim(a), max(1, _CHUNK >> a)
+            for p in range(0, len(sel), step):
+                part = sel[p:p + step]
+                w = rank[py[part]]
+                sums = np.add.reduceat(flags[a][pos[px[part]]], _run_starts(w))
+                # every face above dim a lies above a face of dim a, so the
+                # runs are the faces w[0]..w[-1] of by_dim, layer after layer
+                lo, hi = int(w[0]), int(w[-1]) + 1
+                for e in range(a + 1, d + 1):
+                    s, t = max(lo, starts[e + 1]), min(hi, starts[e + 2])
+                    if s < t:
+                        rows = slice(s - starts[e + 1], t - starts[e + 1])
+                        flags[e][rows, 1 << a:2 << a] += sums[s - lo:t - lo]
+        lat._cache["face_flags"] = flags
+    return flags
 
-    def extend(prefix, counts, last):
-        for nxt in range(last + 1, d):
-            sel = blocks.rows(last, nxt)
-            carried = counts[px[sel]]
-            fv[prefix + (nxt,)] = int(carried.sum())
-            nxt_counts = np.zeros(n, dtype=np.int64)
-            np.add.at(nxt_counts, py[sel], carried)
-            extend(prefix + (nxt,), nxt_counts, nxt)
 
-    for start in range(d):
-        counts = (dims == start).astype(np.int64)
-        fv[(start,)] = int(counts.sum())
-        extend((start,), counts, start)
-    lat._cache["flags"] = fv
+@lru_cache(maxsize=None)
+def _flag_coeffs(e: int) -> np.ndarray:
+    """The 2^e x (e + 1) matrix C_e with h(Q, t) = sum over S of f_S(Q) C_e[S].
+
+    Q is any graded poset of rank e + 1 (the face lattice of an
+    e-polytope) and S a bitmask over the dimensions 0..e-1, as in
+    ``_face_flags``.  h(Q) sums g(F) (t-1)^(e-1-dim F) over F < Q: the
+    empty face gives C_e[{}] = (t-1)^e, and summing g(F) = trunc h(F)
+    over the faces F of dim j turns f_S(F) into f_{S + {j}}(Q), so
+    C_e[S + {j}] = trunc(C_j[S]) (t-1)^(e-1-j) for S within 0..j-1.
+    """
+    C = np.zeros((1 << e, e + 1), dtype=np.int64)
+    C[0] = _binom_kernel(e)
+    for j in range(e):
+        h = _flag_coeffs(j)
+        g = h[:, :j // 2 + 1].copy()
+        g[:, 1:] -= h[:, :j // 2]
+        kernel = _binom_kernel(e - 1 - j)
+        for i in range(g.shape[1]):
+            C[1 << j:2 << j, i:i + len(kernel)] += g[:, i, None] * kernel
+    C.setflags(write=False)
+    return C
+
+
+@lru_cache(maxsize=None)
+def _polar_coeffs(e: int) -> np.ndarray:
+    """``_flag_coeffs(e)`` with its rows bit-reversed: row S is C_e[e-1-S]."""
+    S = np.arange(1 << e)
+    rev = np.zeros_like(S)
+    for j in range(e):
+        rev |= (S >> j & 1) << (e - 1 - j)
+    C = _flag_coeffs(e)[rev]
+    C.setflags(write=False)
+    return C
+
+
+def flag_vector(lat: FaceLattice) -> FlagVector:
+    """All 2^d flag numbers: the top row of ``_face_flags``."""
+    fv = lat._cache.get("flags")
+    if fv is None:
+        d = lat.d
+        top = _face_flags(lat)[d][0].tolist() if d >= 0 else [1]
+        fv = lat._cache["flags"] = FlagVector(sorted(
+            (tuple(j for j in range(d) if S >> j & 1), f) for S, f in enumerate(top)
+        ))
     return fv
 
 

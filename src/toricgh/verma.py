@@ -98,7 +98,7 @@ def _multiplicities(lat: FaceLattice) -> np.ndarray:
             m[layer, :k_max + 1] = solved
         # the strict pairs with dim x = e, by (dim y, y); strict pair k is
         # row k + x + 1 of the pair table, past the x + 1 diagonal rows
-        k = blocks.order[blocks.bounds[(e + 1) * blocks.span]:blocks.bounds[(e + 2) * blocks.span]]
+        k = blocks.from_dim(e)
         if not len(k):
             continue
         x = strict_x[k]
@@ -150,7 +150,7 @@ def check_verma_vs_polar(lat: FaceLattice) -> bool:
 
 
 def polar_g(lat: FaceLattice, face: int) -> Polynomial:
-    """g of the polar of the face, from the order-reversed pair table."""
+    """g of the polar of the face, read off its flag numbers (``toric._polar_g``)."""
     return Polynomial(_polar_g(lat)[face].tolist())
 
 

@@ -107,6 +107,13 @@ every pair (x, y) with x in the layer found by a mask over all pairs,
 then pushed one degree at a time with ``np.add.at``.
 ``coefficientwise_geq`` is the comparison monotonicity made on
 ``Polynomial`` values before it compared int lists.
+
+``pair_flag_vector`` and ``reversed_polar_g`` are the flag numbers and
+polar g the library computed before it read both off one per-face
+chain-count table (``toric._face_flags``): a prefix recursion over the
+2^d dimension sets that scatter-adds chain counts along the pairs with
+``np.add.at``, and the all-pairs h/g pass run again on the
+order-reversed lattice.
 """
 
 import random
@@ -123,7 +130,16 @@ from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _so
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
-from toricgh.toric import FlagVector, _binom_kernel, _pairs, face_g, gtilde, toric_g
+from toricgh.toric import (
+    FlagVector,
+    _binom_kernel,
+    _blocks,
+    _pair_tables,
+    _pairs,
+    face_g,
+    gtilde,
+    toric_g,
+)
 
 
 def rref(rows):
@@ -674,8 +690,7 @@ def dense_validate(faces, leq, dims):
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise LatticeError(
-            f"not Eulerian: interval [{set(faces[i]) or '{}'}, "
-            f"{set(faces[j])}] is unbalanced"
+            f"not Eulerian: interval [{_ascending(faces[i])}, {_ascending(faces[j])}] is unbalanced"
         )
     # atomicity: dim-0 faces are singletons and generate every face
     for i in np.nonzero(dims == 0)[0]:
@@ -685,6 +700,10 @@ def dense_validate(faces, leq, dims):
     for f in faces:
         if not set(f) <= atom_of:
             raise LatticeError("face contains a non-atom vertex")
+
+
+def _ascending(face):
+    return "{" + ", ".join(str(v) for v in sorted(face)) + "}"
 
 
 def dense_unbalanced(leq, dims, lt):
@@ -723,6 +742,47 @@ def dense_flag_vector(leq, dims):
         fv[(start,)] = len(layers[start])
         extend((start,), counts, start)
     return fv
+
+
+def pair_flag_vector(lat):
+    """All 2^d flag numbers by prefix recursion over the comparable pairs.
+
+    ``counts[w]`` is the number of chains with the prefix's dimensions
+    that end at face w.  Extending the prefix by a dimension scatter-adds
+    these counts along the pairs from its last layer to the new one.
+    """
+    d, dims, n = lat.d, lat.dims, len(lat)
+    px, py = lat.pairs
+    blocks = _blocks(lat)
+    fv = FlagVector()
+    fv[()] = 1
+
+    def extend(prefix, counts, last):
+        for nxt in range(last + 1, d):
+            sel = blocks.rows(last, nxt)
+            carried = counts[px[sel]]
+            fv[prefix + (nxt,)] = int(carried.sum())
+            nxt_counts = np.zeros(n, dtype=np.int64)
+            np.add.at(nxt_counts, py[sel], carried)
+            extend(prefix + (nxt,), nxt_counts, nxt)
+
+    for start in range(d):
+        counts = (dims == start).astype(np.int64)
+        fv[(start,)] = int(counts.sum())
+        extend((start,), counts, start)
+    return fv
+
+
+def reversed_polar_g(lat):
+    """Row f holds g of the polar of face f, from the order-reversed pair table.
+
+    The polar of F is the interval [F, bottom] of the reversed lattice,
+    where F has dimension d - 1 - dim F; (F, bottom) opens the block of
+    F in the reversed pair table.
+    """
+    below, above = lat.pairs
+    px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
+    return G[np.searchsorted(px, np.arange(len(lat)))]
 
 
 def dense_interval_tables(lat, root):

@@ -1,0 +1,126 @@
+"""The per-face flag table and what is read off it.
+
+``toric._face_flags`` counts the chains below every face in one layered
+pass.  ``flag_vector`` is its top row, and ``_polar_g`` reads every row
+with its dimensions reversed through the flag-to-h matrices
+``_flag_coeffs``.  The oracles are the prefix recursion with
+scatter-adds (``oracles.pair_flag_vector``), dense chain counting
+(``oracles.dense_flag_vector``) and the all-pairs pass on the
+order-reversed lattice (``oracles.reversed_polar_g``).
+"""
+
+from math import comb
+
+import numpy as np
+import pytest
+
+import toricgh.toric as toric_module
+from toricgh.catalog import catalog, parse_recipe
+from toricgh.polynomial import Polynomial
+from toricgh.toric import _face_flags, _flag_coeffs, _polar_g, flag_vector, toric_h
+from toricgh.verma import polar_matches
+
+from oracles import dense_flag_vector, dense_order, pair_flag_vector, reversed_polar_g
+
+CATALOG = [e.name for e in catalog()]
+FAMILIES = [f"cube{k}" for k in range(1, 9)] + [f"cross{k}" for k in range(2, 9)]
+SCALE = ["cube7", "cross7", "cyclic(12,6)", "prism(cube6)", "bipyramid(cross6)", "cyclic(14,7)"]
+
+
+def _flag_row(fv, d):
+    """The flag vector as the column order of ``_face_flags``: bit j for dim j."""
+    return np.array([fv[tuple(j for j in range(d) if S >> j & 1)] for S in range(1 << d)])
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(CATALOG + FAMILIES + SCALE)))
+def test_flag_vector_matches_scatter_and_dense_oracles(name):
+    lat = parse_recipe(name).lattice()
+    fv = flag_vector(lat)
+    assert fv == pair_flag_vector(lat)
+    assert fv == dense_flag_vector(dense_order(lat), lat.dims)
+    assert list(fv) == sorted(fv)       # the order the prefix recursion inserted
+
+
+@pytest.mark.parametrize("name", ["cube5", "cyclic(9,6)", "prism(cross4)", "bipyramid(cube3)"])
+def test_face_flags_do_not_depend_on_the_chunk_size(monkeypatch, name):
+    # runs of one face split between pieces add up to the same row
+    want = [F.copy() for F in _face_flags(parse_recipe(name).lattice())]
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(toric_module, "_CHUNK", chunk)
+        got = _face_flags(parse_recipe(name).lattice())
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, chunk)
+
+
+def test_face_flag_rows_are_the_flag_vectors_of_the_faces():
+    lat = parse_recipe("prism(cyclic(6,4))").lattice()
+    flags = _face_flags(lat)
+    for e in range(lat.d + 1):
+        for i, f in enumerate(np.flatnonzero(lat.dims == e)):
+            assert np.array_equal(flags[e][i], _flag_row(flag_vector(lat.face(int(f))), e)), f
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_polar_g_matches_reversed_pair_tables_on_catalog_and_duals(name):
+    base = parse_recipe(name).lattice()
+    for lat in (base, base.dual()):
+        polar = _polar_g(lat)
+        assert polar.dtype == np.int64
+        assert np.array_equal(polar, reversed_polar_g(lat)), name
+
+
+@pytest.mark.parametrize("name", SCALE)
+def test_polar_g_matches_reversed_pair_tables_at_scale(name):
+    lat = parse_recipe(name).lattice()
+    assert np.array_equal(_polar_g(lat), reversed_polar_g(lat)), name
+
+
+def test_polar_g_builds_no_pair_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polar g read a pair table")
+
+    monkeypatch.setattr(toric_module, "_pair_tables", refuse)
+    lat = parse_recipe("cube4").lattice()
+    assert Polynomial(_polar_g(lat)[lat.top].tolist()) == Polynomial([1, 3, 2])   # g(cross4)
+    assert "pairs" not in lat._cache
+
+
+def test_flag_coeffs_give_toric_h_on_the_catalog():
+    # h as a linear function of the flag numbers, with no interval table
+    for name in CATALOG:
+        lat = parse_recipe(name).lattice()
+        if lat.d >= 1:
+            h = _flag_row(flag_vector(lat), lat.d) @ _flag_coeffs(lat.d)
+            assert Polynomial(h.tolist()) == toric_h(lat), name
+
+
+def test_flag_coeffs_are_bounded_by_two_to_the_e():
+    try:
+        for e in range(17):
+            C = _flag_coeffs(e)
+            assert C.shape == (1 << e, e + 1) and not C.flags.writeable
+            assert int(np.abs(C).max()) == comb(e, e // 2) <= 1 << e
+    finally:
+        _flag_coeffs.cache_clear()
+        toric_module._polar_coeffs.cache_clear()
+
+
+def test_flag_coeffs_of_small_dimensions_by_hand():
+    # a point: h = 1; a segment: (t-1) + f_0; a polygon: (t-1)^2 + f_0 (t-1) - f_1 + f_01,
+    # so an n-gon has h = 1 + (n-2) t + t^2
+    assert _flag_coeffs(0).tolist() == [[1]]
+    assert _flag_coeffs(1).tolist() == [[-1, 1], [1, 0]]
+    assert _flag_coeffs(2).tolist() == [[1, -2, 1], [-1, 1, 0], [-1, 0, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("name", ["cube3", "cube4", "cyclic(7,4)", "prism(cross3)"])
+def test_polar_matches_flags_a_changed_flag_row(name):
+    # one more facet under a face gives its polar one more vertex, so g_1 moves
+    d = parse_recipe(name).lattice().d
+    for e in range(2, d):
+        lat = parse_recipe(name).lattice()
+        flags = _face_flags(lat)
+        flags[e][0, 1 << (e - 1)] += 1
+        face = int(np.flatnonzero(lat.dims == e)[0])
+        match = polar_matches(lat)
+        assert not match[face], (name, e)
+        assert match.sum() == len(lat) - 1, (name, e)

@@ -131,6 +131,19 @@ def test_mutated_lattices_fail_like_dense_oracle(entry, kind, by_facets, rng):
         assert np.array_equal(np.stack(new[1].pairs), np.stack(strict_pairs(leq)))
 
 
+def test_unbalanced_interval_message_lists_vertices_ascending():
+    # a union of two faces of pyramid(cube4); as a set its vertices iterate
+    # as {0, 1, 12, 8}, {8, 1, 12, 0} or {8, 0, 12, 1}, by insertion order
+    lat = parse_recipe("pyramid(cube4)").lattice()
+    want = "not Eulerian: interval [{}, {0, 1, 8, 12}] is unbalanced"
+    for listed in (
+        sorted, lambda f: sorted(f, reverse=True), lambda f: sorted(f, key=lambda v: -(v // 8))
+    ):
+        faces = [listed(f) for f in lat.faces] + [listed({8, 12, 0, 1})]
+        assert _outcome(validated_build, faces, lat.n_vertices)[0] == want
+        assert _outcome(dense_build, faces, lat.n_vertices)[0] == want
+
+
 def test_mutations_reach_each_kind_of_rejection():
     # the mutation test above is only as strong as the messages it reaches
     rng = random.Random(7)

@@ -1,9 +1,10 @@
 """The all-pairs interval tables against rebuilt sublattices.
 
-``_pair_tables`` gives h and g of every interval [x, y] in one pass and,
-on the reversed order, g of every polar.  Each value here is recomputed
-independently by building the interval, the face or its dual as a
-lattice of its own and running the single-root recursion on it.
+``_pair_tables`` gives h and g of every interval [x, y] in one pass, and
+``_polar_g`` g of every polar from the per-face flag table.  Each value
+here is recomputed independently by building the interval, the face or
+its dual as a lattice of its own and running the single-root recursion
+on it.
 """
 
 from functools import lru_cache

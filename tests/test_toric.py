@@ -361,16 +361,19 @@ def test_invariants_make_no_vertex_sets():
 def test_int64_guard_refuses_past_the_limit(monkeypatch, capsys):
     import toricgh.toric as toric_module
     from toricgh.cli import main
-    from toricgh.toric import _pair_tables
+    from toricgh.toric import _pair_tables, _polar_g
 
     monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 12)
     lat = cube_lattice(4)
-    for compute in (toric_h, flag_vector, lambda lat: _pair_tables(*lat.pairs, lat.dims, lat.d)):
+    for compute in (
+        toric_h, flag_vector, _polar_g, lambda lat: _pair_tables(*lat.pairs, lat.dims, lat.d)
+    ):
         with pytest.raises(LatticeError, match="int64"):
             compute(lat)
-    assert main(["gh", "cube4"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "int64" in err
+    for command in ("gh", "verma"):
+        assert main([command, "cube4"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "int64" in err
 
 
 def test_int64_guard_counts_chains_when_the_product_bound_is_coarse():

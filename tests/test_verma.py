@@ -112,6 +112,21 @@ def _corrupt(name, *entries):
     return lat
 
 
+@pytest.mark.parametrize("name", ["cube3", "cube4", "cyclic(7,4)", "prism(cross3)"])
+def test_a_changed_pair_table_entry_fails_verma_and_reciprocity(name):
+    # polar g reads the flag table, not the pair table, so one wrong entry
+    # of the pair table shows in both checks: g_1 of [bottom, top], which
+    # the table also holds as the bottom's quotient, moved so that m_1 of
+    # the top rises and the solve still succeeds
+    lat = parse_recipe(name).lattice()
+    value = toric_g(lat)[1] + (-1) ** lat.d
+    lat = _corrupt(name, (lat.bottom, lat.top, 1, value))
+    _pairs(lat).quot_g[lat.bottom, 1] = value
+    assert polar_matches(lat).tolist() == [f != lat.top for f in range(len(lat))]
+    assert not check_verma_vs_polar(lat)
+    assert check_reciprocity(lat) != ZERO
+
+
 def _message(solve, lat):
     with pytest.raises(AssertionError) as err:
         solve(lat)
