@@ -24,7 +24,7 @@ import numpy as np
 
 from toricgh.geometry import GeometricPolytope, dot
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _interval_tables, _kernels, toric_h
+from toricgh.toric import _face_tables, _kernels, toric_h
 
 
 class ShellingError(RuntimeError):
@@ -173,15 +173,13 @@ def shelling_decomposition(sh: Shelling) -> list[Polynomial]:
     d = sh.polytope.d
     first_cover = _first_cover(sh)
     # g(F) (t-1)^(d-1-dim F) per boundary face F, one product per dimension on
-    # the rows of the bottom g table; summands of h, so in ``_guard``'s int64 bound
-    pos, _, G = _interval_tables(lat, lat.bottom)
-    face = np.fromiter(pos, dtype=np.intp, count=len(pos))
-    row = np.fromiter(pos.values(), dtype=np.intp, count=len(pos))
+    # the rows of the face g table; summands of h, so in ``_guard``'s int64 bound
+    G = _face_tables(lat)[1]
     stacks, _ = _kernels(d + 1)
     pieces = np.zeros((len(sh.order), d + 1), dtype=np.int64)
     for e in range(-1, d):
-        at = lat.dims[face] == e
-        np.add.at(pieces, first_cover[face[at]], G[row[at]] @ stacks[d - 1 - e][:d + 1])
+        at = np.flatnonzero(lat.dims == e)
+        np.add.at(pieces, first_cover[at], G[at] @ stacks[d - 1 - e][:d + 1])
     locals_ = [Polynomial(coeffs) for coeffs in pieces.tolist()]
     if (pieces < 0).any():
         j = int(np.argmax((pieces < 0).any(axis=1)))

@@ -6,21 +6,21 @@ recursion
     h(P, t) = sum over faces F < P of g(F, t) (t-1)^(d - 1 - dim F),
     g_k = h_k - h_{k-1} for 0 <= k <= d/2,
 
-starting from g = h = 1 on the empty polytope.  One engine,
-``_chunk_tables``, runs it one dimension layer at a time, in exact
-int64 with numpy doing the bulk sums, on the lattice's list of strict
-comparable pairs and the triples x < z < y it forms:
-``_interval_tables`` for the intervals [root, x] over one root (P and
-its faces from the bottom, one quotient from a face), and
-``_pair_tables`` for every interval [x, y] at once.  A second engine,
-``_face_flags``, counts the chains below every face a layer at a time;
-its top row is the flag vector, and since toric h is linear in the flag
-numbers (``_flag_coeffs``), every polar's g is read off the rows with
-their dimensions reversed.  The rest of the module is arithmetic on
-those tables: closed forms for g1/g2, the extended g-tilde numbers, and
-executable checks of Dehn-Sommerville, monotonicity, the upper bound
-inequality, the vertex identity relating g_k and g_{k+1}, and the
-cone/bipyramid identities.
+starting from g = h = 1 on the empty polytope.  Toric h is linear in
+the flag numbers (``_flag_coeffs``), so P and every face of it are
+read off one table: ``_face_flags`` counts the chains below every face
+a dimension layer at a time; its top row is the flag vector, its rows
+give h and g of every face (``_face_tables``), and the same rows with
+their dimensions reversed give g of every polar (``_polar_g``).  The
+quotients P/F run the recursion itself: ``_chunk_tables`` takes it one
+dimension layer at a time, in exact int64 with numpy doing the bulk
+sums, on the lattice's list of strict comparable pairs and the triples
+x < z < y it forms, through ``_interval_tables`` for the intervals
+[root, x] over one root and ``_pair_tables`` for every interval [x, y]
+at once.  The rest of the module is arithmetic on those tables: closed
+forms for g1/g2, the extended g-tilde numbers, and executable checks of
+Dehn-Sommerville, monotonicity, the upper bound inequality, the vertex
+identity relating g_k and g_{k+1}, and the cone/bipyramid identities.
 """
 
 from __future__ import annotations
@@ -135,43 +135,32 @@ def _interval_tables(lat: FaceLattice, root: int):
     [root, x] viewed as a polytope of dimension dims[x] - dims[root] - 1.
     Rows run by dimension, then by face index.  They are the pair table
     rows of root's run of ``lat.pairs``, in dimensions relative to the
-    root, through ``_chunk_tables``.  For the bottom the triples
-    bottom < z < y are the other pairs, already in the lattice's block
-    order; any other root gathers those of its up-set, the runs of its
-    faces z, so its cost follows the interval.  ``_guard`` bounds every
+    root, through ``_chunk_tables``: the triples root < z < y are the
+    runs of root's faces z, so the cost follows the interval.  The
+    library roots it at faces only, for the quotients P/F; the faces
+    themselves are read off ``_face_tables``.  ``_guard`` bounds every
     entry a priori.
     """
     cache = _guarded(lat)._cache.setdefault("interval_tables", {})
     if root in cache:
         return cache[root]
-    px, py = lat.pairs
+    py = lat.pairs[1]
     start = lat._rows()
     run = py[start[root]:start[root + 1]]
     up = np.concatenate(([root], run))              # row 0 stands for [root, root]
     rel = lat.dims[up] - lat.dims[root] - 1
-    order = None
-    if root == lat.bottom:
-        # row f is face f, and the block order sorts the pairs z < y, z
-        # nonempty, by (dim z, dim y, y)
-        order = np.argsort(rel, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        blocks = _blocks(lat)
-        at = blocks.order[blocks.bounds[blocks.span]:]
-        xz, xy = rank[px[at]], rank[py[at]]
-    else:
-        # the runs of the faces z above root; y's row is its place in root's run
-        cnt = start[run + 1] - start[run]
-        ends = np.cumsum(cnt)
-        zy = np.repeat(start[run] - ends + cnt, cnt) + np.arange(ends[-1] if len(ends) else 0)
-        xz, xy = np.repeat(np.arange(1, len(up)), cnt), 1 + np.searchsorted(run, py[zy])
-    order, H, G = _chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]), order)
+    # the runs of the faces z above root; y's row is its place in root's run
+    cnt = start[run + 1] - start[run]
+    ends = np.cumsum(cnt)
+    zy = np.repeat(start[run] - ends + cnt, cnt) + np.arange(ends[-1] if len(ends) else 0)
+    xz, xy = np.repeat(np.arange(1, len(up)), cnt), 1 + np.searchsorted(run, py[zy])
+    order, H, G = _chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]))
     H[0, 0] = G[0, 0] = 1
     cache[root] = (dict(zip(up[order].tolist(), range(len(up)))), H, G)
     return cache[root]
 
 
-def _chunk_tables(dx, dy, xz, xy, d: int, order=None):
+def _chunk_tables(dx, dy, xz, xy, d: int):
     """h and g of the strict pairs of whole x's, from their triples x < z < y.
 
     Row r is a pair (x, y) with dim x = dx[r] and dim y = dy[r]; a triple
@@ -181,17 +170,14 @@ def _chunk_tables(dx, dy, xz, xy, d: int, order=None):
     The pass is the recursion over the layers of dim y: h of a layer is
     S[pair] against the stacked (t-1)^(dim y - dim z - 1) kernels, and
     once g of the layer is known it is summed, per pair (x, y), into
-    S[(x, y), dim z].  A caller that passes ``order`` gives the triples
-    as positions in it, already sorted by (dim z, position of y).
+    S[(x, y), dim z].
     """
     width, span = max(d + 1, 1), d + 2
-    z, y = xz, xy
-    if order is None:
-        order = np.argsort(dy, kind="stable")
-        row = np.empty_like(order)
-        row[order] = np.arange(len(order))
-        by_z = np.argsort(dy[xz] * len(order) + row[xy])
-        z, y = row[xz[by_z]], row[xy[by_z]]
+    order = np.argsort(dy, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    by_z = np.argsort(dy[xz] * len(order) + row[xy])
+    z, y = row[xz[by_z]], row[xy[by_z]]
     e_y, x_dims = dy[order], dx[order]
     layers = np.arange(-1, d + 2)
     row_bounds, pair_bounds = np.searchsorted(e_y, layers), np.searchsorted(e_y[z], layers)
@@ -227,10 +213,11 @@ def _pair_tables(px, py, dims, d: int):
     sorted by (x, y), and rows of H/G holding the coefficients of h/g of
     [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The triples
     come from ``_triples``, whole x's at a time with the block S of
-    ``_chunk_tables`` near _CHUNK cells, and each chunk goes through it.  Integer throughout; storage is
-    O(comparable pairs * d), and ``_guard`` bounds every coefficient.
-    The library runs it on the forward order only: the polars, intervals
-    of the reversed order, are read off ``_face_flags`` instead.
+    ``_chunk_tables`` near _CHUNK cells, and each chunk goes through it.
+    Integer throughout; storage is O(comparable pairs * d), and ``_guard``
+    bounds every coefficient: the caller runs it first.  The library runs
+    it on the forward order only, through ``_pairs``: the faces and the
+    polars, intervals of the reversed order, are read off ``_face_flags``.
     """
     n = len(dims)
     fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
@@ -239,7 +226,6 @@ def _pair_tables(px, py, dims, d: int):
     strict = fx != fy
     full = np.flatnonzero(strict)       # the rows of the strict pairs among all
     px, py = fx[strict], fy[strict]
-    _guard(px, py, dims, d)
     H = np.zeros((len(fx), max(d + 1, 1)), dtype=np.int64)
     G = np.zeros_like(H)
     H[~strict, 0] = G[~strict, 0] = 1
@@ -254,7 +240,6 @@ class _PairTable(NamedTuple):
     px: np.ndarray
     py: np.ndarray
     G: np.ndarray
-    face_h: np.ndarray
     quot_h: np.ndarray
     quot_g: np.ndarray
 
@@ -262,22 +247,54 @@ class _PairTable(NamedTuple):
 def _pairs(lat: FaceLattice) -> _PairTable:
     """The pair table of ``lat`` and its columns, built once per lattice.
 
-    Besides (px, py, G) it holds, per face x, the rows of the face
-    [bottom, x] (``face_h``) and of the quotient [x, top] (``quot_h``,
-    ``quot_g``).  The h row of every pair is not kept: nothing reads it
-    past these columns, and it would cost 8 * (d + 1) bytes per pair for
-    the life of the lattice.
+    Besides (px, py, G) it holds, per face x, the rows of the quotient
+    [x, top] (``quot_h``, ``quot_g``).  The h row of every pair is not
+    kept: nothing reads it past that column, and it would cost
+    8 * (d + 1) bytes per pair for the life of the lattice.  The faces
+    [bottom, x] are read off ``_face_tables``, not here.
     """
     table = lat._cache.get("pairs")
     if table is None:
-        px, py, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
-        n = len(lat)
-        # bottom <= x for every x opens the table; (x, top) closes block x
-        quot = np.cumsum(np.bincount(px, minlength=n)) - 1
-        table = lat._cache["pairs"] = _PairTable(
-            px, py, G, H[:n].copy(), H[quot], G[quot]
-        )
+        px, py, H, G = _pair_tables(*_guarded(lat).pairs, lat.dims, lat.d)
+        # (x, top) closes block x of the table
+        quot = np.cumsum(np.bincount(px, minlength=len(lat))) - 1
+        table = lat._cache["pairs"] = _PairTable(px, py, G, H[quot], G[quot])
     return table
+
+
+def _read_flags(lat: FaceLattice, coeffs):
+    """(faces, h, g) per dimension e of the faces, read off ``_face_flags``.
+
+    ``faces`` are the faces of dimension e by index, h their flag rows
+    times ``coeffs(e)``, and g = h_k - h_{k-1} kept up to k = e/2, as
+    ``_chunk_tables`` truncates it.  |h_k| is at most the chains of
+    [bottom, w] times max |C_e| = C(e, floor(e/2)) <= 2^e, so every entry
+    stays inside the bound ``_guard`` checks before the flags are counted.
+    """
+    for e, F in enumerate(_face_flags(lat)):
+        h = F @ coeffs(e)
+        k = e // 2 + 1
+        g = h[:, :k].copy()
+        g[:, 1:] -= h[:, :k - 1]
+        yield np.flatnonzero(lat.dims == e), h, g
+
+
+def _face_tables(lat: FaceLattice):
+    """(H, G): row f holds h and g of face f as a polytope, [bottom, f].
+
+    h is the face's row of ``_face_flags`` times ``_flag_coeffs(e)``;
+    the bottom, the empty polytope, has h = g = 1.  Built once per
+    lattice; P itself is the top row.
+    """
+    tables = lat._cache.get("face_tables")
+    if tables is None:
+        H = np.zeros((len(lat), max(lat.d + 1, 1)), dtype=np.int64)
+        G = np.zeros_like(H)
+        H[lat.bottom, 0] = G[lat.bottom, 0] = 1
+        for faces, h, g in _read_flags(lat, _flag_coeffs):
+            H[faces, :h.shape[1]], G[faces, :g.shape[1]] = h, g
+        tables = lat._cache["face_tables"] = (H, G)
+    return tables
 
 
 def _polar_g(lat: FaceLattice) -> np.ndarray:
@@ -286,24 +303,15 @@ def _polar_g(lat: FaceLattice) -> np.ndarray:
     The polar of a face w of dimension e is [bottom, w] with the order
     reversed, so f_S(w*) = f_{e-1-S}(w): h(w*) is w's row of
     ``_face_flags`` with its columns bit-reversed, times
-    ``_flag_coeffs(e)``, and g truncates it as ``_chunk_tables`` does.
-    |h_k(w*)| is at most the chains of [bottom, w] times max |C_e| =
-    C(e, floor(e/2)) <= 2^e, so every entry stays inside the bound
-    ``_guard`` checks.  The bottom, the empty face, is its own polar:
-    row 0 is 1.
+    ``_flag_coeffs(e)`` (``_read_flags`` bounds it).  The bottom, the
+    empty face, is its own polar: row 0 is 1.
     """
     polar = lat._cache.get("polar_g")
     if polar is None:
-        flags = _face_flags(lat)
         polar = np.zeros((len(lat), max(lat.d + 1, 1)), dtype=np.int64)
         polar[lat.bottom, 0] = 1
-        for e, F in enumerate(flags):
-            h = F @ _polar_coeffs(e)
-            # g_k = h_k - h_{k-1} up to half of the face's dimension
-            k = e // 2 + 1
-            g = h[:, :k].copy()
-            g[:, 1:] -= h[:, :k - 1]
-            polar[np.flatnonzero(lat.dims == e), :k] = g
+        for faces, _, g in _read_flags(lat, _polar_coeffs):
+            polar[faces, :g.shape[1]] = g
         lat._cache["polar_g"] = polar
     return polar
 
@@ -315,26 +323,19 @@ def _column(table: np.ndarray, k: int) -> np.ndarray:
     return np.zeros(len(table), dtype=np.int64)
 
 
-def _row_poly(table, pos, face) -> Polynomial:
-    return Polynomial(table[pos[face]].tolist())
-
-
 def toric_h(lat: FaceLattice) -> Polynomial:
     """h(P, t) of the polytope with face lattice ``lat``."""
-    pos, H, _ = _interval_tables(lat, lat.bottom)
-    return _row_poly(H, pos, lat.top)
+    return Polynomial(_face_tables(lat)[0][lat.top].tolist())
 
 
 def toric_g(lat: FaceLattice) -> Polynomial:
     """g(P, t), truncated at degree floor(d/2)."""
-    pos, _, G = _interval_tables(lat, lat.bottom)
-    return _row_poly(G, pos, lat.top)
+    return face_g(lat, lat.top)
 
 
 def face_g(lat: FaceLattice, face: int) -> Polynomial:
-    """g of the face as a polytope, straight from the bottom tables."""
-    pos, _, G = _interval_tables(lat, lat.bottom)
-    return _row_poly(G, pos, face)
+    """g of the face as a polytope, straight from the face table."""
+    return Polynomial(_face_tables(lat)[1][face].tolist())
 
 
 def quotient_g(lat: FaceLattice, face: int) -> Polynomial:
@@ -523,22 +524,20 @@ def check_monotonicity(lat: FaceLattice, face: int) -> bool:
 
     At the bottom or the top the inequality reads g(P) >= g(P) and checks
     nothing, so those raise ``ValueError``.  g(P) and g(F) come from the
-    tables rooted at the bottom, and g(P/F) as ``quotient_g`` reads it,
-    all as int lists.
+    face table, and g(P/F) as ``quotient_g`` reads it, all as int lists.
     """
     if not lat.bottom < face < lat.top:
         raise ValueError(f"monotonicity needs a proper nonempty face, not face {face}")
-    pos, _, G = _interval_tables(lat, lat.bottom)
-    return _monotone(G[pos[lat.top]].tolist(), G[pos[face]].tolist(), _quotient_row(lat, face))
+    G = _face_tables(lat)[1]
+    return _monotone(G[lat.top].tolist(), G[face].tolist(), _quotient_row(lat, face))
 
 
 def check_monotonicity_all(lat: FaceLattice) -> bool:
-    """Monotonicity at every proper face, reading one pair table and g(P) once."""
-    table = _pairs(lat)
-    g = table.G[lat.top].tolist()
+    """Monotonicity at every proper face, g(P/F) read off one pair table."""
+    G, quot = _face_tables(lat)[1], _pairs(lat).quot_g
+    g = G[lat.top].tolist()
     return all(
-        _monotone(g, table.G[f].tolist(), table.quot_g[f].tolist())
-        for f in range(1, len(lat) - 1)
+        _monotone(g, G[f].tolist(), quot[f].tolist()) for f in range(1, len(lat) - 1)
     )
 
 
@@ -593,12 +592,12 @@ def _kalai_rhs(lat: FaceLattice, k: int) -> int:
     def gt(H, j):
         return _column(H, j) - _column(H, j - 1) if j else _column(H, 0)
 
-    table = _pairs(lat)
+    face_h, quot_h = _face_tables(lat)[0], _pairs(lat).quot_h
     rhs = 0
     for i in range(min(k, (lat.d - 1) // 2) + 1):
         faces = lat.dims == 2 * i
-        left = gt(table.face_h[faces], i).tolist()
-        right = gt(table.quot_h[faces], k - i).tolist()
+        left = gt(face_h[faces], i).tolist()
+        right = gt(quot_h[faces], k - i).tolist()
         rhs += (i + 1) * sum(a * b for a, b in zip(left, right))
     return rhs
 

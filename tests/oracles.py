@@ -108,6 +108,10 @@ then pushed one degree at a time with ``np.add.at``.
 ``coefficientwise_geq`` is the comparison monotonicity made on
 ``Polynomial`` values before it compared int lists.
 
+``frozenset_index_of`` is the face lookup the library made before it
+keyed the faces by their packed words: a dict from every face's
+frozenset, which unpacks every face on the first lookup.
+
 ``pair_flag_vector`` and ``reversed_polar_g`` are the flag numbers and
 polar g the library computed before it read both off one per-face
 chain-count table (``toric._face_flags``): a prefix recursion over the
@@ -126,7 +130,14 @@ import numpy as np
 
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces
+from toricgh.lattice import (
+    _CHUNK,
+    FaceLattice,
+    LatticeError,
+    _from_sorted,
+    _sorted_faces,
+    _vertex_set,
+)
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
@@ -134,6 +145,7 @@ from toricgh.toric import (
     FlagVector,
     _binom_kernel,
     _blocks,
+    _guard,
     _pair_tables,
     _pairs,
     face_g,
@@ -602,6 +614,19 @@ def _canon_search(colors, up, down, budget, state):
 # -- dense face lattices --------------------------------------------------
 
 
+_LOOKUP = WeakKeyDictionary()
+
+
+def frozenset_index_of(lat, vertex_set):
+    """The index of the face with these vertices, from a dict over ``lat.faces``."""
+    if lat not in _LOOKUP:
+        _LOOKUP[lat] = {f: i for i, f in enumerate(lat.faces)}
+    key = frozenset(vertex_set)
+    if key not in _LOOKUP[lat]:
+        raise KeyError(f"{_vertex_set(key)} is not a face")
+    return _LOOKUP[lat][key]
+
+
 def dense_from_vertex_facets(n_vertices, facets, check=True):
     """(faces, leq, dims) of the intersection closure of the facets."""
     if n_vertices < 1:
@@ -778,9 +803,11 @@ def reversed_polar_g(lat):
 
     The polar of F is the interval [F, bottom] of the reversed lattice,
     where F has dimension d - 1 - dim F; (F, bottom) opens the block of
-    F in the reversed pair table.
+    F in the reversed pair table.  The reversed order has the same
+    chains, so it runs its own ``_guard``.
     """
     below, above = lat.pairs
+    _guard(above, below, lat.d - 1 - lat.dims, lat.d)
     px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
     return G[np.searchsorted(px, np.arange(len(lat)))]
 

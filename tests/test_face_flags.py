@@ -1,12 +1,16 @@
 """The per-face flag table and what is read off it.
 
 ``toric._face_flags`` counts the chains below every face in one layered
-pass.  ``flag_vector`` is its top row, and ``_polar_g`` reads every row
-with its dimensions reversed through the flag-to-h matrices
-``_flag_coeffs``.  The oracles are the prefix recursion with
-scatter-adds (``oracles.pair_flag_vector``), dense chain counting
-(``oracles.dense_flag_vector``) and the all-pairs pass on the
-order-reversed lattice (``oracles.reversed_polar_g``).
+pass.  ``flag_vector`` is its top row, ``_face_tables`` reads h and g of
+every face off the rows through the flag-to-h matrices ``_flag_coeffs``,
+and ``_polar_g`` reads every row with its dimensions reversed.  The
+oracles are the prefix recursion with scatter-adds
+(``oracles.pair_flag_vector``), dense chain counting
+(``oracles.dense_flag_vector``), the all-pairs pass on the
+order-reversed lattice (``oracles.reversed_polar_g``), and for the
+faces the chunk recursion rooted at the bottom (``_interval_tables`` on
+its generic up-set path) and the dense blocks
+(``oracles.dense_interval_tables``).
 """
 
 from math import comb
@@ -17,10 +21,27 @@ import pytest
 import toricgh.toric as toric_module
 from toricgh.catalog import catalog, parse_recipe
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _face_flags, _flag_coeffs, _polar_g, flag_vector, toric_h
+from toricgh.toric import (
+    _face_flags,
+    _face_tables,
+    _flag_coeffs,
+    _interval_tables,
+    _pairs,
+    _polar_g,
+    check_monotonicity,
+    flag_vector,
+    report,
+    toric_h,
+)
 from toricgh.verma import polar_matches
 
-from oracles import dense_flag_vector, dense_order, pair_flag_vector, reversed_polar_g
+from oracles import (
+    dense_flag_vector,
+    dense_interval_tables,
+    dense_order,
+    pair_flag_vector,
+    reversed_polar_g,
+)
 
 CATALOG = [e.name for e in catalog()]
 FAMILIES = [f"cube{k}" for k in range(1, 9)] + [f"cross{k}" for k in range(2, 9)]
@@ -124,3 +145,59 @@ def test_polar_matches_flags_a_changed_flag_row(name):
         match = polar_matches(lat)
         assert not match[face], (name, e)
         assert match.sum() == len(lat) - 1, (name, e)
+
+
+def _assert_face_tables_match_rooted_tables(lat, name):
+    H, G = _face_tables(lat)
+    assert H.dtype == G.dtype == np.int64 and H.shape == G.shape == (len(lat), max(lat.d + 1, 1))
+    for pos, H_r, G_r in (_interval_tables(lat, 0), dense_interval_tables(lat, 0)):
+        rows = [pos[f] for f in range(len(lat))]
+        assert np.array_equal(H, H_r[rows]) and np.array_equal(G, G_r[rows]), name
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_face_tables_match_rooted_tables_on_catalog_and_duals(name):
+    base = parse_recipe(name).lattice()
+    for lat in (base, base.dual()):
+        _assert_face_tables_match_rooted_tables(lat, name)
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(FAMILIES + SCALE)))
+def test_face_tables_match_rooted_tables_on_families_and_scale(name):
+    _assert_face_tables_match_rooted_tables(parse_recipe(name).lattice(), name)
+
+
+def test_toric_h_and_report_build_no_interval_table():
+    lat = parse_recipe("cube6").lattice()
+    toric_h(lat)
+    report(lat)
+    assert "interval_tables" not in lat._cache and "pairs" not in lat._cache
+
+
+def test_a_changed_flag_row_moves_its_face_row_only():
+    # f_1 of one square of cube4 raised by 1000: h_0 of the square falls by
+    # 1000, so g_1 = h_1 - h_0 rises past g_1(cube4) and monotonicity fails there
+    clean = parse_recipe("cube4").lattice()
+    lat = parse_recipe("cube4").lattice()
+    square = int(np.flatnonzero(lat.dims == 2)[0])
+    _face_flags(lat)[2][0, 1 << 1] += 1000
+    H, G = _face_tables(lat)
+    H_c, G_c = _face_tables(clean)
+    moved = np.flatnonzero((H != H_c).any(axis=1) | (G != G_c).any(axis=1)).tolist()
+    assert moved == [square]
+    assert H[square].tolist()[:3] == [H_c[square, 0] - 1000, *H_c[square, 1:3].tolist()]
+    assert check_monotonicity(clean, square)
+    assert not check_monotonicity(lat, square)
+
+
+def test_the_int64_guard_runs_once_per_lattice(monkeypatch):
+    # cube7 is past the product bound, so each run counts its chains
+    runs = []
+    guard = toric_module._guard
+    monkeypatch.setattr(toric_module, "_guard", lambda *a: runs.append(1) or guard(*a))
+    lat = parse_recipe("cube7").lattice()
+    flag_vector(lat)
+    _pairs(lat)
+    _polar_g(lat)
+    toric_h(lat)
+    assert len(runs) == 1

@@ -361,13 +361,11 @@ def test_invariants_make_no_vertex_sets():
 def test_int64_guard_refuses_past_the_limit(monkeypatch, capsys):
     import toricgh.toric as toric_module
     from toricgh.cli import main
-    from toricgh.toric import _pair_tables, _polar_g
+    from toricgh.toric import _polar_g
 
     monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 12)
     lat = cube_lattice(4)
-    for compute in (
-        toric_h, flag_vector, _polar_g, lambda lat: _pair_tables(*lat.pairs, lat.dims, lat.d)
-    ):
+    for compute in (toric_h, flag_vector, _polar_g, _pairs):
         with pytest.raises(LatticeError, match="int64"):
             compute(lat)
     for command in ("gh", "verma"):
