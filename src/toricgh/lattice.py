@@ -193,22 +193,14 @@ class FaceLattice:
         return faces
 
     def index_of(self, vertex_set) -> int:
-        """The index of the face with these vertices; ``KeyError`` if no face has them.
-
-        The set is packed as a face is and looked up by the bytes of its
-        words, among those of every face, keyed once per lattice; no face
-        is unpacked.
-        """
         key = frozenset(vertex_set)
         lookup = self._cache.get("lookup")
         if lookup is None:
-            words = np.ascontiguousarray(self.words)
-            rows = words.view(f"V{words.itemsize * words.shape[1]}")[:, 0].tolist()
-            lookup = self._cache["lookup"] = dict(zip(rows, range(len(self))))
-        i = lookup.get(_packed_query(key, self.n_vertices, self.words.shape[1]))
-        if i is None:
+            lookup = {f: i for i, f in enumerate(self.faces)}
+            self._cache["lookup"] = lookup
+        if key not in lookup:
             raise KeyError(f"{_vertex_set(key)} is not a face")
-        return i
+        return lookup[key]
 
     def faces_of_dim(self, k) -> list[int]:
         return [int(i) for i in np.nonzero(self.dims == k)[0]]
@@ -682,24 +674,6 @@ def _spans(starts, ends):
     """The indices of the ranges starts[k]:ends[k], one after the other."""
     cnt = ends - starts
     return np.repeat(starts - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-
-
-def _packed_query(key, n_vertices, width):
-    """A query set's word row as bytes, or None if a member is no vertex 0..n_vertices-1.
-
-    A member counts as the int it equals (1.0, True), as it would in a
-    set comparison with the face's vertex set.
-    """
-    row = [0] * width
-    for v in key:
-        try:
-            i = int(v)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if i != v or not 0 <= i < n_vertices:
-            return None
-        row[i >> 6] |= 1 << (63 - (i & 63))
-    return np.array(row, dtype=np.uint64).tobytes()
 
 
 def _vertex_set(face) -> str:

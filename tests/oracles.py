@@ -108,10 +108,6 @@ then pushed one degree at a time with ``np.add.at``.
 ``coefficientwise_geq`` is the comparison monotonicity made on
 ``Polynomial`` values before it compared int lists.
 
-``frozenset_index_of`` is the face lookup the library made before it
-keyed the faces by their packed words: a dict from every face's
-frozenset, which unpacks every face on the first lookup.
-
 ``pair_flag_vector`` and ``reversed_polar_g`` are the flag numbers and
 polar g the library computed before it read both off one per-face
 chain-count table (``toric._face_flags``): a prefix recursion over the
@@ -130,14 +126,7 @@ import numpy as np
 
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
-from toricgh.lattice import (
-    _CHUNK,
-    FaceLattice,
-    LatticeError,
-    _from_sorted,
-    _sorted_faces,
-    _vertex_set,
-)
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
@@ -612,19 +601,6 @@ def _canon_search(colors, up, down, budget, state):
 
 
 # -- dense face lattices --------------------------------------------------
-
-
-_LOOKUP = WeakKeyDictionary()
-
-
-def frozenset_index_of(lat, vertex_set):
-    """The index of the face with these vertices, from a dict over ``lat.faces``."""
-    if lat not in _LOOKUP:
-        _LOOKUP[lat] = {f: i for i, f in enumerate(lat.faces)}
-    key = frozenset(vertex_set)
-    if key not in _LOOKUP[lat]:
-        raise KeyError(f"{_vertex_set(key)} is not a face")
-    return _LOOKUP[lat][key]
 
 
 def dense_from_vertex_facets(n_vertices, facets, check=True):

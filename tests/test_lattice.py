@@ -8,7 +8,6 @@ from toricgh.catalog import (
     catalog,
     cyclic_lattice,
     empty_lattice,
-    parse_recipe,
     point_lattice,
     simplex_lattice,
 )
@@ -23,8 +22,6 @@ from oracles import (
     cube_lattice,
     dense_order,
     dual_by_inclusion,
-    frozenset_index_of,
-    geometric_catalog,
     interval_by_inclusion,
     is_eulerian,
     is_isomorphic,
@@ -297,49 +294,3 @@ def test_sorted_faces_matches_per_face_sort(family):
     for r, v in zip(rows.tolist(), verts.tolist()):
         members[r].add(v)
     assert members == [set(f) for f in faces]
-
-
-SCALE = ["cube7", "cross7", "cyclic(12,6)", "prism(cube6)", "bipyramid(cross6)", "cyclic(14,7)"]
-
-
-@pytest.mark.parametrize("name", [e.name for e in catalog()] + SCALE)
-def test_index_of_matches_the_frozenset_lookup(name):
-    lat = parse_recipe(name).lattice()
-    got = [lat.index_of(sorted(f)) for f in lat.faces]
-    assert got == [frozenset_index_of(lat, f) for f in lat.faces] == list(range(len(lat)))
-
-
-def _key_error(lookup, *args):
-    with pytest.raises(KeyError) as caught:
-        lookup(*args)
-    return str(caught.value)
-
-
-@pytest.mark.parametrize("name", ["cube3", "cyclic(9,6)", "prism(simplex3)", "point", "empty"])
-def test_index_of_refuses_non_faces_like_the_frozenset_lookup(name):
-    lat = parse_recipe(name).lattice()
-    n = lat.n_vertices
-    queries = [{n}, {-1}, [0, 0, n], {0, n + 64}, {"0"}, {0.5}, {None}, set(range(n + 1))]
-    if name == "cube3":
-        queries += [{0, 7}, [0, 7, 7, 0], {0, 1, 2}]
-    for q in queries:
-        want = _key_error(frozenset_index_of, lat, q)
-        assert _key_error(lat.index_of, q) == want, q
-    # members equal to a vertex number name it, as in a set comparison
-    for q in ([0.0], {False}, [np.int64(0)], [0, 0]):
-        if n:
-            assert lat.index_of(q) == frozenset_index_of(lat, q)
-
-
-def test_facet_faces_match_the_frozenset_lookup():
-    for e in geometric_catalog():
-        p = e.polytope()
-        lat = p.lattice
-        assert p.facet_faces == tuple(frozenset_index_of(lat, t) for _, _, t in p.facets), e.name
-
-
-def test_index_of_unpacks_no_face():
-    lat = parse_recipe("cube6").lattice()
-    assert lat.index_of({0, 1}) == int(np.flatnonzero(lat.dims == 1)[0])
-    assert lat.index_of(range(64)) == lat.top
-    assert "faces" not in lat._cache
