@@ -173,7 +173,7 @@ def shelling_decomposition(sh: Shelling) -> list[Polynomial]:
     d = sh.polytope.d
     first_cover = _first_cover(sh)
     # g(F) (t-1)^(d-1-dim F) per boundary face F, one product per dimension on
-    # the rows of the face g table; summands of h, so in ``_guard``'s int64 bound
+    # the rows of the face g table; summands of h, so in the int64 bound ``_chain_flags`` checks
     G = _face_tables(lat)[1]
     stacks, _ = _kernels(d + 1)
     pieces = np.zeros((len(sh.order), d + 1), dtype=np.int64)

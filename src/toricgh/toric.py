@@ -7,20 +7,22 @@ recursion
     g_k = h_k - h_{k-1} for 0 <= k <= d/2,
 
 starting from g = h = 1 on the empty polytope.  Toric h is linear in
-the flag numbers (``_flag_coeffs``), so P and every face of it are
-read off one table: ``_face_flags`` counts the chains below every face
-a dimension layer at a time; its top row is the flag vector, its rows
-give h and g of every face (``_face_tables``), and the same rows with
-their dimensions reversed give g of every polar (``_polar_g``).  The
-quotients P/F run the recursion itself: ``_chunk_tables`` takes it one
-dimension layer at a time, in exact int64 with numpy doing the bulk
-sums, on the lattice's list of strict comparable pairs and the triples
-x < z < y it forms, through ``_interval_tables`` for the intervals
-[root, x] over one root and ``_pair_tables`` for every interval [x, y]
-at once.  The rest of the module is arithmetic on those tables: closed
-forms for g1/g2, the extended g-tilde numbers, and executable checks of
-Dehn-Sommerville, monotonicity, the upper bound inequality, the vertex
-identity relating g_k and g_{k+1}, and the cone/bipyramid identities.
+the flag numbers (``_flag_coeffs``), so P, its faces and its quotients
+are read off one chain count, ``_chain_flags``, which counts the chains
+below every element of a graded order a dimension layer at a time and
+refuses an order whose tables could leave int64.  On the lattice
+(``_face_flags``) its top row is the flag vector, its rows give h and g
+of every face (``_face_tables``), and the same rows with their
+dimensions reversed give g of every polar (``_polar_g``); on a face's
+up-set its top row gives g of the quotient P/F (``_rooted_g``).  All
+quotients at once run the recursion itself: ``_chunk_tables`` takes it
+one dimension layer at a time, in exact int64 with numpy doing the bulk
+sums, on the triples x < z < y of the lattice's strict comparable
+pairs, through ``_pair_tables`` for every interval [x, y].  The rest of
+the module is arithmetic on those tables: closed forms for g1/g2, the
+extended g-tilde numbers, and executable checks of Dehn-Sommerville,
+monotonicity, the upper bound inequality, the vertex identity relating
+g_k and g_{k+1}, and the cone/bipyramid identities.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _triples
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _spans, _triples
 from toricgh.polynomial import Polynomial, binomial_power
 
 
@@ -60,104 +62,39 @@ def _kernels(width: int):
     return stacks, keep
 
 
-# ``_guard`` refuses an order whose table entries could pass this bound.
+# ``_chain_flags`` refuses an order whose table entries could pass this bound.
 _INT64_LIMIT = 1 << 62
 
 
-def _guard(px, py, dims, d: int):
-    """Refuse an order whose h/g coefficients could leave int64.
-
-    By induction over the recursion, the coefficients of h of [x, y] sum
-    in absolute value to at most 2^(dim y - dim x) c(x, y), c(x, y) the
-    number of chains from x to y, and those of g to twice that; every
-    partial sum in the tables (block sums, kernel products, h_k - h_{k-1})
-    is bounded by such a sum.  So every entry stays within 2^(d + 2)
-    times the most chains that end at one face.  That count is at most
-    the product of (f_e + 1) over the dimensions e; when the product is
-    too coarse the chains are counted layer by layer, refusing before a
-    count could pass ``_INT64_LIMIT >> (d + 2)``.
-    """
-    cap = _INT64_LIMIT >> (d + 2)
-    if prod(int(f) + 1 for f in np.bincount(dims + 1)) < cap:
-        return
-    chains = np.ones(len(dims), dtype=np.int64)     # chains ending at each face
-    below, layer = np.bincount(py, minlength=len(dims)), dims[py]
-    for e in range(d + 1):
-        sel = np.flatnonzero(layer == e)
-        if sel.size and int(chains.max()) * int(below[py[sel]].max()) >= cap:
-            raise LatticeError(
-                f"h/g coefficients could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
-            )
-        np.add.at(chains, py[sel], chains[px[sel]])
-
-
-def _guarded(lat: FaceLattice) -> FaceLattice:
-    """``lat``, once ``_guard`` has passed on it."""
-    if "int64_ok" not in lat._cache:
-        _guard(*lat.pairs, lat.dims, lat.d)
-        lat._cache["int64_ok"] = True
-    return lat
-
-
 class _Blocks(NamedTuple):
-    order: np.ndarray   # the rows of lat.pairs sorted by (dim x, dim y, y)
+    order: np.ndarray   # the rows of the pairs sorted by (dim x, dim y, y)
     bounds: np.ndarray  # where each (dim x, dim y) block starts in ``order``
     span: int           # d + 2 dimensions, -1 to d
 
     def rows(self, a: int, b: int) -> np.ndarray:
-        """The rows of lat.pairs with dim x = a and dim y = b, by y."""
+        """The rows of the pairs with dim x = a and dim y = b, by y."""
         k = (a + 1) * self.span + b + 1
         return self.order[self.bounds[k]:self.bounds[k + 1]]
 
     def from_dim(self, a: int) -> np.ndarray:
-        """The rows of lat.pairs with dim x = a, by (dim y, y)."""
+        """The rows of the pairs with dim x = a, by (dim y, y)."""
         return self.order[self.bounds[(a + 1) * self.span]:self.bounds[(a + 2) * self.span]]
 
 
+def _order_blocks(px, py, dims, d: int) -> _Blocks:
+    """The strict pairs of a graded order grouped by (dim x, dim y), each block sorted by y."""
+    n, span = len(dims), d + 2
+    block = (dims[px] + 1) * span + dims[py] + 1
+    order = np.argsort(block * n + py)
+    return _Blocks(order, np.searchsorted(block[order], np.arange(span * span + 1)), span)
+
+
 def _blocks(lat: FaceLattice) -> _Blocks:
-    """The strict pairs grouped by (dim x, dim y), each block sorted by y; built once per lattice."""
+    """``_order_blocks`` of the lattice's pairs, built once per lattice."""
     blocks = lat._cache.get("blocks")
     if blocks is None:
-        px, py = lat.pairs
-        n, span = len(lat), lat.d + 2
-        block = (lat.dims[px] + 1) * span + lat.dims[py] + 1
-        order = np.argsort(block * n + py)
-        bounds = np.searchsorted(block[order], np.arange(span * span + 1))
-        blocks = lat._cache["blocks"] = _Blocks(order, bounds, span)
+        blocks = lat._cache["blocks"] = _order_blocks(*lat.pairs, lat.dims, lat.d)
     return blocks
-
-
-def _interval_tables(lat: FaceLattice, root: int):
-    """h/g coefficient tables for every face x >= root, re-graded at root.
-
-    Returns (pos, H, G): ``pos`` maps a face index of ``lat`` to its row,
-    and row i of H/G holds the coefficients of h/g of the interval
-    [root, x] viewed as a polytope of dimension dims[x] - dims[root] - 1.
-    Rows run by dimension, then by face index.  They are the pair table
-    rows of root's run of ``lat.pairs``, in dimensions relative to the
-    root, through ``_chunk_tables``: the triples root < z < y are the
-    runs of root's faces z, so the cost follows the interval.  The
-    library roots it at faces only, for the quotients P/F; the faces
-    themselves are read off ``_face_tables``.  ``_guard`` bounds every
-    entry a priori.
-    """
-    cache = _guarded(lat)._cache.setdefault("interval_tables", {})
-    if root in cache:
-        return cache[root]
-    py = lat.pairs[1]
-    start = lat._rows()
-    run = py[start[root]:start[root + 1]]
-    up = np.concatenate(([root], run))              # row 0 stands for [root, root]
-    rel = lat.dims[up] - lat.dims[root] - 1
-    # the runs of the faces z above root; y's row is its place in root's run
-    cnt = start[run + 1] - start[run]
-    ends = np.cumsum(cnt)
-    zy = np.repeat(start[run] - ends + cnt, cnt) + np.arange(ends[-1] if len(ends) else 0)
-    xz, xy = np.repeat(np.arange(1, len(up)), cnt), 1 + np.searchsorted(run, py[zy])
-    order, H, G = _chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]))
-    H[0, 0] = G[0, 0] = 1
-    cache[root] = (dict(zip(up[order].tolist(), range(len(up)))), H, G)
-    return cache[root]
 
 
 def _chunk_tables(dx, dy, xz, xy, d: int):
@@ -214,10 +151,11 @@ def _pair_tables(px, py, dims, d: int):
     [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The triples
     come from ``_triples``, whole x's at a time with the block S of
     ``_chunk_tables`` near _CHUNK cells, and each chunk goes through it.
-    Integer throughout; storage is O(comparable pairs * d), and ``_guard``
-    bounds every coefficient: the caller runs it first.  The library runs
-    it on the forward order only, through ``_pairs``: the faces and the
-    polars, intervals of the reversed order, are read off ``_face_flags``.
+    Integer throughout; storage is O(comparable pairs * d), and the
+    int64 check of ``_chain_flags`` on the same order bounds every
+    coefficient: the caller runs it first.  The library runs it on the
+    forward order only, through ``_pairs``: the faces and the polars,
+    intervals of the reversed order, are read off ``_face_flags``.
     """
     n = len(dims)
     fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
@@ -251,32 +189,40 @@ def _pairs(lat: FaceLattice) -> _PairTable:
     [x, top] (``quot_h``, ``quot_g``).  The h row of every pair is not
     kept: nothing reads it past that column, and it would cost
     8 * (d + 1) bytes per pair for the life of the lattice.  The faces
-    [bottom, x] are read off ``_face_tables``, not here.
+    [bottom, x] are read off ``_face_tables``, not here.  ``_face_flags``
+    runs first: it refuses a lattice past int64, and every reader of the
+    pair table reads the flags too.
     """
     table = lat._cache.get("pairs")
     if table is None:
-        px, py, H, G = _pair_tables(*_guarded(lat).pairs, lat.dims, lat.d)
+        _face_flags(lat)
+        px, py, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
         # (x, top) closes block x of the table
         quot = np.cumsum(np.bincount(px, minlength=len(lat))) - 1
         table = lat._cache["pairs"] = _PairTable(px, py, G, H[quot], G[quot])
     return table
 
 
+def _g_of(h: np.ndarray, e: int) -> np.ndarray:
+    """g of e-dimensional h rows: h_k - h_{k-1}, kept up to k = e/2 as ``_chunk_tables`` does."""
+    k = e // 2 + 1
+    g = h[..., :k].copy()
+    g[..., 1:] -= h[..., :k - 1]
+    return g
+
+
 def _read_flags(lat: FaceLattice, coeffs):
     """(faces, h, g) per dimension e of the faces, read off ``_face_flags``.
 
     ``faces`` are the faces of dimension e by index, h their flag rows
-    times ``coeffs(e)``, and g = h_k - h_{k-1} kept up to k = e/2, as
-    ``_chunk_tables`` truncates it.  |h_k| is at most the chains of
-    [bottom, w] times max |C_e| = C(e, floor(e/2)) <= 2^e, so every entry
-    stays inside the bound ``_guard`` checks before the flags are counted.
+    times ``coeffs(e)``, and g their ``_g_of``.  |h_k| is at most the
+    chains of [bottom, w] times max |C_e| = C(e, floor(e/2)) <= 2^e, so
+    every entry stays inside the bound ``_chain_flags`` checks as it
+    counts the flags.
     """
     for e, F in enumerate(_face_flags(lat)):
         h = F @ coeffs(e)
-        k = e // 2 + 1
-        g = h[:, :k].copy()
-        g[:, 1:] -= h[:, :k - 1]
-        yield np.flatnonzero(lat.dims == e), h, g
+        yield np.flatnonzero(lat.dims == e), h, _g_of(h, e)
 
 
 def _face_tables(lat: FaceLattice):
@@ -339,16 +285,38 @@ def face_g(lat: FaceLattice, face: int) -> Polynomial:
 
 
 def quotient_g(lat: FaceLattice, face: int) -> Polynomial:
-    """g of P/face: a pair table lookup, else one table rooted at the face."""
+    """g of P/face: a pair table lookup, else the chains of the face's up-set."""
     return Polynomial(_quotient_row(lat, face))
 
 
 def _quotient_row(lat: FaceLattice, face: int) -> list[int]:
+    """g of P/face as an int list; without a pair table, kept per face in ``"quotients"``."""
     table = lat._cache.get("pairs")
     if table is not None:
         return table.quot_g[face].tolist()
-    pos, _, G = _interval_tables(lat, face)
-    return G[pos[lat.top]].tolist()
+    rows = lat._cache.setdefault("quotients", {})
+    if face not in rows:
+        rows[face] = _rooted_g(lat, face)
+    return rows[face]
+
+
+def _rooted_g(lat: FaceLattice, root: int) -> list[int]:
+    """g of the quotient [root, top]: ``_chain_flags`` on the root's up-set.
+
+    The up-set is the root, re-graded to dim -1, and the faces of its run
+    of ``lat.pairs``, ordered by their runs; the top row times
+    ``_flag_coeffs(e)`` is h of the quotient, e = d - dim root - 1.
+    """
+    start, (px, py) = lat._rows(), lat.pairs
+    up = np.concatenate(([root], py[start[root]:start[root + 1]]))
+    run = _spans(start[up], start[up + 1])
+    x, y = np.searchsorted(up, px[run]), np.searchsorted(up, py[run])
+    dims = lat.dims[up] - lat.dims[root] - 1
+    e = int(dims[-1])
+    if e < 0:
+        return [1]
+    top = _chain_flags(x, y, dims, e, _order_blocks(x, y, dims, e))[e][0]
+    return _g_of(top @ _flag_coeffs(e), e).tolist()
 
 
 def simplicial_h(f: tuple[int, ...], d: int) -> Polynomial:
@@ -378,51 +346,78 @@ class FlagVector(dict):
         return {",".join(map(str, s)): v for s, v in sorted(self.items())}
 
 
-def _face_flags(lat: FaceLattice) -> list[np.ndarray]:
-    """The flag numbers of every face, one int64 array per dimension e.
+def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
+    """The flag numbers of every element of a graded order, one int64 array per dimension e.
 
-    Row i of array e is the i-th face w of dimension e by index, and
-    column S, a bitmask of dimensions (bit j for dim j < e), holds
-    f_S([bottom, w]): the chains bottom < w_1 < ... < w that meet the
-    dimensions in S.  Column 0 is 1.  A chain whose highest dimension
-    below w is a ends at a face u < w of dim a, so columns
+    The order has strict pairs (px, py), grouped by ``_order_blocks``,
+    and a bottom of dimension -1.  Row i of array e is the i-th element w
+    of dim e by index; column S, a bitmask of dimensions (bit j for dim
+    j < e), holds f_S([bottom, w]), the chains bottom < w_1 < ... < w
+    that meet the dimensions in S.  Column 0 is 1.  A chain whose highest
+    dimension below w is a ends at an element u < w of dim a, so columns
     [2^a, 2^(a+1)) of w's row sum the rows of array a over the pairs
-    u < w.  Once the dimensions below a have pushed, array a is whole,
-    and it pushes onto every face above in one ``np.add.reduceat`` per
-    piece of about _CHUNK cells: the pairs with dim x = a, in block
-    order, run by (dim y, y).  Every entry counts chains that end at w,
-    which ``_guard`` bounds.  Built once per lattice.
+    u < w: once the dimensions below a have pushed, array a is whole and
+    pushes onto every element above, one ``np.add.reduceat`` per piece of
+    about _CHUNK cells of its block rows, by (dim y, y).
+
+    By induction over the recursion, the coefficients of h of [x, y] sum
+    in absolute value to at most 2^(dim y - dim x) c(x, y), c(x, y) the
+    chains from x to y, and those of g to twice that; every partial sum
+    in the tables is bounded by such a sum.  So the count refuses an
+    order where the most chains ending at one element, from any element,
+    could reach cap = ``_INT64_LIMIT >> (d + 2)``.  The product of
+    (f_e + 1) bounds that; when it is too coarse, array a is checked once
+    whole, before it pushes.  Its chains number at most 1 + below(w) *
+    ``most``, with below(w), the elements under w, 1 plus w's singleton
+    columns (face counts, which cannot wrap) and ``most`` twice the
+    largest row sum of the arrays checked before.  An array is read only
+    after its own check, and an interval [x, top] of an order that passes
+    passes too: no more chains, below-counts no larger, a cap no smaller.
     """
+    cap = _INT64_LIMIT >> (d + 2)
+    coarse = prod(int(f) + 1 for f in np.bincount(dims + 1)) >= cap
+    n = len(dims)
+    by_dim = np.argsort(dims, kind="stable")
+    rank = np.empty(n, dtype=np.int64)      # each element's place in by_dim
+    rank[by_dim] = np.arange(n)
+    starts = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
+    pos = rank - starts[dims + 1]           # each element's row in its array
+    starts = starts.tolist()
+    flags = [
+        np.zeros((starts[e + 2] - starts[e + 1], 1 << e), dtype=np.int64) for e in range(d + 1)
+    ]
+    for F in flags:
+        F[:, 0] = 1
+    most = 1
+    for a, F in enumerate(flags):
+        if coarse:
+            below = 1 + int(F[:, 1 << np.arange(a)].sum(axis=1).max())
+            if most * below >= cap:
+                raise LatticeError(
+                    f"h/g coefficients could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
+                )
+            most = max(most, 2 * int(F.sum(axis=1).max()))
+        sel, step = blocks.from_dim(a), max(1, _CHUNK >> a)
+        for p in range(0, len(sel), step):
+            part = sel[p:p + step]
+            w = rank[py[part]]
+            sums = np.add.reduceat(F[pos[px[part]]], _run_starts(w))
+            # every element above dim a lies above one of dim a, so the
+            # runs are the elements w[0]..w[-1] of by_dim, layer after layer
+            lo, hi = int(w[0]), int(w[-1]) + 1
+            for e in range(a + 1, d + 1):
+                s, t = max(lo, starts[e + 1]), min(hi, starts[e + 2])
+                if s < t:
+                    rows = slice(s - starts[e + 1], t - starts[e + 1])
+                    flags[e][rows, 1 << a:2 << a] += sums[s - lo:t - lo]
+    return flags
+
+
+def _face_flags(lat: FaceLattice) -> list[np.ndarray]:
+    """``_chain_flags`` of the lattice: row i of array e is the i-th face of dim e; built once."""
     flags = lat._cache.get("face_flags")
     if flags is None:
-        px, py = _guarded(lat).pairs
-        blocks, dims, d = _blocks(lat), lat.dims, lat.d
-        by_dim = np.argsort(dims, kind="stable")
-        rank = np.empty(len(lat), dtype=np.int64)     # each face's place in by_dim
-        rank[by_dim] = np.arange(len(lat))
-        starts = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
-        pos = rank - starts[dims + 1]                 # each face's row in its array
-        starts = starts.tolist()
-        flags = [
-            np.zeros((starts[e + 2] - starts[e + 1], 1 << e), dtype=np.int64) for e in range(d + 1)
-        ]
-        for F in flags:
-            F[:, 0] = 1
-        for a in range(d):
-            sel, step = blocks.from_dim(a), max(1, _CHUNK >> a)
-            for p in range(0, len(sel), step):
-                part = sel[p:p + step]
-                w = rank[py[part]]
-                sums = np.add.reduceat(flags[a][pos[px[part]]], _run_starts(w))
-                # every face above dim a lies above a face of dim a, so the
-                # runs are the faces w[0]..w[-1] of by_dim, layer after layer
-                lo, hi = int(w[0]), int(w[-1]) + 1
-                for e in range(a + 1, d + 1):
-                    s, t = max(lo, starts[e + 1]), min(hi, starts[e + 2])
-                    if s < t:
-                        rows = slice(s - starts[e + 1], t - starts[e + 1])
-                        flags[e][rows, 1 << a:2 << a] += sums[s - lo:t - lo]
-        lat._cache["face_flags"] = flags
+        flags = lat._cache["face_flags"] = _chain_flags(*lat.pairs, lat.dims, lat.d, _blocks(lat))
     return flags
 
 
@@ -440,9 +435,7 @@ def _flag_coeffs(e: int) -> np.ndarray:
     C = np.zeros((1 << e, e + 1), dtype=np.int64)
     C[0] = _binom_kernel(e)
     for j in range(e):
-        h = _flag_coeffs(j)
-        g = h[:, :j // 2 + 1].copy()
-        g[:, 1:] -= h[:, :j // 2]
+        g = _g_of(_flag_coeffs(j), j)
         kernel = _binom_kernel(e - 1 - j)
         for i in range(g.shape[1]):
             C[1 << j:2 << j, i:i + len(kernel)] += g[:, i, None] * kernel

@@ -114,16 +114,23 @@ chain-count table (``toric._face_flags``): a prefix recursion over the
 2^d dimension sets that scatter-adds chain counts along the pairs with
 ``np.add.at``, and the all-pairs h/g pass run again on the
 order-reversed lattice.
+
+``guard`` and ``interval_tables`` are the int64 check and the rooted
+quotient tables the library ran before one chain count did both
+(``toric._chain_flags``): the chains counted a second time, layer by
+layer with ``np.add.at``, and the ``_chunk_tables`` recursion over the
+triples of one root's up-set.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from toricgh import toric
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
 from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces
@@ -134,7 +141,7 @@ from toricgh.toric import (
     FlagVector,
     _binom_kernel,
     _blocks,
-    _guard,
+    _chunk_tables,
     _pair_tables,
     _pairs,
     face_g,
@@ -780,12 +787,68 @@ def reversed_polar_g(lat):
     The polar of F is the interval [F, bottom] of the reversed lattice,
     where F has dimension d - 1 - dim F; (F, bottom) opens the block of
     F in the reversed pair table.  The reversed order has the same
-    chains, so it runs its own ``_guard``.
+    chains, so it runs its own ``guard``.
     """
     below, above = lat.pairs
-    _guard(above, below, lat.d - 1 - lat.dims, lat.d)
+    guard(above, below, lat.d - 1 - lat.dims, lat.d)
     px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
     return G[np.searchsorted(px, np.arange(len(lat)))]
+
+
+def guard(px, py, dims, d):
+    """Refuse an order whose h/g coefficients could leave int64.
+
+    The check the library ran as its own chain count before the flag
+    count checked the same rule as it pushes (``toric._chain_flags``,
+    whose docstring gives the bound).  The most chains that end at one
+    face, from any face, must stay under ``_INT64_LIMIT >> (d + 2)``.
+    The product of (f_e + 1) bounds that count; when it is too coarse the
+    chains are counted layer by layer with ``np.add.at``, refusing before
+    a count could pass the cap.  The limit is read at call time, so a
+    test can lower it.
+    """
+    limit = toric._INT64_LIMIT
+    cap = limit >> (d + 2)
+    if prod(int(f) + 1 for f in np.bincount(dims + 1)) < cap:
+        return
+    chains = np.ones(len(dims), dtype=np.int64)     # chains ending at each face
+    below, layer = np.bincount(py, minlength=len(dims)), dims[py]
+    for e in range(d + 1):
+        sel = np.flatnonzero(layer == e)
+        if sel.size and int(chains.max()) * int(below[py[sel]].max()) >= cap:
+            raise LatticeError(
+                f"h/g coefficients could exceed the int64 bound 2^{limit.bit_length() - 1}"
+            )
+        np.add.at(chains, py[sel], chains[px[sel]])
+
+
+def interval_tables(lat, root):
+    """h/g coefficient tables for every face x >= root, re-graded at root.
+
+    Returns (pos, H, G): ``pos`` maps a face index of ``lat`` to its row,
+    and row i of H/G holds the coefficients of h/g of the interval
+    [root, x] viewed as a polytope of dimension dims[x] - dims[root] - 1.
+    Rows run by dimension, then by face index.  The library read the
+    quotients this way before it counted the chains of the root's up-set
+    (``toric._rooted_g``): the pair table rows of root's run of
+    ``lat.pairs``, in dimensions relative to the root, through
+    ``toric._chunk_tables``, the triples root < z < y being the runs of
+    root's faces z.  ``guard`` runs on the lattice first.
+    """
+    guard(*lat.pairs, lat.dims, lat.d)
+    py = lat.pairs[1]
+    start = lat._rows()
+    run = py[start[root]:start[root + 1]]
+    up = np.concatenate(([root], run))              # row 0 stands for [root, root]
+    rel = lat.dims[up] - lat.dims[root] - 1
+    # the runs of the faces z above root; y's row is its place in root's run
+    cnt = start[run + 1] - start[run]
+    ends = np.cumsum(cnt)
+    zy = np.repeat(start[run] - ends + cnt, cnt) + np.arange(ends[-1] if len(ends) else 0)
+    xz, xy = np.repeat(np.arange(1, len(up)), cnt), 1 + np.searchsorted(run, py[zy])
+    order, H, G = _chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]))
+    H[0, 0] = G[0, 0] = 1
+    return dict(zip(up[order].tolist(), range(len(up)))), H, G
 
 
 def dense_interval_tables(lat, root):

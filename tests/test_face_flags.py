@@ -8,9 +8,11 @@ oracles are the prefix recursion with scatter-adds
 (``oracles.pair_flag_vector``), dense chain counting
 (``oracles.dense_flag_vector``), the all-pairs pass on the
 order-reversed lattice (``oracles.reversed_polar_g``), and for the
-faces the chunk recursion rooted at the bottom (``_interval_tables`` on
-its generic up-set path) and the dense blocks
-(``oracles.dense_interval_tables``).
+faces the chunk recursion rooted at the bottom
+(``oracles.interval_tables``) and the dense blocks
+(``oracles.dense_interval_tables``).  The count refuses an order whose
+tables could leave int64 exactly where the separate chain count
+``oracles.guard`` refuses it.
 """
 
 from math import comb
@@ -20,12 +22,12 @@ import pytest
 
 import toricgh.toric as toric_module
 from toricgh.catalog import catalog, parse_recipe
+from toricgh.lattice import LatticeError
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
     _face_flags,
     _face_tables,
     _flag_coeffs,
-    _interval_tables,
     _pairs,
     _polar_g,
     check_monotonicity,
@@ -39,6 +41,8 @@ from oracles import (
     dense_flag_vector,
     dense_interval_tables,
     dense_order,
+    guard,
+    interval_tables,
     pair_flag_vector,
     reversed_polar_g,
 )
@@ -46,6 +50,7 @@ from oracles import (
 CATALOG = [e.name for e in catalog()]
 FAMILIES = [f"cube{k}" for k in range(1, 9)] + [f"cross{k}" for k in range(2, 9)]
 SCALE = ["cube7", "cross7", "cyclic(12,6)", "prism(cube6)", "bipyramid(cross6)", "cyclic(14,7)"]
+LIMITS = [1 << k for k in (62, 40, 30, 26, 24, 22, 20, 18, 16, 14, 12)]
 
 
 def _flag_row(fv, d):
@@ -150,7 +155,7 @@ def test_polar_matches_flags_a_changed_flag_row(name):
 def _assert_face_tables_match_rooted_tables(lat, name):
     H, G = _face_tables(lat)
     assert H.dtype == G.dtype == np.int64 and H.shape == G.shape == (len(lat), max(lat.d + 1, 1))
-    for pos, H_r, G_r in (_interval_tables(lat, 0), dense_interval_tables(lat, 0)):
+    for pos, H_r, G_r in (interval_tables(lat, 0), dense_interval_tables(lat, 0)):
         rows = [pos[f] for f in range(len(lat))]
         assert np.array_equal(H, H_r[rows]) and np.array_equal(G, G_r[rows]), name
 
@@ -171,7 +176,7 @@ def test_toric_h_and_report_build_no_interval_table():
     lat = parse_recipe("cube6").lattice()
     toric_h(lat)
     report(lat)
-    assert "interval_tables" not in lat._cache and "pairs" not in lat._cache
+    assert "quotients" not in lat._cache and "pairs" not in lat._cache
 
 
 def test_a_changed_flag_row_moves_its_face_row_only():
@@ -190,11 +195,32 @@ def test_a_changed_flag_row_moves_its_face_row_only():
     assert not check_monotonicity(lat, square)
 
 
+@pytest.mark.parametrize("name", list(dict.fromkeys(CATALOG + SCALE + ["simplex12", "cube9"])))
+def test_the_flag_count_refuses_exactly_where_the_guard_does(monkeypatch, name):
+    # the limits run down, so a table that passes also passed at 2^62
+    lat = parse_recipe(name).lattice()
+    want = None
+    for limit in LIMITS:
+        monkeypatch.setattr(toric_module, "_INT64_LIMIT", limit)
+        lat._cache.pop("face_flags", None)
+        try:
+            guard(*lat.pairs, lat.dims, lat.d)
+        except LatticeError as refused:
+            with pytest.raises(LatticeError) as also:
+                _face_flags(lat)
+            assert str(also.value) == str(refused), (name, limit)
+            continue
+        got = _face_flags(lat)
+        if want is None:
+            want = got
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, limit)
+
+
 def test_the_int64_guard_runs_once_per_lattice(monkeypatch):
-    # cube7 is past the product bound, so each run counts its chains
+    # cube7 is past the product bound, so the count checks every layer
     runs = []
-    guard = toric_module._guard
-    monkeypatch.setattr(toric_module, "_guard", lambda *a: runs.append(1) or guard(*a))
+    count = toric_module._chain_flags
+    monkeypatch.setattr(toric_module, "_chain_flags", lambda *a: runs.append(1) or count(*a))
     lat = parse_recipe("cube7").lattice()
     flag_vector(lat)
     _pairs(lat)

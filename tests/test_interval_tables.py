@@ -1,11 +1,14 @@
-"""The single-root interval tables against the dense ones they replaced.
+"""The rooted quotients against the interval tables they replaced.
 
-``_interval_tables(lat, root)`` reads only the list of comparable pairs.
-``oracles.dense_interval_tables`` is the former construction from
-``np.ix_`` blocks of the dense order; the two must agree row for row:
-the same face-to-row map and the same int64 h and g rows.  No reader of
-the tables, and no shelling, rigidity, localization, interval or dual,
-may build the dense ``leq`` view.
+``toric._rooted_g(lat, root)`` reads g of the quotient [root, top] off
+the chain count of the root's up-set.  It must equal the top row of
+``oracles.dense_interval_tables``, the construction from ``np.ix_``
+blocks of the dense order, and the root's row of the pair table's
+quotient column.  ``oracles.interval_tables``, the rooted chunk
+recursion, must agree with the dense tables row for row: the same
+face-to-row map and the same int64 h and g rows.  No reader of the
+tables, and no shelling, rigidity, localization, interval or dual, may
+build the dense ``leq`` view.
 """
 
 import numpy as np
@@ -25,7 +28,8 @@ from toricgh.rigidity import g2_via_stresses
 from toricgh.shelling import line_shelling, shelling_decomposition
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
-    _interval_tables,
+    _pairs,
+    _rooted_g,
     check_kalai_identity,
     face_g,
     quotient_g,
@@ -34,18 +38,23 @@ from toricgh.toric import (
 )
 from toricgh.verma import check_reciprocity, verma_multiplicities
 
-from oracles import dense_interval_tables
+from oracles import dense_interval_tables, interval_tables
 
 SMALL = [e for e in catalog() if len(e.lattice()) <= 200]
 LARGE = {name: parse_recipe(name).lattice() for name in ("cyclic(12,6)", "prism(cube6)")}
 
 
 def _assert_same_tables(lat, root):
-    pos, H, G = _interval_tables(lat, root)
+    pos, H, G = interval_tables(lat, root)
     pos_d, H_d, G_d = dense_interval_tables(lat, root)
     assert pos == pos_d, root
     assert H.dtype == G.dtype == np.int64
     assert np.array_equal(H, H_d) and np.array_equal(G, G_d), root
+    # the library's rooted g, zero-padded to the width of each table
+    g = _rooted_g(lat, root)
+    assert all(type(c) is int for c in g), root
+    for row in (G_d[pos_d[lat.top]], _pairs(lat).quot_g[root]):
+        assert row[:len(g)].tolist() == g and not row[len(g):].any(), root
 
 
 def test_every_root_of_small_catalog_matches_dense_tables():

@@ -18,6 +18,7 @@ from toricgh.polynomial import Polynomial
 from toricgh.toric import (
     _monotone,
     _pairs,
+    _rooted_g,
     check_cone_bipyramid,
     check_dehn_sommerville,
     check_g_cascade,
@@ -44,6 +45,7 @@ from oracles import (
     convolution,
     cross_lattice,
     cube_lattice,
+    dense_interval_tables,
     dense_order,
     face_fan,
     fan_h,
@@ -338,15 +340,29 @@ def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
         builds.clear()
         assert check_monotonicity_all(lat)
         assert len(builds) == 1
-        assert "interval_tables" not in lat._cache     # g(P) is the pair table's too
-        # the table's quotients are the per-root values of a lattice without one
+        # the table's quotient column is the rooted count of a lattice without one
+        quot = _pairs(lat).quot_g
         for f in range(1, len(lat) - 1):
+            assert Polynomial(quot[f].tolist()) == Polynomial(_rooted_g(alone, f)), (name, f)
             assert quotient_g(lat, f) == quotient_g(alone, f), (name, f)
             assert check_monotonicity(lat, f) == check_monotonicity(alone, f)
+        assert "quotients" not in lat._cache and "pairs" not in alone._cache
+        assert sorted(alone._cache["quotients"]) == list(range(1, len(lat) - 1))
         inp = parse_recipe(name)
         builds.clear()
         assert _verify_one("monotonicity", inp, 0, "all")
         assert len(builds) == 1 and "pairs" in inp.lattice()._cache
+
+
+def test_rooted_quotients_are_kept_as_int_lists():
+    # without a pair table, monotonicity keeps one g row per face, not a table per root
+    lat = cube_lattice(6)
+    edges = lat.faces_of_dim(1)
+    assert all(check_monotonicity(lat, f) for f in edges)
+    rows = lat._cache["quotients"]
+    assert "pairs" not in lat._cache and sorted(rows) == sorted(edges)
+    assert all(type(row) is list and all(type(c) is int for c in row) for row in rows.values())
+    assert all(Polynomial(rows[f]) == toric_g(lat.quotient(f)) for f in edges[:4])
 
 
 def test_invariants_make_no_vertex_sets():
@@ -381,5 +397,5 @@ def test_int64_guard_counts_chains_when_the_product_bound_is_coarse():
     lat = cube_lattice(7)
     f = np.bincount(lat.dims + 1)
     assert prod(int(k) + 1 for k in f) >= toric_module._INT64_LIMIT >> (lat.d + 2)
-    assert toric_h(lat) == Polynomial(toric_module._interval_tables(lat, 0)[1][-1].tolist())
-    assert lat._cache["int64_ok"]
+    pos, H, _ = dense_interval_tables(lat, lat.bottom)
+    assert toric_h(lat) == Polynomial(H[pos[lat.top]].tolist())
