@@ -15,14 +15,19 @@ whole polytope.
 
 The order relation is held once, as ``pairs``: the integer list of
 strict comparable pairs x < y, sorted by (x, y), so the pairs of each x
-are one run.  It is built straight from the packed words: each face
-is tested only against the larger faces that hold its rarest vertex,
-read from an inverted vertex index, so the cost follows the comparable
-pairs and no n x n array is ever formed.  Grading, validation, covers
-and flag counting are integer sums over the pairs and over the triples
-x < z < y they form (``_triples``); down-sets and up-sets (``below``,
-``above``) are slices of the same list.  ``leq`` is a dense boolean
-view kept for outside readers only, built on first access.
+are one run.  It is built straight from the packed words by one
+inclusion test over an inverted index: each face x is tested only
+against the larger faces that hold its rarest vertex, or, when the
+closure held each face's facet set, each face y only against the
+smaller faces inside its rarest facet.  So the cost follows the
+comparable pairs and no n x n array is ever formed.  Grading and flag
+counting are integer sums over the pairs and over the triples x < z < y
+they form (``_triples``).  Validation counts the triples only for the
+pairs x < y whose y is not Boolean below (on simplicial input, y = top
+alone): under a face whose every vertex subset is a face below it, all
+intervals are Boolean, so graded and balanced.  Down-sets and up-sets
+(``below``, ``above``) are slices of the same list.  ``leq`` is a dense
+boolean view kept for outside readers only, built on first access.
 
 There are two constructors.  A lattice made from a facet list
 (``from_vertex_facets``) is validated as graded, atomic and Eulerian;
@@ -42,7 +47,8 @@ intersection on its smaller side: the facets, or, with more facets
 than vertices, the vertex columns (the facets through each vertex),
 each face's vertices then read off as the columns that hold its facet
 set.  Either way the cost follows faces x min(facets, vertices), and
-the faces reach the order builder as packed words (``_sorted_words``).
+the faces reach the order builder as packed words, sorted, with the
+inverted index of the side the closure ran on.
 
 Dimension conventions: dim(empty face) = -1; the one-element lattice is
 the empty polytope, which is distinct from a point (two elements).
@@ -114,12 +120,29 @@ class FaceLattice:
             _check_range(facets, n_vertices)
         if len(named) != n_vertices:
             raise LatticeError("some vertex lies on no facet")
-        words = _closure(bits, members, n_vertices)
-        lat = _from_sorted(*_sorted_words(words), n_vertices)
-        lat._validate()
+        sizes, words, index, held = _closure(bits, members, n_vertices)
+        lat = _from_sorted(sizes, words, index, n_vertices, held)
+        lat._validate(sizes)
         return lat
 
-    def _validate(self):
+    def _validate(self, sizes=None):
+        """Check the lattice as graded, Eulerian and atomic.
+
+        Premise: every pair x < y has word x a proper subset of word y,
+        and the words are distinct, as every constructor gives.  A face
+        y that is Boolean below (``_boolean_below``) then has every
+        subset of its vertices as a face below it, each pair of them
+        ordered by inclusion, so every interval [x, y] is Boolean.  Its
+        covers are the pairs one vertex apart, and the empty face (dim
+        -1) reaches y by them, so they all rise by 1 exactly when dims =
+        sizes - 1 on y and the faces below it, and then every interval
+        under y is balanced too.  So the triples are counted only for
+        the pairs whose y is not Boolean below (on simplicial input only
+        y = top), the per-face check stands in for the covers of the
+        others, and the first unbalanced pair, and its message, are
+        those of the pass over all pairs.  ``sizes`` are the faces'
+        vertex counts, counted from the words when not given.
+        """
         words, dims = self.words, self.dims
         px, py = self.pairs
         n = len(self)
@@ -129,49 +152,27 @@ class FaceLattice:
             raise LatticeError("bottom or top element is not unique")
         if n == 1:
             return
-        # gradedness: every cover step raises the longest-chain height by 1
-        between, balance = self._intervals()
+        if sizes is None:
+            sizes = _sizes(words)
+        boolean, (cx, cy), between, balance = _counted_intervals(self, sizes)
+        # gradedness: every cover step raises the longest-chain height by 1;
+        # below a Boolean face the covers are the pairs one vertex apart
         cover = between == 0
-        if np.any(dims[py[cover]] - dims[px[cover]] != 1):
+        if np.any(dims[boolean] != sizes[boolean] - 1) or np.any(dims[cy[cover]] != dims[cx[cover]] + 1):
             raise LatticeError("poset is not graded")
         bad = np.flatnonzero(balance)
         if bad.size:
-            i, j = int(px[bad[0]]), int(py[bad[0]])
+            i, j = int(cx[bad[0]]), int(cy[bad[0]])
             raise LatticeError(
                 f"not Eulerian: interval [{_vertex_set(self.faces[i])}, "
                 f"{_vertex_set(self.faces[j])}] is unbalanced"
             )
         # atomicity: dim-0 faces hold one vertex each and generate every face
-        atoms = words[dims == 0]
-        if np.any(_sizes(atoms) != 1):
+        atom = dims == 0
+        if np.any(sizes[atom] != 1):
             raise LatticeError("an atom is not a single vertex")
-        if (np.bitwise_or.reduce(words) & ~np.bitwise_or.reduce(atoms)).any():
+        if (np.bitwise_or.reduce(words) & ~np.bitwise_or.reduce(words[atom])).any():
             raise LatticeError("face contains a non-atom vertex")
-
-    def _intervals(self):
-        """Per strict pair x < y: faces strictly between, and sum of (-1)^dim over [x, y].
-
-        One integer pass over the triples x < z < y (``_triples``) counts
-        the middles per pair, and those of odd dimension apart.  A pair
-        with no middle is a cover; a nonzero sum is an unbalanced
-        (non-Eulerian) interval.
-        """
-        cached = self._cache.get("intervals")
-        if cached is not None:
-            return cached
-        px, py = self.pairs
-        odd = self.dims % 2 == 1
-        between = np.zeros(len(px), dtype=np.int64)
-        odd_between = np.zeros_like(between)
-        for lo, hi, xz, xy in _triples(px, py, self._rows()):
-            between[lo:hi] += np.bincount(xy - lo, minlength=hi - lo)
-            odd_between[lo:hi] += np.bincount(xy[odd[py[xz]]] - lo, minlength=hi - lo)
-        sign = np.where(odd, -1, 1)
-        balance = between - 2 * odd_between
-        balance += sign[px]
-        balance += sign[py]
-        cached = self._cache["intervals"] = (between, balance)
-        return cached
 
     # -- basic queries -------------------------------------------------
 
@@ -501,12 +502,6 @@ def _sizes(bits):
     return per_byte[bits.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
-def _sorted_words(bits):
-    """(sizes, bits, members) of faces given as word rows, sorted as ``_sort`` orders them."""
-    rows, verts = _unpack(bits)
-    return _sort(np.bincount(rows, minlength=len(bits)), bits, (rows, verts))
-
-
 def _sort(sizes, bits, members):
     """(sizes, bits, members) by vertex count, then by sorted vertex list.
 
@@ -536,36 +531,46 @@ def _ranks(order):
 
 
 def _closure(bits, members, n_vertices):
-    """Word rows of every face of the facets ``bits``, closed on the smaller side.
+    """(sizes, words, index, held): every face of the facets ``bits``, closed on the smaller side.
 
     With no more facets than vertices the facets' vertex sets are closed
     under intersection, as ints with the words' bit layout.  Otherwise
-    the vertex columns are: the facet set of a face is an intersection
-    of the columns of its vertices (no facet for the top), and its
-    vertices are those whose column holds that set, read for all faces
-    in one pass over the words.  A closure costs one AND per face and
-    generator, and there are min(facets, vertices) generators.
+    (``held``) the vertex columns are: the facet set of a face is an
+    intersection of the columns of its vertices (no facet for the top),
+    and its vertices are those whose column holds that set, read for all
+    faces in one pass over the words.  A closure costs one AND per face
+    and generator, and there are min(facets, vertices) generators.  The
+    faces come sorted as ``_sort`` orders them, with the inverted index
+    of the side the closure ran on: ``index`` is (rows, verts), one entry
+    per vertex of each face, or with ``held`` (rows, facets), one entry
+    per facet holding each face.
     """
     m, width = bits.shape
     if m <= n_vertices:
         found = _intersections([int.from_bytes(row.tobytes(), "big") for row in bits.astype(">u8")])
         found.update((0, ((1 << n_vertices) - 1) << (64 * width - n_vertices)))
-        words = b"".join(f.to_bytes(8 * width, "big") for f in found)
-        return np.frombuffer(words, dtype=">u8").reshape(-1, width).astype(np.uint64)
+        words = _words(found, width)
+        rows, verts = _unpack(words)
+        return (*_sort(np.bincount(rows, minlength=len(words)), words, (rows, verts)), False)
     rows, verts = members
     through = np.zeros((n_vertices, -(-m // 64) * 64), dtype=bool)
     through[verts, rows] = True
     columns = np.packbits(through, axis=1)
     found = _intersections([int.from_bytes(c.tobytes(), "big") for c in columns])
     found.add(0)
-    # the facet sets and the columns are read alike from big-endian bytes,
-    # and only AND and NOT act on them, so the word order does not matter
-    held = b"".join(f.to_bytes(columns.shape[1], "big") for f in found)
-    held = np.frombuffer(held, dtype=np.uint64).reshape(len(found), -1)
-    inside = np.zeros((len(found) + 1, 64 * width), dtype=bool)     # row 0 is the empty face
-    for v, column in enumerate(columns.view(np.uint64)):
-        inside[1:, v] = ~(held & ~column).any(axis=1)
-    return np.packbits(inside, axis=1).view(">u8").astype(np.uint64)
+    every = ((1 << m) - 1) << (through.shape[1] - m)
+    held = _words([every, *found], through.shape[1] // 64)     # row 0 is the empty face
+    inside = np.zeros((len(held), 64 * width), dtype=bool)
+    for v, column in enumerate(columns.view(">u8").astype(np.uint64)):
+        inside[1:, v] = ~(held[1:] & ~column).any(axis=1)
+    words = np.packbits(inside, axis=1).view(">u8").astype(np.uint64)
+    return (*_sort(np.count_nonzero(inside, axis=1), words, _unpack(held)), True)
+
+
+def _words(masks, width):
+    """Word rows of int bitmasks, each read as ``width`` big-endian words."""
+    data = b"".join(f.to_bytes(8 * width, "big") for f in masks)
+    return np.frombuffer(data, dtype=">u8").reshape(-1, width).astype(np.uint64)
 
 
 def _intersections(gens):
@@ -583,15 +588,24 @@ def _intersections(gens):
     return found
 
 
-def _from_sorted(sizes, bits, members, n_vertices):
-    """The lattice of sorted faces: strict pairs by inclusion, then the grading."""
+def _from_sorted(sizes, bits, index, n_vertices, held=False):
+    """The lattice of sorted faces: strict pairs by inclusion, then the grading.
+
+    ``index`` lists the vertices of each face, or with ``held`` the
+    facets holding it (see ``_strict_pairs``).
+    """
     n = len(bits)
     if n == 0:
         raise LatticeError("no faces given")
-    px, py = _strict_pairs(sizes, bits, members)
+    px, py = _strict_pairs(sizes, bits, index, held)
+    if held:    # found by y: graded as they are, then sorted by (x, y)
+        dims = _grade(sizes, px, py)
+        px, py = _split(px * n + py, n)
+    else:
+        order = np.argsort(py, kind="stable")
+        dims = _grade(sizes, px[order], py[order])
     if int(np.searchsorted(px, 1)) != n - 1:
         raise LatticeError("no unique bottom element")
-    dims = _grade(sizes, px, py)
     return _frozen(bits, n_vertices, px, py, dims)
 
 
@@ -627,46 +641,62 @@ def _assemble(bits, dims, pairs, n_vertices):
         run *= n
         run += rank[dy:][y]
         a += len(x)
+    return _frozen(bits[order], n_vertices, *_split(key, n), dims[order])
+
+
+def _split(key, n):
+    """(px, py) of the pair keys x * n + y, sorted in place (their array becomes py)."""
     key.sort()
-    px = key // n
-    py = np.remainder(key, n, out=key)
-    return _frozen(bits[order], n_vertices, px, py, dims[order])
+    return key // n, np.remainder(key, n, out=key)
 
 
-def _strict_pairs(sizes, bits, members):
-    """Every strict inclusion x < y between the sorted faces, sorted by (x, y).
+def _strict_pairs(sizes, bits, index, held=False):
+    """Every strict inclusion x < y between the sorted faces.
 
-    The faces containing x are larger and hold its rarest vertex, so the
-    candidates for x are that vertex's run of an inverted index (the
-    faces holding each vertex, ascending) past the faces of x's size.
-    They are tested on the packed words, about _CHUNK at a time, and
-    come out in (x, y) order.
+    ``index`` is (rows, items), the incidences of an inverted index: the
+    vertices of each face, or with ``held`` the facets holding it.  The
+    faces containing x are larger and hold its rarest vertex, so the
+    candidates for x are that vertex's run of the index (the faces
+    holding each vertex, ascending) past the faces of x's size.  The
+    faces inside y lie in every facet holding y, so with ``held`` the
+    candidates for y are the faces of its rarest facet's run before the
+    faces of y's size.  Either way they are tested on the packed words,
+    about _CHUNK at a time, and the pairs come sorted by (x, y), or
+    with ``held`` by (y, x).  The one face with no entry, the empty face
+    (vertices) or the top (facets), is below or above every other.
     """
-    n, (rows, verts) = len(sizes), members
-    freq = np.bincount(verts)
-    rare = np.full(n, np.iinfo(np.int64).max)
-    np.minimum.at(rare, rows, freq[verts] * len(freq) + verts)
-    rare %= max(len(freq), 1)
-    keys = np.sort(verts * n + rows)        # the faces of each vertex, ascending
+    n, (rows, items) = len(sizes), index
+    freq = np.bincount(items)
+    radix = len(freq) + 1       # a face with no entry gets item len(freq), whose run is empty
+    rare = np.full(n, (n + 1) * radix - 1)
+    np.minimum.at(rare, rows, freq[items] * radix + items)
+    rare %= radix
+    keys = np.sort(items * n + rows)        # the faces of each item, ascending
     holders = keys % n
-    lo = np.searchsorted(keys, rare * n + np.searchsorted(sizes, sizes, "right"))
-    cnt = np.where(sizes > 0, np.searchsorted(keys, rare * n + n) - lo, 0)
-    xs = np.flatnonzero(cnt)
-    ends = np.cumsum(cnt[xs])
-    k = n - 1 if sizes[0] == 0 else 0       # the empty face lies below every other
+    size_bound = np.searchsorted(sizes, sizes, "left" if held else "right")
+    lo = np.searchsorted(keys, rare * n + (0 if held else size_bound))
+    cnt = np.searchsorted(keys, rare * n + (size_bound if held else n)) - lo
+    anchors = np.flatnonzero(cnt)
+    ends = np.cumsum(cnt[anchors])
+    words = list(bits.T)
+    k = n - 1 if sizes[0] == 0 and not held else 0     # the empty face lies below every other
     out = [(np.zeros(k, dtype=np.int64), np.arange(1, k + 1))]
     a = 0
-    while a < len(xs):
-        base = ends[a] - cnt[xs[a]]
+    while a < len(anchors):
+        base = ends[a] - cnt[anchors[a]]
         b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
-        x, c = xs[a:b], cnt[xs[a:b]]
-        y = holders[np.repeat(lo[x] - (ends[a:b] - c - base), c) + np.arange(ends[b - 1] - base)]
-        outside = np.repeat(bits[x, 0], c) & ~bits[y, 0]
-        for w in range(1, bits.shape[1]):
-            outside |= np.repeat(bits[x, w], c) & ~bits[y, w]
+        f, c = anchors[a:b], cnt[anchors[a:b]]
+        found = holders[np.repeat(lo[f] - (ends[a:b] - c - base), c) + np.arange(ends[b - 1] - base)]
+        outside = np.zeros(len(found), dtype=np.uint64)
+        for w in words:     # the anchor's word repeated, the candidates' gathered
+            mine, theirs = np.repeat(w[f], c), w[found]
+            outside |= theirs & ~mine if held else mine & ~theirs
         keep = outside == 0
-        out.append((np.repeat(x, c)[keep], y[keep]))
+        pair = np.repeat(f, c)[keep], found[keep]
+        out.append(pair[::-1] if held else pair)
         a = b
+    if held:        # and every face below the top
+        out.append((np.arange(n - 1), np.full(n - 1, n - 1)))
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
@@ -689,7 +719,7 @@ def _run_starts(a):
     return np.flatnonzero(new)
 
 
-def _triples(px, py, start, row_cost=0):
+def _triples(px, py, start, row_cost=0, upper=None):
     """The triples x < z < y of a strict order, about _CHUNK at a time.
 
     ``px, py`` are the strict pairs sorted by (x, y), so the pairs of
@@ -701,10 +731,17 @@ def _triples(px, py, start, row_cost=0):
     _CHUNK // n rows of n entries, then gathered at (x, y), with no
     search over the keys.  With a ``row_cost`` no x is split between two
     chunks, and a chunk's runs hold at most about _CHUNK // row_cost
-    rows (one x at least).
+    rows (one x at least).  Given ``upper``, a part (qx, qy) of the
+    pairs sorted alike that holds (x, y) whenever it holds (z, y) and
+    x < z, only the triples whose (z, y) and (x, y) lie in it are
+    walked, and lo, hi and xy count its pairs.
     """
     n = len(start) - 1
-    per_row = np.diff(start)[py]       # triples that each row (x, z) opens
+    qx, qy, q_start = px, py, start     # the pairs (z, y) and (x, y) are read from
+    if upper is not None:
+        qx, qy = upper
+        q_start = np.searchsorted(qx, np.arange(n + 1))
+    per_row = np.diff(q_start)[py]      # triples that each row (x, z) opens
     ends = np.cumsum(per_row)
     span = max(1, _CHUNK // max(n, 1))
     block = np.empty((span, n), dtype=np.int64)
@@ -717,28 +754,68 @@ def _triples(px, py, start, row_cost=0):
         if row_cost:
             b = min(b, int(start[np.searchsorted(start, a + _CHUNK // row_cost, "right") - 1]))
             b = int(start[px[max(b, a + 1) - 1] + 1])
-        lo, hi = int(start[x0]), int(start[px[b - 1] + 1])
+        lo, hi = int(q_start[x0]), int(q_start[px[b - 1] + 1])
         cnt = per_row[a:b]
-        zy = np.repeat(start[py[a:b]] - (ends[a:b] - cnt - base), cnt)
+        zy = np.repeat(q_start[py[a:b]] - (ends[a:b] - cnt - base), cnt)
         zy += np.arange(len(zy))
         at = np.repeat((px[a:b] - x0) * n, cnt)
-        at += py[zy]
-        block[px[lo:hi] - x0, py[lo:hi]] = np.arange(lo, hi)
+        at += qy[zy]
+        block[qx[lo:hi] - x0, qy[lo:hi]] = np.arange(lo, hi)
         xy = block.ravel()[at]
         del zy, at
         yield lo, hi, np.repeat(np.arange(a, b), cnt), xy
         a = b
 
 
-def _grade(sizes, px, py):
+def _boolean_below(sizes, px, py):
+    """Per face y: do y and every face below it have all their subsets below them?
+
+    A face of s vertices with 2^s - 1 faces below it (s capped at 62, so
+    no count reaches it beyond) has every subset below it when the
+    pairs are a strict inclusion order of distinct words.  The count
+    alone does not carry down: a face may keep its count while a pair
+    below it is missing, so every face below y must pass it too.
+    """
+    n = len(sizes)
+    full = np.bincount(py, minlength=n) + 1 == np.left_shift(1, np.minimum(sizes, 62))
+    return full & (np.bincount(py[~full[px]], minlength=n) == 0)
+
+
+def _counted_intervals(lat, sizes):
+    """(boolean, (cx, cy), between, balance): triples over the pairs whose y is not Boolean below.
+
+    ``boolean`` is ``_boolean_below`` per face, and (cx, cy) are the
+    pairs counted, in order.  For each of them ``between`` counts the
+    faces strictly between x and y and ``balance`` is the sum of
+    (-1)^dim over [x, y].  A pair with no middle is a cover; a nonzero
+    sum is an unbalanced (non-Eulerian) interval.
+    """
+    px, py = lat.pairs
+    boolean = _boolean_below(sizes, px, py)
+    counted = ~boolean[py]
+    cx, cy = px[counted], py[counted]
+    odd = lat.dims % 2 == 1
+    between = np.zeros(len(cx), dtype=np.int64)
+    odd_between = np.zeros_like(between)
+    if len(cx):
+        for lo, hi, xz, xy in _triples(px, py, lat._rows(), upper=(cx, cy)):
+            between[lo:hi] += np.bincount(xy - lo, minlength=hi - lo)
+            odd_between[lo:hi] += np.bincount(xy[odd[py[xz]]] - lo, minlength=hi - lo)
+    sign = np.where(odd, -1, 1)
+    balance = between - 2 * odd_between
+    balance += sign[cx]
+    balance += sign[cy]
+    return boolean, (cx, cy), between, balance
+
+
+def _grade(sizes, cx, cy):
     """Longest-chain heights shifted so the bottom face has dim -1.
 
-    Faces with equal vertex counts are incomparable, so one count class
-    at a time takes its heights from the finished classes below it.
+    The strict pairs (cx, cy) come grouped by y, ascending.  Faces with
+    equal vertex counts are incomparable, so one count class at a time
+    takes its heights from the finished classes below it.
     """
     heights = np.zeros(len(sizes), dtype=np.int64)
-    order = np.argsort(py, kind="stable")
-    cx, cy = px[order], py[order]
     # the pairs whose y opens each count class
     bounds = np.append(np.searchsorted(cy, _run_starts(sizes)), len(cy))
     for a, b in zip(bounds[:-1], bounds[1:]):

@@ -21,8 +21,10 @@ comparable pairs: a frozenset intersection closure of the facets
 from a per-face loop, covers and the Eulerian balance from float64
 matrix products, and flag numbers from ``np.ix_`` slices of the dense
 order.  They return plain ``(faces, leq, dims)`` and raise the same
-``LatticeError`` messages.  ``is_eulerian`` reads the balance the
-library computes; only tests ask for it.
+``LatticeError`` messages.  ``is_eulerian`` reads the balance off
+``interval_counts``, the pass over all triples x < z < y the library
+ran before its validation skipped the Boolean intervals; only tests ask
+for either.
 
 ``subset_scan_cyclic_facets`` is the cyclic facet list the library made
 before it generated the facets block by block: Gale's evenness test on
@@ -133,7 +135,7 @@ import numpy as np
 from toricgh import toric
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces, _triples
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
@@ -1004,7 +1006,26 @@ def searchsorted_pair_tables(px, py, dims, d):
 
 def is_eulerian(lat) -> bool:
     """Every interval of length >= 1 has equal even- and odd-dim counts."""
-    return not lat._intervals()[1].any()
+    return not interval_counts(lat)[1].any()
+
+
+def interval_counts(lat):
+    """Per strict pair x < y: faces strictly between, and sum of (-1)^dim over [x, y].
+
+    One integer pass over all the triples x < z < y (``_triples``)
+    counts the middles per pair, and those of odd dimension apart.  A
+    pair with no middle is a cover; a nonzero sum is an unbalanced
+    (non-Eulerian) interval.
+    """
+    px, py = lat.pairs
+    odd = lat.dims % 2 == 1
+    between = np.zeros(len(px), dtype=np.int64)
+    odd_between = np.zeros_like(between)
+    for lo, hi, xz, xy in _triples(px, py, lat._rows()):
+        between[lo:hi] += np.bincount(xy - lo, minlength=hi - lo)
+        odd_between[lo:hi] += np.bincount(xy[odd[py[xz]]] - lo, minlength=hi - lo)
+    sign = np.where(odd, -1, 1)
+    return between, between - 2 * odd_between + sign[px] + sign[py]
 
 
 def subset_scan_cyclic_facets(n, d):
@@ -1092,7 +1113,7 @@ def geometric_catalog():
 def covers(lat):
     """Row k lists the faces covering face k, ascending: the pairs with no face between."""
     px, py = lat.pairs
-    cover = lat._intervals()[0] == 0
+    cover = interval_counts(lat)[0] == 0
     cx, cy = px[cover], py[cover].tolist()
     bounds = np.searchsorted(cx, np.arange(len(lat.faces) + 1)).tolist()
     return [cy[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -1,9 +1,11 @@
 """The pair-list builder and the row-pointer triple gather against their oracles.
 
 ``lattice._strict_pairs`` makes the strict comparable pairs straight from
-the packed vertex bitsets, and ``lattice._triples`` finds the row of each
-(x, y) by row pointers.  ``oracles.dense_order`` and
-``oracles.dense_from_vertex_facets`` are the dense inclusion tests the
+the packed vertex bitsets, drawing its candidates from the vertices of
+each face or, with more facets than vertices, from the facets holding
+it; ``lattice._triples`` finds the row of each (x, y) by row pointers,
+and ``oracles.interval_counts`` is its pass over every triple.
+``oracles.dense_order`` and ``oracles.dense_from_vertex_facets`` are the dense inclusion tests the
 builder replaced; ``searchsorted_intervals`` and
 ``searchsorted_pair_tables`` are the passes that searched the keys of all
 pairs.  Values and order must agree, also with chunks so small that the
@@ -28,6 +30,7 @@ from oracles import (
     dense_build,
     dense_from_vertex_facets,
     dense_order,
+    interval_counts,
     searchsorted_intervals,
     searchsorted_pair_tables,
     strict_pairs,
@@ -54,7 +57,7 @@ def _assert_pairs_match(lat, leq):
 
 
 def _assert_passes_match(lat):
-    between, balance = lat._intervals()
+    between, balance = interval_counts(lat)
     old_between, old_balance = searchsorted_intervals(lat)
     assert np.array_equal(between, old_between) and np.array_equal(balance, old_balance)
     forward = (*lat.pairs, lat.dims, lat.d)
@@ -134,6 +137,50 @@ def test_triples_are_every_chain_of_three(monkeypatch):
             last = xs
         assert sorted(got) == expect
         assert split == (not row_cost)
+    # read (z, y) and (x, y) from the pairs whose y has dimension >= 2 only
+    upper = px[lat.dims[py] >= 2], py[lat.dims[py] >= 2]
+    got = []
+    for lo, hi, xz, xy in _triples(px, py, lat._rows(), upper=upper):
+        assert np.all((lo <= xy) & (xy < hi)) and np.array_equal(px[xz], upper[0][xy])
+        got += zip(px[xz].tolist(), py[xz].tolist(), upper[1][xy].tolist())
+    assert sorted(got) == [t for t in expect if lat.dims[t[2]] >= 2]
+
+
+FACET_SIDE = [e.name for e in CATALOG if e.dim >= 1
+              and len(e.lattice().faces_of_dim(e.dim - 1)) > e.lattice().n_vertices]
+
+
+@pytest.mark.parametrize("name", FACET_SIDE + ["cross7", "cyclic(12,6)", "cyclic(14,7)"])
+def test_facet_side_pairs_match_dense_order(name):
+    # more facets than vertices: the closure holds each face's facet set, and
+    # the candidates below y are the faces of its rarest facet
+    ref = parse_recipe(name).lattice()
+    lat = FaceLattice.from_vertex_facets(ref.n_vertices, ref.to_json()["facets"])
+    _assert_pairs_match(lat, dense_order(lat))
+
+
+@pytest.mark.parametrize("name, held", [("cyclic(14,7)", True), ("cube7", False)])
+def test_pairs_come_from_the_side_the_closure_ran_on(monkeypatch, name, held):
+    # cyclic(14,7) has 168 facets on 14 vertices, cube7 14 facets on 128
+    calls = []
+
+    def counting(sizes, bits, index, held=False):
+        calls.append((held, len(index[0])))
+        return strict_pairs_of(sizes, bits, index, held)
+
+    ref = parse_recipe(name).lattice()
+    facets = ref.to_json()["facets"]
+    strict_pairs_of = lattice_module._strict_pairs
+    monkeypatch.setattr(lattice_module, "_strict_pairs", counting)
+    lat = FaceLattice.from_vertex_facets(ref.n_vertices, facets)
+    # the facets are checked for containment on their vertices, then the
+    # faces are ordered from the index of the closure's side: one entry per
+    # face and facet holding it, or per face and vertex in it
+    if held:
+        entries = sum(len(lat.below(f)) + 1 for f in lat.faces_of_dim(lat.d - 1))
+    else:
+        entries = sum(map(len, lat.faces))
+    assert calls == [(False, sum(map(len, facets))), (held, entries)]
 
 
 def test_cube8_build_holds_no_dense_order():
