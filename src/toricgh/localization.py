@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from toricgh.geometry import Cone, _integer_kernel, dot, primitive_ray
-from toricgh.toric import face_g, quotient_g
+from toricgh.toric import _face_tables, _quotient_tables
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,9 @@ def check_generalized_monotonicity(cone: Cone, v):
     """
     decomp = classify_faces(cone, v)
     lat = cone.lattice
-    lhs = face_g(lat, lat.top)(1)
-    rhs = 0
-    for tau in decomp.min_fixed:
-        rhs += face_g(lat, tau)(1) * quotient_g(lat, tau)(1)
+    G, quot = _face_tables(lat)[1], _quotient_tables(lat)[1]
+    lhs = sum(G[lat.top].tolist())
+    rhs = sum(sum(G[tau].tolist()) * sum(quot[tau].tolist()) for tau in decomp.min_fixed)
     return lhs, rhs, lhs >= rhs
 
 

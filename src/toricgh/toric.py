@@ -7,22 +7,25 @@ recursion
     g_k = h_k - h_{k-1} for 0 <= k <= d/2,
 
 starting from g = h = 1 on the empty polytope.  Toric h is linear in
-the flag numbers (``_flag_coeffs``), so P, its faces and its quotients
-are read off one chain count, ``_chain_flags``, which counts the chains
-below every element of a graded order a dimension layer at a time and
-refuses an order whose tables could leave int64.  On the lattice
-(``_face_flags``) its top row is the flag vector, its rows give h and g
-of every face (``_face_tables``), and the same rows with their
-dimensions reversed give g of every polar (``_polar_g``); on a face's
-up-set its top row gives g of the quotient P/F (``_rooted_g``).  All
-quotients at once run the recursion itself: ``_chunk_tables`` takes it
-one dimension layer at a time, in exact int64 with numpy doing the bulk
-sums, on the triples x < z < y of the lattice's strict comparable
-pairs, through ``_pair_tables`` for every interval [x, y].  The rest of
-the module is arithmetic on those tables: closed forms for g1/g2, the
-extended g-tilde numbers, and executable checks of Dehn-Sommerville,
-monotonicity, the upper bound inequality, the vertex identity relating
-g_k and g_{k+1}, and the cone/bipyramid identities.
+the flag numbers (``_flag_coeffs``), so P, its faces, their polars and
+its quotients are read off one chain count, ``_chain_flags``, which
+counts the chains below every element of a graded order a dimension
+layer at a time and refuses an order whose tables could leave int64.
+On the lattice (``_face_flags``) its top row is the flag vector, its
+rows give h and g of every face (``_face_tables``), and the same rows
+with their dimensions reversed give g of every polar (``_polar_g``).
+On the order read top-down, its rows are the polars of the quotients,
+so one more count gives h and g of every quotient P/F
+(``_quotient_tables``); on one face's up-set its top row gives g of
+that quotient alone (``_rooted_g``).  Every interval [x, y] at once,
+which only the Verma solver reads, runs the recursion itself:
+``_chunk_tables`` takes it one dimension layer at a time, in exact int64
+with numpy doing the bulk sums, on the triples x < z < y of the
+lattice's strict comparable pairs, through ``_pair_tables``.  The rest
+of the module is arithmetic on those tables: closed forms for g1/g2,
+the extended g-tilde numbers, and executable checks of
+Dehn-Sommerville, monotonicity, the upper bound inequality, the vertex
+identity relating g_k and g_{k+1}, and the cone/bipyramid identities.
 """
 
 from __future__ import annotations
@@ -154,8 +157,9 @@ def _pair_tables(px, py, dims, d: int):
     Integer throughout; storage is O(comparable pairs * d), and the
     int64 check of ``_chain_flags`` on the same order bounds every
     coefficient: the caller runs it first.  The library runs it on the
-    forward order only, through ``_pairs``: the faces and the polars,
-    intervals of the reversed order, are read off ``_face_flags``.
+    forward order only, through ``_pairs``, for the Verma solver: the
+    faces, the polars and the quotients are read off chain counts
+    (``_face_tables``, ``_polar_g``, ``_quotient_tables``).
     """
     n = len(dims)
     fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
@@ -178,28 +182,23 @@ class _PairTable(NamedTuple):
     px: np.ndarray
     py: np.ndarray
     G: np.ndarray
-    quot_h: np.ndarray
-    quot_g: np.ndarray
 
 
 def _pairs(lat: FaceLattice) -> _PairTable:
-    """The pair table of ``lat`` and its columns, built once per lattice.
+    """The Verma solver's pair table (px, py, G), built once per lattice.
 
-    Besides (px, py, G) it holds, per face x, the rows of the quotient
-    [x, top] (``quot_h``, ``quot_g``).  The h row of every pair is not
-    kept: nothing reads it past that column, and it would cost
-    8 * (d + 1) bytes per pair for the life of the lattice.  The faces
-    [bottom, x] are read off ``_face_tables``, not here.  ``_face_flags``
-    runs first: it refuses a lattice past int64, and every reader of the
-    pair table reads the flags too.
+    The rows are ``_pair_tables``' comparable pairs, and G holds g of
+    each [x, y] up to column d // 2, beyond which every g is zero: those
+    are the columns ``verma._multiplicities`` reads.  The h rows and the
+    rest of G are not kept, since they would cost 8 * (d + 1) bytes per
+    pair each for the life of the lattice.  ``_face_flags`` runs first:
+    it refuses a lattice past int64.
     """
     table = lat._cache.get("pairs")
     if table is None:
         _face_flags(lat)
-        px, py, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
-        # (x, top) closes block x of the table
-        quot = np.cumsum(np.bincount(px, minlength=len(lat))) - 1
-        table = lat._cache["pairs"] = _PairTable(px, py, G, H[quot], G[quot])
+        px, py, _, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
+        table = lat._cache["pairs"] = _PairTable(px, py, G[:, :max(lat.d // 2 + 1, 1)].copy())
     return table
 
 
@@ -211,18 +210,28 @@ def _g_of(h: np.ndarray, e: int) -> np.ndarray:
     return g
 
 
-def _read_flags(lat: FaceLattice, coeffs):
-    """(faces, h, g) per dimension e of the faces, read off ``_face_flags``.
+def _read_flags(flags, dims, coeffs):
+    """(faces, h, g) per dimension e of a chain count's arrays ``flags``.
 
-    ``faces`` are the faces of dimension e by index, h their flag rows
+    ``faces`` are the elements of ``dims`` e by index, h their flag rows
     times ``coeffs(e)``, and g their ``_g_of``.  |h_k| is at most the
-    chains of [bottom, w] times max |C_e| = C(e, floor(e/2)) <= 2^e, so
-    every entry stays inside the bound ``_chain_flags`` checks as it
-    counts the flags.
+    chains of the row's interval times max |C_e| = C(e, floor(e/2)) <=
+    2^e, so every entry stays inside the bound ``_chain_flags`` checks
+    as it counts the flags.
     """
-    for e, F in enumerate(_face_flags(lat)):
+    for e, F in enumerate(flags):
         h = F @ coeffs(e)
-        yield np.flatnonzero(lat.dims == e), h, _g_of(h, e)
+        yield np.flatnonzero(dims == e), h, _g_of(h, e)
+
+
+def _tables(flags, dims, coeffs, empty: int):
+    """(H, G) of every row of ``_read_flags``; row ``empty``, the empty polytope, is 1."""
+    H = np.zeros((len(dims), max(len(flags), 1)), dtype=np.int64)
+    G = np.zeros_like(H)
+    H[empty, 0] = G[empty, 0] = 1
+    for faces, h, g in _read_flags(flags, dims, coeffs):
+        H[faces, :h.shape[1]], G[faces, :g.shape[1]] = h, g
+    return H, G
 
 
 def _face_tables(lat: FaceLattice):
@@ -234,12 +243,9 @@ def _face_tables(lat: FaceLattice):
     """
     tables = lat._cache.get("face_tables")
     if tables is None:
-        H = np.zeros((len(lat), max(lat.d + 1, 1)), dtype=np.int64)
-        G = np.zeros_like(H)
-        H[lat.bottom, 0] = G[lat.bottom, 0] = 1
-        for faces, h, g in _read_flags(lat, _flag_coeffs):
-            H[faces, :h.shape[1]], G[faces, :g.shape[1]] = h, g
-        tables = lat._cache["face_tables"] = (H, G)
+        tables = lat._cache["face_tables"] = _tables(
+            _face_flags(lat), lat.dims, _flag_coeffs, lat.bottom
+        )
     return tables
 
 
@@ -256,10 +262,45 @@ def _polar_g(lat: FaceLattice) -> np.ndarray:
     if polar is None:
         polar = np.zeros((len(lat), max(lat.d + 1, 1)), dtype=np.int64)
         polar[lat.bottom, 0] = 1
-        for faces, _, g in _read_flags(lat, _polar_coeffs):
+        for faces, _, g in _read_flags(_face_flags(lat), lat.dims, _polar_coeffs):
             polar[faces, :g.shape[1]] = g
         lat._cache["polar_g"] = polar
     return polar
+
+
+def _quotient_tables(lat: FaceLattice):
+    """(H, G): row f holds h and g of the quotient P/f, the interval [f, top].
+
+    Read top-down, [f, top] is the polar of P/f, so its flag numbers are
+    f's row of the chain count on the reversed order (the pairs (y, x),
+    f of dimension e = d - 1 - dim f), and h(P/f) is that row times
+    ``_polar_coeffs(e)``, as the polars are read off ``_face_flags``.
+    The top, whose quotient is the empty polytope, is 1.  The reversed
+    count's blocks come from one stable sort of a 1- or 2-byte key, the
+    (dim x, dim y) block in the reversed order: ``lat.pairs`` run by
+    (x, y), which there is y first, so each block stays sorted by its y.
+
+    ``_face_flags`` runs first and refuses a lattice past int64, so the
+    reversed count runs unchecked (``_count_chains``).  A chain from x to
+    w becomes one from the bottom by putting the bottom first, so
+    c(x, w) <= c(bottom, w): the forward count's check bounds the chains
+    of every interval below ``_INT64_LIMIT >> (d + 2)``.  The reversed
+    order has the same intervals with the same chains, and
+    ``_read_flags`` bounds h by them, so no entry can wrap; a check of
+    its own would only add a coarser estimate that can refuse by itself.
+    Built once per lattice.
+    """
+    tables = lat._cache.get("quotient_tables")
+    if tables is None:
+        _face_flags(lat)
+        (px, py), d, span = lat.pairs, lat.d, lat.d + 2
+        dims = d - 1 - lat.dims
+        key = ((dims[py] + 1) * span + dims[px] + 1).astype(np.min_scalar_type(span * span))
+        order = np.argsort(key, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=span * span))))
+        flags = list(_count_chains(py, px, dims, d, _Blocks(order, bounds, span)))
+        tables = lat._cache["quotient_tables"] = _tables(flags, dims, _polar_coeffs, lat.top)
+    return tables
 
 
 def _column(table: np.ndarray, k: int) -> np.ndarray:
@@ -285,15 +326,15 @@ def face_g(lat: FaceLattice, face: int) -> Polynomial:
 
 
 def quotient_g(lat: FaceLattice, face: int) -> Polynomial:
-    """g of P/face: a pair table lookup, else the chains of the face's up-set."""
+    """g of P/face: a quotient table lookup, else the chains of the face's up-set."""
     return Polynomial(_quotient_row(lat, face))
 
 
 def _quotient_row(lat: FaceLattice, face: int) -> list[int]:
-    """g of P/face as an int list; without a pair table, kept per face in ``"quotients"``."""
-    table = lat._cache.get("pairs")
-    if table is not None:
-        return table.quot_g[face].tolist()
+    """g of P/face as an int list; without a quotient table, kept per face in ``"quotients"``."""
+    tables = lat._cache.get("quotient_tables")
+    if tables is not None:
+        return tables[1][face].tolist()
     rows = lat._cache.setdefault("quotients", {})
     if face not in rows:
         rows[face] = _rooted_g(lat, face)
@@ -349,6 +390,41 @@ class FlagVector(dict):
 def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
     """The flag numbers of every element of a graded order, one int64 array per dimension e.
 
+    ``_count_chains`` counts them; this checks, before each array pushes,
+    that no table entry read off them could leave int64.  By induction
+    over the recursion, the coefficients of h of [x, y] sum in absolute
+    value to at most 2^(dim y - dim x) c(x, y), c(x, y) the chains from x
+    to y, and those of g to twice that; every partial sum in the tables is
+    bounded by such a sum.  So the count refuses an order where the most
+    chains ending at one element, from any element, could reach cap =
+    ``_INT64_LIMIT >> (d + 2)``.  The product of (f_e + 1) bounds that;
+    when it is too coarse, array a is checked once whole, before it
+    pushes.  Its chains number at most 1 + below(w) * ``most``, with
+    below(w), the elements under w, 1 plus w's singleton columns (face
+    counts, which cannot wrap) and ``most`` twice the largest row sum of
+    the arrays checked before.  An array is read only after its own
+    check, and an interval [x, top] of an order that passes passes too:
+    no more chains, below-counts no larger, a cap no smaller.
+    """
+    cap = _INT64_LIMIT >> (d + 2)
+    layers = _count_chains(px, py, dims, d, blocks)
+    if prod(int(f) + 1 for f in np.bincount(dims + 1)) < cap:
+        return list(layers)
+    flags, most = [], 1
+    for a, F in enumerate(layers):
+        below = 1 + int(F[:, 1 << np.arange(a)].sum(axis=1).max())
+        if most * below >= cap:
+            raise LatticeError(
+                f"h/g coefficients could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
+            )
+        most = max(most, 2 * int(F.sum(axis=1).max()))
+        flags.append(F)
+    return flags
+
+
+def _count_chains(px, py, dims, d: int, blocks: _Blocks):
+    """Yield the flag arrays of a graded order, each once it is whole, before it pushes.
+
     The order has strict pairs (px, py), grouped by ``_order_blocks``,
     and a bottom of dimension -1.  Row i of array e is the i-th element w
     of dim e by index; column S, a bitmask of dimensions (bit j for dim
@@ -358,24 +434,9 @@ def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
     [2^a, 2^(a+1)) of w's row sum the rows of array a over the pairs
     u < w: once the dimensions below a have pushed, array a is whole and
     pushes onto every element above, one ``np.add.reduceat`` per piece of
-    about _CHUNK cells of its block rows, by (dim y, y).
-
-    By induction over the recursion, the coefficients of h of [x, y] sum
-    in absolute value to at most 2^(dim y - dim x) c(x, y), c(x, y) the
-    chains from x to y, and those of g to twice that; every partial sum
-    in the tables is bounded by such a sum.  So the count refuses an
-    order where the most chains ending at one element, from any element,
-    could reach cap = ``_INT64_LIMIT >> (d + 2)``.  The product of
-    (f_e + 1) bounds that; when it is too coarse, array a is checked once
-    whole, before it pushes.  Its chains number at most 1 + below(w) *
-    ``most``, with below(w), the elements under w, 1 plus w's singleton
-    columns (face counts, which cannot wrap) and ``most`` twice the
-    largest row sum of the arrays checked before.  An array is read only
-    after its own check, and an interval [x, top] of an order that passes
-    passes too: no more chains, below-counts no larger, a cap no smaller.
+    about _CHUNK cells of its block rows, by (dim y, y).  Nothing here
+    bounds the entries: ``_chain_flags`` checks them.
     """
-    cap = _INT64_LIMIT >> (d + 2)
-    coarse = prod(int(f) + 1 for f in np.bincount(dims + 1)) >= cap
     n = len(dims)
     by_dim = np.argsort(dims, kind="stable")
     rank = np.empty(n, dtype=np.int64)      # each element's place in by_dim
@@ -388,15 +449,8 @@ def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
     ]
     for F in flags:
         F[:, 0] = 1
-    most = 1
     for a, F in enumerate(flags):
-        if coarse:
-            below = 1 + int(F[:, 1 << np.arange(a)].sum(axis=1).max())
-            if most * below >= cap:
-                raise LatticeError(
-                    f"h/g coefficients could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
-                )
-            most = max(most, 2 * int(F.sum(axis=1).max()))
+        yield F
         sel, step = blocks.from_dim(a), max(1, _CHUNK >> a)
         for p in range(0, len(sel), step):
             part = sel[p:p + step]
@@ -410,7 +464,6 @@ def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
                 if s < t:
                     rows = slice(s - starts[e + 1], t - starts[e + 1])
                     flags[e][rows, 1 << a:2 << a] += sums[s - lo:t - lo]
-    return flags
 
 
 def _face_flags(lat: FaceLattice) -> list[np.ndarray]:
@@ -526,8 +579,8 @@ def check_monotonicity(lat: FaceLattice, face: int) -> bool:
 
 
 def check_monotonicity_all(lat: FaceLattice) -> bool:
-    """Monotonicity at every proper face, g(P/F) read off one pair table."""
-    G, quot = _face_tables(lat)[1], _pairs(lat).quot_g
+    """Monotonicity at every proper face, g(P/F) read off the quotient table."""
+    G, quot = _face_tables(lat)[1], _quotient_tables(lat)[1]
     g = G[lat.top].tolist()
     return all(
         _monotone(g, G[f].tolist(), quot[f].tolist()) for f in range(1, len(lat) - 1)
@@ -585,7 +638,7 @@ def _kalai_rhs(lat: FaceLattice, k: int) -> int:
     def gt(H, j):
         return _column(H, j) - _column(H, j - 1) if j else _column(H, 0)
 
-    face_h, quot_h = _face_tables(lat)[0], _pairs(lat).quot_h
+    face_h, quot_h = _face_tables(lat)[0], _quotient_tables(lat)[0]
     rhs = 0
     for i in range(min(k, (lat.d - 1) // 2) + 1):
         faces = lat.dims == 2 * i

@@ -33,7 +33,7 @@ import numpy as np
 
 from toricgh.lattice import FaceLattice, _run_starts
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _blocks, _column, _pairs, _polar_g
+from toricgh.toric import _blocks, _pairs, _polar_g, _quotient_tables
 
 
 class MultiplicityTable(dict):
@@ -154,6 +154,31 @@ def polar_g(lat: FaceLattice, face: int) -> Polynomial:
     return Polynomial(_polar_g(lat)[face].tolist())
 
 
+def _signed_sums(lat: FaceLattice) -> np.ndarray:
+    """A[e + 1, i, j]: sum over faces F with dim F <= e of (-1)^dim F g_i(F*) g_j(P/F).
+
+    The polars come from ``_polar_g`` and the quotients from
+    ``_quotient_tables``, up to column d // 2, beyond which g is zero.
+    Each table entry is bounded, but a sum of their products is not:
+    when max |g(F*)| * max |g(P/F)| * faces could reach 2^63 the sums
+    are taken in Python ints.  Reciprocity reads A[d + 1], and each
+    truncated sum one entry per degree.  Built once per lattice.
+    """
+    sums = lat._cache.get("signed_sums")
+    if sums is None:
+        k = max(lat.d // 2 + 1, 1)
+        polar, quot = _polar_g(lat)[:, :k], _quotient_tables(lat)[1][:, :k]
+        if int(np.abs(polar).max()) * int(np.abs(quot).max()) * len(lat) >= 1 << 63:
+            polar, quot = polar.astype(object), quot.astype(object)
+        layers = []
+        for e in range(-1, lat.d + 1):
+            faces = lat.dims == e
+            layer = polar[faces].T @ quot[faces]
+            layers.append(layer if e % 2 == 0 else -layer)
+        sums = lat._cache["signed_sums"] = np.cumsum(layers, axis=0)
+    return sums
+
+
 def check_reciprocity(lat: FaceLattice) -> Polynomial:
     """sum over all faces of (-1)^dim F g(F*, t) g(P/F, t); zero if correct.
 
@@ -162,10 +187,8 @@ def check_reciprocity(lat: FaceLattice) -> Polynomial:
     """
     if lat.d < 0:
         raise ValueError("reciprocity needs a nonempty polytope")
-    signed = np.where(lat.dims % 2 == 0, 1, -1)[:, None] * _polar_g(lat)
-    quot = _pairs(lat).quot_g
     # coefficient (i, j) of sum_F sign_F g(F*) g(P/F) lands on t^(i + j)
-    prod = (signed.T @ quot).tolist()
+    prod = _signed_sums(lat)[-1].tolist()
     out = [0] * (len(prod) + len(prod[0]) - 1)
     for i, row in enumerate(prod):
         for j, c in enumerate(row):
@@ -182,12 +205,11 @@ def truncated_inequality(lat: FaceLattice, k: int, s: int):
     """
     if k < 0 or s < 0:
         raise ValueError("k and s must be nonnegative")
-    dims = lat.dims
-    sign = np.where((dims - s + 1) % 2 == 0, 1, -1)
-    polar, quot = _polar_g(lat), _pairs(lat).quot_g
+    sums = _signed_sums(lat)
+    width = sums.shape[1]
     total = 0
-    for i in range(k + 1):
-        keep = dims <= s + 2 * i - 1
-        terms = sign * _column(polar, i) * _column(quot, k - i)
-        total += int(terms[keep].sum())
+    for i in range(max(k - width + 1, 0), min(k + 1, width)):
+        top = min(s + 2 * i - 1, lat.d)
+        total += int(sums[top + 1, i, k - i])
+    total *= (-1) ** (s + 1)
     return total, total >= 0

@@ -117,6 +117,10 @@ chain-count table (``toric._face_flags``): a prefix recursion over the
 ``np.add.at``, and the all-pairs h/g pass run again on the
 order-reversed lattice.
 
+``pair_quotients`` is h and g of every quotient P/F as the library read
+them before one chain count on the order read top-down gave them
+(``toric._quotient_tables``): the rows (F, top) of the all-pairs table.
+
 ``guard`` and ``interval_tables`` are the int64 check and the rooted
 quotient tables the library ran before one chain count did both
 (``toric._chain_flags``): the chains counted a second time, layer by
@@ -795,6 +799,22 @@ def reversed_polar_g(lat):
     guard(above, below, lat.d - 1 - lat.dims, lat.d)
     px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
     return G[np.searchsorted(px, np.arange(len(lat)))]
+
+
+_PAIR_QUOTIENTS = WeakKeyDictionary()
+
+
+def pair_quotients(lat):
+    """(H, G): row f holds h and g of P/f, the pair table's row (f, top).
+
+    (f, top) closes the block of f in the pair table, whose rows run by
+    (x, y).  Kept per lattice, so a test can read it root by root.
+    """
+    if lat not in _PAIR_QUOTIENTS:
+        px, _, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
+        quot = np.cumsum(np.bincount(px, minlength=len(lat))) - 1
+        _PAIR_QUOTIENTS[lat] = H[quot], G[quot]
+    return _PAIR_QUOTIENTS[lat]
 
 
 def guard(px, py, dims, d):

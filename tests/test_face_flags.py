@@ -30,6 +30,7 @@ from toricgh.toric import (
     _flag_coeffs,
     _pairs,
     _polar_g,
+    _quotient_tables,
     check_monotonicity,
     flag_vector,
     report,
@@ -225,5 +226,6 @@ def test_the_int64_guard_runs_once_per_lattice(monkeypatch):
     flag_vector(lat)
     _pairs(lat)
     _polar_g(lat)
+    _quotient_tables(lat)
     toric_h(lat)
     assert len(runs) == 1

@@ -3,12 +3,14 @@
 ``toric._rooted_g(lat, root)`` reads g of the quotient [root, top] off
 the chain count of the root's up-set.  It must equal the top row of
 ``oracles.dense_interval_tables``, the construction from ``np.ix_``
-blocks of the dense order, and the root's row of the pair table's
-quotient column.  ``oracles.interval_tables``, the rooted chunk
-recursion, must agree with the dense tables row for row: the same
-face-to-row map and the same int64 h and g rows.  No reader of the
-tables, and no shelling, rigidity, localization, interval or dual, may
-build the dense ``leq`` view.
+blocks of the dense order, the root's row of the quotient table
+(``toric._quotient_tables``), and the root's row of the pair table's
+quotient column (``oracles.pair_quotients``).
+``oracles.interval_tables``, the rooted chunk recursion, must agree
+with the dense tables row for row: the same face-to-row map and the
+same int64 h and g rows.  No reader of the tables, and no shelling,
+rigidity, localization, interval or dual, may build the dense ``leq``
+view.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ from toricgh.rigidity import g2_via_stresses
 from toricgh.shelling import line_shelling, shelling_decomposition
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
-    _pairs,
+    _quotient_tables,
     _rooted_g,
     check_kalai_identity,
     face_g,
@@ -38,7 +40,7 @@ from toricgh.toric import (
 )
 from toricgh.verma import check_reciprocity, verma_multiplicities
 
-from oracles import dense_interval_tables, interval_tables
+from oracles import dense_interval_tables, interval_tables, pair_quotients
 
 SMALL = [e for e in catalog() if len(e.lattice()) <= 200]
 LARGE = {name: parse_recipe(name).lattice() for name in ("cyclic(12,6)", "prism(cube6)")}
@@ -53,7 +55,8 @@ def _assert_same_tables(lat, root):
     # the library's rooted g, zero-padded to the width of each table
     g = _rooted_g(lat, root)
     assert all(type(c) is int for c in g), root
-    for row in (G_d[pos_d[lat.top]], _pairs(lat).quot_g[root]):
+    rows = (G_d[pos_d[lat.top]], _quotient_tables(lat)[1][root], pair_quotients(lat)[1][root])
+    for row in rows:
         assert row[:len(g)].tolist() == g and not row[len(g):].any(), root
 
 

@@ -34,11 +34,12 @@ class _Rows(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _rows(lat):
-    """Every pair's h and g rows; the lattice's cached pair table keeps g only."""
+    """Every pair's h and g rows; the lattice's cached pair table keeps g up to d // 2."""
     rows = _Rows(*_pair_tables(*lat.pairs, lat.dims, lat.d))
     t = _pairs(lat)
+    k = max(lat.d // 2 + 1, 1)
     assert np.array_equal(t.px, rows.px) and np.array_equal(t.py, rows.py)
-    assert np.array_equal(t.G, rows.G)
+    assert t.G.shape[1] == k and np.array_equal(t.G, rows.G[:, :k]) and not rows.G[:, k:].any()
     return rows
 
 

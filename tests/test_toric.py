@@ -18,6 +18,7 @@ from toricgh.polynomial import Polynomial
 from toricgh.toric import (
     _monotone,
     _pairs,
+    _quotient_tables,
     _rooted_g,
     check_cone_bipyramid,
     check_dehn_sommerville,
@@ -184,23 +185,23 @@ def test_monotonicity_refuses_the_bottom_and_the_top():
     for face in (lat.bottom, lat.top):
         with pytest.raises(ValueError, match=f"proper nonempty face, not face {face}$"):
             check_monotonicity(lat, face)
-    _pairs(lat)
+    _quotient_tables(lat)
     with pytest.raises(ValueError, match=f"not face {lat.top}$"):
         check_monotonicity(lat, lat.top)
 
 
 def test_monotonicity_matches_polynomial_comparison():
-    # each face once on a lattice without a pair table (rooted tables),
+    # each face once on a lattice without a quotient table (rooted counts),
     # then on one with it, against the Polynomial comparison of before
     for name in ["cube4", "cross4", "cyclic(8,5)", "prism(pyramid(cube2))", "pyramid(cross4)"]:
-        bare, paired = parse_recipe(name).lattice(), parse_recipe(name).lattice()
-        _pairs(paired)
-        g = toric_g(paired)
+        bare, tabled = parse_recipe(name).lattice(), parse_recipe(name).lattice()
+        _quotient_tables(tabled)
+        g = toric_g(tabled)
         for f in range(1, len(bare) - 1):
-            expected = coefficientwise_geq(g, face_g(paired, f) * quotient_g(paired, f))
-            assert check_monotonicity(bare, f) is expected is check_monotonicity(paired, f)
-        assert "pairs" not in bare._cache
-        assert check_monotonicity_all(paired)
+            expected = coefficientwise_geq(g, face_g(tabled, f) * quotient_g(tabled, f))
+            assert check_monotonicity(bare, f) is expected is check_monotonicity(tabled, f)
+        assert "quotient_tables" not in bare._cache and "pairs" not in bare._cache
+        assert check_monotonicity_all(tabled)
 
 
 @given(st.lists(st.integers(-5, 5), max_size=5), st.lists(st.integers(-5, 5), max_size=4),
@@ -295,7 +296,7 @@ def test_g_cascade():
 
 def test_quotient_h_matches_regraded_interval():
     for face in (CUBE4.index_of({0}), CUBE4.index_of({0, 1})):
-        qh = Polynomial(_pairs(CUBE4).quot_h[face].tolist())
+        qh = Polynomial(_quotient_tables(CUBE4)[0][face].tolist())
         assert qh == toric_h(CUBE4.quotient(face))
         assert qh.is_palindromic(CUBE4.d - int(CUBE4.dims[face]) - 1)
 
@@ -326,41 +327,48 @@ def test_non_eulerian_rejected_by_constructor():
         FaceLattice.from_vertex_facets(4, [{0, 1}, {1, 2}, {2, 3}])
 
 
-def test_monotonicity_over_all_faces_builds_one_pair_table(monkeypatch):
+def test_monotonicity_over_all_faces_builds_one_quotient_table(monkeypatch):
     import toricgh.toric as toric_module
     from toricgh.cli import _verify_one
 
+    def refuse(*args):
+        raise AssertionError("monotonicity built a pair table")
+
     builds = []
-    pass_once = toric_module._pair_tables
+    count_once = toric_module._quotient_tables
+    monkeypatch.setattr(toric_module, "_pair_tables", refuse)
     monkeypatch.setattr(
-        toric_module, "_pair_tables", lambda *a: builds.append(1) or pass_once(*a)
+        toric_module, "_quotient_tables",
+        lambda lat: builds.append("quotient_tables" not in lat._cache) or count_once(lat),
     )
     for name in ["cube4", "cyclic(8,5)", "prism(cross4)", "bipyramid(pyramid(cube3))"]:
         lat, alone = parse_recipe(name).lattice(), parse_recipe(name).lattice()
         builds.clear()
         assert check_monotonicity_all(lat)
-        assert len(builds) == 1
-        # the table's quotient column is the rooted count of a lattice without one
-        quot = _pairs(lat).quot_g
+        assert builds == [True]
+        # the table's rows are the rooted counts of a lattice without one
+        quot = _quotient_tables(lat)[1]
         for f in range(1, len(lat) - 1):
             assert Polynomial(quot[f].tolist()) == Polynomial(_rooted_g(alone, f)), (name, f)
             assert quotient_g(lat, f) == quotient_g(alone, f), (name, f)
             assert check_monotonicity(lat, f) == check_monotonicity(alone, f)
-        assert "quotients" not in lat._cache and "pairs" not in alone._cache
+        assert "quotients" not in lat._cache and "quotient_tables" not in alone._cache
         assert sorted(alone._cache["quotients"]) == list(range(1, len(lat) - 1))
         inp = parse_recipe(name)
         builds.clear()
         assert _verify_one("monotonicity", inp, 0, "all")
-        assert len(builds) == 1 and "pairs" in inp.lattice()._cache
+        assert builds == [True] and "quotient_tables" in inp.lattice()._cache
+        assert "pairs" not in inp.lattice()._cache
 
 
 def test_rooted_quotients_are_kept_as_int_lists():
-    # without a pair table, monotonicity keeps one g row per face, not a table per root
+    # without a quotient table, monotonicity keeps one g row per face, not a table per root
     lat = cube_lattice(6)
     edges = lat.faces_of_dim(1)
     assert all(check_monotonicity(lat, f) for f in edges)
     rows = lat._cache["quotients"]
-    assert "pairs" not in lat._cache and sorted(rows) == sorted(edges)
+    assert "quotient_tables" not in lat._cache and "pairs" not in lat._cache
+    assert sorted(rows) == sorted(edges)
     assert all(type(row) is list and all(type(c) is int for c in row) for row in rows.values())
     assert all(Polynomial(rows[f]) == toric_g(lat.quotient(f)) for f in edges[:4])
 
@@ -381,7 +389,7 @@ def test_int64_guard_refuses_past_the_limit(monkeypatch, capsys):
 
     monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 12)
     lat = cube_lattice(4)
-    for compute in (toric_h, flag_vector, _polar_g, _pairs):
+    for compute in (toric_h, flag_vector, _polar_g, _quotient_tables, _pairs):
         with pytest.raises(LatticeError, match="int64"):
             compute(lat)
     for command in ("gh", "verma"):

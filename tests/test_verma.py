@@ -9,7 +9,7 @@ from toricgh.catalog import (
     simplex_lattice,
 )
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _pairs, _polar_g, quotient_g, toric_g
+from toricgh.toric import _pairs, _polar_g, _quotient_tables, quotient_g, toric_g
 from toricgh.verma import (
     check_reciprocity,
     check_verma_vs_polar,
@@ -112,19 +112,75 @@ def _corrupt(name, *entries):
     return lat
 
 
+def _truncated_values(lat):
+    return {(k, s): truncated_inequality(lat, k, s)[0]
+            for k in range(lat.d // 2 + 2) for s in range(lat.d + 2)}
+
+
 @pytest.mark.parametrize("name", ["cube3", "cube4", "cyclic(7,4)", "prism(cross3)"])
-def test_a_changed_pair_table_entry_fails_verma_and_reciprocity(name):
-    # polar g reads the flag table, not the pair table, so one wrong entry
-    # of the pair table shows in both checks: g_1 of [bottom, top], which
-    # the table also holds as the bottom's quotient, moved so that m_1 of
-    # the top rises and the solve still succeeds
-    lat = parse_recipe(name).lattice()
-    value = toric_g(lat)[1] + (-1) ** lat.d
-    lat = _corrupt(name, (lat.bottom, lat.top, 1, value))
-    _pairs(lat).quot_g[lat.bottom, 1] = value
+def test_a_changed_pair_table_entry_fails_verma_only(name):
+    # polar g reads the flag table and the quotients their own table, so one
+    # wrong entry of the pair table shows in verma alone: g_1 of
+    # [bottom, top] moved so that m_1 of the top rises and the solve still
+    # succeeds
+    clean = parse_recipe(name).lattice()
+    value = toric_g(clean)[1] + (-1) ** clean.d
+    lat = _corrupt(name, (clean.bottom, clean.top, 1, value))
     assert polar_matches(lat).tolist() == [f != lat.top for f in range(len(lat))]
     assert not check_verma_vs_polar(lat)
-    assert check_reciprocity(lat) != ZERO
+    assert check_reciprocity(lat) == ZERO
+    assert _truncated_values(lat) == _truncated_values(clean)
+
+
+@pytest.mark.parametrize("name", ["cube3", "cube4", "cyclic(7,4)", "prism(cross3)"])
+def test_a_changed_quotient_table_entry_fails_reciprocity_and_truncated_at_its_face(name):
+    # g_1(P/v) of one vertex lowered by 1000: the vertex enters the truncated
+    # sums of degree 1 with g_0(v*) = 1 from s = 1 on, with sign (-1)^(s + 1),
+    # and reciprocity gains -1000 t; verma reads the pair table only
+    clean = parse_recipe(name).lattice()
+    lat = parse_recipe(name).lattice()
+    v = lat.faces_of_dim(0)[0]
+    _quotient_tables(lat)[1][v, 1] -= 1000
+    assert check_reciprocity(lat) == Polynomial([0, -1000])
+    want = _truncated_values(clean)
+    for (k, s), value in _truncated_values(lat).items():
+        moved = -1000 * (-1) ** (s + 1) if k == 1 and s >= 1 else 0
+        assert value == want[k, s] + moved, (name, k, s)
+    assert not all(truncated_inequality(lat, 1, s)[1] for s in range(1, lat.d + 2, 2))
+    assert check_verma_vs_polar(lat)
+
+
+def test_reciprocity_and_truncated_sums_past_int64_are_exact():
+    # planted tables whose entries fit int64 but whose products do not
+    lat = parse_recipe("cube3").lattice()
+    rng = np.random.default_rng(3)
+    k = lat.d // 2 + 1
+    polar, quot = np.zeros((2, len(lat), lat.d + 1), dtype=np.int64)
+    polar[:, :k] = rng.integers(-(1 << 40), 1 << 40, size=(len(lat), k))
+    quot[:, :k] = rng.integers(-(1 << 40), 1 << 40, size=(len(lat), k))
+    lat._cache["polar_g"] = polar
+    lat._cache["quotient_tables"] = (np.zeros_like(quot), quot)
+    rows = [(int(lat.dims[f]), polar[f].tolist(), quot[f].tolist()) for f in range(len(lat))]
+    want = Polynomial()
+    for dim, a, b in rows:
+        want = want + (-1) ** (dim % 2) * Polynomial(a) * Polynomial(b)
+    assert max(abs(c) for c in want.coeffs) >= 1 << 63
+    assert check_reciprocity(lat) == want
+    for deg in range(lat.d // 2 + 2):
+        for s in range(lat.d + 2):
+            total = sum(
+                (-1) ** ((dim - s + 1) % 2) * a[i] * b[deg - i]
+                for dim, a, b in rows
+                for i in range(deg + 1)
+                if dim <= s + 2 * i - 1 and i < len(a) and deg - i < len(b)
+            )
+            assert truncated_inequality(lat, deg, s) == (total, total >= 0), (deg, s)
+
+
+def test_reciprocity_sums_stay_int64_inside_the_bound():
+    lat = parse_recipe("cube5").lattice()
+    assert check_reciprocity(lat) == ZERO
+    assert lat._cache["signed_sums"].dtype == np.int64
 
 
 def _message(solve, lat):
