@@ -182,7 +182,10 @@ def _verify_one(suite: str, inp: CatalogEntry, seed: int, faces="all"):
     if suite == "cone-bipyramid":
         return lat.d < 0 or toric.check_cone_bipyramid(lat)
     if suite == "verma":
-        return verma.check_verma_vs_polar(lat)
+        try:
+            return verma.check_verma_vs_polar(lat)
+        except verma.SolveError:
+            return False
     if suite == "truncated":
         return all(
             verma.truncated_inequality(lat, k, s)[1]
@@ -347,7 +350,11 @@ def cmd_localize(args) -> int:
 def cmd_verma(args) -> int:
     inp = load_input(args.input)
     lat = inp.lattice()
-    table = verma.verma_multiplicities(lat)
+    try:
+        table = verma.verma_multiplicities(lat)
+    except verma.SolveError as e:
+        print(f"error: {inp.name}: {e}, vertices {sorted(lat.faces[e.face])}", file=sys.stderr)
+        return 1
     match = verma.polar_matches(lat)
     faces = []
     for f in sorted(table, key=lambda i: (int(lat.dims[i]), i)):

@@ -719,7 +719,7 @@ def _run_starts(a):
     return np.flatnonzero(new)
 
 
-def _triples(px, py, start, row_cost=0, upper=None):
+def _triples(px, py, start, upper=None):
     """The triples x < z < y of a strict order, about _CHUNK at a time.
 
     ``px, py`` are the strict pairs sorted by (x, y), so the pairs of
@@ -729,9 +729,7 @@ def _triples(px, py, start, row_cost=0, upper=None):
     chunk's x's.  The row of (x, y) is read by row pointers: the runs of
     the chunk's x's are scattered into a position block of at most
     _CHUNK // n rows of n entries, then gathered at (x, y), with no
-    search over the keys.  With a ``row_cost`` no x is split between two
-    chunks, and a chunk's runs hold at most about _CHUNK // row_cost
-    rows (one x at least).  Given ``upper``, a part (qx, qy) of the
+    search over the keys.  Given ``upper``, a part (qx, qy) of the
     pairs sorted alike that holds (x, y) whenever it holds (z, y) and
     x < z, only the triples whose (z, y) and (x, y) lie in it are
     walked, and lo, hi and xy count its pairs.
@@ -751,9 +749,6 @@ def _triples(px, py, start, row_cost=0, upper=None):
         base = ends[a] - per_row[a]
         b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK, "right")))
         b = min(b, int(start[min(x0 + span, n)]))
-        if row_cost:
-            b = min(b, int(start[np.searchsorted(start, a + _CHUNK // row_cost, "right") - 1]))
-            b = int(start[px[max(b, a + 1) - 1] + 1])
         lo, hi = int(q_start[x0]), int(q_start[px[b - 1] + 1])
         cnt = per_row[a:b]
         zy = np.repeat(q_start[py[a:b]] - (ends[a:b] - cnt - base), cnt)

@@ -17,15 +17,14 @@ with their dimensions reversed give g of every polar (``_polar_g``).
 On the order read top-down, its rows are the polars of the quotients,
 so one more count gives h and g of every quotient P/F
 (``_quotient_tables``); on one face's up-set its top row gives g of
-that quotient alone (``_rooted_g``).  Every interval [x, y] at once,
-which only the Verma solver reads, runs the recursion itself:
-``_chunk_tables`` takes it one dimension layer at a time, in exact int64
-with numpy doing the bulk sums, on the triples x < z < y of the
-lattice's strict comparable pairs, through ``_pair_tables``.  The rest
-of the module is arithmetic on those tables: closed forms for g1/g2,
-the extended g-tilde numbers, and executable checks of
-Dehn-Sommerville, monotonicity, the upper bound inequality, the vertex
-identity relating g_k and g_{k+1}, and the cone/bipyramid identities.
+that quotient alone (``_rooted_g``).  No table of every interval
+[x, y] is built: a sum over intervals weighted at their lower ends, as
+the Verma solver needs, is the same count with the weights pushed up
+the chains (``_count_chains`` with a ``width``).  The rest of the
+module is arithmetic on those tables: closed forms for g1/g2, the
+extended g-tilde numbers, and executable checks of Dehn-Sommerville,
+monotonicity, the upper bound inequality, the vertex identity relating
+g_k and g_{k+1}, and the cone/bipyramid identities.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _spans, _triples
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _spans
 from toricgh.polynomial import Polynomial, binomial_power
 
 
@@ -74,11 +73,6 @@ class _Blocks(NamedTuple):
     bounds: np.ndarray  # where each (dim x, dim y) block starts in ``order``
     span: int           # d + 2 dimensions, -1 to d
 
-    def rows(self, a: int, b: int) -> np.ndarray:
-        """The rows of the pairs with dim x = a and dim y = b, by y."""
-        k = (a + 1) * self.span + b + 1
-        return self.order[self.bounds[k]:self.bounds[k + 1]]
-
     def from_dim(self, a: int) -> np.ndarray:
         """The rows of the pairs with dim x = a, by (dim y, y)."""
         return self.order[self.bounds[(a + 1) * self.span]:self.bounds[(a + 2) * self.span]]
@@ -100,110 +94,8 @@ def _blocks(lat: FaceLattice) -> _Blocks:
     return blocks
 
 
-def _chunk_tables(dx, dy, xz, xy, d: int):
-    """h and g of the strict pairs of whole x's, from their triples x < z < y.
-
-    Row r is a pair (x, y) with dim x = dx[r] and dim y = dy[r]; a triple
-    names the rows of (x, z) and (x, y), so dim z is dy[xz].  Returns
-    (order, H, G), the rows of H/G going by dim y (never by index: the
-    index order is only a linear extension) as ``order`` lists them.
-    The pass is the recursion over the layers of dim y: h of a layer is
-    S[pair] against the stacked (t-1)^(dim y - dim z - 1) kernels, and
-    once g of the layer is known it is summed, per pair (x, y), into
-    S[(x, y), dim z].
-    """
-    width, span = max(d + 1, 1), d + 2
-    order = np.argsort(dy, kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(len(order))
-    by_z = np.argsort(dy[xz] * len(order) + row[xy])
-    z, y = row[xz[by_z]], row[xy[by_z]]
-    e_y, x_dims = dy[order], dx[order]
-    layers = np.arange(-1, d + 2)
-    row_bounds, pair_bounds = np.searchsorted(e_y, layers), np.searchsorted(e_y[z], layers)
-    H = np.zeros((len(order), width), dtype=np.int64)
-    G = np.zeros_like(H)
-    S = np.zeros((len(order), span, width), dtype=np.int64)
-    S[np.arange(len(order)), x_dims + 1, 0] = 1       # g(x, x) = 1
-    stacks, keep = _kernels(width)
-    step = max(1, _CHUNK // width)
-    for e in range(max(int(e_y[0]), 0), d + 1):
-        a, b = row_bounds[e + 1], row_bounds[e + 2]
-        if a < b:
-            h = H[a:b] = S[a:b, :e + 1].reshape(b - a, -1) @ stacks[e]
-            # g_k = h_k - h_{k-1} up to half of each interval's dimension
-            g = G[a:b]
-            g[:, 0] = h[:, 0]
-            np.subtract(h[:, 1:], h[:, :-1], out=g[:, 1:])
-            g *= keep[e - x_dims[a:b]]
-        # the triples whose z is in the layer, a piece of about _CHUNK cells at a time
-        p, q = pair_bounds[e + 1], pair_bounds[e + 2]
-        for p in range(p, q, step):
-            ys = y[p:min(p + step, q)]
-            first = _run_starts(ys)
-            S[ys[first], e + 1] += np.add.reduceat(G[z[p:p + len(ys)]], first)
-    return order, H, G
-
-
-def _pair_tables(px, py, dims, d: int):
-    """h and g of every interval [x, y] of a graded order, in one pass.
-
-    Takes the strict pairs x < y in any order and returns (px, py, H, G):
-    one row per comparable pair x <= y, the diagonal added and the pairs
-    sorted by (x, y), and rows of H/G holding the coefficients of h/g of
-    [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The triples
-    come from ``_triples``, whole x's at a time with the block S of
-    ``_chunk_tables`` near _CHUNK cells, and each chunk goes through it.
-    Integer throughout; storage is O(comparable pairs * d), and the
-    int64 check of ``_chain_flags`` on the same order bounds every
-    coefficient: the caller runs it first.  The library runs it on the
-    forward order only, through ``_pairs``, for the Verma solver: the
-    faces, the polars and the quotients are read off chain counts
-    (``_face_tables``, ``_polar_g``, ``_quotient_tables``).
-    """
-    n = len(dims)
-    fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
-    order = np.lexsort((fy, fx))
-    fx, fy = fx[order], fy[order]
-    strict = fx != fy
-    full = np.flatnonzero(strict)       # the rows of the strict pairs among all
-    px, py = fx[strict], fy[strict]
-    H = np.zeros((len(fx), max(d + 1, 1)), dtype=np.int64)
-    G = np.zeros_like(H)
-    H[~strict, 0] = G[~strict, 0] = 1
-    starts = np.searchsorted(px, np.arange(n + 1))
-    for lo, hi, xz, xy in _triples(px, py, starts, row_cost=(d + 2) * (d + 1)):
-        order, h, g = _chunk_tables(dims[px[lo:hi]], dims[py[lo:hi]], xz - lo, xy - lo, d)
-        H[full[lo + order]], G[full[lo + order]] = h, g
-    return fx, fy, H, G
-
-
-class _PairTable(NamedTuple):
-    px: np.ndarray
-    py: np.ndarray
-    G: np.ndarray
-
-
-def _pairs(lat: FaceLattice) -> _PairTable:
-    """The Verma solver's pair table (px, py, G), built once per lattice.
-
-    The rows are ``_pair_tables``' comparable pairs, and G holds g of
-    each [x, y] up to column d // 2, beyond which every g is zero: those
-    are the columns ``verma._multiplicities`` reads.  The h rows and the
-    rest of G are not kept, since they would cost 8 * (d + 1) bytes per
-    pair each for the life of the lattice.  ``_face_flags`` runs first:
-    it refuses a lattice past int64.
-    """
-    table = lat._cache.get("pairs")
-    if table is None:
-        _face_flags(lat)
-        px, py, _, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
-        table = lat._cache["pairs"] = _PairTable(px, py, G[:, :max(lat.d // 2 + 1, 1)].copy())
-    return table
-
-
 def _g_of(h: np.ndarray, e: int) -> np.ndarray:
-    """g of e-dimensional h rows: h_k - h_{k-1}, kept up to k = e/2 as ``_chunk_tables`` does."""
+    """g of e-dimensional h rows: h_k - h_{k-1}, kept up to k = e/2."""
     k = e // 2 + 1
     g = h[..., :k].copy()
     g[..., 1:] -= h[..., :k - 1]
@@ -422,7 +314,7 @@ def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
     return flags
 
 
-def _count_chains(px, py, dims, d: int, blocks: _Blocks):
+def _count_chains(px, py, dims, d: int, blocks: _Blocks, width: int = 0):
     """Yield the flag arrays of a graded order, each once it is whole, before it pushes.
 
     The order has strict pairs (px, py), grouped by ``_order_blocks``,
@@ -436,7 +328,19 @@ def _count_chains(px, py, dims, d: int, blocks: _Blocks):
     pushes onto every element above, one ``np.add.reduceat`` per piece of
     about _CHUNK cells of its block rows, by (dim y, y).  Nothing here
     bounds the entries: ``_chain_flags`` checks them.
+
+    With a ``width`` the chains are weighted at their lowest element.
+    The bottom is an array of its own and bit j + 1 stands for dim j, so
+    array e, from e = -1, has 2^(e+1) columns, and each entry is a row of
+    ``width`` coefficients.  Column 0 starts at zero: the caller writes
+    each element's weight there when its array is yielded.  Column S of
+    w then sums the weights of the lowest elements of the chains
+    u < ... < w that meet the dimensions in S, the chains from dim a
+    being the columns [2^(a+1) :: 2^(a+2)].  An array pushes only up to
+    its last coefficient that is nonzero anywhere in it.  The caller
+    bounds these entries too.
     """
+    shift = 1 if width else 0               # bit j + shift stands for dim j
     n = len(dims)
     by_dim = np.argsort(dims, kind="stable")
     rank = np.empty(n, dtype=np.int64)      # each element's place in by_dim
@@ -444,14 +348,21 @@ def _count_chains(px, py, dims, d: int, blocks: _Blocks):
     starts = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
     pos = rank - starts[dims + 1]           # each element's row in its array
     starts = starts.tolist()
+    cells = (width,) if width else ()
     flags = [
-        np.zeros((starts[e + 2] - starts[e + 1], 1 << e), dtype=np.int64) for e in range(d + 1)
+        np.zeros((starts[e + 2] - starts[e + 1], 1 << (e + shift), *cells), dtype=np.int64)
+        for e in range(-shift, d + 1)
     ]
-    for F in flags:
-        F[:, 0] = 1
-    for a, F in enumerate(flags):
+    if not width:
+        for F in flags:
+            F[:, 0] = 1
+    for a, F in enumerate(flags, -shift):
         yield F
-        sel, step = blocks.from_dim(a), max(1, _CHUNK >> a)
+        bit, live = a + shift, None
+        if width:   # coefficients that are zero throughout the array push nothing
+            live = int(np.flatnonzero(F.any(axis=(0, 1))).max(initial=-1)) + 1
+            F = np.ascontiguousarray(F[..., :live])     # a strided gather is slower
+        sel, step = blocks.from_dim(a), max(1, _CHUNK // max(F[:1].size, 1))
         for p in range(0, len(sel), step):
             part = sel[p:p + step]
             w = rank[py[part]]
@@ -463,7 +374,7 @@ def _count_chains(px, py, dims, d: int, blocks: _Blocks):
                 s, t = max(lo, starts[e + 1]), min(hi, starts[e + 2])
                 if s < t:
                     rows = slice(s - starts[e + 1], t - starts[e + 1])
-                    flags[e][rows, 1 << a:2 << a] += sums[s - lo:t - lo]
+                    flags[e + shift][rows, 1 << bit:2 << bit][..., :live] += sums[s - lo:t - lo]
 
 
 def _face_flags(lat: FaceLattice) -> list[np.ndarray]:

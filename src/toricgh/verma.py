@@ -19,21 +19,44 @@ A cone over a polytope is identified with the polytope's face lattice:
 face F of dimension e stands for the cone of dimension e + 1, the empty
 face for the apex.
 
-The faces of one dimension are incomparable, so the solver works a
-dimension layer at a time on the pair table: a layer's equations are one
-array slice, and its push onto the faces above is one truncated
-convolution and one sum per face.  The solution (and the table made
-from it) is kept on the lattice, so the polar comparison and the
-table's readers solve once.
+The stalk equation at tau reads g of the intervals [rho, tau] only
+through the weighted sums of their flag numbers, since g is linear in
+them.  So one chain count gives every equation: the flag count with each
+chain weighted by (-1)^(dim rho + 1) m(rho) at its lowest face rho
+(``toric._count_chains`` with a ``width``).  The faces of one dimension
+are incomparable, so each layer is solved as soon as the count has
+pushed everything below it into its rows, and its weights go into the
+count before it pushes.  The solution (and the table made from it) is
+kept on the lattice, so the polar comparison and the table's readers
+solve once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from toricgh.lattice import FaceLattice, _run_starts
+from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _blocks, _pairs, _polar_g, _quotient_tables
+from toricgh.toric import (
+    _INT64_LIMIT,
+    _blocks,
+    _count_chains,
+    _face_flags,
+    _flag_coeffs,
+    _g_of,
+    _polar_g,
+    _quotient_tables,
+)
+
+
+class SolveError(AssertionError):
+    """A stalk equation whose solution is negative or runs past the middle degree."""
+
+    def __init__(self, message: str, face: int):
+        super().__init__(message)
+        self.face = face
 
 
 class MultiplicityTable(dict):
@@ -57,60 +80,86 @@ def _trimmed(rows: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(row[:k]) for row, k in zip(rows.tolist(), ends.tolist())]
 
 
+@lru_cache(maxsize=None)
+def _stalk_coeffs(e: int, width: int) -> np.ndarray:
+    """Maps the weighted row of a face of dim e, flattened, to its stalk sum.
+
+    Row (S, j) is the column S of the row at coefficient j.  The chains
+    from dim a are the columns [2^(a+1) :: 2^(a+2)], and their bits above
+    a + 1 are a flag of the interval [rho, tau], of dim e - a - 1: they
+    go through ``_g_of(_flag_coeffs(e - a - 1))``, shifted by j and
+    truncated at ``width``.  Column 0, the face's own weight, maps to 0.
+    """
+    K = np.zeros((2 << e, width, width), dtype=np.int64)
+    for a in range(-1, e):
+        g = _g_of(_flag_coeffs(e - a - 1), e - a - 1)
+        for j in range(width):
+            take = min(g.shape[1], width - j)
+            K[1 << (a + 1)::1 << (a + 2), j, j:j + take] = g[:, :take]
+    K = K.reshape(-1, width)
+    K.setflags(write=False)
+    return K
+
+
 def _multiplicities(lat: FaceLattice) -> np.ndarray:
     """Row f holds m_0(f), m_1(f), ..., zero-padded; solved once per lattice.
 
-    The faces of one dimension e are incomparable, so the stalk
-    equations of a layer read only what the layers below pushed into
-    ``acc``: m = (-1)^e acc[layer, :e // 2 + 1], each face checked to be
-    nonnegative with nothing beyond its middle degree.  The layer then
-    pushes (-1)^(e + 1) m_x(t) g([x, y], t), truncated, from each of its
-    faces x onto every y > x: one convolution over its rows of the pair
-    table (its block rows, grouped by y) and one sum per y.
+    ``_count_chains`` with a ``width`` yields one dimension layer e at a
+    time, whole, with column 0 of each row left for its weight.  The
+    layer's stalk sums are its rows times ``_stalk_coeffs(e)``: acc =
+    sum over rho < tau of (-1)^(dim rho + 1) m(rho) g([rho, tau]),
+    truncated at ``width``.  So m = (-1)^e acc[:e // 2 + 1], each face
+    checked to be nonnegative with nothing beyond its middle degree
+    (``SolveError`` names the first failing face by index), and the
+    weights (-1)^(e + 1) m go into column 0 before the layer pushes.
+
+    int64: column S of a face w sums the weights of distinct chains
+    u < ... < w that all start at one dimension, and putting the bottom
+    first (unless u is the bottom) maps them one to one into the chains
+    of [bottom, w].  So each entry, and every partial sum of it, is at
+    most M c(w), where M = max |m| over the layers pushed and c(w) <=
+    c(top), the chain total that ``_chain_flags`` bounds (the row sums of
+    ``_face_flags``).  Over all S the chains from the bottom and the
+    others each map so, so a row's entries sum to at most 2 M c(w) in
+    absolute value per coefficient, and a stalk sum adds ``width`` such
+    sums times |g| <= 2^(e+1).  So before each layer pushes, width M
+    2^(d+2) c(top) must stay below ``_INT64_LIMIT``; the solve refuses
+    the lattice otherwise.
     """
     m = lat._cache.get("verma_m")
     if m is not None:
         return m
-    n, d, dims = len(lat), lat.d, lat.dims
+    d, dims = lat.d, lat.dims
     width = (d + 1) // 2 + 2
-    acc = np.zeros((n, width), dtype=np.int64)
-    m = np.zeros_like(acc)
-    m[lat.bottom, 0] = 1                            # the apex
-    table, blocks = _pairs(lat), _blocks(lat)
-    strict_x, G = lat.pairs[0], table.G
-    by_dim = np.argsort(dims, kind="stable")
-    layers = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
-    for e in range(-1, d + 1):
+    flags = _face_flags(lat)                        # refuses a lattice past int64
+    room = width * int(flags[d][0].sum()) << (d + 2) if d >= 0 else 0
+    by_dim = np.argsort(dims, kind="stable")        # the faces of each layer, by index
+    starts = np.searchsorted(dims[by_dim], np.arange(-1, d + 2)).tolist()
+    solved = np.zeros((len(lat), width), dtype=np.int64)   # row i is face by_dim[i]
+    solved[0, 0] = most = 1                         # the apex
+    for e, W in enumerate(_count_chains(*lat.pairs, dims, d, _blocks(lat), width), -1):
+        rows = solved[starts[e + 1]:starts[e + 2]]
         if e >= 0:
-            layer = by_dim[layers[e + 1]:layers[e + 2]]
-            k_max = e // 2
-            solved = acc[layer, :k_max + 1] * (1 if e % 2 == 0 else -1)
-            beyond = acc[layer, k_max + 1:].any(axis=1)
-            bad = beyond | (solved < 0).any(axis=1)
-            if bad.any():
+            acc = W.reshape(len(W), -1) @ _stalk_coeffs(e, width)
+            k = e // 2 + 1
+            rows[:, :k] = acc[:, :k] * (-1) ** e
+            if acc[:, k:].any() or (rows < 0).any():
                 # the first failing face by index; "beyond" before "negative" at one face
-                i = int(np.argmax(bad))
+                beyond = acc[:, k:].any(axis=1)
+                i = int(np.argmax(beyond | (rows < 0).any(axis=1)))
+                face = int(by_dim[starts[e + 1] + i])
                 if beyond[i]:
-                    raise AssertionError(f"multiplicity beyond middle degree at face {layer[i]}")
-                raise AssertionError(
-                    f"negative multiplicity at face {layer[i]}: {tuple(solved[i].tolist())}"
-                )
-            m[layer, :k_max + 1] = solved
-        # the strict pairs with dim x = e, by (dim y, y); strict pair k is
-        # row k + x + 1 of the pair table, past the x + 1 diagonal rows
-        k = blocks.from_dim(e)
-        if not len(k):
-            continue
-        x = strict_x[k]
-        g = G[k + x + 1, :width]
-        c = m[x, :max(e, 0) // 2 + 1] * (-1 if e % 2 == 0 else 1)
-        push = np.zeros((len(k), width), dtype=np.int64)
-        for j in range(c.shape[1]):
-            take = min(g.shape[1], width - j)
-            push[:, j:j + take] += c[:, j, None] * g[:, :take]
-        y = lat.pairs[1][k]
-        first = _run_starts(y)
-        acc[y[first]] += np.add.reduceat(push, first)
+                    raise SolveError(f"multiplicity beyond middle degree at face {face}", face)
+                row = tuple(rows[i, :k].tolist())
+                raise SolveError(f"negative multiplicity at face {face}: {row}", face)
+            most = max(most, int(rows.max()))
+        W[:, 0] = rows * (-1) ** (e + 1)
+        if e < d and most * room >= _INT64_LIMIT:
+            raise LatticeError(
+                f"multiplicities could exceed the int64 bound 2^{_INT64_LIMIT.bit_length() - 1}"
+            )
+    m = np.empty_like(solved)
+    m[by_dim] = solved
     lat._cache["verma_m"] = m
     return m
 
@@ -121,9 +170,9 @@ def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
     The faces are solved a dimension layer at a time from the degree-k
     Euler characteristic equations at their stalks (``_multiplicities``).
     The solution is asserted nonnegative, and zero beyond the middle
-    degree of each face, as the resolution requires; a failure names the
-    first such face of the lowest failing layer.  The table is built once
-    per lattice.
+    degree of each face, as the resolution requires; a failure raises
+    ``SolveError`` at the first such face of the lowest failing layer.
+    The table is built once per lattice.
     """
     table = lat._cache.get("verma")
     if table is None:

@@ -102,11 +102,19 @@ drift of a back face to its minimal fixed face, ``covers`` the Hasse
 diagram read off the interval counts, and ``geometric_catalog`` the
 entries of the catalog with coordinates.
 
-``verma_by_face`` is the Verma solver the library ran before it solved
-a dimension layer at a time: one stalk at a time in ascending index,
-its row checked "beyond middle degree" first and "negative" second, and
-every pair (x, y) with x in the layer found by a mask over all pairs,
-then pushed one degree at a time with ``np.add.at``.
+``pair_tables`` is h and g of every interval [x, y] at once, the
+all-pairs table the library kept until the Verma solver read weighted
+chain counts instead: the recursion of ``chunk_tables`` one dimension
+layer at a time over the triples x < z < y of whole x's
+(``whole_x_triples``, the chunking ``lattice._triples`` did with a
+``row_cost``).  ``pair_table`` keeps its g columns per lattice.
+``layered_multiplicities`` is the Verma solver on that table, a
+dimension layer at a time, and ``verma_by_face`` the one before it: one
+stalk at a time in ascending index, its row checked "beyond middle
+degree" first and "negative" second, and every pair (x, y) with x in
+the layer found by a mask over all pairs, then pushed one degree at a
+time with ``np.add.at``.  ``block_rows`` is the (dim x, dim y) block of
+the lattice's sorted pairs that the prefix recursion below reads.
 ``coefficientwise_geq`` is the comparison monotonicity made on
 ``Polynomial`` values before it compared int lists.
 
@@ -124,7 +132,7 @@ them before one chain count on the order read top-down gave them
 ``guard`` and ``interval_tables`` are the int64 check and the rooted
 quotient tables the library ran before one chain count did both
 (``toric._chain_flags``): the chains counted a second time, layer by
-layer with ``np.add.at``, and the ``_chunk_tables`` recursion over the
+layer with ``np.add.at``, and the ``chunk_tables`` recursion over the
 triples of one root's up-set.
 """
 
@@ -132,14 +140,24 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from toricgh import toric
+from toricgh import lattice, toric
 from toricgh.catalog import catalog
 from toricgh.geometry import _eliminate, _integer_rows, dot, primitive_ray
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _from_sorted, _sorted_faces, _triples
+from toricgh.lattice import (
+    _CHUNK,
+    FaceLattice,
+    LatticeError,
+    _from_sorted,
+    _run_starts,
+    _sorted_faces,
+    _spans,
+    _triples,
+)
 from toricgh.localization import span_pair_direction
 from toricgh.polynomial import Polynomial, binomial_power
 from toricgh.shelling import Shelling, ShellingError, _direction_stream
@@ -147,9 +165,8 @@ from toricgh.toric import (
     FlagVector,
     _binom_kernel,
     _blocks,
-    _chunk_tables,
-    _pair_tables,
-    _pairs,
+    _face_flags,
+    _kernels,
     face_g,
     gtilde,
     toric_g,
@@ -758,6 +775,131 @@ def dense_flag_vector(leq, dims):
     return fv
 
 
+def block_rows(blocks, a, b):
+    """The rows of the pairs with dim x = a and dim y = b, by y, out of ``toric._blocks``."""
+    k = (a + 1) * blocks.span + b + 1
+    return blocks.order[blocks.bounds[k]:blocks.bounds[k + 1]]
+
+
+def whole_x_triples(px, py, start, row_cost):
+    """The triples x < z < y by whole x's, as (lo, hi, xz, xy) like ``lattice._triples``.
+
+    No x is split between two chunks, and a chunk's runs hold about
+    _CHUNK // row_cost rows, one x at least, as ``_triples`` chunked
+    them with a ``row_cost`` for ``chunk_tables``.  The row of (x, y) is
+    found by a search over the keys of all pairs.  The chunk size is
+    read at call time, so a test can lower it.
+    """
+    n = len(start) - 1
+    keys = px * n + py
+    a = 0
+    while a < len(px):
+        b = int(start[px[min(a + max(1, lattice._CHUNK // row_cost), len(px)) - 1] + 1])
+        z = py[a:b]
+        xz = np.repeat(np.arange(a, b), start[z + 1] - start[z])
+        xy = np.searchsorted(keys, px[xz] * n + py[_spans(start[z], start[z + 1])])
+        yield a, b, xz, xy
+        a = b
+
+
+def chunk_tables(dx, dy, xz, xy, d):
+    """h and g of the strict pairs of whole x's, from their triples x < z < y.
+
+    Row r is a pair (x, y) with dim x = dx[r] and dim y = dy[r]; a triple
+    names the rows of (x, z) and (x, y), so dim z is dy[xz].  Returns
+    (order, H, G), the rows of H/G going by dim y (never by index: the
+    index order is only a linear extension) as ``order`` lists them.
+    The pass is the recursion over the layers of dim y: h of a layer is
+    S[pair] against the stacked (t-1)^(dim y - dim z - 1) kernels, and
+    once g of the layer is known it is summed, per pair (x, y), into
+    S[(x, y), dim z].  The chunk size is read at call time.
+    """
+    width, span = max(d + 1, 1), d + 2
+    order = np.argsort(dy, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    by_z = np.argsort(dy[xz] * len(order) + row[xy])
+    z, y = row[xz[by_z]], row[xy[by_z]]
+    e_y, x_dims = dy[order], dx[order]
+    layers = np.arange(-1, d + 2)
+    row_bounds, pair_bounds = np.searchsorted(e_y, layers), np.searchsorted(e_y[z], layers)
+    H = np.zeros((len(order), width), dtype=np.int64)
+    G = np.zeros_like(H)
+    S = np.zeros((len(order), span, width), dtype=np.int64)
+    S[np.arange(len(order)), x_dims + 1, 0] = 1       # g(x, x) = 1
+    stacks, keep = _kernels(width)
+    step = max(1, toric._CHUNK // width)
+    for e in range(max(int(e_y[0]), 0), d + 1):
+        a, b = row_bounds[e + 1], row_bounds[e + 2]
+        if a < b:
+            h = H[a:b] = S[a:b, :e + 1].reshape(b - a, -1) @ stacks[e]
+            # g_k = h_k - h_{k-1} up to half of each interval's dimension
+            g = G[a:b]
+            g[:, 0] = h[:, 0]
+            np.subtract(h[:, 1:], h[:, :-1], out=g[:, 1:])
+            g *= keep[e - x_dims[a:b]]
+        # the triples whose z is in the layer, a piece of about _CHUNK cells at a time
+        p, q = pair_bounds[e + 1], pair_bounds[e + 2]
+        for p in range(p, q, step):
+            ys = y[p:min(p + step, q)]
+            first = _run_starts(ys)
+            S[ys[first], e + 1] += np.add.reduceat(G[z[p:p + len(ys)]], first)
+    return order, H, G
+
+
+def pair_tables(px, py, dims, d):
+    """h and g of every interval [x, y] of a graded order, in one pass.
+
+    Takes the strict pairs x < y in any order and returns (px, py, H, G):
+    one row per comparable pair x <= y, the diagonal added and the pairs
+    sorted by (x, y), and rows of H/G holding the coefficients of h/g of
+    [x, y] as a polytope of dimension dims[y] - dims[x] - 1.  The triples
+    come from ``whole_x_triples``, the block S of ``chunk_tables`` near
+    _CHUNK cells, and each chunk goes through it.  Integer throughout;
+    storage is O(comparable pairs * d), and the int64 check of
+    ``toric._chain_flags`` on the same order bounds every coefficient:
+    the caller runs it first.
+    """
+    n = len(dims)
+    fx, fy = np.concatenate((px, np.arange(n))), np.concatenate((py, np.arange(n)))
+    order = np.lexsort((fy, fx))
+    fx, fy = fx[order], fy[order]
+    strict = fx != fy
+    full = np.flatnonzero(strict)       # the rows of the strict pairs among all
+    px, py = fx[strict], fy[strict]
+    H = np.zeros((len(fx), max(d + 1, 1)), dtype=np.int64)
+    G = np.zeros_like(H)
+    H[~strict, 0] = G[~strict, 0] = 1
+    starts = np.searchsorted(px, np.arange(n + 1))
+    for lo, hi, xz, xy in whole_x_triples(px, py, starts, (d + 2) * (d + 1)):
+        order, h, g = chunk_tables(dims[px[lo:hi]], dims[py[lo:hi]], xz - lo, xy - lo, d)
+        H[full[lo + order]], G[full[lo + order]] = h, g
+    return fx, fy, H, G
+
+
+class PairTable(NamedTuple):
+    px: np.ndarray
+    py: np.ndarray
+    G: np.ndarray
+
+
+_PAIR_TABLES = WeakKeyDictionary()
+
+
+def pair_table(lat):
+    """(px, py, G) of ``pair_tables``, G up to column d // 2; built once per lattice.
+
+    Beyond column d // 2 every g is zero.  ``_face_flags`` runs first:
+    it refuses a lattice past int64.  Kept per lattice, so a test can
+    change an entry before a solver reads it.
+    """
+    if lat not in _PAIR_TABLES:
+        _face_flags(lat)
+        px, py, _, G = pair_tables(*lat.pairs, lat.dims, lat.d)
+        _PAIR_TABLES[lat] = PairTable(px, py, G[:, :max(lat.d // 2 + 1, 1)].copy())
+    return _PAIR_TABLES[lat]
+
+
 def pair_flag_vector(lat):
     """All 2^d flag numbers by prefix recursion over the comparable pairs.
 
@@ -773,7 +915,7 @@ def pair_flag_vector(lat):
 
     def extend(prefix, counts, last):
         for nxt in range(last + 1, d):
-            sel = blocks.rows(last, nxt)
+            sel = block_rows(blocks, last, nxt)
             carried = counts[px[sel]]
             fv[prefix + (nxt,)] = int(carried.sum())
             nxt_counts = np.zeros(n, dtype=np.int64)
@@ -797,7 +939,7 @@ def reversed_polar_g(lat):
     """
     below, above = lat.pairs
     guard(above, below, lat.d - 1 - lat.dims, lat.d)
-    px, _, _, G = _pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
+    px, _, _, G = pair_tables(above, below, lat.d - 1 - lat.dims, lat.d)
     return G[np.searchsorted(px, np.arange(len(lat)))]
 
 
@@ -811,7 +953,7 @@ def pair_quotients(lat):
     (x, y).  Kept per lattice, so a test can read it root by root.
     """
     if lat not in _PAIR_QUOTIENTS:
-        px, _, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
+        px, _, H, G = pair_tables(*lat.pairs, lat.dims, lat.d)
         quot = np.cumsum(np.bincount(px, minlength=len(lat))) - 1
         _PAIR_QUOTIENTS[lat] = H[quot], G[quot]
     return _PAIR_QUOTIENTS[lat]
@@ -854,7 +996,7 @@ def interval_tables(lat, root):
     quotients this way before it counted the chains of the root's up-set
     (``toric._rooted_g``): the pair table rows of root's run of
     ``lat.pairs``, in dimensions relative to the root, through
-    ``toric._chunk_tables``, the triples root < z < y being the runs of
+    ``chunk_tables``, the triples root < z < y being the runs of
     root's faces z.  ``guard`` runs on the lattice first.
     """
     guard(*lat.pairs, lat.dims, lat.d)
@@ -868,7 +1010,7 @@ def interval_tables(lat, root):
     ends = np.cumsum(cnt)
     zy = np.repeat(start[run] - ends + cnt, cnt) + np.arange(ends[-1] if len(ends) else 0)
     xz, xy = np.repeat(np.arange(1, len(up)), cnt), 1 + np.searchsorted(run, py[zy])
-    order, H, G = _chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]))
+    order, H, G = chunk_tables(np.full(len(up), -1), rel, xz, xy, int(rel[-1]))
     H[0, 0] = G[0, 0] = 1
     return dict(zip(up[order].tolist(), range(len(up)))), H, G
 
@@ -1331,8 +1473,7 @@ def verma_by_face(lat):
     acc = np.zeros((n, width), dtype=np.int64)
     m = np.zeros((n, width), dtype=np.int64)
     table = {}
-    pairs = _pairs(lat)
-    px, py, G = pairs.px, pairs.py, pairs.G
+    px, py, G = pair_table(lat)
     for e in np.unique(lat.dims):
         cone_dim = int(e) + 1  # the cone over a face of dimension e
         for y in np.nonzero(lat.dims == e)[0].tolist():
@@ -1359,6 +1500,60 @@ def verma_by_face(lat):
                 take = min(G.shape[1], width - j)
                 np.add.at(acc[:, j:j + take], py[sel], c[:, None] * G[sel, :take])
     return table
+
+
+def layered_multiplicities(lat):
+    """Row f holds m_0(f), m_1(f), ..., zero-padded: the pair table solved a layer at a time.
+
+    The faces of one dimension e are incomparable, so the stalk
+    equations of a layer read only what the layers below pushed into
+    ``acc``: m = (-1)^e acc[layer, :e // 2 + 1], each face checked to be
+    nonnegative with nothing beyond its middle degree.  The layer then
+    pushes (-1)^(e + 1) m_x(t) g([x, y], t), truncated, from each of its
+    faces x onto every y > x: one convolution over its rows of the pair
+    table (its block rows, grouped by y) and one sum per y.
+    """
+    n, d, dims = len(lat), lat.d, lat.dims
+    width = (d + 1) // 2 + 2
+    acc = np.zeros((n, width), dtype=np.int64)
+    m = np.zeros_like(acc)
+    m[lat.bottom, 0] = 1                            # the apex
+    table, blocks = pair_table(lat), _blocks(lat)
+    strict_x, G = lat.pairs[0], table.G
+    by_dim = np.argsort(dims, kind="stable")
+    layers = np.searchsorted(dims[by_dim], np.arange(-1, d + 2))
+    for e in range(-1, d + 1):
+        if e >= 0:
+            layer = by_dim[layers[e + 1]:layers[e + 2]]
+            k_max = e // 2
+            solved = acc[layer, :k_max + 1] * (1 if e % 2 == 0 else -1)
+            beyond = acc[layer, k_max + 1:].any(axis=1)
+            bad = beyond | (solved < 0).any(axis=1)
+            if bad.any():
+                # the first failing face by index; "beyond" before "negative" at one face
+                i = int(np.argmax(bad))
+                if beyond[i]:
+                    raise AssertionError(f"multiplicity beyond middle degree at face {layer[i]}")
+                raise AssertionError(
+                    f"negative multiplicity at face {layer[i]}: {tuple(solved[i].tolist())}"
+                )
+            m[layer, :k_max + 1] = solved
+        # the strict pairs with dim x = e, by (dim y, y); strict pair k is
+        # row k + x + 1 of the pair table, past the x + 1 diagonal rows
+        k = blocks.from_dim(e)
+        if not len(k):
+            continue
+        x = strict_x[k]
+        g = G[k + x + 1, :width]
+        c = m[x, :max(e, 0) // 2 + 1] * (-1 if e % 2 == 0 else 1)
+        push = np.zeros((len(k), width), dtype=np.int64)
+        for j in range(c.shape[1]):
+            take = min(g.shape[1], width - j)
+            push[:, j:j + take] += c[:, j, None] * g[:, :take]
+        y = lat.pairs[1][k]
+        first = _run_starts(y)
+        acc[y[first]] += np.add.reduceat(push, first)
+    return m
 
 
 def coefficientwise_geq(a, b):

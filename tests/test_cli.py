@@ -274,6 +274,41 @@ def test_verma_command(capsys):
     assert data["top"] == [1, 2] and data["polar_match"] is True
 
 
+def _fail_the_first_solve(monkeypatch):
+    # the first weighted count gives the first vertex's chain from the bottom
+    # the weight -1 in place of 1: its stalk sum is -1, so m_0 = -1 there
+    import toricgh.verma as verma_module
+
+    count, runs = verma_module._count_chains, []
+
+    def corrupted(*args):
+        runs.append(1)
+        for e, W in enumerate(count(*args), -1):
+            if e == 0 and len(runs) == 1:
+                W[0, 1, 0] = -1
+            yield W
+
+    monkeypatch.setattr(verma_module, "_count_chains", corrupted)
+
+
+def test_a_failing_solve_exits_1_with_one_line_naming_the_face(monkeypatch, capsys):
+    _fail_the_first_solve(monkeypatch)
+    code, out, err = run(capsys, "verma", "cube3", "--json")
+    assert (code, out) == (1, "")
+    assert err == "error: cube3: negative multiplicity at face 1: (-1,), vertices [0]\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_failing_solve_is_a_fail_row_of_verify(monkeypatch, capsys, json_flag):
+    _fail_the_first_solve(monkeypatch)
+    code, out, err = run(capsys, "verify", "verma", "cube3", "cube4", *json_flag)
+    assert code == 1 and err == ""
+    if json_flag:
+        assert [(r["instance"], r["pass"]) for r in json.loads(out)] == [("cube3", False), ("cube4", True)]
+    else:
+        assert out == "FAIL  verma  cube3\nPASS  verma  cube4\n"
+
+
 def test_polytope_file_input(tmp_path, capsys):
     f = tmp_path / "square.json"
     f.write_text(json.dumps({"vertices": [["0", "0"], ["1", "0"], ["1/1", "1"], ["0", "1"]]}))

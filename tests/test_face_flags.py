@@ -28,7 +28,6 @@ from toricgh.toric import (
     _face_flags,
     _face_tables,
     _flag_coeffs,
-    _pairs,
     _polar_g,
     _quotient_tables,
     check_monotonicity,
@@ -36,7 +35,7 @@ from toricgh.toric import (
     report,
     toric_h,
 )
-from toricgh.verma import polar_matches
+from toricgh.verma import polar_matches, verma_multiplicities
 
 from oracles import (
     dense_flag_vector,
@@ -101,14 +100,16 @@ def test_polar_g_matches_reversed_pair_tables_at_scale(name):
     assert np.array_equal(_polar_g(lat), reversed_polar_g(lat)), name
 
 
-def test_polar_g_builds_no_pair_table(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("polar g read a pair table")
+def test_polar_g_runs_no_weighted_count(monkeypatch):
+    import toricgh.verma as verma_module
 
-    monkeypatch.setattr(toric_module, "_pair_tables", refuse)
+    def refuse(*args):
+        raise AssertionError("polar g ran the Verma solver's weighted count")
+
+    monkeypatch.setattr(verma_module, "_count_chains", refuse)
     lat = parse_recipe("cube4").lattice()
     assert Polynomial(_polar_g(lat)[lat.top].tolist()) == Polynomial([1, 3, 2])   # g(cross4)
-    assert "pairs" not in lat._cache
+    assert "verma_m" not in lat._cache
 
 
 def test_flag_coeffs_give_toric_h_on_the_catalog():
@@ -224,7 +225,7 @@ def test_the_int64_guard_runs_once_per_lattice(monkeypatch):
     monkeypatch.setattr(toric_module, "_chain_flags", lambda *a: runs.append(1) or count(*a))
     lat = parse_recipe("cube7").lattice()
     flag_vector(lat)
-    _pairs(lat)
+    verma_multiplicities(lat)
     _polar_g(lat)
     _quotient_tables(lat)
     toric_h(lat)

@@ -5,6 +5,8 @@ the packed vertex bitsets, drawing its candidates from the vertices of
 each face or, with more facets than vertices, from the facets holding
 it; ``lattice._triples`` finds the row of each (x, y) by row pointers,
 and ``oracles.interval_counts`` is its pass over every triple.
+``oracles.pair_tables``, the all-pairs h/g table, reads the triples by
+whole x's (``oracles.whole_x_triples``).
 ``oracles.dense_order`` and ``oracles.dense_from_vertex_facets`` are the dense inclusion tests the
 builder replaced; ``searchsorted_intervals`` and
 ``searchsorted_pair_tables`` are the passes that searched the keys of all
@@ -23,7 +25,6 @@ import toricgh.lattice as lattice_module
 import toricgh.toric as toric_module
 from toricgh.catalog import catalog, parse_recipe
 from toricgh.lattice import FaceLattice, LatticeError, _triples
-from toricgh.toric import _pair_tables
 
 from oracles import (
     cube_lattice,
@@ -31,10 +32,12 @@ from oracles import (
     dense_from_vertex_facets,
     dense_order,
     interval_counts,
+    pair_tables,
     searchsorted_intervals,
     searchsorted_pair_tables,
     strict_pairs,
     validated_build,
+    whole_x_triples,
 )
 
 CATALOG = catalog()
@@ -63,7 +66,7 @@ def _assert_passes_match(lat):
     forward = (*lat.pairs, lat.dims, lat.d)
     reversed_ = (lat.pairs[1], lat.pairs[0], lat.d - 1 - lat.dims, lat.d)
     for args in (forward, reversed_):
-        for new, old in zip(_pair_tables(*args), searchsorted_pair_tables(*args)):
+        for new, old in zip(pair_tables(*args), searchsorted_pair_tables(*args)):
             assert new.dtype == old.dtype and np.array_equal(new, old)
 
 
@@ -127,9 +130,12 @@ def test_triples_are_every_chain_of_three(monkeypatch):
     expect = sorted(
         (int(x), int(z), int(y)) for x, z in zip(*np.nonzero(lt)) for y in np.flatnonzero(lt[z])
     )
+    # the library's chunks split an x; the oracle's whole-x chunks do not
     for row_cost in (0, 5):
         got, split, last = [], False, set()
-        for lo, hi, xz, xy in _triples(px, py, lat._rows(), row_cost):
+        chunks = (whole_x_triples(px, py, lat._rows(), row_cost) if row_cost
+                  else _triples(px, py, lat._rows()))
+        for lo, hi, xz, xy in chunks:
             assert np.all((lo <= xy) & (xy < hi)) and np.array_equal(px[xz], px[xy])
             got += zip(px[xz].tolist(), py[xz].tolist(), py[xy].tolist())
             xs = set(px[xz].tolist())

@@ -1,7 +1,7 @@
 """The all-pairs interval tables against rebuilt sublattices.
 
-``_pair_tables`` gives h and g of every interval [x, y] in one pass, and
-``_polar_g`` g of every polar from the per-face flag table.  Each value
+``oracles.pair_tables`` gives h and g of every interval [x, y] in one
+pass, and ``_polar_g`` g of every polar from the per-face flag table.  Each value
 here is recomputed independently by building the interval, the face or
 its dual as a lattice of its own and running the single-root recursion
 on it.
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from toricgh.catalog import catalog, parse_recipe
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _kalai_rhs, _pair_tables, _pairs, _polar_g, toric_g, toric_h
+from toricgh.toric import _kalai_rhs, _polar_g, toric_g, toric_h
 
-from oracles import convolution, dense_order, gtilde_invariant
+from oracles import convolution, dense_order, gtilde_invariant, pair_table, pair_tables
 
 SMALL = [e for e in catalog() if e.dim <= 4]
 LARGE = {name: parse_recipe(name).lattice()
@@ -34,9 +34,9 @@ class _Rows(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _rows(lat):
-    """Every pair's h and g rows; the lattice's cached pair table keeps g up to d // 2."""
-    rows = _Rows(*_pair_tables(*lat.pairs, lat.dims, lat.d))
-    t = _pairs(lat)
+    """Every pair's h and g rows; the per-lattice pair table keeps g up to d // 2."""
+    rows = _Rows(*pair_tables(*lat.pairs, lat.dims, lat.d))
+    t = pair_table(lat)
     k = max(lat.d // 2 + 1, 1)
     assert np.array_equal(t.px, rows.px) and np.array_equal(t.py, rows.py)
     assert t.G.shape[1] == k and np.array_equal(t.G, rows.G[:, :k]) and not rows.G[:, k:].any()
@@ -97,11 +97,11 @@ def test_pass_reads_dimensions_not_indices():
     for name in ("prism(simplex3)", "bipyramid(cube3)", "cyclic(7,4)"):
         lat = parse_recipe(name).lattice()
         n = len(lat.faces)
-        px, py, H, G = _pair_tables(*lat.pairs, lat.dims, lat.d)
+        px, py, H, G = pair_tables(*lat.pairs, lat.dims, lat.d)
         perm = rng.permutation(n)      # new face i is old face perm[i]
         new_of = np.argsort(perm)      # old face j is new face new_of[j]
         sx, sy = lat.pairs
-        qx, qy, H2, G2 = _pair_tables(new_of[sx], new_of[sy], lat.dims[perm], lat.d)
+        qx, qy, H2, G2 = pair_tables(new_of[sx], new_of[sy], lat.dims[perm], lat.d)
         back = np.lexsort((perm[qy], perm[qx]))
         assert np.array_equal(perm[qx][back], px) and np.array_equal(perm[qy][back], py)
         assert np.array_equal(H2[back], H) and np.array_equal(G2[back], G), name

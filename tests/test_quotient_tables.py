@@ -154,17 +154,18 @@ def test_the_readers_refuse_exactly_where_the_face_count_does(monkeypatch, name)
         assert got == want, (name, limit)
 
 
-def test_the_quotient_readers_build_no_pair_table(monkeypatch):
-    # only the Verma solver reads the all-pairs table
+def test_the_quotient_readers_run_no_weighted_count(monkeypatch):
+    # only the Verma solver runs the chain count weighted by multiplicities
+    import toricgh.verma as verma_module
     from toricgh.cli import _verify_one
 
     def refuse(*args):
-        raise AssertionError("a quotient reader built a pair table")
+        raise AssertionError("a quotient reader ran the weighted count")
 
-    monkeypatch.setattr(toric_module, "_pair_tables", refuse)
+    monkeypatch.setattr(verma_module, "_count_chains", refuse)
     suites = ("reciprocity", "truncated", "kalai-identity", "monotonicity", "localization")
     for name in ("cube4", "cyclic(8,5)", "prism(cross4)", "bipyramid(pyramid(cube3))"):
         inp = parse_recipe(name)
         for suite in suites:
             assert _verify_one(suite, inp, 0), (name, suite)
-        assert "pairs" not in inp.lattice()._cache and "quotient_tables" in inp.lattice()._cache
+        assert "verma_m" not in inp.lattice()._cache and "quotient_tables" in inp.lattice()._cache

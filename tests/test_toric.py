@@ -17,7 +17,6 @@ from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
     _monotone,
-    _pairs,
     _quotient_tables,
     _rooted_g,
     check_cone_bipyramid,
@@ -329,14 +328,15 @@ def test_non_eulerian_rejected_by_constructor():
 
 def test_monotonicity_over_all_faces_builds_one_quotient_table(monkeypatch):
     import toricgh.toric as toric_module
+    import toricgh.verma as verma_module
     from toricgh.cli import _verify_one
 
     def refuse(*args):
-        raise AssertionError("monotonicity built a pair table")
+        raise AssertionError("monotonicity ran the weighted chain count")
 
     builds = []
     count_once = toric_module._quotient_tables
-    monkeypatch.setattr(toric_module, "_pair_tables", refuse)
+    monkeypatch.setattr(verma_module, "_count_chains", refuse)
     monkeypatch.setattr(
         toric_module, "_quotient_tables",
         lambda lat: builds.append("quotient_tables" not in lat._cache) or count_once(lat),
@@ -358,7 +358,7 @@ def test_monotonicity_over_all_faces_builds_one_quotient_table(monkeypatch):
         builds.clear()
         assert _verify_one("monotonicity", inp, 0, "all")
         assert builds == [True] and "quotient_tables" in inp.lattice()._cache
-        assert "pairs" not in inp.lattice()._cache
+        assert "verma_m" not in inp.lattice()._cache
 
 
 def test_rooted_quotients_are_kept_as_int_lists():
@@ -367,7 +367,7 @@ def test_rooted_quotients_are_kept_as_int_lists():
     edges = lat.faces_of_dim(1)
     assert all(check_monotonicity(lat, f) for f in edges)
     rows = lat._cache["quotients"]
-    assert "quotient_tables" not in lat._cache and "pairs" not in lat._cache
+    assert "quotient_tables" not in lat._cache and "verma_m" not in lat._cache
     assert sorted(rows) == sorted(edges)
     assert all(type(row) is list and all(type(c) is int for c in row) for row in rows.values())
     assert all(Polynomial(rows[f]) == toric_g(lat.quotient(f)) for f in edges[:4])
@@ -386,10 +386,11 @@ def test_int64_guard_refuses_past_the_limit(monkeypatch, capsys):
     import toricgh.toric as toric_module
     from toricgh.cli import main
     from toricgh.toric import _polar_g
+    from toricgh.verma import verma_multiplicities
 
     monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 12)
     lat = cube_lattice(4)
-    for compute in (toric_h, flag_vector, _polar_g, _quotient_tables, _pairs):
+    for compute in (toric_h, flag_vector, _polar_g, _quotient_tables, verma_multiplicities):
         with pytest.raises(LatticeError, match="int64"):
             compute(lat)
     for command in ("gh", "verma"):

@@ -1,6 +1,20 @@
+"""The Verma multiplicities, solved from one weighted chain count.
+
+``verma._multiplicities`` reads every stalk equation off the flag count
+weighted at each chain's lowest face (``toric._count_chains`` with a
+``width``).  Its oracles are the same solve on the all-pairs g table,
+a layer at a time (``oracles.layered_multiplicities``) and one stalk at
+a time (``oracles.verma_by_face``).  A changed entry of that table moves
+the stalk sum at its upper face; ``_corrupt`` moves the library's sum
+the same way, through the column of the face's facets in the weighted
+count, so both solvers must fail at the same face with the same words.
+"""
+
 import numpy as np
 import pytest
 
+import toricgh.toric as toric_module
+import toricgh.verma as verma_module
 from toricgh.catalog import (
     catalog,
     cyclic_lattice,
@@ -9,8 +23,11 @@ from toricgh.catalog import (
     simplex_lattice,
 )
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _pairs, _polar_g, _quotient_tables, quotient_g, toric_g
+from toricgh.lattice import LatticeError
+from toricgh.toric import _face_flags, _polar_g, _quotient_tables, quotient_g, toric_g
 from toricgh.verma import (
+    SolveError,
+    _multiplicities,
     check_reciprocity,
     check_verma_vs_polar,
     polar_g,
@@ -19,7 +36,7 @@ from toricgh.verma import (
     verma_multiplicities,
 )
 
-from oracles import cross_lattice, cube_lattice, verma_by_face
+from oracles import cross_lattice, cube_lattice, layered_multiplicities, pair_table, verma_by_face
 
 SQUARE = cube_lattice(2)
 CUBE3 = cube_lattice(3)
@@ -70,8 +87,21 @@ def _oracle_lattices():
 
 
 def test_layered_solver_matches_per_face_oracle():
+    # the weighted count against the pair-table solvers, layered and per face
     for name, lat in _oracle_lattices():
         assert verma_multiplicities(lat) == verma_by_face(lat), name
+        assert np.array_equal(_multiplicities(lat), layered_multiplicities(lat)), name
+
+
+@pytest.mark.parametrize("chunk", [1, 61])
+def test_multiplicities_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # a face's weighted rows split between pieces add up to the same sums
+    lattices = [parse_recipe(e.name).lattice() for e in catalog()[::1 if chunk > 1 else 4]]
+    want = [_multiplicities(lat) for lat in lattices]
+    monkeypatch.setattr(toric_module, "_CHUNK", chunk)
+    for lat, m in zip(lattices, want):
+        del lat._cache["verma_m"]
+        assert np.array_equal(_multiplicities(lat), m)
 
 
 def test_polar_matches_the_per_face_comparison():
@@ -103,12 +133,48 @@ def test_multiplicities_are_solved_once_per_lattice():
     assert polar_matches(lat).all()
 
 
-def _corrupt(name, *entries):
-    """A fresh lattice whose cached pair table holds G[(x, y), k] = value for each entry."""
+def _shift_stalks(monkeypatch, lat, shifts):
+    """Make the solve of ``lat`` read face y's stalk sum moved by shifts[y].
+
+    Column 2^e of a face of dim e sums the weights of its facets, whose
+    interval up to the face is a point, with g = 1: adding to its
+    coefficient i moves the stalk sum at degree i alone.  The entry is
+    changed in the layer the weighted count yields, and put back before
+    the layer pushes, so the faces above read only the solved weights.
+    """
+    count = verma_module._count_chains
+
+    def shifted(px, py, dims, d, blocks, width):
+        for e, W in enumerate(count(px, py, dims, d, blocks, width), -1):
+            rows = {int(np.searchsorted(np.flatnonzero(dims == e), y)): np.asarray(shift)
+                    for y, shift in shifts.items() if px is lat.pairs[0] and dims[y] == e}
+            for i, shift in rows.items():
+                W[i, 1 << e, :len(shift)] += shift
+            yield W
+            for i, shift in rows.items():
+                W[i, 1 << e, :len(shift)] -= shift
+
+    monkeypatch.setattr(verma_module, "_count_chains", shifted)
+
+
+def _corrupt(monkeypatch, name, *entries):
+    """A fresh lattice whose pair table holds G[(x, y), k] = value for each entry.
+
+    The oracles read that table.  The library's solve reads the stalk
+    sum at y moved as the entry moves it: by the change of g_k([x, y])
+    times the weight (-1)^(dim x + 1) m(x), shifted by k, truncated.
+    """
     lat = parse_recipe(name).lattice()
-    table = _pairs(lat)
+    table, m = pair_table(lat), _multiplicities(parse_recipe(name).lattice())
+    width = m.shape[1]
+    shifts = {}
     for x, y, k, value in entries:
-        table.G[np.flatnonzero((table.px == x) & (table.py == y))[0], k] = value
+        row = np.flatnonzero((table.px == x) & (table.py == y))[0]
+        change = value - int(table.G[row, k])
+        table.G[row, k] = value
+        weight = m[x] * (-1) ** (int(lat.dims[x]) + 1)
+        shifts.setdefault(y, np.zeros(width, dtype=np.int64))[k:] += change * weight[:width - k]
+    _shift_stalks(monkeypatch, lat, shifts)
     return lat
 
 
@@ -118,14 +184,17 @@ def _truncated_values(lat):
 
 
 @pytest.mark.parametrize("name", ["cube3", "cube4", "cyclic(7,4)", "prism(cross3)"])
-def test_a_changed_pair_table_entry_fails_verma_only(name):
+def test_a_changed_weighted_entry_fails_verma_only(monkeypatch, name):
     # polar g reads the flag table and the quotients their own table, so one
-    # wrong entry of the pair table shows in verma alone: g_1 of
-    # [bottom, top] moved so that m_1 of the top rises and the solve still
-    # succeeds
+    # wrong entry of the weighted count shows in verma alone: coefficient 1
+    # of the top's facet column moved so that m_1 of the top rises and the
+    # solve still succeeds
     clean = parse_recipe(name).lattice()
-    value = toric_g(clean)[1] + (-1) ** clean.d
-    lat = _corrupt(name, (clean.bottom, clean.top, 1, value))
+    lat = parse_recipe(name).lattice()
+    _shift_stalks(monkeypatch, lat, {lat.top: [0, (-1) ** lat.d]})
+    top = list(verma_multiplicities(clean)[clean.top])
+    top[1] += 1
+    assert verma_multiplicities(lat)[lat.top] == tuple(top)
     assert polar_matches(lat).tolist() == [f != lat.top for f in range(len(lat))]
     assert not check_verma_vs_polar(lat)
     assert check_reciprocity(lat) == ZERO
@@ -136,7 +205,7 @@ def test_a_changed_pair_table_entry_fails_verma_only(name):
 def test_a_changed_quotient_table_entry_fails_reciprocity_and_truncated_at_its_face(name):
     # g_1(P/v) of one vertex lowered by 1000: the vertex enters the truncated
     # sums of degree 1 with g_0(v*) = 1 from s = 1 on, with sign (-1)^(s + 1),
-    # and reciprocity gains -1000 t; verma reads the pair table only
+    # and reciprocity gains -1000 t; verma reads the weighted count only
     clean = parse_recipe(name).lattice()
     lat = parse_recipe(name).lattice()
     v = lat.faces_of_dim(0)[0]
@@ -189,6 +258,12 @@ def _message(solve, lat):
     return str(err.value)
 
 
+def _failing_face(lat):
+    with pytest.raises(SolveError) as err:
+        verma_multiplicities(lat)
+    return err.value.face
+
+
 def _vertex_below(lat, face):
     return next(int(v) for v in lat.below(face) if lat.dims[v] == 0)
 
@@ -222,26 +297,30 @@ CUBE3_ERRORS = _cube3_error_cases()
 
 
 @pytest.mark.parametrize("case", sorted(CUBE3_ERRORS))
-def test_solver_errors_name_the_face_the_oracle_names(case):
+def test_solver_errors_name_the_face_the_oracle_names(monkeypatch, case):
     entries, expected = CUBE3_ERRORS[case]
     assert [int(CUBE3_BY_RULE.dims[f]) for f in (1, 9, 10)] == [0, 1, 1]
-    lat = _corrupt("cube3", *entries)
+    lat = _corrupt(monkeypatch, "cube3", *entries)
     assert _message(verma_by_face, lat) == expected
+    assert _message(layered_multiplicities, lat) == expected
     assert _message(verma_multiplicities, lat) == expected
+    assert f"at face {_failing_face(lat)}" in expected
     assert "verma_m" not in lat._cache
 
 
-def test_solver_errors_go_by_layer_before_index():
+def test_solver_errors_go_by_layer_before_index(monkeypatch):
     # in prism(simplex3) the tetrahedron 33 precedes the square 34 by index,
     # but the square's layer is solved first, so its failure is the one named
     prism = parse_recipe("prism(simplex3)").lattice()
     tetra, square = 33, 34
     assert (int(prism.dims[tetra]), int(prism.dims[square])) == (3, 2)
-    lat = _corrupt("prism(simplex3)", (prism.bottom, square, 0, -1),
+    lat = _corrupt(monkeypatch, "prism(simplex3)", (prism.bottom, square, 0, -1),
                    (_vertex_below(prism, tetra), tetra, 2, 1))
     got = _message(verma_by_face, lat)
     assert got.startswith(f"negative multiplicity at face {square}: ")
+    assert _message(layered_multiplicities, lat) == got
     assert _message(verma_multiplicities, lat) == got
+    assert _failing_face(lat) == square
 
 
 def test_middle_degree_matches_self_for_even_dim():
@@ -336,3 +415,50 @@ def test_invalid_arguments():
         truncated_inequality(CUBE3, -1, 0)
     with pytest.raises(ValueError):
         truncated_inequality(CUBE3, 0, -2)
+
+
+SCALE = ["cube7", "cross7", "cyclic(12,6)", "prism(cube6)", "bipyramid(cross6)", "cyclic(14,7)"]
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog()] + SCALE + ["simplex11", "cyclic(16,8)"]
+)
+def test_the_weighted_check_refuses_nothing_the_face_count_passes(monkeypatch, name):
+    # and the bound it checks holds: per coefficient, each column of a face w
+    # other than its own weight is at most M c(w) in absolute value, and all
+    # of them sum to at most 2 M c(w), M the largest |m| below w and c(w)
+    # its chains, the row sum of its flags
+    lat = parse_recipe(name).lattice()
+    flags, count, seen = _face_flags(lat), verma_module._count_chains, []
+
+    def checked(px, py, dims, d, blocks, width):
+        for e, W in enumerate(count(px, py, dims, d, blocks, width), -1):
+            if e >= 0:
+                most = int(np.abs(m[dims < e]).max())
+                chains = most * flags[e].sum(axis=1)
+                assert (np.abs(W[:, 1:]).max(axis=(1, 2)) <= chains).all(), (name, e)
+                assert (np.abs(W[:, 1:]).sum(axis=1).max(axis=1) <= 2 * chains).all(), (name, e)
+                seen.append(e)
+            yield W
+
+    m = layered_multiplicities(parse_recipe(name).lattice()) if len(lat) < 3000 else None
+    if m is not None:
+        monkeypatch.setattr(verma_module, "_count_chains", checked)
+    solved = _multiplicities(lat)
+    assert m is None or (np.array_equal(solved, m) and seen == list(range(lat.d + 1)))
+
+
+@pytest.mark.parametrize("name", ["cube4", "cyclic(8,5)", "simplex5", "prism(cross3)"])
+def test_the_weighted_check_refuses_from_its_bound(monkeypatch, name):
+    # width * M * 2^(d + 2) * c(top), M the largest |m| of a face below the top
+    want = _multiplicities(parse_recipe(name).lattice())
+    lat = parse_recipe(name).lattice()
+    d, width = lat.d, want.shape[1]
+    chains = int(_face_flags(lat)[d][0].sum())
+    bound = int(np.abs(want[lat.dims < d]).max()) * width * chains << (d + 2)
+    monkeypatch.setattr(verma_module, "_INT64_LIMIT", bound)
+    with pytest.raises(LatticeError, match="int64 bound 2\\^"):
+        _multiplicities(lat)
+    assert "verma_m" not in lat._cache
+    monkeypatch.setattr(verma_module, "_INT64_LIMIT", bound + 1)
+    assert np.array_equal(_multiplicities(lat), want)
