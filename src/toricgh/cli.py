@@ -68,10 +68,11 @@ def load_input(text: str) -> CatalogEntry:
 
 
 def _emit(args, payload: dict, text_lines):
+    """Print the payload as JSON, or else the lines ``text_lines()`` makes."""
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -83,14 +84,13 @@ def cmd_gh(args) -> int:
     lat = inp.lattice()
     payload = toric.report(lat)
     payload["name"] = inp.name
-    lines = [
+    _emit(args, payload, lambda: [
         f"{inp.name}: d = {lat.d}",
         f"  f-vector: {payload['f_vector']}",
         f"  h: {payload['h']}   ({toric.toric_h(lat)})",
         f"  g: {payload['g']}   ({toric.toric_g(lat)})",
         f"  Dehn-Sommerville: {'pass' if payload['checks']['dehn_sommerville'] else 'FAIL'}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0 if all(payload["checks"].values()) else 1
 
 
@@ -99,10 +99,9 @@ def cmd_flags(args) -> int:
     lat = inp.lattice()
     fv = toric.flag_vector(lat)
     payload = {"name": inp.name, "dim": lat.d, "flags": fv.to_json()}
-    lines = [f"{inp.name}: flag vector"] + [
+    _emit(args, payload, lambda: [f"{inp.name}: flag vector"] + [
         f"  f_{{{s}}} = {v}" for s, v in sorted(payload["flags"].items())
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -272,14 +271,17 @@ def cmd_shell(args) -> int:
         "h": toric.toric_h(p.lattice).to_json(),
         "certified": True,
     }
-    lines = [f"{inp.name}: line shelling (seed {args.seed})"]
-    for r in rows:
-        lines.append(
-            f"  facet {r['facet']:>3} {str(r['vertices']):<24}"
-            f" local h = {r['local_h']}  sum = {r['running_sum']}"
-        )
-    lines.append(f"  total = h(P) = {payload['h']}, all coefficients >= 0")
-    _emit(args, payload, lines)
+
+    def text_lines():
+        yield f"{inp.name}: line shelling (seed {args.seed})"
+        for r in rows:
+            yield (
+                f"  facet {r['facet']:>3} {str(r['vertices']):<24}"
+                f" local h = {r['local_h']}  sum = {r['running_sum']}"
+            )
+        yield f"  total = h(P) = {payload['h']}, all coefficients >= 0"
+
+    _emit(args, payload, text_lines)
     return 0
 
 
@@ -304,12 +306,11 @@ def cmd_rigidity(args) -> int:
         "g2_match": bool(verdict),
         "infinitesimally_rigid": kernel == comb(fw.d + 1, 2),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"{inp.name}: framework with {fw.n_edges} bars on {len(fw.points)} joints (d={p.d})",
         f"  rank {rank}, kernel {kernel}, stresses {stress}",
         f"  g2 cross-check: {'pass' if verdict else 'FAIL'} (expected {g2})",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0 if verdict else 1
 
 
@@ -334,7 +335,7 @@ def cmd_localize(args) -> int:
         "fixed": names(dec.fixed), "min_fixed": names(dec.min_fixed),
         "lhs": lhs, "rhs": rhs, "ok": ok,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"{inp.name}: direction v = ({', '.join(map(str, v))})",
         f"  back faces : {payload['back']}",
         f"  front faces: {payload['front']}",
@@ -342,8 +343,7 @@ def cmd_localize(args) -> int:
         f"  minimal    : {payload['min_fixed']}",
         f"  g(sigma,1) = {lhs} >= {rhs} = sum over minimal fixed: "
         f"{'pass' if ok else 'FAIL'}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0 if ok else 1
 
 
@@ -355,33 +355,31 @@ def cmd_verma(args) -> int:
     except verma.SolveError as e:
         print(f"error: {inp.name}: {e}, vertices {sorted(lat.faces[e.face])}", file=sys.stderr)
         return 1
-    match = verma.polar_matches(lat)
-    faces = []
-    for f in sorted(table, key=lambda i: (int(lat.dims[i]), i)):
-        faces.append(
-            {
-                "face": sorted(lat.faces[f]),
-                "m": list(table[f]),
-                "polar_g": verma.polar_g(lat, f).to_json() or [1],
-                "match": bool(match[f]),
-            }
-        )
-    ok = all(row["match"] for row in faces)
+    match, polar = verma.polar_matches(lat).tolist(), verma.polar_rows(lat)
+    faces = [
+        {"face": sorted(lat.faces[f]), "m": list(table[f]), "polar_g": list(polar[f]),
+         "match": match[f]}
+        for f in sorted(table, key=lambda i: (int(lat.dims[i]), i))
+    ]
+    ok = all(match)
     payload = {
         "name": inp.name,
         "faces": faces,
-        "polar_match": bool(ok),
+        "polar_match": ok,
         "top": list(table[lat.top]),
     }
-    lines = [f"{inp.name}: multiplicities m_k per cone face (vs polar g)"]
-    for row in faces:
-        label = ",".join(map(str, row["face"])) or "apex"
-        lines.append(
-            f"  {label:<20} m = {row['m']!s:<14} polar g = {row['polar_g']!s:<14}"
-            f" {'ok' if row['match'] else 'MISMATCH'}"
-        )
-    lines.append(f"  polar g comparison: {'pass' if ok else 'FAIL'}")
-    _emit(args, payload, lines)
+
+    def text_lines():
+        yield f"{inp.name}: multiplicities m_k per cone face (vs polar g)"
+        for row in faces:
+            label = ",".join(map(str, row["face"])) or "apex"
+            yield (
+                f"  {label:<20} m = {row['m']!s:<14} polar g = {row['polar_g']!s:<14}"
+                f" {'ok' if row['match'] else 'MISMATCH'}"
+            )
+        yield f"  polar g comparison: {'pass' if ok else 'FAIL'}"
+
+    _emit(args, payload, text_lines)
     return 0 if ok else 1
 
 

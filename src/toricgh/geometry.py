@@ -1,18 +1,20 @@
-"""Exact rational geometry: polytopes from vertices and the cones over them.
+"""Exact geometry: polytopes from vertices and the cones over them.
 
-The input points and their affine coordinates are ``fractions.Fraction``
-tuples.  The polytope also keeps the coordinates scaled by one positive
-integer to integer points, which is where the double description runs;
-``shelling.line_shelling`` reads them to order its crossings by integer
-keys, and its base point is their average.  Every kernel comes from one
-fraction-free (Bareiss) elimination on integer rows, and so does every
-rank that its value modulo a 31-bit prime does not settle, so there is
-no floating point anywhere.  Facet enumeration is the double
+The input points are ``fractions.Fraction`` tuples, and they stay at
+the input: once parsed, each coordinate row is cleared of denominators
+and every later step runs on integers.  A polytope keeps one coordinate
+form, ``integer_points``: its points in affine coordinates on their
+hull, scaled by the least positive integer that makes them integers.
+The double description, the facet offsets, the cone rays and normals,
+the frameworks and the shelling keys all read it.  Every kernel comes
+from one fraction-free (Bareiss) elimination on integer rows, and so
+does every rank that its value modulo a 31-bit prime does not settle,
+so there is no floating point anywhere.  Facet enumeration is the double
 description method (Motzkin; Fukuda & Prodon, "Double description method
-revisited", 1996) on the points scaled once to one integer lattice: it
-adds the points one at a time to the cone of a starting simplex, so its
-cost follows the number of facets met on the way rather than the C(n, d)
-hyperplanes that d-subsets of the points span.
+revisited", 1996) on the integer points: it adds the points one at a
+time to the cone of a starting simplex, so its cost follows the number
+of facets met on the way rather than the C(n, d) hyperplanes that
+d-subsets of the points span.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ def dot(a, b):
 
 def primitive_ray(v) -> tuple[int, ...]:
     """Scale by a positive rational to the primitive integer vector."""
-    v = tuple(Fraction(x) for x in v)
-    if all(x == 0 for x in v):
-        return tuple(0 for _ in v)
-    mult = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (mult // x.denominator) for x in v]
-    g = gcd(*ints)
+    (ints,) = _integer_rows([tuple(v)])
+    g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
 
@@ -47,15 +45,16 @@ def primitive_ray(v) -> tuple[int, ...]:
 def _integer_rows(rows):
     """Each row as a list of ints, scaled by the lcm of its denominators.
 
-    Integer rows are copied as they are; scaling a row changes neither
-    the rank nor the reduced row echelon form.
+    Integer rows are copied as they are, and Fractions are read as they
+    are; only other entries (strings, floats) are parsed.  Scaling a row
+    changes neither the rank nor the reduced row echelon form.
     """
     out = []
     for row in rows:
         if all(type(x) is int for x in row):
             out.append(list(row))
             continue
-        fr = [Fraction(x) for x in row]
+        fr = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
         mult = lcm(*(x.denominator for x in fr))
         out.append([x.numerator * (mult // x.denominator) for x in fr])
     return out
@@ -177,28 +176,26 @@ def _integer_kernel(rows):
 class GeometricPolytope:
     """Convex polytope given by its vertices, with exact facet data.
 
-    ``vertices`` are the input points; ``coords`` are the same points in
-    affine coordinates on the hull, so they always span dimension d.
-    ``integer_points`` is (scale, points): the coords times the least
-    positive integer ``scale`` that makes them all integers.
-    ``facets`` is a list of (normal, offset, tight vertex set) with
-    <normal, x> <= offset valid on all vertices and tight exactly on the
-    facet; normals are integer vectors and each offset times ``scale`` is
-    an integer.  ``lattice`` is the face lattice derived from the tight
-    sets, ``facet_faces`` names the lattice face of each facet, and
-    ``facet_incidence`` marks the faces lying in each facet.
+    ``integer_points`` is (scale, points): the vertices in affine
+    coordinates on their hull, so they span dimension d, times the least
+    positive integer ``scale`` that makes them all integers, in input
+    order with duplicates dropped.  ``facets`` is a list of (normal,
+    offset, tight vertex set) with <normal, x> <= offset valid on all the
+    points x and tight exactly on the facet; normals and offsets are
+    integers, in the units of the points.  ``lattice`` is the face
+    lattice derived from the tight sets, ``facet_faces`` names the
+    lattice face of each facet, and ``facet_incidence`` marks the faces
+    lying in each facet.
     """
 
-    def __init__(self, vertices, coords, d, facets, lattice, integer_points):
-        self.vertices = vertices
-        self.coords = coords
+    def __init__(self, d, facets, lattice, integer_points):
         self.d = d
         self.facets = facets
         self.lattice = lattice
         self.integer_points = integer_points
 
     def __repr__(self):
-        return f"GeometricPolytope(d={self.d}, vertices={len(self.vertices)})"
+        return f"GeometricPolytope(d={self.d}, vertices={len(self.integer_points[1])})"
 
     @cached_property
     def facet_faces(self) -> tuple[int, ...]:
@@ -214,10 +211,6 @@ class GeometricPolytope:
             inc[j, np.append(lat.below(f), f)] = True
         inc.setflags(write=False)
         return inc
-
-    def barycenter(self):
-        scale, pts = self.integer_points
-        return tuple(Fraction(sum(col), scale * len(pts)) for col in zip(*pts))
 
 
 def _rational_points(vertices):
@@ -246,23 +239,25 @@ def _rational_points(vertices):
 
 
 def _affine_coordinates(points):
-    """Coordinates of the points on their affine hull.
+    """Integer coordinates of the points on their affine hull.
 
-    Returns (coords, d, basis): the differences p - p0 that raise the rank,
-    taken in input order, form the basis, and a point's coordinates are
-    its difference in that basis.  One Gauss-Jordan elimination of the
-    differences, taken as columns, gives all three: the pivot columns are
-    the basis and the reduced columns are the coordinates.
+    Returns (scale, coords, basis): the differences p - p0 that raise the
+    rank, taken in input order, form the basis, and a point's coordinates
+    are its difference in that basis, times the least positive integer
+    ``scale`` that makes every coordinate an integer.  One Gauss-Jordan
+    elimination gives all three: the coordinate rows, cleared of
+    denominators, then less p0, are its rows; the pivot columns are the
+    basis, and the reduced columns are the coordinates times the last
+    pivot, den.  With g the gcd of den and every entry, scale = |den| / g
+    and the coordinates are the entries times sign(den) / g.
     """
-    p0 = points[0]
-    cols = [[a - b for a, b in zip(p, p0)] for p in points]
-    mat = _integer_rows(zip(*cols))
+    mat = [[x - row[0] for x in row] for row in _integer_rows(zip(*points))]
     basis, den = _eliminate(mat, full=True)
-    coords = [
-        tuple(Fraction(mat[r][j], den) for r in range(len(basis)))
-        for j in range(len(points))
-    ]
-    return coords, len(basis), basis
+    rows = mat[:len(basis)]
+    g = gcd(den, *(x for row in rows for x in row))
+    unit = (den > 0) - (den < 0)
+    coords = tuple(zip(*([unit * x // g for x in row] for row in rows))) or ((),) * len(points)
+    return abs(den) // g, coords, basis
 
 
 def _double_description(points, basis, scale):
@@ -327,13 +322,10 @@ def facet_enumeration(vertices) -> GeometricPolytope:
     pts = list(dict.fromkeys(_rational_points(vertices)))
     if not pts:
         raise ValueError("no points given")
-    coords, d, basis = _affine_coordinates(pts)
-    n = len(pts)
-
-    scale = lcm(*(x.denominator for c in coords for x in c))
-    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords)
+    scale, ints, basis = _affine_coordinates(pts)
+    d, n = len(basis), len(pts)
     if d == 0:
-        return GeometricPolytope(tuple(pts), tuple(coords), 0, [], point_lattice(), (scale, ints))
+        return GeometricPolytope(0, [], point_lattice(), (scale, ints))
 
     facets = _double_description(ints, basis, scale)
     for i in range(n):
@@ -348,10 +340,10 @@ def facet_enumeration(vertices) -> GeometricPolytope:
     facet_list = []
     for h, zero in facets:
         tight = frozenset(i for i in range(n) if zero >> i & 1)
-        facet_list.append((tuple(-a for a in h[1:]), Fraction(h[0], scale), tight))
+        facet_list.append((tuple(-a for a in h[1:]), h[0], tight))
     facet_list.sort(key=lambda f: sorted(f[2]))
     lat = FaceLattice.from_vertex_facets(n, [f[2] for f in facet_list])
-    return GeometricPolytope(tuple(pts), tuple(coords), d, facet_list, lat, (scale, ints))
+    return GeometricPolytope(d, facet_list, lat, (scale, ints))
 
 
 # -- cones -------------------------------------------------------------
@@ -360,24 +352,27 @@ def facet_enumeration(vertices) -> GeometricPolytope:
 class Cone:
     """Pointed cone over a polytope P, living in dimension d + 1.
 
-    Rays are (v, 1) over the vertex coordinates, made primitive.  Faces
-    of the cone correspond to faces of P, with the zero cone standing in
-    for the empty face.  ``normals[j]`` is facet j of P lifted to an
-    integer inner normal of the cone.  The cone's facet j is the cone over
-    lattice face ``polytope.facet_faces[j]``, and the faces lying in it
-    are row j of ``polytope.facet_incidence``.
+    Rays are (v, 1) over the vertex coordinates v = x / scale, made
+    primitive: the primitive vectors of (x, scale) over the integer
+    points x.  Faces of the cone correspond to faces of P, with the zero
+    cone standing in for the empty face.  ``normals[j]`` is facet j of P
+    lifted to an integer inner normal of the cone.  The cone's facet j is
+    the cone over lattice face ``polytope.facet_faces[j]``, and the faces
+    lying in it are row j of ``polytope.facet_incidence``.
     """
 
     def __init__(self, polytope: GeometricPolytope):
         p = polytope
+        scale, pts = p.integer_points
         self.polytope = p
         self.lattice = p.lattice
         self.dim = p.d + 1
-        self.rays = tuple(primitive_ray(list(v) + [1]) for v in p.coords)
-        # <(-a, b), (x, s)> >= 0 lifts <a, x> <= b s; facets of the cone
-        # are exactly the lifted facets of P (P bounded keeps s >= 0 implied)
+        self.rays = tuple(primitive_ray(x + (scale,)) for x in pts)
+        # <a, x> <= b on the points is <a, v> <= (b / scale) s at s = 1, so
+        # <(-scale a, b), (v, s)> >= 0 lifts it; facets of the cone are
+        # exactly the lifted facets of P (P bounded keeps s >= 0 implied)
         self.normals = tuple(
-            primitive_ray([-x for x in a] + [b]) for a, b, _ in p.facets
+            primitive_ray([-scale * x for x in a] + [b]) for a, b, _ in p.facets
         )
 
     def __repr__(self):
@@ -389,6 +384,4 @@ class Cone:
 
 
 def cone_over(p: GeometricPolytope) -> Cone:
-    if not p.vertices:
-        raise ValueError("cone over nothing")
     return Cone(p)

@@ -20,12 +20,13 @@ inclusion test over an inverted index: each face x is tested only
 against the larger faces that hold its rarest vertex, or, when the
 closure held each face's facet set, each face y only against the
 smaller faces inside its rarest facet.  So the cost follows the
-comparable pairs and no n x n array is ever formed.  Grading and flag
-counting are integer sums over the pairs and over the triples x < z < y
-they form (``_triples``).  Validation counts the triples only for the
-pairs x < y whose y is not Boolean below (on simplicial input, y = top
-alone): under a face whose every vertex subset is a face below it, all
-intervals are Boolean, so graded and balanced.  Down-sets and up-sets
+comparable pairs and no n x n array is ever formed.  Grading reads the
+longest chains off the pairs (``_grade``), and the flag counts of
+``toric`` are sums over the pairs a dimension layer at a time.  Only
+validation walks the triples x < z < y (``_triples``), and only those
+of the pairs x < y whose y is not Boolean below (on simplicial input,
+y = top alone): under a face whose every vertex subset is a face below
+it, all intervals are Boolean, so graded and balanced.  Down-sets and up-sets
 (``below``, ``above``) are slices of the same list.  ``leq`` is a dense
 boolean view kept for outside readers only, built on first access.
 
@@ -719,26 +720,24 @@ def _run_starts(a):
     return np.flatnonzero(new)
 
 
-def _triples(px, py, start, upper=None):
-    """The triples x < z < y of a strict order, about _CHUNK at a time.
+def _triples(px, py, start, upper):
+    """The triples x < z < y of a strict order within ``upper``, about _CHUNK at a time.
 
     ``px, py`` are the strict pairs sorted by (x, y), so the pairs of
-    each x are one run, from start[x] to start[x + 1].  A chunk covers
-    consecutive rows (x, z) and yields (lo, hi, xz, xy): per triple the
-    rows of (x, z) and of (x, y), all xy inside the runs [lo, hi) of the
-    chunk's x's.  The row of (x, y) is read by row pointers: the runs of
-    the chunk's x's are scattered into a position block of at most
-    _CHUNK // n rows of n entries, then gathered at (x, y), with no
-    search over the keys.  Given ``upper``, a part (qx, qy) of the
-    pairs sorted alike that holds (x, y) whenever it holds (z, y) and
-    x < z, only the triples whose (z, y) and (x, y) lie in it are
-    walked, and lo, hi and xy count its pairs.
+    each x are one run, from start[x] to start[x + 1].  ``upper`` is a
+    part (qx, qy) of the pairs sorted alike that holds (x, y) whenever
+    it holds (z, y) and x < z; only the triples whose (z, y) and (x, y)
+    lie in it are walked (all of them when ``upper`` is the pairs
+    themselves).  A chunk covers consecutive rows (x, z) and yields (lo,
+    hi, xz, xy): per triple the row of (x, z) and the row of (x, y) in
+    ``upper``, all xy inside the runs [lo, hi) of the chunk's x's.  The
+    row of (x, y) is read by row pointers: the runs of the chunk's x's
+    are scattered into a position block of at most _CHUNK // n rows of n
+    entries, then gathered at (x, y), with no search over the keys.
     """
     n = len(start) - 1
-    qx, qy, q_start = px, py, start     # the pairs (z, y) and (x, y) are read from
-    if upper is not None:
-        qx, qy = upper
-        q_start = np.searchsorted(qx, np.arange(n + 1))
+    qx, qy = upper                      # the pairs (z, y) and (x, y) are read from
+    q_start = np.searchsorted(qx, np.arange(n + 1))
     per_row = np.diff(q_start)[py]      # triples that each row (x, z) opens
     ends = np.cumsum(per_row)
     span = max(1, _CHUNK // max(n, 1))

@@ -13,8 +13,7 @@ vanishes in dimension 3 (Cauchy-Dehn-Aleksandrov rigidity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from toricgh.geometry import GeometricPolytope, exact_rank
 from toricgh.toric import flag_vector
@@ -22,7 +21,11 @@ from toricgh.toric import flag_vector
 
 @dataclass(frozen=True)
 class Framework:
-    """Joints at rational points plus bars between them."""
+    """Joints at points plus bars between them.
+
+    ``build_framework`` places the joints at the polytope's integer points;
+    rational joints work too, since only the rank of the matrix is read.
+    """
 
     points: tuple
     edges: tuple          # pairs of point indices
@@ -68,7 +71,7 @@ def build_framework(p: GeometricPolytope) -> Framework:
         raise AssertionError(
             f"edge count {len(edges)} != f1 + f02 - 3 f2 = {expected}"
         )
-    return Framework(tuple(p.coords), tuple(edges), p.d)
+    return Framework(p.integer_points[1], tuple(edges), p.d)
 
 
 def rigidity_matrix(fw: Framework):
@@ -87,22 +90,18 @@ def rigidity_matrix(fw: Framework):
 def rigidity_rank(fw: Framework) -> int:
     """Exact rank of the rigidity matrix, certified modulo a prime.
 
-    The joints are scaled to integer points by one positive integer, which
-    scales the matrix and leaves its rank unchanged.  When they affinely
-    span R^d, the C(d+1, 2)-dimensional space of trivial motions lies in
-    the kernel, so the rank is at most d n - C(d+1, 2); ``exact_rank``
-    takes its rank mod p when it reaches that bound.  Polytope frameworks
-    with triangulated 2-faces are infinitesimally rigid (Whiteley), so
-    they reach it and the Bareiss fallback does not run.
+    When the joints affinely span R^d, the C(d+1, 2)-dimensional space of
+    trivial motions lies in the kernel, so the rank is at most
+    d n - C(d+1, 2); ``exact_rank`` takes its rank mod p when it reaches
+    that bound.  Polytope frameworks with triangulated 2-faces are
+    infinitesimally rigid (Whiteley), so they reach it and the Bareiss
+    fallback does not run.
     """
-    points = [[Fraction(x) for x in p] for p in fw.points]
-    mult = lcm(*(x.denominator for p in points for x in p))
-    joints = [[x.numerator * (mult // x.denominator) for x in p] for p in points]
+    joints = fw.points
     at_most = None
     if joints and exact_rank([[a - b for a, b in zip(p, joints[0])] for p in joints]) == fw.d:
         at_most = fw.d * len(joints) - comb(fw.d + 1, 2)
-    rows = rigidity_matrix(Framework(tuple(joints), fw.edges, fw.d))
-    return exact_rank(rows, at_most=at_most)
+    return exact_rank(rigidity_matrix(fw), at_most=at_most)
 
 
 def stress_dimension(fw: Framework) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from toricgh.geometry import GeometricPolytope, dot
 from toricgh.polynomial import Polynomial
-from toricgh.toric import _face_tables, _kernels, toric_h
+from toricgh.toric import _binom_kernel, _face_tables, toric_h
 
 
 class ShellingError(RuntimeError):
@@ -35,9 +35,11 @@ class ShellingError(RuntimeError):
 class Shelling:
     polytope: GeometricPolytope
     order: tuple[int, ...]          # facet indices, shelling order
-    base_point: tuple
     direction: tuple
-    crossings: tuple                # line parameter at each facet plane
+
+
+# generic directions drawn from the seeded stream before a shelling gives up
+_RETRIES = 64
 
 
 def _direction_stream(dim, seed):
@@ -48,45 +50,39 @@ def _direction_stream(dim, seed):
             yield v
 
 
-def line_shelling(
-    p: GeometricPolytope, direction=None, seed: int = 0, retries: int = 64
-) -> Shelling:
+def line_shelling(p: GeometricPolytope, direction=None, seed: int = 0) -> Shelling:
     """Shelling of the facets of ``p`` along a generic line.
 
     The line runs through the vertex average.  A direction is generic
     when it is parallel to no facet hyperplane and the crossing
     parameters are pairwise distinct; non-generic directions (given or
     drawn) are discarded and a fresh one is drawn from the seeded
-    stream, up to the retry budget.
+    stream, up to ``_RETRIES`` draws.
 
-    Crossings are compared in integers.  With the polytope's integer
-    points x = scale * coords, B their sum and n their number, facet i
-    (<a_i, x> <= b_i) is crossed at t_i = (L / (scale n)) num_i / den_i,
-    where num_i = n scale b_i - <a_i, B> > 0 (the base point is interior),
+    Crossings are compared in integers, on the polytope's integer points
+    x, their sum B and their number n.  Facet i (<a_i, x> <= b_i) is
+    crossed at t_i = (L / n) num_i / den_i from the base point B / n,
+    where num_i = n b_i - <a_i, B> > 0 (the base point is interior),
     w = L v is the direction cleared of denominators and den_i = <a_i, w>.
     The factor in front is positive, so with M = lcm |den_i| the integer
     keys num_i (M / den_i) = M num_i / den_i sort and tie exactly as the
-    t_i do; the exact Fractions are made for the accepted direction only.
+    t_i do.  The order lists the facets crossed going up (den_i > 0) by
+    key, then those crossed returning from below.
     """
     if p.d < 1:
         raise ValueError("shellings need dimension >= 1")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    candidates = islice(_direction_stream(p.d, seed), retries)
+    candidates = islice(_direction_stream(p.d, seed), _RETRIES)
     if direction is not None:
         direction = tuple(Fraction(x) for x in direction)
         if len(direction) != p.d:
             raise ValueError(f"direction must have {p.d} coordinates")
         candidates = chain([direction], candidates)
 
-    scale, pts = p.integer_points
+    _, pts = p.integer_points
     n = len(pts)
     total = [sum(col) for col in zip(*pts)]
     normals = [a for a, _, _ in p.facets]
-    nums = [
-        n * b.numerator * (scale // b.denominator) - dot(a, total)
-        for a, b, _ in p.facets
-    ]
+    nums = [n * b - dot(a, total) for a, b, _ in p.facets]
     for v in candidates:
         mult = lcm(*(x.denominator for x in v))
         w = [x.numerator * (mult // x.denominator) for x in v]
@@ -99,12 +95,11 @@ def line_shelling(
             continue
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
         order = tuple([i for i in by_key if dens[i] > 0] + [i for i in by_key if dens[i] < 0])
-        crossings = tuple(Fraction(mult * nums[i], scale * n * dens[i]) for i in order)
-        sh = Shelling(p, order, p.barycenter(), v, crossings)
+        sh = Shelling(p, order, v)
         _check_partial_unions(sh)
         return sh
     raise ShellingError(
-        f"no generic direction found in {retries} retries (seed {seed})"
+        f"no generic direction found in {_RETRIES} retries (seed {seed})"
     )
 
 
@@ -172,14 +167,18 @@ def shelling_decomposition(sh: Shelling) -> list[Polynomial]:
     lat = sh.polytope.lattice
     d = sh.polytope.d
     first_cover = _first_cover(sh)
-    # g(F) (t-1)^(d-1-dim F) per boundary face F, one product per dimension on
-    # the rows of the face g table; summands of h, so in the int64 bound ``_chain_flags`` checks
+    # g(F) (t-1)^(d-1-dim F) per boundary face F, one pass per coefficient of
+    # (t-1)^(d-1-e) over the g rows of each dimension e; the products have
+    # degree <= d, so no column of g they need is cut off.  They are summands
+    # of h, so in the int64 bound ``_chain_flags`` checks
     G = _face_tables(lat)[1]
-    stacks, _ = _kernels(d + 1)
     pieces = np.zeros((len(sh.order), d + 1), dtype=np.int64)
     for e in range(-1, d):
         at = np.flatnonzero(lat.dims == e)
-        np.add.at(pieces, first_cover[at], G[at] @ stacks[d - 1 - e][:d + 1])
+        rows = np.zeros((len(at), d + 1), dtype=np.int64)
+        for j, c in enumerate(_binom_kernel(d - 1 - e).tolist()):
+            rows[:, j:] += c * G[at, :d + 1 - j]
+        np.add.at(pieces, first_cover[at], rows)
     locals_ = [Polynomial(coeffs) for coeffs in pieces.tolist()]
     if (pieces < 0).any():
         j = int(np.argmax((pieces < 0).any(axis=1)))

@@ -45,25 +45,6 @@ def _binom_kernel(k: int) -> np.ndarray:
     return np.array([comb(k, j) * (-1) ** (k - j) for j in range(k + 1)], dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _kernels(width: int):
-    """(stacks, keep), truncated at ``width`` coefficients.
-
-    ``stacks[e]`` multiplies the rows S[0], ..., S[e], stacked, by
-    (t-1)^e, ..., (t-1)^0 and sums them; ``keep[k + 1]`` masks the
-    coefficients g keeps for an interval of dimension k.
-    """
-    T = np.zeros((width, width, width), dtype=np.int64)
-    for k in range(width):
-        for j, c in enumerate(_binom_kernel(k)):
-            T[k, np.arange(width - j), np.arange(j, width)] = c
-    stacks = [np.ascontiguousarray(T[e::-1].reshape(-1, width)) for e in range(width)]
-    keep = np.arange(width) <= np.arange(-1, width)[:, None] // 2
-    for a in (*stacks, keep):
-        a.setflags(write=False)
-    return stacks, keep
-
-
 # ``_chain_flags`` refuses an order whose table entries could pass this bound.
 _INT64_LIMIT = 1 << 62
 
@@ -146,17 +127,16 @@ def _polar_g(lat: FaceLattice) -> np.ndarray:
 
     The polar of a face w of dimension e is [bottom, w] with the order
     reversed, so f_S(w*) = f_{e-1-S}(w): h(w*) is w's row of
-    ``_face_flags`` with its columns bit-reversed, times
-    ``_flag_coeffs(e)`` (``_read_flags`` bounds it).  The bottom, the
-    empty face, is its own polar: row 0 is 1.
+    ``_face_flags`` times ``_polar_coeffs(e)``, ``_flag_coeffs(e)`` with
+    its rows bit-reversed (``_read_flags`` bounds it), and this is the G
+    of ``_tables`` over those rows.  The bottom, the empty face, is its
+    own polar: row 0 is 1.  Built once per lattice.
     """
     polar = lat._cache.get("polar_g")
     if polar is None:
-        polar = np.zeros((len(lat), max(lat.d + 1, 1)), dtype=np.int64)
-        polar[lat.bottom, 0] = 1
-        for faces, _, g in _read_flags(_face_flags(lat), lat.dims, _polar_coeffs):
-            polar[faces, :g.shape[1]] = g
-        lat._cache["polar_g"] = polar
+        polar = lat._cache["polar_g"] = _tables(
+            _face_flags(lat), lat.dims, _polar_coeffs, lat.bottom
+        )[1]
     return polar
 
 

@@ -62,10 +62,6 @@ class SolveError(AssertionError):
 class MultiplicityTable(dict):
     """Face index -> tuple of multiplicities (m_0, m_1, ...), trimmed."""
 
-    def m(self, face: int, k: int) -> int:
-        row = self[face]
-        return row[k] if 0 <= k < len(row) else 0
-
     def to_json(self, lat: FaceLattice) -> dict:
         return {
             "|".join(map(str, sorted(lat.faces[f]))) or "apex": list(row)
@@ -201,6 +197,11 @@ def check_verma_vs_polar(lat: FaceLattice) -> bool:
 def polar_g(lat: FaceLattice, face: int) -> Polynomial:
     """g of the polar of the face, read off its flag numbers (``toric._polar_g``)."""
     return Polynomial(_polar_g(lat)[face].tolist())
+
+
+def polar_rows(lat: FaceLattice) -> list[tuple[int, ...]]:
+    """``polar_g`` of every face as a trimmed tuple, by face index; a zero g reads (1,)."""
+    return [row if any(row) else (1,) for row in _trimmed(_polar_g(lat))]
 
 
 def _signed_sums(lat: FaceLattice) -> np.ndarray:

@@ -77,6 +77,10 @@ leave the generator in the same state.
 found before one masked pass over the pairs: a fixed face is minimal
 when its down-set holds no other fixed face.
 
+``fraction_coordinates`` and ``fraction_form`` are the Fraction
+coordinates, facet offsets, cone rays and cone normals the library kept
+before integer points were its only coordinate form: the coordinates
+solved by ``rref`` in the basis ``brute_force_facets`` reads too.
 ``fraction_line_shelling`` is the line shelling the library computed
 before it ordered the crossings by integer keys: every crossing time a
 Fraction, from the Fraction barycenter of the coordinates.
@@ -107,7 +111,8 @@ all-pairs table the library kept until the Verma solver read weighted
 chain counts instead: the recursion of ``chunk_tables`` one dimension
 layer at a time over the triples x < z < y of whole x's
 (``whole_x_triples``, the chunking ``lattice._triples`` did with a
-``row_cost``).  ``pair_table`` keeps its g columns per lattice.
+``row_cost``), and ``_kernels`` the stacked (t-1)^k products the
+recursion multiplies by.  ``pair_table`` keeps its g columns per lattice.
 ``layered_multiplicities`` is the Verma solver on that table, a
 dimension layer at a time, and ``verma_by_face`` the one before it: one
 stalk at a time in ascending index, its row checked "beyond middle
@@ -138,6 +143,7 @@ triples of one root's up-set.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import gcd, lcm, prod
 from typing import NamedTuple
@@ -166,7 +172,6 @@ from toricgh.toric import (
     _binom_kernel,
     _blocks,
     _face_flags,
-    _kernels,
     face_g,
     gtilde,
     toric_g,
@@ -240,10 +245,13 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def brute_force_facets(vertices):
-    """(d, facets) of conv(vertices), facets as (normal, offset, tight) sorted by tight set.
+def fraction_coordinates(vertices):
+    """(points, d, coords): the distinct points and their affine coordinates as Fractions.
 
-    Duplicates are dropped; a point that is not a vertex raises ValueError.
+    The differences p - p0 that raise the rank, in input order, are the
+    basis, and each point's coordinates solve for its difference in it:
+    the coordinates ``facet_enumeration`` kept before it kept integer
+    points alone.
     """
     pts = list(dict.fromkeys(tuple(Fraction(x) for x in v) for v in vertices))
     p0 = pts[0]
@@ -254,9 +262,36 @@ def brute_force_facets(vertices):
             basis.append(v)
     d = len(basis)
     if d == 0:
-        return 0, []
+        return pts, 0, [()] * len(pts)
     bt = [[basis[j][i] for j in range(d)] for i in range(len(p0))]
-    coords = [solve(bt, list(v)) for v in diffs]
+    return pts, d, [solve(bt, list(v)) for v in diffs]
+
+
+def fraction_form(vertices, normals):
+    """(coords, offsets, rays, cone_normals): the Fraction form of a polytope.
+
+    What ``facet_enumeration`` and ``Cone`` made before integer points
+    alone: the ``fraction_coordinates``, the offset of each facet normal
+    over them (its largest value on the points), the cone rays as the
+    primitive vectors of (c, 1), and each facet <a, c> <= b lifted to the
+    primitive inner normal (-a, b) of the cone.
+    """
+    _, _, coords = fraction_coordinates(vertices)
+    offsets = [max(_dot(a, c) for c in coords) for a in normals]
+    rays = [_primitive(list(c) + [1]) for c in coords]
+    cone_normals = [_primitive([-x for x in a] + [b]) for a, b in zip(normals, offsets)]
+    return coords, offsets, rays, cone_normals
+
+
+def brute_force_facets(vertices):
+    """(d, facets) of conv(vertices), facets as (normal, offset, tight) sorted by tight set.
+
+    Offsets are in the units of the ``fraction_coordinates``.  Duplicates
+    are dropped; a point that is not a vertex raises ValueError.
+    """
+    pts, d, coords = fraction_coordinates(vertices)
+    if d == 0:
+        return 0, []
     n = len(pts)
     facets = {}
     for subset in combinations(range(n), d):
@@ -449,29 +484,33 @@ def loop_partial_unions(sh):
 def fraction_line_shelling(p, direction=None, seed=0, retries=64):
     """``shelling.line_shelling`` with every crossing time a Fraction.
 
-    The base point is the average of ``p.coords``; each candidate's
-    crossing times (b - <a, base>) / <a, v> are compared as Fractions.
-    The candidates come from the same seeded stream, and the accepted
-    order passes ``loop_partial_unions``.
+    The polytope's integer points and facet offsets, divided by its
+    scale, are its Fraction coordinates and offsets; the base point is
+    the average of the coordinates, and each candidate's crossing times
+    (b - <a, base>) / <a, v> are compared as Fractions.  The candidates
+    come from the same seeded stream, and the accepted order passes
+    ``loop_partial_unions``.
     """
     if p.d < 1:
         raise ValueError("shellings need dimension >= 1")
-    n = len(p.coords)
-    base = tuple(sum(col) / n for col in zip(*p.coords))
+    scale, pts = p.integer_points
+    coords = [tuple(Fraction(x, scale) for x in pt) for pt in pts]
+    facets = [(a, Fraction(b, scale)) for a, b, _ in p.facets]
+    n = len(coords)
+    base = tuple(sum(col) / n for col in zip(*coords))
     candidates = islice(_direction_stream(p.d, seed), retries)
     if direction is not None:
         candidates = chain([tuple(Fraction(x) for x in direction)], candidates)
     for v in candidates:
-        speeds = [dot(a, v) for a, _, _ in p.facets]
+        speeds = [dot(a, v) for a, _ in facets]
         if any(s == 0 for s in speeds):
             continue
-        times = [(b - dot(a, base)) / s for (a, b, _), s in zip(p.facets, speeds)]
+        times = [(b - dot(a, base)) / s for (a, b), s in zip(facets, speeds)]
         if len(set(times)) != len(times):
             continue
         up = sorted((t, i) for i, t in enumerate(times) if speeds[i] > 0)
         down = sorted((t, i) for i, t in enumerate(times) if speeds[i] < 0)
-        order = tuple(i for _, i in up + down)
-        sh = Shelling(p, order, base, v, tuple(times[i] for i in order))
+        sh = Shelling(p, tuple(i for _, i in up + down), v)
         loop_partial_unions(sh)
         return sh
     raise ShellingError(f"no generic direction found in {retries} retries (seed {seed})")
@@ -800,6 +839,26 @@ def whole_x_triples(px, py, start, row_cost):
         xy = np.searchsorted(keys, px[xz] * n + py[_spans(start[z], start[z + 1])])
         yield a, b, xz, xy
         a = b
+
+
+@lru_cache(maxsize=None)
+def _kernels(width: int):
+    """(stacks, keep), truncated at ``width`` coefficients.
+
+    ``stacks[e]`` multiplies the rows S[0], ..., S[e], stacked, by
+    (t-1)^e, ..., (t-1)^0 and sums them; ``keep[k + 1]`` masks the
+    coefficients g keeps for an interval of dimension k.
+    """
+    T = np.zeros((width, width, width), dtype=np.int64)
+    for k in range(width):
+        for j, c in enumerate(_binom_kernel(k)):
+            T[k, np.arange(width - j), np.arange(j, width)] = c
+    stacks = [np.ascontiguousarray(T[e::-1].reshape(-1, width)) for e in range(width)]
+    keep = np.arange(width) <= np.arange(-1, width)[:, None] // 2
+    for a in (*stacks, keep):
+        a.setflags(write=False)
+    return stacks, keep
+
 
 
 def chunk_tables(dx, dy, xz, xy, d):
@@ -1183,7 +1242,7 @@ def interval_counts(lat):
     odd = lat.dims % 2 == 1
     between = np.zeros(len(px), dtype=np.int64)
     odd_between = np.zeros_like(between)
-    for lo, hi, xz, xy in _triples(px, py, lat._rows()):
+    for lo, hi, xz, xy in _triples(px, py, lat._rows(), lat.pairs):
         between[lo:hi] += np.bincount(xy - lo, minlength=hi - lo)
         odd_between[lo:hi] += np.bincount(xy[odd[py[xz]]] - lo, minlength=hi - lo)
     sign = np.where(odd, -1, 1)
@@ -1326,9 +1385,14 @@ class Fan:
 
 
 def central_fan(p):
-    """Complete fan of the cones over the proper faces, origin at the barycenter."""
-    c = p.barycenter()
-    rays = [primitive_ray([x - y for x, y in zip(v, c)]) for v in p.coords]
+    """Complete fan of the cones over the proper faces, origin at the barycenter.
+
+    With the n integer points x summing to B, the ray through x from the
+    barycenter B / n points along n x - B.
+    """
+    _, pts = p.integer_points
+    total = [sum(col) for col in zip(*pts)]
+    rays = [primitive_ray([len(pts) * a - s for a, s in zip(x, total)]) for x in pts]
     lat = p.lattice
     proper = range(len(lat.faces) - 1)
     return Fan(rays, [lat.faces[i] for i in proper], proper, lat, complete=True)

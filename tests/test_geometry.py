@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricgh import geometry
-from toricgh.catalog import cyclic_lattice, cyclic_vertices
+from toricgh.catalog import catalog, cyclic_lattice, cyclic_vertices
 from toricgh.geometry import (
     _integer_kernel,
     cone_over,
@@ -46,7 +47,7 @@ def test_degenerate_dimension_recomputed():
 
 def test_duplicates_deduped_and_nonvertex_rejected():
     p = facet_enumeration([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
-    assert len(p.vertices) == 4
+    assert len(p.integer_points[1]) == 4
     with pytest.raises(ValueError, match="not a vertex"):
         facet_enumeration([(0, 0), (2, 0), (1, 0)])
     with pytest.raises(ValueError, match="not a vertex"):
@@ -277,8 +278,64 @@ def test_enumeration_matches_brute_force_oracle(pts):
     (d, facets), (d_old, facets_old) = new, old
     assert d == d_old
     assert [t for _, _, t in facets] == [t for _, _, t in facets_old]
+    scale = facet_enumeration(pts).integer_points[0]
     for (a, b, _), (a_old, b_old, _) in zip(facets, facets_old):
-        # the same inequality up to a positive factor
+        # the same inequality up to a positive factor; the library's offsets
+        # are in the units of its integer points, scale times the coordinates
         lam = next(x / y for x, y in zip(a, a_old) if y)
-        assert lam > 0 and b == lam * b_old
+        assert lam > 0 and b == lam * b_old * scale
         assert list(a) == [lam * y for y in a_old]
+
+
+def _assert_fraction_form_scaled(vertices, p):
+    """The integer points, offsets, rays and normals against ``oracles.fraction_form``."""
+    scale, pts = p.integer_points
+    normals = [a for a, _, _ in p.facets]
+    coords, offsets, rays, cone_normals = oracles.fraction_form(vertices, normals)
+    assert all(type(x) is int for x in (scale, *(x for pt in pts for x in pt)))
+    assert [list(pt) for pt in pts] == [[scale * x for x in c] for c in coords]
+    # the least such scale: no prime divides it and every coordinate times it
+    assert scale > 0 and gcd(scale, *(x for pt in pts for x in pt)) == 1
+    assert all(type(b) is int for _, b, _ in p.facets)
+    assert [b for _, b, _ in p.facets] == [scale * b for b in offsets]
+    for (a, b, tight), c_b in zip(p.facets, offsets):
+        assert tight == {i for i, c in enumerate(coords) if oracles._dot(a, c) == c_b}
+    cone = cone_over(p)
+    assert list(cone.rays) == rays and list(cone.normals) == cone_normals
+
+
+@pytest.fixture
+def last_pivots(monkeypatch):
+    """The last Bareiss pivot of each Gauss-Jordan elimination run."""
+    pivots, eliminate = [], geometry._eliminate
+
+    def spy(mat, full=False):
+        out = eliminate(mat, full)
+        if full:
+            pivots.append(out[1])
+        return out
+
+    monkeypatch.setattr(geometry, "_eliminate", spy)
+    return pivots
+
+
+def test_integer_form_is_the_fraction_form_scaled_on_catalog(last_pivots):
+    negative = []
+    for entry in catalog():
+        last_pivots.clear()
+        p = facet_enumeration(entry.vertices())
+        _assert_fraction_form_scaled(entry.vertices(), p)
+        if last_pivots[0] < 0:
+            negative.append(entry.name)
+    # the sign of the last pivot is divided out of the points on these
+    assert len(negative) == 22 and {"cross3", "cross4", "cross5", "cross6"} <= set(negative)
+
+
+@settings(deadline=None)
+@given(point_sets())
+def test_integer_form_is_the_fraction_form_scaled(pts):
+    try:
+        p = facet_enumeration(pts)
+    except ValueError:
+        return
+    _assert_fraction_form_scaled(pts, p)

@@ -1,29 +1,39 @@
 """The package exports only what its own modules read.
 
 A name that ``toricgh/__init__.py`` exports must be read somewhere else in
-``src/toricgh``: imported, or used as a name or an attribute.  Its own
-``def`` or ``class`` is not a read, and neither is a read inside a
-function, method or class that nothing else reads in turn, so a layer
-that only tests reach (a class and the helpers that build it) is caught
-as a whole.  The public members of ``FaceLattice`` are held to the same
-rule.  perfbench reads a few names by module path; those must stay.
+``src/toricgh``: imported, or loaded as a name or an attribute.  Its own
+``def`` or ``class`` is not a read, nor is a store (``self.x = ...`` or
+a dataclass field), and neither is a read inside a function, method or
+class that nothing else reads in turn, so a layer that only tests reach
+(a class and the helpers that build it) is caught as a whole.  The
+public members of ``FaceLattice`` and of the geometric objects
+(``GeometricPolytope``, ``Cone``, ``Shelling``, ``Framework``) are held
+to the same rule.  perfbench reads a few names by module path; those
+must stay.
 """
 
 import ast
+from itertools import product
 from pathlib import Path
 
+import pytest
+
 from toricgh import toric
+from toricgh.geometry import cone_over, facet_enumeration
 from toricgh.lattice import FaceLattice, point_lattice
+from toricgh.rigidity import build_framework
+from toricgh.shelling import line_shelling
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toricgh"
 
 
 def _reads(node):
+    """Names and attributes loaded (not stored) in ``node``, and names it imports."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
@@ -99,3 +109,17 @@ def test_every_lattice_member_is_read_inside_the_package():
     members = {name for name in dir(point_lattice()) if not name.startswith("_")}
     reads = _live_reads()
     assert sorted(members - reads - set(PERFBENCH_MEMBERS)) == []
+
+
+def _geometric_objects():
+    p = facet_enumeration(list(product([0, 1], repeat=3)))
+    return {"GeometricPolytope": p, "Cone": cone_over(p), "Shelling": line_shelling(p),
+            "Framework": build_framework(p)}
+
+
+@pytest.mark.parametrize("kind", ["GeometricPolytope", "Cone", "Shelling", "Framework"])
+def test_every_geometric_member_is_read_inside_the_package(kind):
+    obj = _geometric_objects()[kind]
+    assert type(obj).__name__ == kind
+    members = {name for name in dir(obj) if not name.startswith("_")}
+    assert members and sorted(members - _live_reads()) == []

@@ -134,7 +134,7 @@ def test_triples_are_every_chain_of_three(monkeypatch):
     for row_cost in (0, 5):
         got, split, last = [], False, set()
         chunks = (whole_x_triples(px, py, lat._rows(), row_cost) if row_cost
-                  else _triples(px, py, lat._rows()))
+                  else _triples(px, py, lat._rows(), lat.pairs))
         for lo, hi, xz, xy in chunks:
             assert np.all((lo <= xy) & (xy < hi)) and np.array_equal(px[xz], px[xy])
             got += zip(px[xz].tolist(), py[xz].tolist(), py[xy].tolist())
@@ -146,7 +146,7 @@ def test_triples_are_every_chain_of_three(monkeypatch):
     # read (z, y) and (x, y) from the pairs whose y has dimension >= 2 only
     upper = px[lat.dims[py] >= 2], py[lat.dims[py] >= 2]
     got = []
-    for lo, hi, xz, xy in _triples(px, py, lat._rows(), upper=upper):
+    for lo, hi, xz, xy in _triples(px, py, lat._rows(), upper):
         assert np.all((lo <= xy) & (xy < hi)) and np.array_equal(px[xz], upper[0][xy])
         got += zip(px[xz].tolist(), py[xz].tolist(), upper[1][xy].tolist())
     assert sorted(got) == [t for t in expect if lat.dims[t[2]] >= 2]

@@ -72,14 +72,12 @@ def test_degenerate_direction_retries(prism):
     shelling_decomposition(sh)
 
 
-def test_retry_budget_exhaustion(square):
-    with pytest.raises(ShellingError, match="no generic direction"):
-        line_shelling(square, direction=(0, 1), retries=0)
-
-
-def test_negative_retries_rejected(square):
-    with pytest.raises(ValueError, match="retries must be >= 0"):
-        line_shelling(square, retries=-1)
+def test_retry_budget_exhaustion(square, monkeypatch):
+    monkeypatch.setattr(shelling, "_RETRIES", 0)
+    with pytest.raises(ShellingError, match="no generic direction found in 0 retries"):
+        line_shelling(square, direction=(0, 1))
+    # the given direction is tried before the budget: a generic one still shells
+    assert len(line_shelling(square, direction=(1, 2)).order) == 4
 
 
 def test_directions_are_drawn_as_they_are_tried(prism, monkeypatch):
@@ -174,9 +172,7 @@ def test_tampered_order_is_caught(prism):
     sh = line_shelling(prism, seed=0)
     tris = [i for i, (_, _, t) in enumerate(prism.facets) if len(t) == 3]
     rest = [i for i in range(len(prism.facets)) if i not in tris]
-    bad = Shelling(
-        prism, tuple(tris + rest), sh.base_point, sh.direction, sh.crossings
-    )
+    bad = Shelling(prism, tuple(tris + rest), sh.direction)
     from toricgh.shelling import _check_partial_unions
 
     with pytest.raises(ShellingError, match="no shared ridge"):
@@ -190,7 +186,7 @@ def test_non_shelling_order_fails_the_nonnegativity_certificate(square):
     edges = [set(verts) for _, _, verts in square.facets]
     opposite = next(i for i, e in enumerate(edges) if not e & edges[0])
     rest = [i for i in range(4) if i not in (0, opposite)]
-    bad = Shelling(square, (0, opposite, *rest), sh.base_point, sh.direction, sh.crossings)
+    bad = Shelling(square, (0, opposite, *rest), sh.direction)
     with pytest.raises(ShellingError, match="negative local h at step 2"):
         shelling_decomposition(bad)
 
@@ -231,7 +227,7 @@ def test_incidence_checks_match_down_set_oracles():
             j = rng.randrange(len(order) - 1)
             swapped = order[:j] + [order[j + 1], order[j]] + order[j + 2:]
             for o in (order, order[::-1], rng.sample(order, len(order)), swapped, order[:-1]):
-                other = Shelling(p, tuple(o), sh.base_point, sh.direction, sh.crossings)
+                other = Shelling(p, tuple(o), sh.direction)
                 got = _outcome(shelling._check_partial_unions, other)
                 assert got == _outcome(oracles.downset_check_partial_unions, other), (entry.name, o)
                 cover = _outcome(shelling._first_cover, other)
@@ -248,9 +244,7 @@ def test_incidence_checks_match_down_set_oracles():
 def _same_shelling(got, expect):
     assert got.order == expect.order
     assert got.direction == expect.direction
-    assert got.base_point == expect.base_point
-    assert got.crossings == expect.crossings
-    assert all(type(x) is Fraction for x in got.base_point + got.crossings)
+    assert all(type(x) is Fraction for x in got.direction)
 
 
 def test_integer_crossing_keys_match_fraction_oracle(prism):
@@ -289,7 +283,7 @@ def test_one_pass_certificate_matches_loop_oracle():
                 swapped[j], swapped[k] = swapped[k], swapped[j]
                 orders.append(swapped)
             for o in orders:
-                other = Shelling(p, tuple(o), (), (), ())
+                other = Shelling(p, tuple(o), ())
                 got = _outcome(shelling._check_partial_unions, other)
                 assert got == _outcome(oracles.loop_partial_unions, other), (entry.name, o)
                 seen[got if got is None else got.split(": ")[-1]] += 1
