@@ -28,7 +28,9 @@ of the pairs x < y whose y is not Boolean below (on simplicial input,
 y = top alone): under a face whose every vertex subset is a face below
 it, all intervals are Boolean, so graded and balanced.  Down-sets and up-sets
 (``below``, ``above``) are slices of the same list.  ``leq`` is a dense
-boolean view kept for outside readers only, built on first access.
+boolean view kept for outside readers only.  Every table a lattice keeps,
+here and in ``toric`` and ``verma``, is built on first read by one memo,
+``_memo``, which keeps nothing when a build raises.
 
 There are two constructors.  A lattice made from a facet list
 (``from_vertex_facets``) is validated as graded, atomic and Eulerian;
@@ -57,6 +59,7 @@ the empty polytope, which is distinct from a point (two elements).
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import chain
 
 import numpy as np
@@ -70,6 +73,19 @@ _CHUNK = 1 << 17
 
 class LatticeError(ValueError):
     """Input does not describe the boundary of a convex polytope."""
+
+
+def _memo(key):
+    """Keep ``build(lat)`` in ``lat._cache[key]`` from the first call; a build that raises keeps none."""
+    def memo(build):
+        @wraps(build)
+        def read(lat):
+            value = lat._cache.get(key)
+            if value is None:
+                value = lat._cache[key] = build(lat)
+            return value
+        return read
+    return memo
 
 
 class FaceLattice:
@@ -184,25 +200,25 @@ class FaceLattice:
         return f"FaceLattice(d={self.d}, faces={len(self)})"
 
     @property
+    @_memo("faces")
     def faces(self) -> tuple[frozenset, ...]:
         """Each face's vertex set, unpacked from ``words`` on first read."""
-        faces = self._cache.get("faces")
-        if faces is None:
-            rows, verts = _unpack(self.words)
-            flat = verts.tolist()
-            ends = np.cumsum(np.bincount(rows, minlength=len(self))).tolist()
-            faces = self._cache["faces"] = tuple(frozenset(flat[a:b]) for a, b in zip([0, *ends], ends))
-        return faces
+        rows, verts = _unpack(self.words)
+        flat = verts.tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=len(self))).tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip([0, *ends], ends))
 
     def index_of(self, vertex_set) -> int:
         key = frozenset(vertex_set)
-        lookup = self._cache.get("lookup")
-        if lookup is None:
-            lookup = {f: i for i, f in enumerate(self.faces)}
-            self._cache["lookup"] = lookup
+        lookup = self._lookup()
         if key not in lookup:
             raise KeyError(f"{_vertex_set(key)} is not a face")
         return lookup[key]
+
+    @_memo("lookup")
+    def _lookup(self) -> dict:
+        """The index of each face's vertex set."""
+        return {f: i for i, f in enumerate(self.faces)}
 
     def faces_of_dim(self, k) -> list[int]:
         return [int(i) for i in np.nonzero(self.dims == k)[0]]
@@ -219,22 +235,16 @@ class FaceLattice:
         """(f_0, ..., f_{d-1}): numbers of proper nonempty faces per dim."""
         return tuple(len(self.faces_of_dim(k)) for k in range(self.d))
 
+    @_memo("rows")
     def _rows(self) -> np.ndarray:
         """Row pointers: the run of face x in ``pairs`` is rows[x]:rows[x + 1]."""
-        rows = self._cache.get("rows")
-        if rows is None:
-            rows = self._cache["rows"] = np.searchsorted(self.pairs[0], np.arange(len(self) + 1))
-        return rows
+        return np.searchsorted(self.pairs[0], np.arange(len(self) + 1))
 
+    @_memo("columns")
     def _columns(self):
         """(by_col, col_start): the pairs sorted by y, and where the run of each y starts."""
-        cols = self._cache.get("columns")
-        if cols is None:
-            by_col = np.argsort(self.pairs[1], kind="stable")
-            cols = self._cache["columns"] = (
-                by_col, np.searchsorted(self.pairs[1][by_col], np.arange(len(self) + 1))
-            )
-        return cols
+        by_col = np.argsort(self.pairs[1], kind="stable")
+        return by_col, np.searchsorted(self.pairs[1][by_col], np.arange(len(self) + 1))
 
     def above(self, i) -> np.ndarray:
         """The faces strictly above face i, ascending: its run of ``pairs``."""
@@ -247,14 +257,12 @@ class FaceLattice:
         return self.pairs[0][by_col[col_start[i]:col_start[i + 1]]]
 
     @property
+    @_memo("leq")
     def leq(self) -> np.ndarray:
         """Dense n x n view, ``leq[i, j]`` iff face i lies in face j; nothing in the library reads it."""
-        leq = self._cache.get("leq")
-        if leq is None:
-            leq = np.eye(len(self), dtype=bool)
-            leq[self.pairs] = True
-            leq.setflags(write=False)
-            self._cache["leq"] = leq
+        leq = np.eye(len(self), dtype=bool)
+        leq[self.pairs] = True
+        leq.setflags(write=False)
         return leq
 
     def is_simplicial(self) -> bool:
@@ -283,13 +291,7 @@ class FaceLattice:
         # faces are indexed by vertex count, so lo, the faces between and hi ascend
         inside = np.intersect1d(up, self.below(hi), assume_unique=True)
         sel = np.concatenate(([lo], inside, [hi])) if lo != hi else np.array([lo])
-        pos = np.full(len(self), -1)
-        pos[sel] = np.arange(len(sel))
-        start, (px, py) = self._rows(), self.pairs
-        run = _spans(start[sel], start[sel + 1])
-        x, y = pos[px[run]], pos[py[run]]
-        inside = y >= 0
-        x, y = x[inside], y[inside]
+        x, y = self._pairs_among(sel)
         dims = self.dims[sel] - self.dims[lo] - 1
         atom = dims == 0
         atoms = np.flatnonzero(atom)
@@ -297,6 +299,21 @@ class FaceLattice:
         rows = np.concatenate((y[on], atoms))
         verts = (np.cumsum(atom) - 1)[np.concatenate((x[on], atoms))]
         return _assemble(_pack(rows, verts, len(sel), len(atoms)), dims, [(x, 0, y, 0)], len(atoms))
+
+    def _pairs_among(self, sel):
+        """(x, y): the pairs between the ascending faces ``sel``, relabelled by place in ``sel``.
+
+        They are the pairs of the runs of ``sel`` that end inside, so they
+        come sorted by (x, y); over an up-set every pair ends inside.
+        """
+        start, py = self._rows(), self.pairs[1]
+        lo, hi = start[sel], start[sel + 1]
+        pos = np.full(len(self), -1)
+        pos[sel] = np.arange(len(sel))
+        y = pos[py[_spans(lo, hi)]]
+        x = np.repeat(np.arange(len(sel)), hi - lo)
+        inside = y >= 0
+        return x[inside], y[inside]
 
     def face(self, i: int) -> "FaceLattice":
         """Face i as a polytope of dimension dims[i]."""

@@ -31,7 +31,6 @@ from toricgh.toric import _face_tables, _quotient_tables
 @dataclass(frozen=True)
 class ConeDecomposition:
     cone: Cone
-    v: tuple
     back: frozenset        # lattice face indices
     front: frozenset
     fixed: frozenset       # Delta_0: faces whose span contains v
@@ -62,7 +61,7 @@ def classify_faces(cone: Cone, v) -> ConeDecomposition:
         return frozenset(np.flatnonzero(mask).tolist())
 
     return ConeDecomposition(
-        cone, tuple(Fraction(x) for x in v), faces(back), faces(front), faces(fixed),
+        cone, faces(back), faces(front), faces(fixed),
         tuple(np.flatnonzero(minimal).tolist()),
     )
 
@@ -122,7 +121,8 @@ def sample_directions(cone: Cone, seed: int = 0, grid: int = 12):
     def push(v):
         if v is None or not any(v):
             return
-        key = tuple(Fraction(x) for x in v)
+        # ints and Fractions of one value hash, compare and print alike
+        key = tuple(v)
         if key not in seen:
             seen.add(key)
             out.append(key)

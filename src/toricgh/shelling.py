@@ -22,7 +22,7 @@ from math import lcm
 
 import numpy as np
 
-from toricgh.geometry import GeometricPolytope, dot
+from toricgh.geometry import GeometricPolytope, dot, primitive_ray
 from toricgh.polynomial import Polynomial
 from toricgh.toric import _binom_kernel, _face_tables, toric_h
 
@@ -63,11 +63,12 @@ def line_shelling(p: GeometricPolytope, direction=None, seed: int = 0) -> Shelli
     x, their sum B and their number n.  Facet i (<a_i, x> <= b_i) is
     crossed at t_i = (L / n) num_i / den_i from the base point B / n,
     where num_i = n b_i - <a_i, B> > 0 (the base point is interior),
-    w = L v is the direction cleared of denominators and den_i = <a_i, w>.
-    The factor in front is positive, so with M = lcm |den_i| the integer
-    keys num_i (M / den_i) = M num_i / den_i sort and tie exactly as the
-    t_i do.  The order lists the facets crossed going up (den_i > 0) by
-    key, then those crossed returning from below.
+    w = L v is the primitive integer direction (``primitive_ray``) and
+    den_i = <a_i, w>.  The factor in front is positive (L > 0), so with
+    M = lcm |den_i| the integer keys num_i (M / den_i) = M num_i / den_i
+    sort and tie exactly as the t_i do.  The order lists the facets
+    crossed going up (den_i > 0) by key, then those crossed returning
+    from below.
     """
     if p.d < 1:
         raise ValueError("shellings need dimension >= 1")
@@ -84,8 +85,7 @@ def line_shelling(p: GeometricPolytope, direction=None, seed: int = 0) -> Shelli
     normals = [a for a, _, _ in p.facets]
     nums = [n * b - dot(a, total) for a, b, _ in p.facets]
     for v in candidates:
-        mult = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (mult // x.denominator) for x in v]
+        w = primitive_ray(v)
         dens = [dot(a, w) for a in normals]
         if not all(dens):
             continue

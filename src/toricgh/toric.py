@@ -15,12 +15,14 @@ On the lattice (``_face_flags``) its top row is the flag vector, its
 rows give h and g of every face (``_face_tables``), and the same rows
 with their dimensions reversed give g of every polar (``_polar_g``).
 On the order read top-down, its rows are the polars of the quotients,
-so one more count gives h and g of every quotient P/F
-(``_quotient_tables``); on one face's up-set its top row gives g of
-that quotient alone (``_rooted_g``).  No table of every interval
+so one more count (``_top_down_flags``) gives h and g of every quotient
+P/F (``_quotient_tables``), and the same count on one face's up-set
+gives g of that quotient alone (``_rooted_g``); both run unchecked once
+``_face_flags`` has bounded every interval.  No table of every interval
 [x, y] is built: a sum over intervals weighted at their lower ends, as
 the Verma solver needs, is the same count with the weights pushed up
-the chains (``_count_chains`` with a ``width``).  The rest of the
+the chains (``_count_chains`` with a ``width``).  Each table is built
+once per lattice, through ``lattice._memo``.  The rest of the
 module is arithmetic on those tables: closed forms for g1/g2, the
 extended g-tilde numbers, and executable checks of Dehn-Sommerville,
 monotonicity, the upper bound inequality, the vertex identity relating
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _run_starts, _spans
+from toricgh.lattice import _CHUNK, FaceLattice, LatticeError, _memo, _run_starts
 from toricgh.polynomial import Polynomial, binomial_power
 
 
@@ -59,20 +61,28 @@ class _Blocks(NamedTuple):
         return self.order[self.bounds[(a + 1) * self.span]:self.bounds[(a + 2) * self.span]]
 
 
-def _order_blocks(px, py, dims, d: int) -> _Blocks:
-    """The strict pairs of a graded order grouped by (dim x, dim y), each block sorted by y."""
-    n, span = len(dims), d + 2
+@_memo("blocks")
+def _blocks(lat: FaceLattice) -> _Blocks:
+    """The lattice's strict pairs grouped by (dim x, dim y), each block sorted by y; built once."""
+    (px, py), dims, n, span = lat.pairs, lat.dims, len(lat), lat.d + 2
     block = (dims[px] + 1) * span + dims[py] + 1
     order = np.argsort(block * n + py)
     return _Blocks(order, np.searchsorted(block[order], np.arange(span * span + 1)), span)
 
 
-def _blocks(lat: FaceLattice) -> _Blocks:
-    """``_order_blocks`` of the lattice's pairs, built once per lattice."""
-    blocks = lat._cache.get("blocks")
-    if blocks is None:
-        blocks = lat._cache["blocks"] = _order_blocks(*lat.pairs, lat.dims, lat.d)
-    return blocks
+def _top_down_flags(px, py, dims, d: int) -> list[np.ndarray]:
+    """``_count_chains`` of a graded order read top-down, unchecked: on the pairs (y, x).
+
+    (px, py) are the pairs sorted by (x, y) and ``dims`` the dimensions
+    reversed, the top at -1.  The blocks come from one stable sort of a 1-
+    or 2-byte key, the block (dim py, dim px) of the reversed pair, so
+    each block stays sorted by px, its upper end there.
+    """
+    span = d + 2
+    key = ((dims[py] + 1) * span + dims[px] + 1).astype(np.min_scalar_type(span * span))
+    order = np.argsort(key, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=span * span))))
+    return list(_count_chains(py, px, dims, d, _Blocks(order, bounds, span)))
 
 
 def _g_of(h: np.ndarray, e: int) -> np.ndarray:
@@ -83,30 +93,27 @@ def _g_of(h: np.ndarray, e: int) -> np.ndarray:
     return g
 
 
-def _read_flags(flags, dims, coeffs):
-    """(faces, h, g) per dimension e of a chain count's arrays ``flags``.
-
-    ``faces`` are the elements of ``dims`` e by index, h their flag rows
-    times ``coeffs(e)``, and g their ``_g_of``.  |h_k| is at most the
-    chains of the row's interval times max |C_e| = C(e, floor(e/2)) <=
-    2^e, so every entry stays inside the bound ``_chain_flags`` checks
-    as it counts the flags.
-    """
-    for e, F in enumerate(flags):
-        h = F @ coeffs(e)
-        yield np.flatnonzero(dims == e), h, _g_of(h, e)
-
-
 def _tables(flags, dims, coeffs, empty: int):
-    """(H, G) of every row of ``_read_flags``; row ``empty``, the empty polytope, is 1."""
+    """(H, G): h and g of every element of a chain count's arrays ``flags``.
+
+    Row i of array e is the i-th element of ``dims`` e by index: its h is
+    that flag row times ``coeffs(e)``, and its g the ``_g_of`` of h.
+    |h_k| is at most the chains of the row's interval times max |C_e| =
+    C(e, floor(e/2)) <= 2^e, so every entry stays inside the bound
+    ``_chain_flags`` checks as it counts the flags.  Row ``empty``, the
+    empty polytope, is 1.
+    """
     H = np.zeros((len(dims), max(len(flags), 1)), dtype=np.int64)
     G = np.zeros_like(H)
     H[empty, 0] = G[empty, 0] = 1
-    for faces, h, g in _read_flags(flags, dims, coeffs):
-        H[faces, :h.shape[1]], G[faces, :g.shape[1]] = h, g
+    for e, F in enumerate(flags):
+        h = F @ coeffs(e)
+        faces = np.flatnonzero(dims == e)
+        H[faces, :e + 1], G[faces, :e // 2 + 1] = h, _g_of(h, e)
     return H, G
 
 
+@_memo("face_tables")
 def _face_tables(lat: FaceLattice):
     """(H, G): row f holds h and g of face f as a polytope, [bottom, f].
 
@@ -114,65 +121,45 @@ def _face_tables(lat: FaceLattice):
     the bottom, the empty polytope, has h = g = 1.  Built once per
     lattice; P itself is the top row.
     """
-    tables = lat._cache.get("face_tables")
-    if tables is None:
-        tables = lat._cache["face_tables"] = _tables(
-            _face_flags(lat), lat.dims, _flag_coeffs, lat.bottom
-        )
-    return tables
+    return _tables(_face_flags(lat), lat.dims, _flag_coeffs, lat.bottom)
 
 
+@_memo("polar_g")
 def _polar_g(lat: FaceLattice) -> np.ndarray:
     """Row f holds g of the polar of face f, read off its flag numbers.
 
     The polar of a face w of dimension e is [bottom, w] with the order
     reversed, so f_S(w*) = f_{e-1-S}(w): h(w*) is w's row of
     ``_face_flags`` times ``_polar_coeffs(e)``, ``_flag_coeffs(e)`` with
-    its rows bit-reversed (``_read_flags`` bounds it), and this is the G
-    of ``_tables`` over those rows.  The bottom, the empty face, is its
-    own polar: row 0 is 1.  Built once per lattice.
+    its rows bit-reversed (``_tables`` bounds it), and this is the G of
+    ``_tables`` over those rows.  The bottom, the empty face, is its own
+    polar: row 0 is 1.  Built once per lattice.
     """
-    polar = lat._cache.get("polar_g")
-    if polar is None:
-        polar = lat._cache["polar_g"] = _tables(
-            _face_flags(lat), lat.dims, _polar_coeffs, lat.bottom
-        )[1]
-    return polar
+    return _tables(_face_flags(lat), lat.dims, _polar_coeffs, lat.bottom)[1]
 
 
+@_memo("quotient_tables")
 def _quotient_tables(lat: FaceLattice):
     """(H, G): row f holds h and g of the quotient P/f, the interval [f, top].
 
     Read top-down, [f, top] is the polar of P/f, so its flag numbers are
-    f's row of the chain count on the reversed order (the pairs (y, x),
-    f of dimension e = d - 1 - dim f), and h(P/f) is that row times
-    ``_polar_coeffs(e)``, as the polars are read off ``_face_flags``.
-    The top, whose quotient is the empty polytope, is 1.  The reversed
-    count's blocks come from one stable sort of a 1- or 2-byte key, the
-    (dim x, dim y) block in the reversed order: ``lat.pairs`` run by
-    (x, y), which there is y first, so each block stays sorted by its y.
+    f's row of the chain count on the reversed order
+    (``_top_down_flags``, f of dimension e = d - 1 - dim f), and h(P/f)
+    is that row times ``_polar_coeffs(e)``, as the polars are read off
+    ``_face_flags``.  The top, whose quotient is the empty polytope, is 1.
 
     ``_face_flags`` runs first and refuses a lattice past int64, so the
-    reversed count runs unchecked (``_count_chains``).  A chain from x to
-    w becomes one from the bottom by putting the bottom first, so
-    c(x, w) <= c(bottom, w): the forward count's check bounds the chains
-    of every interval below ``_INT64_LIMIT >> (d + 2)``.  The reversed
-    order has the same intervals with the same chains, and
-    ``_read_flags`` bounds h by them, so no entry can wrap; a check of
-    its own would only add a coarser estimate that can refuse by itself.
-    Built once per lattice.
+    reversed count runs unchecked.  A chain from x to w becomes one from
+    the bottom by putting the bottom first, so c(x, w) <= c(bottom, w):
+    the forward count's check bounds the chains of every interval below
+    ``_INT64_LIMIT >> (d + 2)``.  The reversed order has the same
+    intervals with the same chains, and ``_tables`` bounds h by them, so
+    no entry can wrap; a check of its own would only add a coarser
+    estimate that can refuse by itself.  Built once per lattice.
     """
-    tables = lat._cache.get("quotient_tables")
-    if tables is None:
-        _face_flags(lat)
-        (px, py), d, span = lat.pairs, lat.d, lat.d + 2
-        dims = d - 1 - lat.dims
-        key = ((dims[py] + 1) * span + dims[px] + 1).astype(np.min_scalar_type(span * span))
-        order = np.argsort(key, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=span * span))))
-        flags = list(_count_chains(py, px, dims, d, _Blocks(order, bounds, span)))
-        tables = lat._cache["quotient_tables"] = _tables(flags, dims, _polar_coeffs, lat.top)
-    return tables
+    _face_flags(lat)
+    dims = lat.d - 1 - lat.dims
+    return _tables(_top_down_flags(*lat.pairs, dims, lat.d), dims, _polar_coeffs, lat.top)
 
 
 def _column(table: np.ndarray, k: int) -> np.ndarray:
@@ -207,29 +194,29 @@ def _quotient_row(lat: FaceLattice, face: int) -> list[int]:
     tables = lat._cache.get("quotient_tables")
     if tables is not None:
         return tables[1][face].tolist()
-    rows = lat._cache.setdefault("quotients", {})
-    if face not in rows:
-        rows[face] = _rooted_g(lat, face)
-    return rows[face]
+    row = lat._cache.get("quotients", {}).get(face)
+    if row is None:
+        row = lat._cache.setdefault("quotients", {})[face] = _rooted_g(lat, face)
+    return row
 
 
 def _rooted_g(lat: FaceLattice, root: int) -> list[int]:
-    """g of the quotient [root, top]: ``_chain_flags`` on the root's up-set.
+    """g of the quotient [root, top]: the count of ``_quotient_tables`` on the root's up-set.
 
-    The up-set is the root, re-graded to dim -1, and the faces of its run
-    of ``lat.pairs``, ordered by their runs; the top row times
-    ``_flag_coeffs(e)`` is h of the quotient, e = d - dim root - 1.
+    Read top-down, the up-set (``FaceLattice._pairs_among``) is the polar
+    of the quotient, and the root, of dim e = d - 1 - dim root there, is
+    its one top face: its row times ``_polar_coeffs(e)`` is h of the
+    quotient.  The count runs unchecked after ``_face_flags``, as there,
+    so a quotient refuses exactly where the lattice does.
     """
-    start, (px, py) = lat._rows(), lat.pairs
-    up = np.concatenate(([root], py[start[root]:start[root + 1]]))
-    run = _spans(start[up], start[up + 1])
-    x, y = np.searchsorted(up, px[run]), np.searchsorted(up, py[run])
-    dims = lat.dims[up] - lat.dims[root] - 1
-    e = int(dims[-1])
+    _face_flags(lat)
+    up = np.concatenate(([root], lat.above(root)))
+    dims = lat.d - 1 - lat.dims[up]
+    e = int(dims[0])
     if e < 0:
         return [1]
-    top = _chain_flags(x, y, dims, e, _order_blocks(x, y, dims, e))[e][0]
-    return _g_of(top @ _flag_coeffs(e), e).tolist()
+    flags = _top_down_flags(*lat._pairs_among(up), dims, e)
+    return _g_of(flags[e][0] @ _polar_coeffs(e), e).tolist()
 
 
 def simplicial_h(f: tuple[int, ...], d: int) -> Polynomial:
@@ -297,7 +284,7 @@ def _chain_flags(px, py, dims, d: int, blocks: _Blocks) -> list[np.ndarray]:
 def _count_chains(px, py, dims, d: int, blocks: _Blocks, width: int = 0):
     """Yield the flag arrays of a graded order, each once it is whole, before it pushes.
 
-    The order has strict pairs (px, py), grouped by ``_order_blocks``,
+    The order has strict pairs (px, py), grouped as ``_blocks`` groups them,
     and a bottom of dimension -1.  Row i of array e is the i-th element w
     of dim e by index; column S, a bitmask of dimensions (bit j for dim
     j < e), holds f_S([bottom, w]), the chains bottom < w_1 < ... < w
@@ -357,12 +344,10 @@ def _count_chains(px, py, dims, d: int, blocks: _Blocks, width: int = 0):
                     flags[e + shift][rows, 1 << bit:2 << bit][..., :live] += sums[s - lo:t - lo]
 
 
+@_memo("face_flags")
 def _face_flags(lat: FaceLattice) -> list[np.ndarray]:
     """``_chain_flags`` of the lattice: row i of array e is the i-th face of dim e; built once."""
-    flags = lat._cache.get("face_flags")
-    if flags is None:
-        flags = lat._cache["face_flags"] = _chain_flags(*lat.pairs, lat.dims, lat.d, _blocks(lat))
-    return flags
+    return _chain_flags(*lat.pairs, lat.dims, lat.d, _blocks(lat))
 
 
 @lru_cache(maxsize=None)
@@ -399,16 +384,14 @@ def _polar_coeffs(e: int) -> np.ndarray:
     return C
 
 
+@_memo("flags")
 def flag_vector(lat: FaceLattice) -> FlagVector:
     """All 2^d flag numbers: the top row of ``_face_flags``."""
-    fv = lat._cache.get("flags")
-    if fv is None:
-        d = lat.d
-        top = _face_flags(lat)[d][0].tolist() if d >= 0 else [1]
-        fv = lat._cache["flags"] = FlagVector(sorted(
-            (tuple(j for j in range(d) if S >> j & 1), f) for S, f in enumerate(top)
-        ))
-    return fv
+    d = lat.d
+    top = _face_flags(lat)[d][0].tolist() if d >= 0 else [1]
+    return FlagVector(sorted(
+        (tuple(j for j in range(d) if S >> j & 1), f) for S, f in enumerate(top)
+    ))
 
 
 def g1_closed(lat: FaceLattice) -> int:

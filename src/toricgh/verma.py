@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from toricgh.lattice import FaceLattice, LatticeError
+from toricgh.lattice import FaceLattice, LatticeError, _memo
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
     _INT64_LIMIT,
@@ -97,6 +97,7 @@ def _stalk_coeffs(e: int, width: int) -> np.ndarray:
     return K
 
 
+@_memo("verma_m")
 def _multiplicities(lat: FaceLattice) -> np.ndarray:
     """Row f holds m_0(f), m_1(f), ..., zero-padded; solved once per lattice.
 
@@ -122,9 +123,6 @@ def _multiplicities(lat: FaceLattice) -> np.ndarray:
     2^(d+2) c(top) must stay below ``_INT64_LIMIT``; the solve refuses
     the lattice otherwise.
     """
-    m = lat._cache.get("verma_m")
-    if m is not None:
-        return m
     d, dims = lat.d, lat.dims
     width = (d + 1) // 2 + 2
     flags = _face_flags(lat)                        # refuses a lattice past int64
@@ -156,10 +154,10 @@ def _multiplicities(lat: FaceLattice) -> np.ndarray:
             )
     m = np.empty_like(solved)
     m[by_dim] = solved
-    lat._cache["verma_m"] = m
     return m
 
 
+@_memo("verma")
 def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
     """Solve for all m_k(tau) over the cone on ``lat``, apex upward.
 
@@ -170,10 +168,7 @@ def verma_multiplicities(lat: FaceLattice) -> MultiplicityTable:
     ``SolveError`` at the first such face of the lowest failing layer.
     The table is built once per lattice.
     """
-    table = lat._cache.get("verma")
-    if table is None:
-        table = lat._cache["verma"] = MultiplicityTable(enumerate(_trimmed(_multiplicities(lat))))
-    return table
+    return MultiplicityTable(enumerate(_trimmed(_multiplicities(lat))))
 
 
 def polar_matches(lat: FaceLattice) -> np.ndarray:
@@ -204,6 +199,7 @@ def polar_rows(lat: FaceLattice) -> list[tuple[int, ...]]:
     return [row if any(row) else (1,) for row in _trimmed(_polar_g(lat))]
 
 
+@_memo("signed_sums")
 def _signed_sums(lat: FaceLattice) -> np.ndarray:
     """A[e + 1, i, j]: sum over faces F with dim F <= e of (-1)^dim F g_i(F*) g_j(P/F).
 
@@ -214,19 +210,16 @@ def _signed_sums(lat: FaceLattice) -> np.ndarray:
     are taken in Python ints.  Reciprocity reads A[d + 1], and each
     truncated sum one entry per degree.  Built once per lattice.
     """
-    sums = lat._cache.get("signed_sums")
-    if sums is None:
-        k = max(lat.d // 2 + 1, 1)
-        polar, quot = _polar_g(lat)[:, :k], _quotient_tables(lat)[1][:, :k]
-        if int(np.abs(polar).max()) * int(np.abs(quot).max()) * len(lat) >= 1 << 63:
-            polar, quot = polar.astype(object), quot.astype(object)
-        layers = []
-        for e in range(-1, lat.d + 1):
-            faces = lat.dims == e
-            layer = polar[faces].T @ quot[faces]
-            layers.append(layer if e % 2 == 0 else -layer)
-        sums = lat._cache["signed_sums"] = np.cumsum(layers, axis=0)
-    return sums
+    k = max(lat.d // 2 + 1, 1)
+    polar, quot = _polar_g(lat)[:, :k], _quotient_tables(lat)[1][:, :k]
+    if int(np.abs(polar).max()) * int(np.abs(quot).max()) * len(lat) >= 1 << 63:
+        polar, quot = polar.astype(object), quot.astype(object)
+    layers = []
+    for e in range(-1, lat.d + 1):
+        faces = lat.dims == e
+        layer = polar[faces].T @ quot[faces]
+        layers.append(layer if e % 2 == 0 else -layer)
+    return np.cumsum(layers, axis=0)
 
 
 def check_reciprocity(lat: FaceLattice) -> Polynomial:

@@ -32,6 +32,7 @@ from toricgh.toric import (
     _quotient_tables,
     check_monotonicity,
     flag_vector,
+    quotient_g,
     report,
     toric_h,
 )
@@ -224,9 +225,28 @@ def test_the_int64_guard_runs_once_per_lattice(monkeypatch):
     count = toric_module._chain_flags
     monkeypatch.setattr(toric_module, "_chain_flags", lambda *a: runs.append(1) or count(*a))
     lat = parse_recipe("cube7").lattice()
+    faces = [lat.faces_of_dim(k)[0] for k in range(lat.d)]
+    before = [quotient_g(lat, f) for f in faces]      # single faces, before the quotient table
     flag_vector(lat)
     verma_multiplicities(lat)
     _polar_g(lat)
     _quotient_tables(lat)
     toric_h(lat)
+    assert [quotient_g(lat, f) for f in faces] == before
     assert len(runs) == 1
+
+
+def test_a_table_whose_build_raises_keeps_nothing(monkeypatch):
+    # every table read off the refused face count raises again on the next
+    # call; only the pair blocks, whose build passed, are kept
+    lat = parse_recipe("cube7").lattice()
+    monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 20)
+    builds = (_face_flags, flag_vector, _face_tables, _polar_g, _quotient_tables,
+              verma_multiplicities, lambda lat: quotient_g(lat, 1), lambda lat: check_monotonicity(lat, 1))
+    for build in builds:
+        for _ in range(2):
+            with pytest.raises(LatticeError, match="int64 bound"):
+                build(lat)
+    assert set(lat._cache) == {"blocks"}
+    monkeypatch.setattr(toric_module, "_INT64_LIMIT", 1 << 62)
+    assert flag_vector(lat) == flag_vector(parse_recipe("cube7").lattice())

@@ -7,7 +7,8 @@ equal the chain count of the face's up-set alone (``toric._rooted_g``)
 and the row (F, top) of the all-pairs table (``oracles.pair_quotients``),
 whatever the piece size of the count.  The count itself never refuses:
 ``_face_flags`` runs first and bounds every interval, so every reader of
-the table refuses exactly where ``_face_flags`` does.
+the table, and the single-face quotient on a lattice without one,
+refuses exactly where ``_face_flags`` does.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import toricgh.toric as toric_module
 from toricgh.catalog import catalog, parse_recipe
 from toricgh.geometry import Cone
-from toricgh.lattice import LatticeError
+from toricgh.lattice import FaceLattice, LatticeError
 from toricgh.localization import check_generalized_monotonicity
 from toricgh.polynomial import Polynomial
 from toricgh.toric import (
@@ -24,7 +25,9 @@ from toricgh.toric import (
     _quotient_tables,
     _rooted_g,
     check_kalai_identity,
+    check_monotonicity,
     check_monotonicity_all,
+    quotient_g,
 )
 from toricgh.verma import check_reciprocity, truncated_inequality
 
@@ -105,7 +108,11 @@ def test_the_reversed_count_runs_unchecked_after_the_face_count(monkeypatch):
 
 
 def _readers(inp):
-    """Every reader of the quotient table, on the realization's lattice."""
+    """Every reader of the quotient table, on the realization's lattice.
+
+    The single-face readers each run on a fresh copy of the lattice, with
+    no table built before them, on one face per proper dimension.
+    """
     cone = Cone(inp.polytope()) if inp.dim >= 1 else None
 
     def localization():
@@ -117,6 +124,10 @@ def _readers(inp):
         d = lat.d
         return [truncated_inequality(lat, k, s) for k in range(d // 2 + 2) for s in range(d + 2)]
 
+    def single_faces(read):
+        fresh = FaceLattice(lat.words, lat.n_vertices, lat.pairs, lat.dims)
+        return [read(fresh, fresh.faces_of_dim(k)[0]) for k in range(fresh.d)]
+
     lat = cone.lattice if cone else inp.lattice()
     readers = {
         "reciprocity": lambda: check_reciprocity(lat) if lat.d >= 0 else None,
@@ -124,6 +135,8 @@ def _readers(inp):
         "truncated": truncated,
         "monotonicity": lambda: check_monotonicity_all(lat),
         "localization": localization,
+        "quotient_g": lambda: single_faces(quotient_g),
+        "face monotonicity": lambda: single_faces(check_monotonicity),
     }
     return lat, readers
 

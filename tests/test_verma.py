@@ -305,7 +305,9 @@ def test_solver_errors_name_the_face_the_oracle_names(monkeypatch, case):
     assert _message(layered_multiplicities, lat) == expected
     assert _message(verma_multiplicities, lat) == expected
     assert f"at face {_failing_face(lat)}" in expected
-    assert "verma_m" not in lat._cache
+    # a solve that raised keeps nothing, so the next call raises again
+    assert "verma_m" not in lat._cache and "verma" not in lat._cache
+    assert _message(verma_multiplicities, lat) == expected
 
 
 def test_solver_errors_go_by_layer_before_index(monkeypatch):
